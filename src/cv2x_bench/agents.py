@@ -65,6 +65,23 @@ class ProcessingDelay:
         return self.constant_ns
 
 
+def publish_offset_ns(k: int, rate_hz: float) -> int:
+    """Offset of message k from the start of a run publishing at rate_hz."""
+    return int(k * 1_000_000_000 / rate_hz)
+
+
+def message_count(rate_hz: float, duration_ns: int) -> int:
+    """Messages a run of duration_ns publishing at rate_hz sends: those
+    whose publish offset falls before the end.  Sim and real mode both
+    use this rule."""
+    n = int(duration_ns * rate_hz / 1_000_000_000)
+    while publish_offset_ns(n, rate_hz) < duration_ns:
+        n += 1
+    while n > 0 and publish_offset_ns(n - 1, rate_hz) >= duration_ns:
+        n -= 1
+    return n
+
+
 class SimSensor:
     """Publishes fixed-size frames at a fixed rate; consumes nothing."""
 
@@ -86,19 +103,10 @@ class SimSensor:
         self.start_ns = start_ns
         self.next_seq = 0
         self.app_frames_received = 0  # role purity: must stay 0
-        self.n_messages = self._count_messages(duration_ns)
+        self.n_messages = message_count(rate_hz, duration_ns)
 
     def publish_time(self, k: int) -> int:
-        return self.start_ns + int(k * 1_000_000_000 / self.rate_hz)
-
-    def _count_messages(self, duration_ns: int) -> int:
-        end_ns = self.start_ns + duration_ns
-        n = int(duration_ns * self.rate_hz / 1_000_000_000)
-        while self.publish_time(n) < end_ns:
-            n += 1
-        while n > 0 and self.publish_time(n - 1) >= end_ns:
-            n -= 1
-        return n
+        return self.start_ns + publish_offset_ns(k, self.rate_hz)
 
     @property
     def offered_bps(self) -> float:
@@ -285,11 +293,12 @@ def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
                     clock: SystemClock | None = None,
                     provider: ZeroOffsetProvider | None = None,
                     max_retries: int = 5) -> int:
-    """Publish round(rate*duration) frames at the configured pace; returns
-    the number sent.  Transport failures trigger reconnect with backoff."""
+    """Publish message_count(rate, duration) frames at the configured pace;
+    returns the number sent.  Transport failures trigger reconnect with
+    backoff."""
     clock = clock or SystemClock()
     provider = provider or ZeroOffsetProvider()
-    n = round(rate_hz * duration_s)
+    n = message_count(rate_hz, round(duration_s * 1_000_000_000))
     client = BrokerClient(host, port)
     sent = 0
     try:

@@ -67,6 +67,8 @@ class CbrPacketSource:
 
     arrivals(t0, t1) yields the (time_ns, size_bits) pairs falling in
     [t0, t1); windows must be queried in increasing, non-overlapping order.
+    open_window(t0, t1), take_before(t) and next_arrival() consume the same
+    stream by count instead, for callers that enqueue packets in runs.
     """
 
     def __init__(self, flow_id: str, rate_bps: int,
@@ -80,9 +82,21 @@ class CbrPacketSource:
         self.start_ns = start_ns
         self.stop_ns = stop_ns
         self._k = 0
+        self._window_t1 = start_ns
+        self._window_end = 0
 
     def _packet_time(self, k: int) -> int:
         return self.start_ns + (k * self.packet_bits * 1_000_000_000) // self.rate_bps
+
+    def _count_before(self, t: int) -> int:
+        """Packets of the whole stream arriving before t: the k with
+        _packet_time(k) < t, i.e. k * packet_bits * 1e9 < (t - start) * rate."""
+        if self.stop_ns is not None and t > self.stop_ns:
+            t = self.stop_ns
+        span = t - self.start_ns
+        if span <= 0 or self.rate_bps == 0:
+            return 0
+        return -(-span * self.rate_bps // (self.packet_bits * 1_000_000_000))
 
     def arrivals(self, t0: int, t1: int):
         if self.rate_bps == 0:
@@ -94,6 +108,32 @@ class CbrPacketSource:
             self._k += 1
             if t >= t0:
                 yield t, self.packet_bits
+
+    def open_window(self, t0: int, t1: int) -> int | None:
+        """Start on the window [t0, t1), skipping packets before t0 as
+        arrivals() does; returns the window's first arrival time, or None
+        if no packet arrives in it."""
+        skipped = self._count_before(t0)
+        if skipped > self._k:
+            self._k = skipped
+        self._window_t1 = t1
+        self._window_end = self._count_before(t1)
+        return self.next_arrival()
+
+    def next_arrival(self) -> int | None:
+        """Time of the open window's next packet, or None when it has none."""
+        return self._packet_time(self._k) if self._k < self._window_end else None
+
+    def take_before(self, t: int) -> int:
+        """Consume the open window's packets arriving before t; returns how
+        many there were."""
+        end = self._window_end
+        if t < self._window_t1:
+            end = min(end, self._count_before(t))
+        if end <= self._k:
+            return 0
+        taken, self._k = end - self._k, end
+        return taken
 
 
 def blast_udp(target: tuple[str, int], rate_bps: int, duration_s: float,

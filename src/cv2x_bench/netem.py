@@ -31,7 +31,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 
 class SlotKind(Enum):
@@ -261,6 +261,20 @@ class QueuedPacket:
     enqueue_ns: int
     arrival_idx: int
     meta: dict | None = None
+    count: ClassVar[int] = 1
+
+
+@dataclass(slots=True)
+class QueuedRun:
+    """`count` packets of `size_bits` from one flow that arrived back to
+    back: their arrival indices run from `arrival_idx` without a gap, so no
+    packet of any other flow sits between them in arrival order.  Only the
+    head packet can be partly served.  A served run yields no Delivery."""
+
+    arrival_idx: int
+    count: int
+    size_bits: int
+    remaining_bits: int
 
 
 @dataclass(frozen=True)
@@ -271,6 +285,10 @@ class Delivery:
     delivery_ns: int
     cell_id: int
     meta: dict | None = None
+
+
+# (queue, entry, packets of the entry completed)
+Completion = tuple["FlowQueue", "QueuedPacket | QueuedRun", int]
 
 
 class FlowQueue:
@@ -284,7 +302,7 @@ class FlowQueue:
         self.cell_id = cell_id
         self.mobile = mobile
         self.suspendable = suspendable
-        self.packets: deque[QueuedPacket] = deque()
+        self.packets: deque[QueuedPacket | QueuedRun] = deque()
         self.backlog_bits = 0
         self.offered_bits = 0
         self.served_bits = 0
@@ -305,46 +323,89 @@ class FlowQueue:
         self.backlog_bits += size_bits
         return True
 
-    def serve_bits(self, bits: int) -> tuple[int, list[QueuedPacket]]:
+    def enqueue_run(self, count: int, size_bits: int, arrival_idx: int) -> int:
+        """Enqueue `count` back-to-back packets holding arrival indices
+        arrival_idx, arrival_idx + 1, ...; returns how many were accepted.
+        Tail drop keeps a prefix: once one packet of equal size overflows
+        the cap, every later one does too."""
+        bits = count * size_bits
+        self.offered_bits += bits
+        if self.spec.reliability is Reliability.DROPPABLE:
+            room = self.spec.queue_cap_bytes * 8 - self.backlog_bits
+            if room < bits:
+                accepted = max(0, room // size_bits)
+                self.dropped_bits += bits - accepted * size_bits
+                if not accepted:
+                    return 0
+                count, bits = accepted, accepted * size_bits
+        self.backlog_bits += bits
+        packets = self.packets
+        if packets:
+            tail = packets[-1]
+            if (type(tail) is QueuedRun and tail.size_bits == size_bits
+                    and tail.arrival_idx + tail.count == arrival_idx):
+                tail.count += count
+                return count
+        packets.append(QueuedRun(arrival_idx, count, size_bits, size_bits))
+        return count
+
+    def serve_bits(self, bits: int, completed: list[Completion]) -> int:
         """Drain up to `bits` from the head of the queue; returns the bits
-        actually served and the packets completed in the process."""
+        actually served and appends what completed to `completed`."""
         served = 0
-        done: list[QueuedPacket] = []
-        while bits > 0 and self.packets:
-            pkt = self.packets[0]
-            take = min(bits, pkt.remaining_bits)
-            pkt.remaining_bits -= take
-            bits -= take
-            served += take
-            if pkt.remaining_bits == 0:
-                done.append(self.packets.popleft())
+        packets = self.packets
+        while bits > 0 and packets:
+            head = packets[0]
+            left = head.remaining_bits + (head.count - 1) * head.size_bits
+            if bits >= left:
+                packets.popleft()
+                completed.append((self, head, head.count))
+                bits -= left
+                served += left
+                continue
+            if bits >= head.remaining_bits:
+                # a run: its head and `done - 1` more packets complete
+                done, part = divmod(bits - head.remaining_bits, head.size_bits)
+                done += 1
+                completed.append((self, head, done))
+                head.count -= done
+                head.arrival_idx += done
+                head.remaining_bits = head.size_bits - part
+            else:
+                head.remaining_bits -= bits
+            served += bits
+            break
         self.backlog_bits -= served
         self.served_bits += served
-        return served, done
+        return served
 
 
 def _serve_fifo(queues: list[FlowQueue], budget: int,
-                completed: list[tuple[FlowQueue, QueuedPacket]]) -> int:
-    """Serve queues in global arrival order (one best-effort pipe)."""
+                completed: list[Completion]) -> int:
+    """Serve queues in global arrival order (one best-effort pipe).  A run
+    is contiguous in arrival order, so its packets are taken together."""
     served_total = 0
     while budget > 0:
-        head: FlowQueue | None = None
-        for q in queues:
-            if q.packets and (head is None
-                              or q.packets[0].arrival_idx < head.packets[0].arrival_idx):
-                head = q
-        if head is None:
+        live = [q for q in queues if q.packets]
+        if not live:
             break
-        take = min(budget, head.packets[0].remaining_bits)
-        served, done = head.serve_bits(take)
+        if len(live) == 1:
+            return served_total + live[0].serve_bits(budget, completed)
+        head = live[0]
+        for q in live[1:]:
+            if q.packets[0].arrival_idx < head.packets[0].arrival_idx:
+                head = q
+        entry = head.packets[0]
+        served = head.serve_bits(
+            min(budget, entry.remaining_bits + (entry.count - 1) * entry.size_bits),
+            completed)
         budget -= served
         served_total += served
-        completed.extend((head, pkt) for pkt in done)
     return served_total
 
 
 def _serve_waterfill(queues: list[FlowQueue], budget: int,
-                     completed: list[tuple[FlowQueue, QueuedPacket]]) -> int:
+                     completed: list[Completion]) -> int:
     """Max-min fair (byte-fair round-robin) split of a budget across flows."""
     served_total = 0
     active = [q for q in queues if q.backlog_bits > 0]
@@ -352,24 +413,36 @@ def _serve_waterfill(queues: list[FlowQueue], budget: int,
         share = budget // len(active)
         if share == 0:
             for q in active:
-                served, done = q.serve_bits(min(budget, q.backlog_bits))
+                served = q.serve_bits(min(budget, q.backlog_bits), completed)
                 budget -= served
                 served_total += served
-                completed.extend((q, pkt) for pkt in done)
                 if budget == 0:
                     break
             break
         progressed = 0
         for q in active:
-            served, done = q.serve_bits(min(share, q.backlog_bits))
+            served = q.serve_bits(min(share, q.backlog_bits), completed)
             budget -= served
             served_total += served
             progressed += served
-            completed.extend((q, pkt) for pkt in done)
         if progressed == 0:
             break
         active = [q for q in active if q.backlog_bits > 0]
     return served_total
+
+
+@dataclass
+class _FlowGroup:
+    """One direction of one cell: its per-tick bit budget and the flows it
+    may serve.  `views[2 * mobile_here + suspended]` holds, in flow order,
+    the flows eligible when the mobile terminal is (or is not) served by
+    this cell and a handover interruption is (or is not) in progress, as
+    (all, application class, background class)."""
+
+    cell_id: int
+    direction: Direction
+    budget: int
+    views: list[tuple[list[FlowQueue], list[FlowQueue], list[FlowQueue]]]
 
 
 class LinkSimulator:
@@ -387,11 +460,15 @@ class LinkSimulator:
         if len(self.cells) != len(cells):
             raise ValueError("cell ids must be unique")
         self.flows: dict[str, FlowQueue] = {}
+        self._groups: list[_FlowGroup] | None = None
         self._arrival_counter = 0
         default_cell = cells[0].cell_id
         self._cell_switch_times: list[int] = [0]
         self._cell_by_switch: list[int] = [default_cell]
         self._suspensions: list[tuple[int, int]] = []
+        # (flow_id, packets, size_bits, cell_id) of the run segments the
+        # last tick completed
+        self.run_segments: list[tuple[str, int, int, int]] = []
 
     def add_flow(self, spec: FlowSpec, cell_id: int | None = None,
                  mobile: bool = False, suspendable: bool = False) -> FlowQueue:
@@ -401,6 +478,7 @@ class LinkSimulator:
             raise ValueError(f"unknown cell {cell_id}")
         q = FlowQueue(spec, cell_id=cell_id, mobile=mobile, suspendable=suspendable)
         self.flows[spec.flow_id] = q
+        self._groups = None
         return q
 
     def set_mobility(self, initial_cell: int,
@@ -431,54 +509,89 @@ class LinkSimulator:
         self._arrival_counter += 1
         return q.enqueue(size_bits, time_ns, self._arrival_counter, meta)
 
-    def _flow_cell(self, q: FlowQueue, tick_start: int) -> int:
-        if q.mobile:
-            return self.serving_cell(tick_start)
-        assert q.cell_id is not None
-        return q.cell_id
+    def enqueue_run(self, flow_id: str, count: int, size_bits: int) -> int:
+        """Enqueue `count` packets of one flow that arrive back to back, with
+        no other enqueue between them; returns how many were accepted.  The
+        queue ends as if each had gone through `enqueue`, but the packets
+        yield no Delivery when served."""
+        if count <= 0 or size_bits <= 0:
+            raise ValueError("run needs a positive count and packet size")
+        first = self._arrival_counter + 1
+        self._arrival_counter += count
+        return self.flows[flow_id].enqueue_run(count, size_bits, first)
+
+    def _flow_groups(self) -> list[_FlowGroup]:
+        if self._groups is None:
+            self._groups = []
+            for cell_id, cell in self.cells.items():
+                ul_budget, dl_budget = tick_budget(cell, self.pattern, self.tick_ns)
+                for direction, budget in ((Direction.UPLINK, ul_budget),
+                                          (Direction.DOWNLINK, dl_budget)):
+                    flows = [q for q in self.flows.values()
+                             if q.spec.direction is direction
+                             and (q.mobile or q.cell_id == cell_id)]
+                    if not flows:
+                        continue
+                    views = []
+                    for mobile_here in (False, True):
+                        for suspended in (False, True):
+                            eligible = [q for q in flows
+                                        if (mobile_here or not q.mobile)
+                                        and not (suspended and q.suspendable)]
+                            views.append((eligible,
+                                          [q for q in eligible
+                                           if q.spec.priority_class
+                                           is PriorityClass.APPLICATION],
+                                          [q for q in eligible
+                                           if q.spec.priority_class
+                                           is PriorityClass.BACKGROUND]))
+                    self._groups.append(_FlowGroup(cell_id, direction, budget, views))
+        return self._groups
 
     def run_tick(self, tick_start: int) -> list[Delivery]:
         tick_end = tick_start + self.tick_ns
         suspended = self._suspended(tick_start, tick_end)
+        serving = self.serving_cell(tick_start)
         deliveries: list[Delivery] = []
-        for cell_id, cell in self.cells.items():
-            ul_budget, dl_budget = tick_budget(cell, self.pattern, self.tick_ns)
-            for direction, budget in ((Direction.UPLINK, ul_budget),
-                                      (Direction.DOWNLINK, dl_budget)):
-                eligible = [q for q in self.flows.values()
-                            if q.spec.direction is direction
-                            and self._flow_cell(q, tick_start) == cell_id
-                            and not (suspended and q.suspendable)]
-                if not eligible:
-                    continue
-                completed: list[tuple[FlowQueue, QueuedPacket]] = []
-                if self.scheduler is SchedulerKind.AP:
-                    app = [q for q in eligible
-                           if q.spec.priority_class is PriorityClass.APPLICATION]
-                    bg = [q for q in eligible
-                          if q.spec.priority_class is PriorityClass.BACKGROUND]
-                    served = _serve_fifo(app, budget, completed)
-                    bg_served = _serve_waterfill(bg, budget - served, completed)
-                    served += bg_served
-                    if bg_served > 0 and any(q.backlog_bits for q in app):
-                        raise InvariantViolation(
-                            f"priority dominance broken in cell {cell_id} {direction.value}")
+        self.run_segments = []
+        for group in self._flow_groups():
+            cell_id, budget = group.cell_id, group.budget
+            eligible, app, bg = group.views[2 * (serving == cell_id) + suspended]
+            for q in eligible:
+                if q.backlog_bits:
+                    break
+            else:
+                continue  # nothing to serve, so every per-group check holds
+            completed: list[Completion] = []
+            if self.scheduler is SchedulerKind.AP:
+                served = _serve_fifo(app, budget, completed)
+                bg_served = _serve_waterfill(bg, budget - served, completed)
+                served += bg_served
+                if bg_served > 0 and any(q.backlog_bits for q in app):
+                    raise InvariantViolation(
+                        f"priority dominance broken in cell {cell_id} "
+                        f"{group.direction.value}")
+            else:
+                served = _serve_fifo(eligible, budget, completed)
+            if served > budget:
+                raise InvariantViolation(
+                    f"served {served} bits over budget {budget} "
+                    f"in cell {cell_id} {group.direction.value}")
+            if served < budget and any(q.backlog_bits for q in eligible):
+                raise InvariantViolation(
+                    f"work conservation broken in cell {cell_id} "
+                    f"{group.direction.value}")
+            for q, entry, packets in completed:
+                if type(entry) is QueuedRun:
+                    self.run_segments.append((q.spec.flow_id, packets,
+                                              entry.size_bits, cell_id))
                 else:
-                    served = _serve_fifo(eligible, budget, completed)
-                if served > budget:
-                    raise InvariantViolation(
-                        f"served {served} bits over budget {budget} "
-                        f"in cell {cell_id} {direction.value}")
-                if served < budget and any(q.backlog_bits for q in eligible):
-                    raise InvariantViolation(
-                        f"work conservation broken in cell {cell_id} {direction.value}")
-                for q, pkt in completed:
                     deliveries.append(Delivery(flow_id=q.spec.flow_id,
-                                               size_bits=pkt.size_bits,
-                                               enqueue_ns=pkt.enqueue_ns,
+                                               size_bits=entry.size_bits,
+                                               enqueue_ns=entry.enqueue_ns,
                                                delivery_ns=tick_end,
                                                cell_id=cell_id,
-                                               meta=pkt.meta))
+                                               meta=entry.meta))
         for q in self.flows.values():
             if q.offered_bits - q.served_bits - q.dropped_bits != q.backlog_bits:
                 raise InvariantViolation(
@@ -493,11 +606,18 @@ class LinkSimulator:
 class SimWorld:
     """Single-threaded deterministic event loop around a LinkSimulator.
 
-    Time advances tick by tick.  Within a tick, all timed events falling
-    before the tick's end fire in (time, insertion) order; constant-bitrate
-    sources inject their packet arrivals for the window first, then queues
-    are served and deliveries dispatched to the handler.  Two worlds built
-    from the same configuration and seeds produce identical event logs.
+    Time advances tick by tick.  Within a tick, timed events and the packet
+    arrivals of constant-bitrate sources fire in (time, order) order, then
+    queues are served and deliveries dispatched to the handler.  CBR
+    arrivals do not go through the event heap: each tick, each source's
+    arrivals are merged with the heap as if they had been scheduled at the
+    tick's start, after the events already pending and before any event
+    scheduled while the tick dispatches; arrivals at the same instant keep
+    source order.  Each stretch of one source's consecutive arrivals
+    enters its queue as one run (`LinkSimulator.enqueue_run`), and a
+    served run is logged but not dispatched to the handler.  Two worlds
+    built from the same configuration and seeds produce identical event
+    logs.
     """
 
     def __init__(self, link: LinkSimulator, base_delay_ns: int = 2_000_000,
@@ -510,7 +630,9 @@ class SimWorld:
         self.now_ns = start_ns
         self.event_log: list[str] = []
         self.on_delivery: Callable[[Delivery], None] | None = None
-        self.cbr_sources: list = []  # objects with .flow_id and .arrivals(t0, t1)
+        # objects with .flow_id, .packet_bits, .open_window(t0, t1),
+        # .take_before(t) and .next_arrival(), like loadgen.CbrPacketSource
+        self.cbr_sources: list = []
         self._heap: list[tuple[int, int, Callable[[int], None]]] = []
         self._heap_seq = 0
 
@@ -520,26 +642,53 @@ class SimWorld:
         self._heap_seq += 1
         heapq.heappush(self._heap, (time_ns, self._heap_seq, callback))
 
-    def _make_bg_enqueue(self, flow_id: str, size_bits: int) -> Callable[[int], None]:
-        def enqueue(now_ns: int) -> None:
-            self.link.enqueue(flow_id, size_bits, now_ns,
-                              meta={"kind": "background"})
-        return enqueue
+    def _dispatch(self, tick_start: int, tick_end: int) -> None:
+        """Fire the tick's timed events and enqueue its CBR arrivals."""
+        heap = self._heap
+        enqueue_run = self.link.enqueue_run
+        pending_before = self._heap_seq
+        heads = []  # [next arrival time, source index, source]
+        for i, src in enumerate(self.cbr_sources):
+            first = src.open_window(tick_start, tick_end)
+            if first is not None:
+                heads.append([first, i, src])
+        while heads:
+            head = min(heads) if len(heads) > 1 else heads[0]
+            arrival_ns, i, src = head
+            bound = tick_end
+            if heap:
+                event_ns, seq, callback = heap[0]
+                # arrivals at event_ns follow an event pending since before
+                # the tick and precede one scheduled during it
+                event_bound = event_ns if seq <= pending_before else event_ns + 1
+                if event_bound <= arrival_ns:
+                    heapq.heappop(heap)
+                    callback(event_ns)
+                    continue
+                if event_bound < bound:
+                    bound = event_bound
+            for other in heads:
+                if other is not head:
+                    # at one instant, sources arrive in list order
+                    other_bound = other[0] + 1 if other[1] > i else other[0]
+                    if other_bound < bound:
+                        bound = other_bound
+            enqueue_run(src.flow_id, src.take_before(bound), src.packet_bits)
+            following = src.next_arrival()
+            if following is None:
+                heads.remove(head)
+            else:
+                head[0] = following
+        while heap and heap[0][0] < tick_end:
+            event_ns, _, callback = heapq.heappop(heap)
+            callback(event_ns)
 
     def run_tick(self) -> list[Delivery]:
         tick_start = self.now_ns
         tick_end = tick_start + self.tick_ns
         if self.record_events:
             self.event_log.append(f"tick {tick_start}")
-        # CBR arrivals go through the heap so queue order follows true
-        # arrival time, interleaved with agent events.
-        for src in self.cbr_sources:
-            for arrival_ns, size_bits in src.arrivals(tick_start, tick_end):
-                self.schedule(arrival_ns, self._make_bg_enqueue(src.flow_id,
-                                                                size_bits))
-        while self._heap and self._heap[0][0] < tick_end:
-            time_ns, _, callback = heapq.heappop(self._heap)
-            callback(time_ns)
+        self._dispatch(tick_start, tick_end)
         deliveries = self.link.run_tick(tick_start)
         for d in deliveries:
             if self.record_events:
@@ -548,6 +697,11 @@ class SimWorld:
                     f"enq={d.enqueue_ns} t={d.delivery_ns} cell={d.cell_id}")
             if self.on_delivery is not None:
                 self.on_delivery(d)
+        if self.record_events:
+            for flow_id, packets, size_bits, cell_id in self.link.run_segments:
+                self.event_log.append(
+                    f"deliver flow={flow_id} packets={packets} "
+                    f"bits={packets * size_bits} t={tick_end} cell={cell_id}")
         self.now_ns = tick_end
         return deliveries
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -20,14 +21,15 @@ from pathlib import Path
 from . import analysis
 from .agents import (DOWNLINK_TOPIC, UPLINK_TOPIC, ProcessingDelay,
                      SimPipeline, SimRelay, SimSensor, SimVehicle,
-                     run_real_relay, run_real_sensor, run_real_vehicle)
+                     message_count, run_real_relay, run_real_sensor,
+                     run_real_vehicle)
 from .broker import Broker
 from .clockmodel import DriftingClock, OffsetProvider
 from .loadgen import (DEFAULT_PACKET_BYTES, CbrPacketSource, parse_load)
 from .netem import (CellConfig, Direction, FlowSpec, HandoverEvent,
                     LinkSimulator, MobilityRoute, PriorityClass, Reliability,
                     SchedulerKind, SimWorld, TddPattern, apply_handover,
-                    initial_serving_cell)
+                    initial_serving_cell, tick_budget)
 from .protocol import FRAME_OVERHEAD
 
 SEED_ENV_VAR = "CV2X_SEED"
@@ -62,6 +64,8 @@ def _num(obj: dict, key: str, default, path: str, *, integer: bool = False,
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}.{key} must be finite, got {value}")
     if integer:
         if int(value) != value:
             raise ConfigError(f"{path}.{key} must be an integer")
@@ -260,7 +264,7 @@ class NetworkConfig:
                           (float(pos[0]), float(pos[1]))))
         if not cells:
             raise ConfigError(f"{path}.cells must not be empty")
-        return cls(pattern=pattern,
+        conf = cls(pattern=pattern,
                    slot_duration_ns=_num(obj, "slot_duration_ns", 500_000, path,
                                          integer=True, minimum=1),
                    ul_capacity_bps=_num(obj, "ul_capacity_bps", 40_000_000, path,
@@ -273,6 +277,16 @@ class NetworkConfig:
                    handover=HandoverConfig.from_obj(obj.get("handover", {}),
                                                     f"{path}.handover"),
                    cells=tuple(cells))
+        # a direction whose per-tick budget rounds to 0 bits never drains
+        tdd = conf.build_pattern()
+        budgets = tick_budget(conf.build_cells()[0], tdd, tdd.period_ns)
+        for key, budget in zip(("ul_capacity_bps", "dl_capacity_bps"), budgets):
+            if budget == 0:
+                raise ConfigError(
+                    f"{path}.{key} gives a per-tick budget of 0 bits at the "
+                    f"{tdd.period_ns} ns tick; it must be >= "
+                    f"{-(-1_000_000_000 // tdd.period_ns)}")
+        return conf
 
     def to_obj(self) -> dict:
         return {"pattern": self.pattern,
@@ -552,7 +566,7 @@ def run_scenario(cfg: ScenarioConfig,
 def _run_real(cfg: ScenarioConfig) -> ScenarioResult:
     """Loopback real-socket run: broker, relay, and vehicle threads plus a
     blocking sensor."""
-    expected = round(cfg.message.rate_hz * cfg.duration_s)
+    expected = message_count(cfg.message.rate_hz, cfg.duration_ns)
     stop = threading.Event()
     records: list[analysis.PacketRecord] = []
     errors: list[BaseException] = []

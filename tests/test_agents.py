@@ -152,3 +152,14 @@ def test_reliable_delivery_no_gaps_under_load():
                duration_s=5.0)
     assert [r.seq for r in res.records] == list(range(100))
     assert all(not r.corrupt for r in res.records)
+
+
+def test_message_count_matches_the_publish_timeline():
+    from cv2x_bench.agents import message_count, publish_offset_ns
+    for rate_hz, duration_ns in ((1.0, 500_000_000), (10.0, 10_000_000_000),
+                                 (3.0, 1_000_000_000), (7.0, 1_000_000_001),
+                                 (0.3, 10_000_000_000)):
+        n = message_count(rate_hz, duration_ns)
+        assert publish_offset_ns(n - 1, rate_hz) < duration_ns
+        assert publish_offset_ns(n, rate_hz) >= duration_ns
+    assert message_count(1.0, 500_000_000) == 1

@@ -205,3 +205,38 @@ def test_matrix_outputs_land_in_per_cell_directories(tmp_path):
         assert (tmp_path / name / f"{name}.config.json").exists()
         assert (tmp_path / f"cdf_{name}.csv").exists()
         assert (tmp_path / f"per_packet_{name}.csv").exists()
+
+
+def test_zero_per_tick_budget_names_the_field():
+    # 399 bps over a 2.5 ms tick rounds to 0 bits, which never drains
+    for key in ("ul_capacity_bps", "dl_capacity_bps"):
+        with pytest.raises(ConfigError, match=f"config.network.{key}"):
+            config_from_obj(_minimal(network={key: 399}))
+        assert getattr(config_from_obj(_minimal(network={key: 400})).network,
+                       key) == 400
+    # the budget follows the tick: a 5 ns tick needs at least 200 Mbps
+    with pytest.raises(ConfigError, match="config.network.dl_capacity_bps"):
+        config_from_obj(_minimal(network={"slot_duration_ns": 1,
+                                          "ul_capacity_bps": 200_000_000,
+                                          "dl_capacity_bps": 199_999_999}))
+
+
+def test_non_finite_numbers_name_the_field():
+    obj = json.loads('{"mode": "sim", "seed": 1, "duration_s": NaN}')
+    with pytest.raises(ConfigError, match="config.duration_s"):
+        config_from_obj(obj)
+    with pytest.raises(ConfigError, match="config.message.rate_hz"):
+        config_from_obj(_minimal(message={"rate_hz": float("inf")}))
+    with pytest.raises(ConfigError, match="config.network.ul_capacity_bps"):
+        config_from_obj(_minimal(network={"ul_capacity_bps": float("-inf")}))
+    with pytest.raises(ConfigError, match="config.seed"):
+        config_from_obj(_minimal(seed=float("inf")))
+
+
+def test_sim_and_real_mode_send_the_same_message_count():
+    # 1 Hz for 0.5 s: the message at offset 0 falls inside the run
+    obj = _minimal(duration_s=0.5, message={"size_bytes": 1000, "rate_hz": 1.0})
+    sim = run_scenario(config_from_obj(obj))
+    real = run_scenario(config_from_obj(dict(obj, mode="real")))
+    assert sim.sensor_sent == real.sensor_sent == 1
+    assert len(sim.records) == len(real.records) == 1
