@@ -17,7 +17,6 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 
 from . import protocol
@@ -25,23 +24,11 @@ from .analysis import PacketRecord, RecordWriter
 from .broker import BrokerClient
 from .clockmodel import (DriftingClock, OffsetProvider, SystemClock,
                          ZeroOffsetProvider)
-from .netem import Delivery, Direction, LinkSimulator, SimWorld
+from .netem import Delivery, LinkSimulator, SimWorld
 
 
-class AgentKind(Enum):
-    SENSOR = "sensor"
-    EDGE_RELAY = "relay"
-    VEHICLE = "vehicle"
-
-
-@dataclass(frozen=True)
-class Topic:
-    name: str
-    direction: Direction
-
-
-UPLINK_TOPIC = Topic("UL", Direction.UPLINK)
-DOWNLINK_TOPIC = Topic("DL", Direction.DOWNLINK)
+UPLINK_TOPIC = "UL"
+DOWNLINK_TOPIC = "DL"
 
 
 @dataclass(frozen=True)
@@ -53,6 +40,8 @@ class ProcessingDelay:
 
     def __post_init__(self) -> None:
         if self.uniform_ns is not None:
+            if self.constant_ns:
+                raise ValueError("set constant_ns or uniform_ns, not both")
             low, high = self.uniform_ns
             if low < 0 or high < low:
                 raise ValueError("uniform range must satisfy 0 <= low <= high")
@@ -289,7 +278,7 @@ def _paced_deadlines(rate_hz: float, n: int, start: float):
 
 def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
                     rate_hz: float, duration_s: float, source_id: int = 1,
-                    topic: str = UPLINK_TOPIC.name, payload_seed: int = 0,
+                    topic: str = UPLINK_TOPIC, payload_seed: int = 0,
                     clock: SystemClock | None = None,
                     provider: ZeroOffsetProvider | None = None,
                     max_retries: int = 5) -> int:
@@ -331,8 +320,8 @@ def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
 
 
 def run_real_relay(host: str, port: int, *, stop: threading.Event,
-                   sub_topic: str = UPLINK_TOPIC.name,
-                   pub_topic: str = DOWNLINK_TOPIC.name,
+                   sub_topic: str = UPLINK_TOPIC,
+                   pub_topic: str = DOWNLINK_TOPIC,
                    processing: ProcessingDelay | None = None,
                    clock: SystemClock | None = None,
                    provider: ZeroOffsetProvider | None = None,
@@ -373,7 +362,7 @@ def run_real_relay(host: str, port: int, *, stop: threading.Event,
 
 
 def run_real_vehicle(host: str, port: int, *, stop: threading.Event,
-                     topic: str = DOWNLINK_TOPIC.name,
+                     topic: str = DOWNLINK_TOPIC,
                      sink: RecordWriter | None = None,
                      expected: int | None = None,
                      clock: SystemClock | None = None,

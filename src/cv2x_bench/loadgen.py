@@ -8,6 +8,7 @@ configured rate to within one packet regardless of tick size.
 
 from __future__ import annotations
 
+import math
 import socket
 import time
 from dataclasses import dataclass
@@ -47,12 +48,14 @@ def parse_load(text: str, direction: Direction,
     try:
         count_str, mbps_str = cleaned.split("x")
         ue_count = int(count_str)
-        mbps = float(mbps_str)
+        rate_bps = float(mbps_str) * 1_000_000
+        if not math.isfinite(rate_bps):
+            raise ValueError
     except ValueError:
         raise ValueError(
             f"load spec {text!r} must look like '<ue_count>x<mbps>' or 'none'") from None
     return BackgroundLoad(ue_count=ue_count,
-                          per_ue_rate_bps=round(mbps * 1_000_000),
+                          per_ue_rate_bps=round(rate_bps),
                           direction=direction,
                           packet_size_bytes=packet_size_bytes)
 

@@ -709,10 +709,6 @@ class SimWorld:
         while self.now_ns < until_ns:
             self.run_tick()
 
-    @property
-    def pending_events(self) -> int:
-        return len(self._heap)
-
 
 def step_simulation(world: SimWorld, until_ns: int) -> list[str]:
     """Advance the world to the given time and return its event log."""

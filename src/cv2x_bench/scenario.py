@@ -9,13 +9,16 @@ reproducible from its output directory alone.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import math
 import os
+import sys
 import threading
 import time
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from . import analysis
@@ -40,264 +43,133 @@ SEED_ENV_VAR = "CV2X_SEED"
 # times in configs stay relative to run start.
 RUN_EPOCH_NS = 1_700_000_000_000_000_000
 
-# Message presets: total frame bytes and rate. "cpm-etsi" mirrors a
+# Message presets: the message fields each one sets. "cpm-etsi" mirrors a
 # collaborative-perception message stream: 156-byte messages at 10 Hz.
-MESSAGE_PRESETS: dict[str, tuple[int, float]] = {
-    "cpm-etsi": (156, 10.0),
+MESSAGE_PRESETS: dict[str, dict] = {
+    "cpm-etsi": {"size_bytes": 156, "rate_hz": 10.0},
 }
-
-_AGENT_NAMES = ("sensor", "relay", "vehicle")
 
 
 class ConfigError(ValueError):
-    """Configuration failed validation; the message names the field."""
+    """Configuration failed validation; the message names the field.
+
+    A config class's __post_init__ raises it with a message that starts
+    with the offending field's name; the parser prefixes the object's path.
+    """
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {path}")
+def _at_least(minimum, *, default):
+    """A config field whose parsed value must be >= minimum."""
+    return field(default=default, metadata={"minimum": minimum})
 
 
-def _num(obj: dict, key: str, default, path: str, *, integer: bool = False,
-         minimum=None):
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key} must be finite, got {value}")
-    if integer:
-        if int(value) != value:
-            raise ConfigError(f"{path}.{key} must be an integer")
-        value = int(value)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key} must be >= {minimum}")
-    return value
-
+# --------------------------------------------------------------------------
+# Config schema: each field declaration is the only place its default and
+# lower bound are written.
+# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ClockParams:
     offset0_ns: int = 0
     drift_ppm: float = 0.0
-    jitter_ns: int = 0
-
-    @classmethod
-    def from_obj(cls, obj: dict, path: str) -> "ClockParams":
-        _check_keys(obj, {"offset0_ns", "drift_ppm", "jitter_ns"}, path)
-        return cls(offset0_ns=_num(obj, "offset0_ns", 0, path, integer=True),
-                   drift_ppm=float(_num(obj, "drift_ppm", 0.0, path)),
-                   jitter_ns=_num(obj, "jitter_ns", 0, path, integer=True, minimum=0))
-
-    def to_obj(self) -> dict:
-        return {"offset0_ns": self.offset0_ns, "drift_ppm": self.drift_ppm,
-                "jitter_ns": self.jitter_ns}
+    jitter_ns: int = _at_least(0, default=0)
 
 
 @dataclass(frozen=True)
 class NtpParams:
-    period_s: float = 10.0
-    noise_bound_ns: int = 0
-
-    @classmethod
-    def from_obj(cls, obj: dict, path: str) -> "NtpParams":
-        _check_keys(obj, {"period_s", "noise_bound_ns"}, path)
-        return cls(period_s=float(_num(obj, "period_s", 10.0, path, minimum=0)),
-                   noise_bound_ns=_num(obj, "noise_bound_ns", 0, path,
-                                       integer=True, minimum=0))
-
-    def to_obj(self) -> dict:
-        return {"period_s": self.period_s, "noise_bound_ns": self.noise_bound_ns}
+    period_s: float = _at_least(0, default=10.0)
+    noise_bound_ns: int = _at_least(0, default=0)
 
 
 @dataclass(frozen=True)
 class AgentParams:
     clock: ClockParams = ClockParams()
     ntp: NtpParams = NtpParams()
-    processing_delay: ProcessingDelay | None = None
 
-    @classmethod
-    def from_obj(cls, obj: dict, path: str, *, relay: bool) -> "AgentParams":
-        allowed = {"clock", "ntp"} | ({"processing_delay"} if relay else set())
-        _check_keys(obj, allowed, path)
-        processing = None
-        if relay and "processing_delay" in obj:
-            pd_obj = obj["processing_delay"]
-            _check_keys(pd_obj, {"constant_ns", "uniform_ns"},
-                        f"{path}.processing_delay")
-            if "uniform_ns" in pd_obj:
-                low, high = pd_obj["uniform_ns"]
-                processing = ProcessingDelay(uniform_ns=(int(low), int(high)))
-            else:
-                processing = ProcessingDelay(
-                    constant_ns=_num(pd_obj, "constant_ns", 0,
-                                     f"{path}.processing_delay",
-                                     integer=True, minimum=0))
-        return cls(clock=ClockParams.from_obj(obj.get("clock", {}), f"{path}.clock"),
-                   ntp=NtpParams.from_obj(obj.get("ntp", {}), f"{path}.ntp"),
-                   processing_delay=processing)
 
-    def to_obj(self, *, relay: bool) -> dict:
-        out = {"clock": self.clock.to_obj(), "ntp": self.ntp.to_obj()}
-        if relay:
-            pd = self.processing_delay or ProcessingDelay()
-            if pd.uniform_ns is not None:
-                out["processing_delay"] = {"uniform_ns": list(pd.uniform_ns)}
-            else:
-                out["processing_delay"] = {"constant_ns": pd.constant_ns}
-        return out
+@dataclass(frozen=True)
+class RelayParams(AgentParams):
+    processing_delay: ProcessingDelay = ProcessingDelay()
+
+
+@dataclass(frozen=True)
+class AgentsConfig:
+    sensor: AgentParams = AgentParams()
+    relay: RelayParams = RelayParams()
+    vehicle: AgentParams = AgentParams()
 
 
 @dataclass(frozen=True)
 class MessageConfig:
-    size_bytes: int = 1000
+    size_bytes: int = _at_least(FRAME_OVERHEAD, default=1000)
     rate_hz: float = 10.0
 
-    @classmethod
-    def from_obj(cls, obj: dict, path: str) -> "MessageConfig":
-        _check_keys(obj, {"size_bytes", "rate_hz", "preset"}, path)
-        if "preset" in obj:
-            preset = obj["preset"]
-            if preset not in MESSAGE_PRESETS:
-                raise ConfigError(
-                    f"{path}.preset must be one of {sorted(MESSAGE_PRESETS)}, "
-                    f"got {preset!r}")
-            size, rate = MESSAGE_PRESETS[preset]
-            size = _num(obj, "size_bytes", size, path, integer=True)
-            rate = float(_num(obj, "rate_hz", rate, path))
-        else:
-            size = _num(obj, "size_bytes", 1000, path, integer=True)
-            rate = float(_num(obj, "rate_hz", 10.0, path))
-        if size < FRAME_OVERHEAD:
-            raise ConfigError(f"{path}.size_bytes must be >= {FRAME_OVERHEAD}")
-        if rate <= 0:
-            raise ConfigError(f"{path}.rate_hz must be positive")
-        return cls(size_bytes=size, rate_hz=rate)
-
-    def to_obj(self) -> dict:
-        return {"size_bytes": self.size_bytes, "rate_hz": self.rate_hz}
+    def __post_init__(self) -> None:
+        if self.rate_hz <= 0:
+            raise ConfigError("rate_hz must be positive")
 
 
 @dataclass(frozen=True)
 class LoadConfig:
     ul: str = "none"
     dl: str = "none"
-    packet_size_bytes: int = DEFAULT_PACKET_BYTES
-    queue_cap_bytes: int = 1_000_000
+    packet_size_bytes: int = _at_least(1, default=DEFAULT_PACKET_BYTES)
+    queue_cap_bytes: int = _at_least(1, default=1_000_000)
 
-    @classmethod
-    def from_obj(cls, obj: dict, path: str) -> "LoadConfig":
-        _check_keys(obj, {"ul", "dl", "packet_size_bytes", "queue_cap_bytes"}, path)
-        cfg = cls(ul=str(obj.get("ul", "none")), dl=str(obj.get("dl", "none")),
-                  packet_size_bytes=_num(obj, "packet_size_bytes",
-                                         DEFAULT_PACKET_BYTES, path,
-                                         integer=True, minimum=1),
-                  queue_cap_bytes=_num(obj, "queue_cap_bytes", 1_000_000, path,
-                                       integer=True, minimum=1))
-        for key, text in (("ul", cfg.ul), ("dl", cfg.dl)):
+    def __post_init__(self) -> None:
+        for key in ("ul", "dl"):
             try:
-                parse_load(text, Direction.UPLINK, cfg.packet_size_bytes)
+                parse_load(getattr(self, key), Direction.UPLINK,
+                           self.packet_size_bytes)
             except ValueError as exc:
-                raise ConfigError(f"{path}.{key}: {exc}") from None
-        return cfg
-
-    def to_obj(self) -> dict:
-        return {"ul": self.ul, "dl": self.dl,
-                "packet_size_bytes": self.packet_size_bytes,
-                "queue_cap_bytes": self.queue_cap_bytes}
+                raise ConfigError(f"{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class HandoverConfig:
-    interruption_ms: float = 50.0
-    hysteresis_m: float = 5.0
-
-    @classmethod
-    def from_obj(cls, obj: dict, path: str) -> "HandoverConfig":
-        _check_keys(obj, {"interruption_ms", "hysteresis_m"}, path)
-        return cls(interruption_ms=float(_num(obj, "interruption_ms", 50.0, path,
-                                              minimum=0)),
-                   hysteresis_m=float(_num(obj, "hysteresis_m", 5.0, path,
-                                           minimum=0)))
-
-    def to_obj(self) -> dict:
-        return {"interruption_ms": self.interruption_ms,
-                "hysteresis_m": self.hysteresis_m}
+    interruption_ms: float = _at_least(0, default=50.0)
+    hysteresis_m: float = _at_least(0, default=5.0)
 
     @property
     def interruption_ns(self) -> int:
         return round(self.interruption_ms * 1_000_000)
 
 
-_DEFAULT_CELLS = ((1, (0.0, 0.0)), (2, (200.0, 0.0)))
+@dataclass(frozen=True)
+class CellSpec:
+    cell_id: int
+    position: tuple[float, float] = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
     pattern: str = "DDDSU"
-    slot_duration_ns: int = 500_000
-    ul_capacity_bps: int = 40_000_000
-    dl_capacity_bps: int = 130_000_000
-    base_delay_ms: float = 2.0
-    ack_ratio: float = 0.05
+    slot_duration_ns: int = _at_least(1, default=500_000)
+    ul_capacity_bps: int = _at_least(1, default=40_000_000)
+    dl_capacity_bps: int = _at_least(1, default=130_000_000)
+    base_delay_ms: float = _at_least(0, default=2.0)
+    ack_ratio: float = _at_least(0, default=0.05)
     handover: HandoverConfig = HandoverConfig()
-    cells: tuple[tuple[int, tuple[float, float]], ...] = _DEFAULT_CELLS
+    cells: tuple[CellSpec, ...] = (CellSpec(1), CellSpec(2, (200.0, 0.0)))
 
-    @classmethod
-    def from_obj(cls, obj: dict, path: str) -> "NetworkConfig":
-        _check_keys(obj, {"pattern", "slot_duration_ns", "ul_capacity_bps",
-                          "dl_capacity_bps", "base_delay_ms", "ack_ratio",
-                          "handover", "cells"}, path)
-        pattern = str(obj.get("pattern", "DDDSU"))
+    def __post_init__(self) -> None:
         try:
-            TddPattern.from_string(pattern)
+            tdd = self.build_pattern()
         except ValueError as exc:
-            raise ConfigError(f"{path}.pattern: {exc}") from None
-        cells: list[tuple[int, tuple[float, float]]] = []
-        for i, cell_obj in enumerate(obj.get("cells",
-                                             [{"cell_id": cid, "position": list(pos)}
-                                              for cid, pos in _DEFAULT_CELLS])):
-            _check_keys(cell_obj, {"cell_id", "position"}, f"{path}.cells[{i}]")
-            pos = cell_obj.get("position", [0.0, 0.0])
-            if len(pos) != 2:
-                raise ConfigError(f"{path}.cells[{i}].position must be [x, y]")
-            cells.append((int(cell_obj["cell_id"]),
-                          (float(pos[0]), float(pos[1]))))
-        if not cells:
-            raise ConfigError(f"{path}.cells must not be empty")
-        conf = cls(pattern=pattern,
-                   slot_duration_ns=_num(obj, "slot_duration_ns", 500_000, path,
-                                         integer=True, minimum=1),
-                   ul_capacity_bps=_num(obj, "ul_capacity_bps", 40_000_000, path,
-                                        integer=True, minimum=1),
-                   dl_capacity_bps=_num(obj, "dl_capacity_bps", 130_000_000, path,
-                                        integer=True, minimum=1),
-                   base_delay_ms=float(_num(obj, "base_delay_ms", 2.0, path,
-                                            minimum=0)),
-                   ack_ratio=float(_num(obj, "ack_ratio", 0.05, path, minimum=0)),
-                   handover=HandoverConfig.from_obj(obj.get("handover", {}),
-                                                    f"{path}.handover"),
-                   cells=tuple(cells))
+            raise ConfigError(f"pattern: {exc}") from None
+        if not self.cells:
+            raise ConfigError("cells must not be empty")
+        ids = [cell.cell_id for cell in self.cells]
+        if len(set(ids)) != len(ids):
+            raise ConfigError(f"cells must have distinct cell_id values, got {ids}")
         # a direction whose per-tick budget rounds to 0 bits never drains
-        tdd = conf.build_pattern()
-        budgets = tick_budget(conf.build_cells()[0], tdd, tdd.period_ns)
+        budgets = tick_budget(self.build_cells()[0], tdd, tdd.period_ns)
         for key, budget in zip(("ul_capacity_bps", "dl_capacity_bps"), budgets):
             if budget == 0:
                 raise ConfigError(
-                    f"{path}.{key} gives a per-tick budget of 0 bits at the "
+                    f"{key} gives a per-tick budget of 0 bits at the "
                     f"{tdd.period_ns} ns tick; it must be >= "
                     f"{-(-1_000_000_000 // tdd.period_ns)}")
-        return conf
-
-    def to_obj(self) -> dict:
-        return {"pattern": self.pattern,
-                "slot_duration_ns": self.slot_duration_ns,
-                "ul_capacity_bps": self.ul_capacity_bps,
-                "dl_capacity_bps": self.dl_capacity_bps,
-                "base_delay_ms": self.base_delay_ms,
-                "ack_ratio": self.ack_ratio,
-                "handover": self.handover.to_obj(),
-                "cells": [{"cell_id": cid, "position": list(pos)}
-                          for cid, pos in self.cells]}
 
     @property
     def base_delay_ns(self) -> int:
@@ -307,10 +179,10 @@ class NetworkConfig:
         return TddPattern.from_string(self.pattern, self.slot_duration_ns)
 
     def build_cells(self) -> list[CellConfig]:
-        return [CellConfig(cell_id=cid, position=pos,
+        return [CellConfig(cell_id=cell.cell_id, position=cell.position,
                            ul_capacity_bps=self.ul_capacity_bps,
                            dl_capacity_bps=self.dl_capacity_bps)
-                for cid, pos in self.cells]
+                for cell in self.cells]
 
 
 @dataclass(frozen=True)
@@ -319,93 +191,145 @@ class ScenarioConfig:
     mode: str = "sim"
     scheduler: str = "BL"
     duration_s: float = 10.0
-    seed: int = 0
+    seed: int = _at_least(0, default=0)
     message: MessageConfig = MessageConfig()
     load: LoadConfig = LoadConfig()
     network: NetworkConfig = NetworkConfig()
-    agents: tuple[tuple[str, AgentParams], ...] = field(
-        default_factory=lambda: tuple((n, AgentParams()) for n in _AGENT_NAMES))
+    agents: AgentsConfig = AgentsConfig()
     mobility: MobilityRoute | None = None
 
-    def agent(self, name: str) -> AgentParams:
-        for agent_name, params in self.agents:
-            if agent_name == name:
-                return params
-        raise KeyError(name)
+    def __post_init__(self) -> None:
+        if self.mode not in ("sim", "real"):
+            raise ConfigError(f"mode must be 'sim' or 'real', got {self.mode!r}")
+        if self.scheduler not in ("BL", "AP"):
+            raise ConfigError(
+                f"scheduler must be 'BL' or 'AP', got {self.scheduler!r}")
+        if self.duration_s <= 0:
+            raise ConfigError("duration_s must be positive")
+        if self.mobility is not None and len(self.network.cells) < 2:
+            raise ConfigError("mobility needs at least two cells in network.cells")
 
     @property
     def duration_ns(self) -> int:
         return round(self.duration_s * 1_000_000_000)
 
-    def to_obj(self) -> dict:
-        obj = {"name": self.name, "mode": self.mode, "scheduler": self.scheduler,
-               "duration_s": self.duration_s, "seed": self.seed,
-               "message": self.message.to_obj(), "load": self.load.to_obj(),
-               "network": self.network.to_obj(),
-               "agents": {name: params.to_obj(relay=(name == "relay"))
-                          for name, params in self.agents}}
-        if self.mobility is not None:
-            obj["mobility"] = {"waypoints": [[t, x, y]
-                                             for t, x, y in self.mobility.waypoints]}
-        else:
-            obj["mobility"] = None
-        return obj
+
+# --------------------------------------------------------------------------
+# One parser and one echo writer for every config class
+# --------------------------------------------------------------------------
+
+def _check_keys(obj: dict, allowed, path: str) -> None:
+    unknown = sorted(set(obj) - set(allowed), key=str)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {path}")
+
+
+def _num(value, path: str, *, integer: bool = False, minimum=None):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number")
+    # NaN fails this test too, and so does an int too large for a float
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path} must be finite")
+    if integer:
+        if int(value) != value:
+            raise ConfigError(f"{path} must be an integer")
+        value = int(value)
+    else:
+        value = float(value)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{path} must be >= {minimum}")
+    return value
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[tuple[str, object, object, bool], ...]:
+    """(name, type, minimum, required) of each field of a config class,
+    with its type hints resolved once."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.metadata.get("minimum"),
+                  f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls))
+
+
+def _parse(tp, value, path: str, minimum=None):
+    """Read a JSON value as type tp, which is a config dataclass,
+    `X | None`, a tuple, str, int or float.  Every error is a ConfigError
+    naming the field's path."""
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be an object")
+        schema = _schema(tp)
+        _check_keys(value, [name for name, *_ in schema], path)
+        kwargs = {}
+        for name, ftype, fmin, required in schema:
+            if name in value:
+                kwargs[name] = _parse(ftype, value[name], f"{path}.{name}", fmin)
+            elif required:
+                raise ConfigError(f"{path}.{name} is required")
+        try:
+            return tp(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.{exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        if value is None:
+            return None
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return _parse(inner, value, path, minimum)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path} must have {len(args)} elements")
+        return tuple(_parse(arg, item, f"{path}[{i}]")
+                     for i, (arg, item) in enumerate(zip(args, value)))
+    if tp is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{path} must be a string")
+        return value
+    return _num(value, path, integer=tp is int, minimum=minimum)
+
+
+def config_to_obj(value):
+    """The JSON form of a config: dataclasses become objects and tuples
+    lists.  config_from_obj reads it back to an equal config."""
+    if is_dataclass(value):
+        return {f.name: config_to_obj(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, tuple):
+        return [config_to_obj(item) for item in value]
+    return value
 
 
 def config_from_obj(obj: dict) -> ScenarioConfig:
-    """Parse and validate a scenario config object (strict keys)."""
+    """Parse and validate a scenario config object (strict keys).  Besides
+    the schema, it expands `message.preset` and applies the seed rule:
+    CV2X_SEED overrides `seed`, and sim mode needs one."""
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(obj, {"name", "mode", "scheduler", "duration_s", "seed",
-                      "message", "load", "network", "agents", "mobility"},
-                "config")
-    mode = str(obj.get("mode", "sim"))
-    if mode not in ("sim", "real"):
-        raise ConfigError(f"mode must be 'sim' or 'real', got {mode!r}")
-    scheduler = str(obj.get("scheduler", "BL"))
-    if scheduler not in ("BL", "AP"):
-        raise ConfigError(f"scheduler must be 'BL' or 'AP', got {scheduler!r}")
-    duration_s = float(_num(obj, "duration_s", 10.0, "config"))
-    if duration_s <= 0:
-        raise ConfigError("duration_s must be positive")
+    obj = dict(obj)
+    message = obj.get("message")
+    if isinstance(message, dict) and "preset" in message:
+        message = dict(message)
+        preset = message.pop("preset")
+        if not isinstance(preset, str) or preset not in MESSAGE_PRESETS:
+            raise ConfigError(
+                f"config.message.preset must be one of {sorted(MESSAGE_PRESETS)}, "
+                f"got {preset!r}")
+        obj["message"] = {**MESSAGE_PRESETS[preset], **message}
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            obj["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from None
-    elif "seed" in obj:
-        seed = _num(obj, "seed", 0, "config", integer=True, minimum=0)
-    elif mode == "sim":
+    elif "seed" not in obj and obj.get("mode", ScenarioConfig.mode) == "sim":
         raise ConfigError("sim mode requires a seed")
-    else:
-        seed = 0
-    agents_obj = obj.get("agents", {})
-    _check_keys(agents_obj, set(_AGENT_NAMES), "config.agents")
-    agents = tuple(
-        (name, AgentParams.from_obj(agents_obj.get(name, {}),
-                                    f"config.agents.{name}",
-                                    relay=(name == "relay")))
-        for name in _AGENT_NAMES)
-    mobility = None
-    if obj.get("mobility") is not None:
-        mob_obj = obj["mobility"]
-        _check_keys(mob_obj, {"waypoints"}, "config.mobility")
-        try:
-            mobility = MobilityRoute(waypoints=tuple(
-                (int(w[0]), float(w[1]), float(w[2]))
-                for w in mob_obj["waypoints"]))
-        except (ValueError, TypeError, IndexError) as exc:
-            raise ConfigError(f"config.mobility.waypoints: {exc}") from None
-    network = NetworkConfig.from_obj(obj.get("network", {}), "config.network")
-    if mobility is not None and len(network.cells) < 2:
-        raise ConfigError("mobility scenarios need at least two cells")
-    return ScenarioConfig(
-        name=str(obj.get("name", "scenario")),
-        mode=mode, scheduler=scheduler, duration_s=duration_s, seed=seed,
-        message=MessageConfig.from_obj(obj.get("message", {}), "config.message"),
-        load=LoadConfig.from_obj(obj.get("load", {}), "config.load"),
-        network=network, agents=agents, mobility=mobility)
+    return _parse(ScenarioConfig, obj, "config")
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -492,13 +416,13 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline,
                                 stop_ns=start_ns + cfg.duration_ns))
 
     def clock_for(name: str) -> DriftingClock:
-        p = cfg.agent(name).clock
+        p = getattr(cfg.agents, name).clock
         return DriftingClock(offset0_ns=p.offset0_ns, drift_ppm=p.drift_ppm,
                              jitter_ns=p.jitter_ns,
                              rng_seed=derive_seed(cfg.seed, f"clock-{name}"))
 
     def provider_for(name: str, clock: DriftingClock) -> OffsetProvider:
-        p = cfg.agent(name).ntp
+        p = getattr(cfg.agents, name).ntp
         return OffsetProvider(clock, period_ns=round(p.period_s * 1e9),
                               noise_bound_ns=p.noise_bound_ns,
                               rng_seed=derive_seed(cfg.seed, f"ntp-{name}"))
@@ -513,7 +437,7 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline,
                        payload_seed=derive_seed(cfg.seed, "payload"),
                        start_ns=start_ns)
     relay = SimRelay(relay_clock, provider_for("relay", relay_clock),
-                     processing=cfg.agent("relay").processing_delay,
+                     processing=cfg.agents.relay.processing_delay,
                      rng_seed=derive_seed(cfg.seed, "relay-proc"))
     vehicle = SimVehicle(vehicle_clock, provider_for("vehicle", vehicle_clock))
     pipeline = SimPipeline(world, link, sensor, relay, vehicle,
@@ -558,7 +482,7 @@ def run_scenario(cfg: ScenarioConfig,
         analysis.write_records(result.log_path, result.records)
         result.config_echo_path = out / f"{stem}.config.json"
         result.config_echo_path.write_text(
-            json.dumps(cfg.to_obj(), indent=2, sort_keys=True) + "\n",
+            json.dumps(config_to_obj(cfg), indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
     return result
 
@@ -575,7 +499,7 @@ def _run_real(cfg: ScenarioConfig) -> ScenarioResult:
         def relay_main() -> None:
             try:
                 run_real_relay(broker.host, broker.port, stop=stop,
-                               processing=cfg.agent("relay").processing_delay)
+                               processing=cfg.agents.relay.processing_delay)
             except BaseException as exc:  # surfaced after join
                 errors.append(exc)
 
@@ -595,8 +519,8 @@ def _run_real(cfg: ScenarioConfig) -> ScenarioResult:
         # frames cannot be discarded as subscriber-less
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            if (broker.subscriber_count(UPLINK_TOPIC.name) >= 1
-                    and broker.subscriber_count(DOWNLINK_TOPIC.name) >= 1):
+            if (broker.subscriber_count(UPLINK_TOPIC) >= 1
+                    and broker.subscriber_count(DOWNLINK_TOPIC) >= 1):
                 break
             time.sleep(0.01)
         else:
@@ -633,18 +557,23 @@ def matrix_from_obj(obj: dict) -> MatrixConfig:
     _check_keys(obj, {"master_seed", "defaults", "cells"}, "matrix")
     if "master_seed" not in obj:
         raise ConfigError("matrix.master_seed is required")
-    master_seed = _num(obj, "master_seed", 0, "matrix", integer=True, minimum=0)
+    master_seed = _num(obj["master_seed"], "matrix.master_seed", integer=True,
+                       minimum=0)
+    defaults = obj.get("defaults", {})
+    if not isinstance(defaults, dict):
+        raise ConfigError("matrix.defaults must be an object")
     cells = obj.get("cells")
     if not isinstance(cells, list) or not cells:
         raise ConfigError("matrix.cells must be a non-empty list")
-    names = [c.get("name") for c in cells]
-    if any(not n for n in names):
-        raise ConfigError("every matrix cell needs a name")
+    for i, cell in enumerate(cells):
+        if not isinstance(cell, dict):
+            raise ConfigError(f"matrix.cells[{i}] must be an object")
+        if not isinstance(cell.get("name"), str) or not cell["name"]:
+            raise ConfigError(f"matrix.cells[{i}].name must be a non-empty string")
+    names = [cell["name"] for cell in cells]
     if len(set(names)) != len(names):
         raise ConfigError("matrix cell names must be unique")
-    return MatrixConfig(master_seed=master_seed,
-                        defaults=obj.get("defaults", {}),
-                        cells=cells)
+    return MatrixConfig(master_seed=master_seed, defaults=defaults, cells=cells)
 
 
 def load_matrix_config(path: str | Path) -> MatrixConfig:
@@ -683,7 +612,6 @@ class MatrixResult:
 
 def _resolve_matrix_cell(matrix: MatrixConfig, cell: dict) -> ScenarioConfig:
     merged = _deep_merge(matrix.defaults, cell)
-    merged.setdefault("mode", "sim")
     merged.setdefault("seed", derive_seed(matrix.master_seed, cell["name"]))
     return config_from_obj(merged)
 
@@ -758,6 +686,5 @@ def table1_matrix(master_seed: int = 20240510, duration_s: float = 10.0,
                         cells=cells)
 
 
-def matrix_to_obj(matrix: MatrixConfig) -> dict:
-    return {"master_seed": matrix.master_seed, "defaults": matrix.defaults,
-            "cells": matrix.cells}
+# a matrix echoes through the same walk as a scenario config
+matrix_to_obj = config_to_obj

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
+import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cv2x_bench import analysis, scenario
 from cv2x_bench.scenario import (ConfigError, config_from_obj, derive_seed,
@@ -240,3 +245,192 @@ def test_sim_and_real_mode_send_the_same_message_count():
     real = run_scenario(config_from_obj(dict(obj, mode="real")))
     assert sim.sensor_sent == real.sensor_sent == 1
     assert len(sim.records) == len(real.records) == 1
+
+
+# --------------------------------------------------------------------------
+# Malformed configs: a ConfigError that names the field, never a traceback
+# --------------------------------------------------------------------------
+
+def _cells(*cells) -> dict:
+    return {"cells": list(cells)}
+
+
+_NAN = float("nan")
+_ROUTE = {"waypoints": [[0, 200.0, 0.0], [10, 0.0, 0.0]]}
+
+MALFORMED = [
+    # (kind, object, text the ConfigError must contain)
+    ("config", _minimal(message=5), "config.message must be an object"),
+    ("config", _minimal(message={"preset": ["cpm-etsi"]}), "config.message.preset"),
+    ("config", _minimal(name=5), "config.name must be a string"),
+    ("config", _minimal(scheduler=5), "config.scheduler must be a string"),
+    ("config", _minimal(load={"ul": 5}), "config.load.ul must be a string"),
+    ("config", _minimal(load={"ul": "1xinf"}), "config.load.ul: load spec '1xinf'"),
+    ("config", _minimal(load={"ul": "1xnan"}), "config.load.ul: load spec '1xnan'"),
+    ("config", _minimal(load={"dl": "1x1e305"}),
+     "config.load.dl: load spec '1x1e305'"),
+    ("config", _minimal(network={"pattern": 5}),
+     "config.network.pattern must be a string"),
+    ("config", _minimal(network={"handover": 5}),
+     "config.network.handover must be an object"),
+    ("config", _minimal(network={"cells": 5}), "config.network.cells must be a list"),
+    ("config", _minimal(network=_cells({"position": [0, 0]})),
+     "config.network.cells[0].cell_id is required"),
+    ("config", _minimal(network=_cells({"cell_id": "a"})),
+     "config.network.cells[0].cell_id must be a number"),
+    ("config", _minimal(network=_cells({"cell_id": 1.5})),
+     "config.network.cells[0].cell_id must be an integer"),
+    ("config", _minimal(network=_cells({"cell_id": 1, "position": [_NAN, 0]},
+                                       {"cell_id": 2, "position": [0, 0]}),
+                        mobility=_ROUTE),
+     "config.network.cells[0].position[0] must be finite"),
+    ("config", _minimal(network=_cells({"cell_id": 1}, {"cell_id": 1})),
+     "config.network.cells must have distinct cell_id values"),
+    ("config", _minimal(agents=[]), "config.agents must be an object"),
+    ("config", _minimal(agents={"relay": {"clock": 5}}),
+     "config.agents.relay.clock must be an object"),
+    ("config", _minimal(agents={"relay": {"processing_delay": 5}}),
+     "config.agents.relay.processing_delay must be an object"),
+    ("config", _minimal(agents={"relay": {"processing_delay": {
+        "uniform_ns": [1, 2], "constant_ns": 5}}}),
+     "config.agents.relay.processing_delay: set constant_ns or uniform_ns"),
+    ("config", _minimal(agents={"relay": {"processing_delay": {"uniform_ns": "ab"}}}),
+     "config.agents.relay.processing_delay.uniform_ns must be a list"),
+    ("config", _minimal(agents={"relay": {"processing_delay": {"uniform_ns": [1]}}}),
+     "config.agents.relay.processing_delay.uniform_ns must have 2 elements"),
+    ("config", _minimal(agents={"relay": {"processing_delay": {
+        "uniform_ns": [1.5, 2]}}}),
+     "config.agents.relay.processing_delay.uniform_ns[0] must be an integer"),
+    ("config", _minimal(agents={"relay": {"processing_delay": {
+        "uniform_ns": [5, 2]}}}),
+     "config.agents.relay.processing_delay: uniform range"),
+    ("config", _minimal(mobility=5), "config.mobility must be an object"),
+    ("config", _minimal(mobility={}), "config.mobility.waypoints is required"),
+    ("config", _minimal(mobility={"waypoints": 5}),
+     "config.mobility.waypoints must be a list"),
+    ("config", _minimal(mobility={"waypoints": [[0, 0.0, 0.0], [10, 5.0]]}),
+     "config.mobility.waypoints[1] must have 3 elements"),
+    ("config", _minimal(mobility={"waypoints": [[0.5, 0.0, 0.0], [10, 5.0, 0.0]]}),
+     "config.mobility.waypoints[0][0] must be an integer"),
+    ("config", _minimal(mobility={"waypoints": [[0, _NAN, 0.0], [10, 5.0, 0.0]]}),
+     "config.mobility.waypoints[0][1] must be finite"),
+    ("matrix", {"master_seed": 1, "cells": [5]}, "matrix.cells[0] must be an object"),
+    ("matrix", {"master_seed": 1, "cells": [{"name": 5}]},
+     "matrix.cells[0].name must be a non-empty string"),
+    ("matrix", {"master_seed": 1, "defaults": 5, "cells": [{"name": "a"}]},
+     "matrix.defaults must be an object"),
+]
+
+
+def _load(kind: str, obj):
+    if kind == "config":
+        return config_from_obj(obj)
+    return resolve_matrix_cells(scenario.matrix_from_obj(obj))
+
+
+@pytest.mark.parametrize("kind,obj,text", MALFORMED,
+                         ids=[text for _, _, text in MALFORMED])
+def test_malformed_config_names_the_field(kind, obj, text, monkeypatch):
+    monkeypatch.delenv(scenario.SEED_ENV_VAR, raising=False)
+    with pytest.raises(ConfigError, match=re.escape(text)):
+        _load(kind, obj)
+
+
+def test_negative_env_seed_is_rejected(monkeypatch):
+    monkeypatch.setenv(scenario.SEED_ENV_VAR, "-1")
+    with pytest.raises(ConfigError, match="config.seed must be >= 0"):
+        config_from_obj(_minimal())
+
+
+def _schema_names(tp) -> set[str]:
+    """Every field name reachable from a config type."""
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return set(hints).union(*map(_schema_names, hints.values()))
+    return set().union(*map(_schema_names, typing.get_args(tp)))
+
+
+_KEYS = sorted(_schema_names(scenario.ScenarioConfig) | {"preset", "typo"})
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6)
+           | st.sampled_from(["none", "1x5", "2x40", "1xinf", "1xnan", "DDDSU",
+                              "DDDD", "sim", "real", "BL", "AP", "cpm-etsi"]))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4)),
+    max_leaves=16)
+
+
+def _shaped(tp) -> st.SearchStrategy:
+    """JSON in the shape of config type tp, except that any value, at any
+    depth, may be replaced by arbitrary JSON."""
+    if dataclasses.is_dataclass(tp):
+        fields = {name: _shaped(h) for name, h in typing.get_type_hints(tp).items()}
+        if tp is scenario.MessageConfig:
+            fields["preset"] = _LEAVES
+        shape = st.fixed_dictionaries({}, optional=fields)
+    elif typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        if args[-1] is Ellipsis:
+            shape = st.lists(_shaped(args[0]), max_size=3)
+        else:
+            shape = st.tuples(*map(_shaped, args)).map(list)
+    elif typing.get_origin(tp) is not None:  # X | None
+        shape = st.one_of(*map(_shaped, typing.get_args(tp)))
+    else:
+        shape = _LEAVES
+    return shape | _JSON
+
+
+# a valid base under the drawn fields, so that parsing gets past seed and mode
+_CONFIGS = _JSON | _shaped(scenario.ScenarioConfig).map(
+    lambda obj: _minimal(**obj) if isinstance(obj, dict) else obj)
+
+
+def _named(cells: list) -> list:
+    return [{"name": f"cell-{i}", **cell} if isinstance(cell, dict) else cell
+            for i, cell in enumerate(cells)]
+
+
+def _parses_or_config_error(load, obj) -> None:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(scenario.SEED_ENV_VAR, raising=False)
+        try:
+            load(obj)
+        except ConfigError:
+            pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_CONFIGS)
+def test_any_json_config_parses_or_raises_config_error(obj):
+    _parses_or_config_error(config_from_obj, obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_JSON | st.fixed_dictionaries(
+    {"master_seed": st.integers(min_value=-1) | _LEAVES},
+    optional={"defaults": _JSON,
+              "cells": st.lists(_CONFIGS, max_size=3).map(_named)}))
+def test_any_json_matrix_resolves_or_raises_config_error(obj):
+    _parses_or_config_error(lambda o: _load("matrix", o), obj)
+
+
+@pytest.mark.parametrize("cfg", resolve_matrix_cells(table1_matrix()) + [
+    load_config(CONFIGS_DIR / name)
+    for name in ("nominal_example.json", "real_loopback.json")] + [
+    config_from_obj(_minimal(name="uniform-relay", agents={
+        "relay": {"processing_delay": {"uniform_ns": [1, 2]}}}))],
+    ids=lambda cfg: cfg.name)
+def test_config_echo_round_trips(cfg, monkeypatch):
+    monkeypatch.delenv(scenario.SEED_ENV_VAR, raising=False)
+    echo = json.loads(json.dumps(scenario.config_to_obj(cfg)))
+    assert config_from_obj(echo) == cfg
+
+
+def test_relay_echo_without_uniform_key_still_parses():
+    # echoes written before processing_delay listed both of its keys
+    cfg = config_from_obj(_minimal(
+        agents={"relay": {"processing_delay": {"constant_ns": 0}}}))
+    assert cfg == config_from_obj(_minimal())
