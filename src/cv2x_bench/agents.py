@@ -64,9 +64,12 @@ def message_count(rate_hz: float, duration_ns: int) -> int:
     whose publish offset falls before the end.  Sim and real mode both
     use this rule."""
     n = int(duration_ns * rate_hz / 1_000_000_000)
-    while publish_offset_ns(n, rate_hz) < duration_ns:
+    # int(x) < d exactly when x < d, for x >= 0 and an integer d, so the
+    # offsets are compared before rounding; an offset too large for an int
+    # at a tiny rate then ends the count instead of overflowing
+    while n * 1_000_000_000 / rate_hz < duration_ns:
         n += 1
-    while n > 0 and publish_offset_ns(n - 1, rate_hz) >= duration_ns:
+    while n > 0 and (n - 1) * 1_000_000_000 / rate_hz >= duration_ns:
         n -= 1
     return n
 

@@ -20,7 +20,8 @@ Two scheduler disciplines are provided:
 Reliable flows (the TCP-carried application stream) never drop; droppable
 flows (UDP background load) tail-drop on enqueue above their queue cap.
 Conservation, work-conservation, priority-dominance, and cap invariants
-are asserted on every tick and raise InvariantViolation when broken.
+are asserted on every tick that runs and raise InvariantViolation when
+broken; SimWorld.run_until skips only ticks without traffic.
 """
 
 from __future__ import annotations
@@ -212,8 +213,14 @@ class MobilityRoute:
         raise AssertionError("unreachable")
 
 
-def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+def _nearest(x: float, y: float, cells: list[CellConfig]) -> int:
+    """Index of the cell nearest to (x, y); the first one on a tie."""
+    best, best_d = 0, None
+    for i, cell in enumerate(cells):
+        d = math.hypot(x - cell.position[0], y - cell.position[1])
+        if best_d is None or d < best_d:
+            best, best_d = i, d
+    return best
 
 
 def apply_handover(route: MobilityRoute, cells: list[CellConfig],
@@ -225,33 +232,53 @@ def apply_handover(route: MobilityRoute, cells: list[CellConfig],
     The serving cell starts as the nearest cell and switches only once
     another cell is closer by more than the hysteresis margin.  The route
     is sampled on the tick grid, so an event time is the first sampled
-    instant at which the switch condition holds.
+    instant at which the switch condition holds.  The samples are taken in
+    one forward walk over the route's segments, at the positions
+    MobilityRoute.position_at gives.
     """
     if len(cells) < 2:
         raise ValueError("handover needs at least two cells")
     if sample_ns <= 0:
         raise ValueError("sample interval must be positive")
-    start_pos = route.position_at(route.start_ns)
-    serving = min(cells, key=lambda c: _distance(start_pos, c.position))
+    pts = route.waypoints
+    end = route.end_ns
+    positions = [(i, cell.position[0], cell.position[1])
+                 for i, cell in enumerate(cells)]
+    ids = [cell.cell_id for cell in cells]
+    hypot = math.hypot
+    serving = _nearest(pts[0][1], pts[0][2], cells)
     events: list[HandoverEvent] = []
-    t = route.start_ns
-    while t <= route.end_ns:
-        pos = route.position_at(t)
-        nearest = min(cells, key=lambda c: _distance(pos, c.position))
-        if (nearest.cell_id != serving.cell_id
-                and _distance(pos, nearest.position)
-                < _distance(pos, serving.position) - hysteresis_m):
-            events.append(HandoverEvent(time_ns=t, from_cell=serving.cell_id,
-                                        to_cell=nearest.cell_id,
-                                        interruption_ns=interruption_ns))
-            serving = nearest
-        t += sample_ns
+    # the sample at the route's start finds the serving cell itself nearest
+    t = route.start_ns + sample_ns
+    for (t0, x0, y0), (t1, x1, y1) in zip(pts, pts[1:]):
+        span, dx, dy = t1 - t0, x1 - x0, y1 - y0
+        while t <= t1:
+            if t == end:
+                # position_at returns the last waypoint itself here
+                x, y = x1, y1
+            else:
+                f = (t - t0) / span
+                x, y = x0 + f * dx, y0 + f * dy
+            nearest, d_nearest, d_serving = -1, 0.0, 0.0
+            for i, cx, cy in positions:
+                d = hypot(x - cx, y - cy)
+                if nearest < 0 or d < d_nearest:
+                    nearest, d_nearest = i, d
+                if i == serving:
+                    d_serving = d
+            if (ids[nearest] != ids[serving]
+                    and d_nearest < d_serving - hysteresis_m):
+                events.append(HandoverEvent(time_ns=t, from_cell=ids[serving],
+                                            to_cell=ids[nearest],
+                                            interruption_ns=interruption_ns))
+                serving = nearest
+            t += sample_ns
     return events
 
 
 def initial_serving_cell(route: MobilityRoute, cells: list[CellConfig]) -> int:
-    pos = route.position_at(route.start_ns)
-    return min(cells, key=lambda c: _distance(pos, c.position)).cell_id
+    start = route.waypoints[0]
+    return cells[_nearest(start[1], start[2], cells)].cell_id
 
 
 @dataclass
@@ -618,6 +645,12 @@ class SimWorld:
     served run is logged but not dispatched to the handler.  Two worlds
     built from the same configuration and seeds produce identical event
     logs.
+
+    run_until skips idle ticks: a tick in which no heap event falls, no
+    CBR source is live and no flow holds backlog would dispatch, serve and
+    deliver nothing, so time jumps over it in whole ticks.  A world that
+    records events runs every tick, so its log keeps one tick marker per
+    tick.
     """
 
     def __init__(self, link: LinkSimulator, base_delay_ns: int = 2_000_000,
@@ -630,11 +663,14 @@ class SimWorld:
         self.now_ns = start_ns
         self.event_log: list[str] = []
         self.on_delivery: Callable[[Delivery], None] | None = None
-        # objects with .flow_id, .packet_bits, .open_window(t0, t1),
-        # .take_before(t) and .next_arrival(), like loadgen.CbrPacketSource
+        # objects with .flow_id, .packet_bits, .rate_bps, .stop_ns,
+        # .open_window(t0, t1), .take_before(t) and .next_arrival(), like
+        # loadgen.CbrPacketSource; in place before run_until is called
         self.cbr_sources: list = []
         self._heap: list[tuple[int, int, Callable[[int], None]]] = []
         self._heap_seq = 0
+        self.ticks_run = 0
+        self.ticks_skipped = 0
 
     def schedule(self, time_ns: int, callback: Callable[[int], None]) -> None:
         if time_ns < self.now_ns:
@@ -703,10 +739,43 @@ class SimWorld:
                     f"deliver flow={flow_id} packets={packets} "
                     f"bits={packets * size_bits} t={tick_end} cell={cell_id}")
         self.now_ns = tick_end
+        self.ticks_run += 1
         return deliveries
 
-    def run_until(self, until_ns: int) -> None:
-        while self.now_ns < until_ns:
+    def _cbr_live_until(self) -> float:
+        """A time from which on no CBR source has an arrival left."""
+        live_until = -math.inf
+        for src in self.cbr_sources:
+            if src.rate_bps > 0:
+                if src.stop_ns is None:
+                    return math.inf
+                live_until = max(live_until, src.stop_ns)
+        return live_until
+
+    def run_until(self, until_ns: int,
+                  done: Callable[[], bool] | None = None) -> None:
+        """Run ticks until now_ns reaches until_ns, or until done() holds
+        before a tick.  An idle tick is skipped, not run; the state at the
+        end is the one running it would leave."""
+        tick_ns = self.tick_ns
+        heap = self._heap
+        flows = self.link.flows.values()
+        skip_idle = not self.record_events
+        live_until = self._cbr_live_until()
+        while self.now_ns < until_ns and (done is None or not done()):
+            now = self.now_ns
+            if (skip_idle and (not heap or heap[0][0] >= now + tick_ns)
+                    and now >= live_until
+                    and not any(q.backlog_bits for q in flows)):
+                # every tick before the one holding the next event is idle,
+                # and so is every tick needed to reach until_ns
+                n = -(-(until_ns - now) // tick_ns)
+                if heap:
+                    n = min(n, (heap[0][0] - now) // tick_ns)
+                self.now_ns = now + n * tick_ns
+                self.ticks_skipped += n
+                self.link.run_segments = []
+                continue
             self.run_tick()
 
 

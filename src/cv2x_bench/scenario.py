@@ -49,6 +49,13 @@ MESSAGE_PRESETS: dict[str, dict] = {
     "cpm-etsi": {"size_bytes": 156, "rate_hz": 10.0},
 }
 
+# Upper bounds on values that parse but would exhaust memory or time: the
+# emulator builds one flow and one CBR source per background UE, advances
+# the run in 2.5 ms ticks, and keeps one record per message.
+MAX_BACKGROUND_UES = 1_000
+MAX_DURATION_S = 86_400
+MAX_MESSAGES = 10_000_000
+
 
 class ConfigError(ValueError):
     """Configuration failed validation; the message names the field.
@@ -119,10 +126,14 @@ class LoadConfig:
     def __post_init__(self) -> None:
         for key in ("ul", "dl"):
             try:
-                parse_load(getattr(self, key), Direction.UPLINK,
-                           self.packet_size_bytes)
+                load = parse_load(getattr(self, key), Direction.UPLINK,
+                                  self.packet_size_bytes)
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
+            if load.ue_count > MAX_BACKGROUND_UES:
+                raise ConfigError(
+                    f"{key}: at most {MAX_BACKGROUND_UES} background UEs per "
+                    f"direction, got {load.ue_count}")
 
 
 @dataclass(frozen=True)
@@ -206,6 +217,15 @@ class ScenarioConfig:
                 f"scheduler must be 'BL' or 'AP', got {self.scheduler!r}")
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
+        if self.duration_s > MAX_DURATION_S:
+            raise ConfigError(f"duration_s must be <= {MAX_DURATION_S}")
+        # message_count is within one message of rate x duration
+        rate = self.message.rate_hz
+        if (rate * self.duration_s > MAX_MESSAGES + 1
+                or message_count(rate, self.duration_ns) > MAX_MESSAGES):
+            raise ConfigError(
+                f"message.rate_hz sends more than {MAX_MESSAGES} messages "
+                f"in duration_s {self.duration_s}")
         if self.mobility is not None and len(self.network.cells) < 2:
             raise ConfigError("mobility needs at least two cells in network.cells")
 
@@ -356,6 +376,9 @@ class ScenarioResult:
     affected_seqs: set[int]
     sensor_sent: int
     relay_corrupt_drops: int = 0
+    # emulator ticks run and skipped as idle; both 0 in real mode
+    ticks_run: int = 0
+    ticks_skipped: int = 0
     log_path: Path | None = None
     config_echo_path: Path | None = None
 
@@ -460,9 +483,8 @@ def run_scenario(cfg: ScenarioConfig,
         world, pipeline, events = _build_sim(cfg)
         pipeline.start()
         world.run_until(world.start_ns + cfg.duration_ns)
-        deadline = world.start_ns + cfg.duration_ns + _DRAIN_GRACE_NS
-        while not pipeline.complete and world.now_ns < deadline:
-            world.run_tick()
+        world.run_until(world.start_ns + cfg.duration_ns + _DRAIN_GRACE_NS,
+                        done=lambda: pipeline.complete)
         if not pipeline.complete:
             raise RuntimeError(
                 f"scenario {cfg.name}: pipeline did not drain "
@@ -473,7 +495,12 @@ def run_scenario(cfg: ScenarioConfig,
             handover_events=events,
             affected_seqs=set(pipeline.vehicle.affected_seqs),
             sensor_sent=pipeline.sensor.next_seq,
-            relay_corrupt_drops=pipeline.relay.corrupt_drops)
+            relay_corrupt_drops=pipeline.relay.corrupt_drops,
+            ticks_run=world.ticks_run, ticks_skipped=world.ticks_skipped)
+        # the world holds the pipeline's handler and the pipeline the world;
+        # without this cycle the finished cell is freed now rather than by
+        # the next full garbage collection, which a matrix run may not reach
+        world.on_delivery = None
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,0 +1,136 @@
+"""apply_handover's one-pass route walk against the per-sample loop it
+replaced, kept here verbatim as the reference."""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from cv2x_bench.netem import (CellConfig, HandoverEvent, MobilityRoute,
+                              apply_handover, initial_serving_cell)
+
+
+def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
+    return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def reference_apply_handover(route: MobilityRoute, cells: list[CellConfig],
+                             hysteresis_m: float = 5.0,
+                             interruption_ns: int = 50_000_000,
+                             sample_ns: int = 2_500_000) -> list[HandoverEvent]:
+    if len(cells) < 2:
+        raise ValueError("handover needs at least two cells")
+    if sample_ns <= 0:
+        raise ValueError("sample interval must be positive")
+    start_pos = route.position_at(route.start_ns)
+    serving = min(cells, key=lambda c: _distance(start_pos, c.position))
+    events: list[HandoverEvent] = []
+    t = route.start_ns
+    while t <= route.end_ns:
+        pos = route.position_at(t)
+        nearest = min(cells, key=lambda c: _distance(pos, c.position))
+        if (nearest.cell_id != serving.cell_id
+                and _distance(pos, nearest.position)
+                < _distance(pos, serving.position) - hysteresis_m):
+            events.append(HandoverEvent(time_ns=t, from_cell=serving.cell_id,
+                                        to_cell=nearest.cell_id,
+                                        interruption_ns=interruption_ns))
+            serving = nearest
+        t += sample_ns
+    return events
+
+
+def _random_case(seed: int):
+    rng = random.Random(seed)
+
+    def coord() -> float:
+        return rng.choice((rng.uniform(-300, 300), float(rng.randrange(-300, 300)),
+                           rng.randrange(-3000, 3000) / 10))
+
+    n_cells = rng.randrange(2, 5)
+    positions = [(coord(), coord()) for _ in range(n_cells)]
+    if rng.random() < 0.3:
+        # two cells at the same position: the first one listed wins a tie
+        i, j = rng.sample(range(n_cells), 2)
+        positions[j] = positions[i]
+    ids = rng.sample(range(1, 10), n_cells)
+    cells = [CellConfig(cell_id=i, position=p) for i, p in zip(ids, positions)]
+    sample_ns = rng.randrange(1, 40)
+    on_grid = rng.random() < 0.5
+    times = [rng.randrange(0, 10**6)]
+    for _ in range(rng.randrange(0, 5)):
+        # on the grid every waypoint time is a sample instant; off it, most
+        # segment lengths are not multiples of the sample interval
+        step = (sample_ns * rng.randrange(1, 30) if on_grid
+                else rng.randrange(1, 30 * sample_ns + 2))
+        times.append(times[-1] + step)
+    route = MobilityRoute(tuple((t, coord(), coord()) for t in times))
+    hysteresis = rng.choice((0.0, rng.uniform(0.0, 40.0), 5.0))
+    return route, cells, hysteresis, sample_ns
+
+
+def test_one_pass_matches_the_per_sample_loop():
+    with_events = on_waypoint_events = ties = 0
+    for seed in range(1500):
+        route, cells, hysteresis, sample_ns = _random_case(seed)
+        got = apply_handover(route, cells, hysteresis_m=hysteresis,
+                             interruption_ns=seed, sample_ns=sample_ns)
+        want = reference_apply_handover(route, cells, hysteresis_m=hysteresis,
+                                        interruption_ns=seed, sample_ns=sample_ns)
+        assert got == want, f"seed {seed}"
+        start = route.waypoints[0][1:]
+        assert initial_serving_cell(route, cells) == min(
+            cells, key=lambda c: _distance(start, c.position)).cell_id
+        times = {w[0] for w in route.waypoints}
+        with_events += bool(want)
+        on_waypoint_events += any(ev.time_ns in times for ev in want)
+        ties += len({c.position for c in cells}) < len(cells)
+    # the cases exercise what the walk must get right
+    assert with_events > 300
+    assert on_waypoint_events > 10
+    assert ties > 300
+
+
+@pytest.mark.parametrize("hysteresis", [0.0, 5.0])
+def test_switch_on_an_interior_waypoint(hysteresis):
+    # at t = 10 the route is at its waypoint x = 60, 40 m from cell 2
+    cells = [CellConfig(cell_id=1, position=(0.0, 0.0)),
+             CellConfig(cell_id=2, position=(100.0, 0.0))]
+    route = MobilityRoute(((0, 0.0, 0.0), (10, 60.0, 0.0), (20, 100.0, 0.0)))
+    events = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=5)
+    assert events == reference_apply_handover(route, cells, hysteresis_m=hysteresis,
+                                              sample_ns=5)
+    assert [(e.time_ns, e.from_cell, e.to_cell) for e in events] == [(10, 1, 2)]
+
+
+def test_interior_waypoint_is_interpolated_not_copied():
+    # position_at(10) interpolates the first segment to its end, which
+    # lands one ulp past x = 0.9, the midpoint between the cells; the
+    # waypoint's own x would tie the distances and not switch
+    cells = [CellConfig(cell_id=1, position=(0.9 - 0.6, 0.0)),
+             CellConfig(cell_id=2, position=(0.9 + 0.6, 0.0))]
+    route = MobilityRoute(((0, 0.3, 0.0), (10, 0.9, 0.0), (20, 2.1, 0.0)))
+    assert route.position_at(10)[0] > 0.9
+    events = apply_handover(route, cells, hysteresis_m=0.0, sample_ns=5)
+    assert events == reference_apply_handover(route, cells, hysteresis_m=0.0,
+                                              sample_ns=5)
+    assert [e.time_ns for e in events] == [10]
+
+
+@pytest.mark.parametrize("hysteresis,switch_ns", [(0.0, 65), (4.0, 67)])
+def test_a_margin_equal_to_the_hysteresis_does_not_switch(hysteresis, switch_ns):
+    # x = t exactly; at x = 64 + hysteresis / 2 the margin equals the hysteresis
+    cells = [CellConfig(cell_id=1, position=(0.0, 0.0)),
+             CellConfig(cell_id=2, position=(128.0, 0.0))]
+    route = MobilityRoute(((0, 0.0, 0.0), (128, 128.0, 0.0)))
+    events = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=1)
+    assert [(e.time_ns, e.from_cell, e.to_cell) for e in events] == [(switch_ns, 1, 2)]
+
+
+def test_single_waypoint_route_has_no_events():
+    cells = [CellConfig(cell_id=1), CellConfig(cell_id=2, position=(1.0, 0.0))]
+    route = MobilityRoute(((5, 0.9, 0.0),))
+    assert apply_handover(route, cells, hysteresis_m=0.0, sample_ns=1) == []
+    assert initial_serving_cell(route, cells) == 2

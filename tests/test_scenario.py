@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import re
 import typing
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cv2x_bench import analysis, scenario
+from cv2x_bench.netem import SimWorld
 from cv2x_bench.scenario import (ConfigError, config_from_obj, derive_seed,
                                  load_config, load_matrix_config, matrix_to_obj,
                                  resolve_matrix_cells, run_matrix, run_scenario,
@@ -245,6 +247,81 @@ def test_sim_and_real_mode_send_the_same_message_count():
     real = run_scenario(config_from_obj(dict(obj, mode="real")))
     assert sim.sensor_sent == real.sensor_sent == 1
     assert len(sim.records) == len(real.records) == 1
+
+
+def test_mobility_cell_counts_every_tick_it_runs_or_skips():
+    cfg, = [c for c in resolve_matrix_cells(table1_matrix())
+            if c.mobility is not None]
+    result = run_scenario(cfg)
+    # the same cell stepped through every tick, as before idle ticks were
+    # skipped
+    world, pipeline, _ = scenario._build_sim(cfg)
+    pipeline.start()
+    end = world.start_ns + cfg.duration_ns
+    while world.now_ns < end:
+        world.run_tick()
+    while not pipeline.complete and world.now_ns < end + scenario._DRAIN_GRACE_NS:
+        world.run_tick()
+    assert world.ticks_skipped == 0
+    assert result.ticks_run + result.ticks_skipped == world.ticks_run
+    assert result.ticks_skipped > result.ticks_run > 0
+    assert result.records == pipeline.vehicle.records
+    assert len(result.handover_events) == 1
+
+
+def _live_worlds() -> set[int]:
+    return {id(obj) for obj in gc.get_objects() if isinstance(obj, SimWorld)}
+
+
+def test_finished_scenario_frees_its_emulator_without_a_collection():
+    cfg = config_from_obj(_minimal(name="freed", duration_s=1.0,
+                                   load={"ul": "1x5", "dl": "1x110"}))
+    gc.collect()
+    before = _live_worlds()
+    gc.disable()
+    try:
+        run_scenario(cfg)
+        left = _live_worlds() - before
+    finally:
+        gc.enable()
+    assert left == set()
+
+
+# --------------------------------------------------------------------------
+# Values that parse but cannot run: upper bounds
+# --------------------------------------------------------------------------
+
+def test_background_ue_count_is_bounded():
+    # one flow and one CBR source per UE: a billion would exhaust memory
+    for key in ("ul", "dl"):
+        for spec in ("1001x1", "1000000000x1"):
+            with pytest.raises(ConfigError,
+                               match=f"config.load.{key}: at most 1000 "):
+                config_from_obj(_minimal(load={key: spec}))
+        assert getattr(config_from_obj(_minimal(load={key: "1000x1"})).load,
+                       key) == "1000x1"
+
+
+def test_duration_is_bounded():
+    # 1e9 s would be 4e14 ticks
+    for duration in (86_400.5, 1e9):
+        with pytest.raises(ConfigError, match=r"config.duration_s must be <= 86400"):
+            config_from_obj(_minimal(duration_s=duration))
+    assert config_from_obj(_minimal(duration_s=86_400)).duration_s == 86_400
+
+
+def test_message_count_is_bounded():
+    # 10 kHz for 1000 s publishes exactly 10,000,000 messages
+    assert scenario.message_count(10_000.0, 1000 * 10**9) == 10_000_000
+    config_from_obj(_minimal(duration_s=1000, message={"rate_hz": 10_000.0}))
+    for rate in (10_000.001, 1e300):
+        with pytest.raises(ConfigError, match="config.message.rate_hz sends more "
+                                              "than 10000000 messages"):
+            config_from_obj(_minimal(duration_s=1000, message={"rate_hz": rate}))
+    # a tiny rate sends the message at offset 0 only; counting the next
+    # offset, too large for an int, used to overflow
+    cfg = config_from_obj(_minimal(message={"rate_hz": 1e-300}))
+    assert scenario.message_count(cfg.message.rate_hz, cfg.duration_ns) == 1
 
 
 # --------------------------------------------------------------------------
