@@ -12,7 +12,7 @@ from .clockmodel import (DriftingClock, OffsetEstimate, OffsetProvider,
 from .netem import (CellConfig, Direction, FlowSpec, HandoverEvent,
                     LinkSimulator, MobilityRoute, PriorityClass, Reliability,
                     SchedulerKind, SimWorld, SlotKind, TddPattern,
-                    apply_handover, slot_kind_at, step_simulation, tick_budget)
+                    apply_handover, tick_budget)
 from .protocol import (V2XMessage, compute_checksum, decode, encode,
                        make_padded_payload)
 from .scenario import (ScenarioConfig, ScenarioResult, load_config,

@@ -1,14 +1,20 @@
 """The three ITS agents: sensor (producer), edge relay (broker/proxy), and
 vehicle (consumer).
 
-Both transports share one stamping contract: the sensor sets t1/e1 right
-before sending, the relay sets t2/e2 on receipt and t3/e3 when it
-re-publishes (recomputing the checksum since the stamps changed), and the
-vehicle sets t4/e4 and logs one PacketRecord per message.
+SimSensor, SimRelay and SimVehicle are the one implementation of the
+stamping contract: the sensor sets t1/e1 when it builds a frame, the relay
+sets t2/e2 on receipt and t3/e3 when it re-publishes (recomputing the
+checksum since the stamps changed), and the vehicle sets t4/e4 and logs
+one PacketRecord per message, salvaging what it can of a corrupt frame.
+Each stamp reads the agent's clock and offset provider at a reference
+instant the caller passes in.
 
-In emulation mode the agents are passive state machines driven by the
-SimWorld event loop through a SimPipeline; in real-socket mode each agent
-is a blocking loop over a BrokerClient connection.
+Two transports drive them.  In emulation mode a SimPipeline schedules them
+on the SimWorld event loop at simulated reference times.  In real-socket
+mode run_real_sensor, run_real_relay and run_real_vehicle are blocking
+loops over a BrokerClient connection; they give each agent an ideal clock
+and zero offset estimates and pass the host's epoch time as the reference
+instant.
 """
 
 from __future__ import annotations
@@ -22,13 +28,14 @@ from functools import partial
 from . import protocol
 from .analysis import PacketRecord, RecordWriter
 from .broker import BrokerClient
-from .clockmodel import (DriftingClock, OffsetProvider, SystemClock,
-                         ZeroOffsetProvider)
+from .clockmodel import DriftingClock, OffsetProvider, ZeroOffsetProvider
 from .netem import Delivery, LinkSimulator, SimWorld
 
 
 UPLINK_TOPIC = "UL"
 DOWNLINK_TOPIC = "DL"
+
+Provider = OffsetProvider | ZeroOffsetProvider
 
 
 @dataclass(frozen=True)
@@ -79,7 +86,7 @@ class SimSensor:
 
     def __init__(self, source_id: int, frame_size_bytes: int, rate_hz: float,
                  duration_ns: int, clock: DriftingClock,
-                 provider: OffsetProvider, payload_seed: int = 0,
+                 provider: Provider, payload_seed: int = 0,
                  start_ns: int = 0) -> None:
         if frame_size_bytes < protocol.FRAME_OVERHEAD:
             raise ValueError(
@@ -94,7 +101,6 @@ class SimSensor:
         self.payload_seed = payload_seed
         self.start_ns = start_ns
         self.next_seq = 0
-        self.app_frames_received = 0  # role purity: must stay 0
         self.n_messages = message_count(rate_hz, duration_ns)
 
     def publish_time(self, k: int) -> int:
@@ -119,7 +125,7 @@ class SimSensor:
 class SimRelay:
     """Receives on the uplink topic, stamps, delays, re-publishes downlink."""
 
-    def __init__(self, clock: DriftingClock, provider: OffsetProvider,
+    def __init__(self, clock: DriftingClock, provider: Provider,
                  processing: ProcessingDelay | None = None,
                  rng_seed: int = 0) -> None:
         self.clock = clock
@@ -154,12 +160,11 @@ class SimRelay:
 class SimVehicle:
     """Consumes downlink frames and logs one PacketRecord per message."""
 
-    def __init__(self, clock: DriftingClock, provider: OffsetProvider) -> None:
+    def __init__(self, clock: DriftingClock, provider: Provider) -> None:
         self.clock = clock
         self.provider = provider
         self.records: list[PacketRecord] = []
         self.affected_seqs: set[int] = set()
-        self.app_frames_published = 0  # role purity: must stay 0
 
     def receive(self, frame: bytes, reference_ns: int, serving_cell: int,
                 gt_ul: int, gt_dl: int, affected: bool = False) -> PacketRecord:
@@ -271,42 +276,32 @@ class SimPipeline:
 
 
 # --------------------------------------------------------------------------
-# Real-socket agents
+# Real-socket drivers
 # --------------------------------------------------------------------------
 
-def _paced_deadlines(rate_hz: float, n: int, start: float):
-    for k in range(n):
-        yield start + k / rate_hz
+_PUBLISH_RETRIES = 5
+_POLL_S = 0.2
 
 
 def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
                     rate_hz: float, duration_s: float, source_id: int = 1,
-                    topic: str = UPLINK_TOPIC, payload_seed: int = 0,
-                    clock: SystemClock | None = None,
-                    provider: ZeroOffsetProvider | None = None,
-                    max_retries: int = 5) -> int:
-    """Publish message_count(rate, duration) frames at the configured pace;
-    returns the number sent.  Transport failures trigger reconnect with
-    backoff."""
-    clock = clock or SystemClock()
-    provider = provider or ZeroOffsetProvider()
-    n = message_count(rate_hz, round(duration_s * 1_000_000_000))
+                    topic: str = UPLINK_TOPIC, payload_seed: int = 0) -> int:
+    """Publish message_count(rate, duration) frames on the sim publish
+    schedule; returns the number sent.  Transport failures trigger
+    reconnect with backoff."""
+    sensor = SimSensor(source_id, frame_size_bytes, rate_hz,
+                       round(duration_s * 1_000_000_000), DriftingClock(),
+                       ZeroOffsetProvider(), payload_seed)
     client = BrokerClient(host, port)
-    sent = 0
     try:
         start = time.monotonic()
-        for seq, deadline in enumerate(_paced_deadlines(rate_hz, n, start)):
-            delay = deadline - time.monotonic()
+        while sensor.next_seq < sensor.n_messages:
+            delay = (start + sensor.publish_time(sensor.next_seq) / 1e9
+                     - time.monotonic())
             if delay > 0:
                 time.sleep(delay)
-            now = clock.now_ns()
-            msg = protocol.V2XMessage(
-                source_id=source_id, seq=seq,
-                t1=now, e1=provider.estimate_at(now).estimate_ns,
-                payload=protocol.make_padded_payload(frame_size_bytes,
-                                                     payload_seed, seq))
-            frame = protocol.encode(msg)
-            for attempt in range(max_retries):
+            frame = sensor.build_frame(time.time_ns())
+            for attempt in range(_PUBLISH_RETRIES):
                 try:
                     client.publish(topic, frame)
                     break
@@ -315,94 +310,52 @@ def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
                     client.close()
                     client = BrokerClient(host, port)
             else:
-                raise ConnectionError(f"publish failed after {max_retries} retries")
-            sent += 1
+                raise ConnectionError(
+                    f"publish failed after {_PUBLISH_RETRIES} retries")
     finally:
         client.close()
-    return sent
+    return sensor.next_seq
 
 
 def run_real_relay(host: str, port: int, *, stop: threading.Event,
                    sub_topic: str = UPLINK_TOPIC,
                    pub_topic: str = DOWNLINK_TOPIC,
-                   processing: ProcessingDelay | None = None,
-                   clock: SystemClock | None = None,
-                   provider: ZeroOffsetProvider | None = None,
-                   rng_seed: int = 0,
-                   poll_s: float = 0.2) -> tuple[int, int]:
+                   processing: ProcessingDelay | None = None) -> tuple[int, int]:
     """Forward uplink frames to the downlink topic until stopped; returns
     (forwarded, corrupt_drops)."""
-    clock = clock or SystemClock()
-    provider = provider or ZeroOffsetProvider()
-    processing = processing or ProcessingDelay()
-    rng = random.Random(rng_seed)
-    forwarded = 0
-    corrupt = 0
+    relay = SimRelay(DriftingClock(), ZeroOffsetProvider(), processing)
     with BrokerClient(host, port) as client:
         client.subscribe(sub_topic)
         while not stop.is_set():
-            got = client.recv_message(timeout=poll_s)
+            got = client.recv_message(timeout=_POLL_S)
             if got is None:
                 continue
-            _, frame = got
-            now = clock.now_ns()
-            try:
-                msg = protocol.decode(frame)
-            except protocol.ProtocolError:
-                corrupt += 1
+            msg = relay.receive(got[1], time.time_ns())
+            if msg is None:
                 continue
-            msg.t2 = now
-            msg.e2 = provider.estimate_at(now).estimate_ns
-            delay_ns = processing.sample(rng)
+            delay_ns = relay.processing.sample(relay.rng)
             if delay_ns > 0:
                 time.sleep(delay_ns / 1e9)
-            fwd_now = clock.now_ns()
-            msg.t3 = fwd_now
-            msg.e3 = provider.estimate_at(fwd_now).estimate_ns
-            client.publish(pub_topic, protocol.encode(msg))
-            forwarded += 1
-    return forwarded, corrupt
+            client.publish(pub_topic, relay.forward(msg, time.time_ns()))
+    return relay.forwarded, relay.corrupt_drops
 
 
 def run_real_vehicle(host: str, port: int, *, stop: threading.Event,
                      topic: str = DOWNLINK_TOPIC,
                      sink: RecordWriter | None = None,
-                     expected: int | None = None,
-                     clock: SystemClock | None = None,
-                     provider: ZeroOffsetProvider | None = None,
-                     poll_s: float = 0.2) -> list[PacketRecord]:
+                     expected: int | None = None) -> list[PacketRecord]:
     """Consume downlink frames into PacketRecords until stopped (or until
     `expected` records have arrived)."""
-    clock = clock or SystemClock()
-    provider = provider or ZeroOffsetProvider()
-    records: list[PacketRecord] = []
+    vehicle = SimVehicle(DriftingClock(), ZeroOffsetProvider())
+    records = vehicle.records
     with BrokerClient(host, port) as client:
         client.subscribe(topic)
-        while not stop.is_set():
-            got = client.recv_message(timeout=poll_s)
+        while not stop.is_set() and (expected is None or len(records) < expected):
+            got = client.recv_message(timeout=_POLL_S)
             if got is None:
-                if expected is not None and len(records) >= expected:
-                    break
                 continue
-            _, frame = got
-            now = clock.now_ns()
-            try:
-                msg = protocol.decode(frame)
-                corrupt = False
-            except protocol.ProtocolError:
-                salvaged = protocol.decode_unchecked(frame)
-                msg = salvaged if salvaged is not None else protocol.V2XMessage()
-                corrupt = True
-            rec = PacketRecord(
-                source_id=msg.source_id, seq=msg.seq,
-                t1=msg.t1, t2=msg.t2, t3=msg.t3, t4=now,
-                e1=msg.e1, e2=msg.e2, e3=msg.e3,
-                e4=provider.estimate_at(now).estimate_ns,
-                frame_size=len(frame), serving_cell=-1,
-                corrupt=corrupt, gt_ul=-1, gt_dl=-1)
-            records.append(rec)
+            rec = vehicle.receive(got[1], time.time_ns(), serving_cell=-1,
+                                  gt_ul=-1, gt_dl=-1)
             if sink is not None:
                 sink.append(rec)
-            if expected is not None and len(records) >= expected:
-                break
     return records

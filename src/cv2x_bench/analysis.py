@@ -256,17 +256,6 @@ def write_stats_csv(stats_by_scenario: dict[str, LatencyStats],
                              stats.p95_ns, stats.p99_ns])
 
 
-def read_stats_csv(path: str | Path) -> dict[str, LatencyStats]:
-    out: dict[str, LatencyStats] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        for row in csv.DictReader(fp):
-            out[row["scenario"]] = LatencyStats(
-                n=int(row["n"]), mean_ns=float(row["mean_ns"]),
-                p95_ns=int(row["p95_ns"]), p99_ns=int(row["p99_ns"]),
-                min_ns=0, max_ns=0, cdf=[])
-    return out
-
-
 def write_cdf_csv(stats: LatencyStats, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)

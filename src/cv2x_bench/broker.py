@@ -8,6 +8,9 @@ followed by that many bytes, which are a UTF-8 command line terminated by
                        "PUB <topic>\\n" + frame
     broker -> client:  "MSG <topic>\\n" + frame
 
+An envelope longer than one full-size frame plus a 1,024-byte command
+line is refused with TransportError.
+
 Delivery is at-most-once per subscriber connection with per-connection
 FIFO ordering; frames published to a topic nobody subscribes to are
 silently discarded.
@@ -18,7 +21,12 @@ from __future__ import annotations
 import socket
 import threading
 
-_MAX_ENVELOPE = 64 * 1024 * 1024
+from .protocol import FRAME_OVERHEAD, MAX_PAYLOAD
+
+# an envelope holds a command line of at most _MAX_COMMAND_LINE bytes
+# (newline included) and at most one frame
+_MAX_COMMAND_LINE = 1024
+_MAX_ENVELOPE = _MAX_COMMAND_LINE + FRAME_OVERHEAD + MAX_PAYLOAD
 
 
 class TransportError(ConnectionError):
@@ -43,11 +51,16 @@ def send_envelope(sock: socket.socket, command: str, frame: bytes = b"") -> None
 
 
 def recv_envelope(sock: socket.socket) -> tuple[str, bytes]:
-    length = int.from_bytes(_read_exact(sock, 4), "big")
+    return _recv_envelope_rest(sock, b"")
+
+
+def _recv_envelope_rest(sock: socket.socket, head: bytes) -> tuple[str, bytes]:
+    """Read the rest of an envelope whose first len(head) bytes were read."""
+    length = int.from_bytes(head + _read_exact(sock, 4 - len(head)), "big")
     if length > _MAX_ENVELOPE:
         raise TransportError(f"envelope of {length} bytes exceeds limit")
     body = _read_exact(sock, length)
-    newline = body.find(b"\n")
+    newline = body.find(b"\n", 0, _MAX_COMMAND_LINE)
     if newline < 0:
         raise TransportError("envelope has no command line")
     return body[:newline].decode("utf-8"), body[newline + 1:]
@@ -154,9 +167,9 @@ class Broker:
     def _fan_out(self, topic: str, frame: bytes) -> None:
         with self._lock:
             targets = list(self._subscribers.get(topic, ()))
-        if not targets:
-            self.frames_discarded += 1
-            return
+            if not targets:
+                self.frames_discarded += 1
+                return
         for conn in targets:
             lock = self._send_locks.get(conn)
             if lock is None:
@@ -164,7 +177,8 @@ class Broker:
             try:
                 with lock:
                     send_envelope(conn, f"MSG {topic}", frame)
-                self.frames_relayed += 1
+                with self._lock:
+                    self.frames_relayed += 1
             except OSError:
                 self._drop_conn(conn)
 
@@ -206,14 +220,7 @@ class BrokerClient:
             self._sock.settimeout(None)
         if not first:
             raise TransportError("connection closed")
-        length = int.from_bytes(first + _read_exact(self._sock, 3), "big")
-        if length > _MAX_ENVELOPE:
-            raise TransportError(f"envelope of {length} bytes exceeds limit")
-        body = _read_exact(self._sock, length)
-        newline = body.find(b"\n")
-        if newline < 0:
-            raise TransportError("envelope has no command line")
-        command, frame = body[:newline].decode("utf-8"), body[newline + 1:]
+        command, frame = _recv_envelope_rest(self._sock, first)
         parts = command.split()
         if len(parts) != 2 or parts[0] != "MSG":
             raise TransportError(f"unexpected broker message {command!r}")

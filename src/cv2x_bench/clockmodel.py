@@ -15,7 +15,6 @@ computed in exact integer nanoseconds.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 
 from .protocol import V2XMessage
@@ -128,18 +127,11 @@ class OffsetProvider:
         return self._last
 
 
-class SystemClock:
-    """Real-socket mode clock: reads the operating system's epoch time."""
-
-    def now_ns(self) -> int:
-        return time.time_ns()
-
-
 class ZeroOffsetProvider:
-    """Offset provider for real-socket runs without an NTP sidecar.
+    """Offset provider of the real-socket agents.
 
     Returns zero estimates, i.e. trusts the host clock; on a single host
-    (loopback tests) sender and receiver share the clock so corrected and
+    (loopback runs) sender and receiver share the clock so corrected and
     raw latencies coincide.
     """
 

@@ -60,11 +60,6 @@ def parse_load(text: str, direction: Direction,
                           packet_size_bytes=packet_size_bytes)
 
 
-def offered_bits(load: BackgroundLoad, tick_interval_ns: int) -> int:
-    """Bits one UE of this load offers per tick (before packet quantization)."""
-    return (load.per_ue_rate_bps * tick_interval_ns) // 1_000_000_000
-
-
 class CbrPacketSource:
     """Packet arrival stream for one UE flow.
 

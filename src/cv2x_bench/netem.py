@@ -69,23 +69,19 @@ class InvariantViolation(RuntimeError):
 @dataclass(frozen=True)
 class TddPattern:
     """TDD slot structure; the default is three downlink slots, one special
-    slot (10 downlink + 2 uplink symbols of 14), and one uplink slot."""
+    slot and one uplink slot.  Only its period, the length of one tick,
+    enters the model: the cell capacities already embed the symbol split."""
 
     slots: tuple[SlotKind, ...] = (SlotKind.DOWNLINK, SlotKind.DOWNLINK,
                                    SlotKind.DOWNLINK, SlotKind.SPECIAL,
                                    SlotKind.UPLINK)
     slot_duration_ns: int = 500_000
-    special_dl_symbols: int = 10
-    special_ul_symbols: int = 2
-    symbols_per_slot: int = 14
 
     def __post_init__(self) -> None:
         if not self.slots:
             raise ValueError("pattern needs at least one slot")
         if self.slot_duration_ns <= 0:
             raise ValueError("slot duration must be positive")
-        if self.special_dl_symbols + self.special_ul_symbols > self.symbols_per_slot:
-            raise ValueError("special slot symbol split exceeds symbols per slot")
 
     @classmethod
     def from_string(cls, pattern: str, slot_duration_ns: int = 500_000) -> "TddPattern":
@@ -98,36 +94,6 @@ class TddPattern:
     @property
     def period_ns(self) -> int:
         return len(self.slots) * self.slot_duration_ns
-
-    def direction_symbol_ratio(self) -> float:
-        """Downlink-to-uplink symbol ratio over one pattern period."""
-        dl = ul = 0
-        for kind in self.slots:
-            if kind is SlotKind.DOWNLINK:
-                dl += self.symbols_per_slot
-            elif kind is SlotKind.UPLINK:
-                ul += self.symbols_per_slot
-            else:
-                dl += self.special_dl_symbols
-                ul += self.special_ul_symbols
-        if ul == 0:
-            raise ValueError("pattern has no uplink symbols")
-        return dl / ul
-
-
-def slot_kind_at(pattern: TddPattern, time_ns: int) -> tuple[SlotKind, float, float]:
-    """Slot kind at a given time plus the usable (dl, ul) symbol fractions."""
-    if time_ns < 0:
-        raise ValueError("time must be nonnegative")
-    index = (time_ns // pattern.slot_duration_ns) % len(pattern.slots)
-    kind = pattern.slots[index]
-    if kind is SlotKind.DOWNLINK:
-        return kind, 1.0, 0.0
-    if kind is SlotKind.UPLINK:
-        return kind, 0.0, 1.0
-    return (kind,
-            pattern.special_dl_symbols / pattern.symbols_per_slot,
-            pattern.special_ul_symbols / pattern.symbols_per_slot)
 
 
 @dataclass(frozen=True)
@@ -142,8 +108,7 @@ class CellConfig:
             raise ValueError("cell capacities must be strictly positive")
 
 
-def tick_budget(cell: CellConfig, pattern: TddPattern,
-                tick_interval_ns: int) -> tuple[int, int]:
+def tick_budget(cell: CellConfig, tick_interval_ns: int) -> tuple[int, int]:
     """Per-tick (uplink, downlink) bit budgets for one cell.
 
     The direction capacities already embed the TDD symbol split, so the
@@ -314,8 +279,9 @@ class Delivery:
     meta: dict | None = None
 
 
-# (queue, entry, packets of the entry completed)
-Completion = tuple["FlowQueue", "QueuedPacket | QueuedRun", int]
+# (queue, packet) of a QueuedPacket whose last bit was served; a served
+# run is not listed
+Completion = tuple["FlowQueue", QueuedPacket]
 
 
 class FlowQueue:
@@ -378,7 +344,8 @@ class FlowQueue:
 
     def serve_bits(self, bits: int, completed: list[Completion]) -> int:
         """Drain up to `bits` from the head of the queue; returns the bits
-        actually served and appends what completed to `completed`."""
+        actually served and appends each QueuedPacket completed to
+        `completed`."""
         served = 0
         packets = self.packets
         while bits > 0 and packets:
@@ -386,7 +353,8 @@ class FlowQueue:
             left = head.remaining_bits + (head.count - 1) * head.size_bits
             if bits >= left:
                 packets.popleft()
-                completed.append((self, head, head.count))
+                if type(head) is QueuedPacket:
+                    completed.append((self, head))
                 bits -= left
                 served += left
                 continue
@@ -394,7 +362,6 @@ class FlowQueue:
                 # a run: its head and `done - 1` more packets complete
                 done, part = divmod(bits - head.remaining_bits, head.size_bits)
                 done += 1
-                completed.append((self, head, done))
                 head.count -= done
                 head.arrival_idx += done
                 head.remaining_bits = head.size_bits - part
@@ -493,9 +460,6 @@ class LinkSimulator:
         self._cell_switch_times: list[int] = [0]
         self._cell_by_switch: list[int] = [default_cell]
         self._suspensions: list[tuple[int, int]] = []
-        # (flow_id, packets, size_bits, cell_id) of the run segments the
-        # last tick completed
-        self.run_segments: list[tuple[str, int, int, int]] = []
 
     def add_flow(self, spec: FlowSpec, cell_id: int | None = None,
                  mobile: bool = False, suspendable: bool = False) -> FlowQueue:
@@ -551,7 +515,7 @@ class LinkSimulator:
         if self._groups is None:
             self._groups = []
             for cell_id, cell in self.cells.items():
-                ul_budget, dl_budget = tick_budget(cell, self.pattern, self.tick_ns)
+                ul_budget, dl_budget = tick_budget(cell, self.tick_ns)
                 for direction, budget in ((Direction.UPLINK, ul_budget),
                                           (Direction.DOWNLINK, dl_budget)):
                     flows = [q for q in self.flows.values()
@@ -580,7 +544,6 @@ class LinkSimulator:
         suspended = self._suspended(tick_start, tick_end)
         serving = self.serving_cell(tick_start)
         deliveries: list[Delivery] = []
-        self.run_segments = []
         for group in self._flow_groups():
             cell_id, budget = group.cell_id, group.budget
             eligible, app, bg = group.views[2 * (serving == cell_id) + suspended]
@@ -608,17 +571,12 @@ class LinkSimulator:
                 raise InvariantViolation(
                     f"work conservation broken in cell {cell_id} "
                     f"{group.direction.value}")
-            for q, entry, packets in completed:
-                if type(entry) is QueuedRun:
-                    self.run_segments.append((q.spec.flow_id, packets,
-                                              entry.size_bits, cell_id))
-                else:
-                    deliveries.append(Delivery(flow_id=q.spec.flow_id,
-                                               size_bits=entry.size_bits,
-                                               enqueue_ns=entry.enqueue_ns,
-                                               delivery_ns=tick_end,
-                                               cell_id=cell_id,
-                                               meta=entry.meta))
+            for q, packet in completed:
+                deliveries.append(Delivery(flow_id=q.spec.flow_id,
+                                           size_bits=packet.size_bits,
+                                           enqueue_ns=packet.enqueue_ns,
+                                           delivery_ns=tick_end,
+                                           cell_id=cell_id, meta=packet.meta))
         for q in self.flows.values():
             if q.offered_bits - q.served_bits - q.dropped_bits != q.backlog_bits:
                 raise InvariantViolation(
@@ -641,27 +599,23 @@ class SimWorld:
     tick's start, after the events already pending and before any event
     scheduled while the tick dispatches; arrivals at the same instant keep
     source order.  Each stretch of one source's consecutive arrivals
-    enters its queue as one run (`LinkSimulator.enqueue_run`), and a
-    served run is logged but not dispatched to the handler.  Two worlds
-    built from the same configuration and seeds produce identical event
-    logs.
+    enters its queue as one run (`LinkSimulator.enqueue_run`); a served run
+    is counted in its queue's accounting but not dispatched to the handler.
+    Two worlds built from the same configuration and seeds produce
+    identical deliveries and accounting.
 
     run_until skips idle ticks: a tick in which no heap event falls, no
     CBR source is live and no flow holds backlog would dispatch, serve and
-    deliver nothing, so time jumps over it in whole ticks.  A world that
-    records events runs every tick, so its log keeps one tick marker per
-    tick.
+    deliver nothing, so time jumps over it in whole ticks.
     """
 
     def __init__(self, link: LinkSimulator, base_delay_ns: int = 2_000_000,
-                 record_events: bool = False, start_ns: int = 0) -> None:
+                 start_ns: int = 0) -> None:
         self.link = link
         self.tick_ns = link.tick_ns
         self.base_delay_ns = base_delay_ns
-        self.record_events = record_events
         self.start_ns = start_ns
         self.now_ns = start_ns
-        self.event_log: list[str] = []
         self.on_delivery: Callable[[Delivery], None] | None = None
         # objects with .flow_id, .packet_bits, .rate_bps, .stop_ns,
         # .open_window(t0, t1), .take_before(t) and .next_arrival(), like
@@ -722,22 +676,11 @@ class SimWorld:
     def run_tick(self) -> list[Delivery]:
         tick_start = self.now_ns
         tick_end = tick_start + self.tick_ns
-        if self.record_events:
-            self.event_log.append(f"tick {tick_start}")
         self._dispatch(tick_start, tick_end)
         deliveries = self.link.run_tick(tick_start)
-        for d in deliveries:
-            if self.record_events:
-                self.event_log.append(
-                    f"deliver flow={d.flow_id} bits={d.size_bits} "
-                    f"enq={d.enqueue_ns} t={d.delivery_ns} cell={d.cell_id}")
-            if self.on_delivery is not None:
+        if self.on_delivery is not None:
+            for d in deliveries:
                 self.on_delivery(d)
-        if self.record_events:
-            for flow_id, packets, size_bits, cell_id in self.link.run_segments:
-                self.event_log.append(
-                    f"deliver flow={flow_id} packets={packets} "
-                    f"bits={packets * size_bits} t={tick_end} cell={cell_id}")
         self.now_ns = tick_end
         self.ticks_run += 1
         return deliveries
@@ -760,11 +703,10 @@ class SimWorld:
         tick_ns = self.tick_ns
         heap = self._heap
         flows = self.link.flows.values()
-        skip_idle = not self.record_events
         live_until = self._cbr_live_until()
         while self.now_ns < until_ns and (done is None or not done()):
             now = self.now_ns
-            if (skip_idle and (not heap or heap[0][0] >= now + tick_ns)
+            if ((not heap or heap[0][0] >= now + tick_ns)
                     and now >= live_until
                     and not any(q.backlog_bits for q in flows)):
                 # every tick before the one holding the next event is idle,
@@ -774,12 +716,6 @@ class SimWorld:
                     n = min(n, (heap[0][0] - now) // tick_ns)
                 self.now_ns = now + n * tick_ns
                 self.ticks_skipped += n
-                self.link.run_segments = []
                 continue
             self.run_tick()
 
-
-def step_simulation(world: SimWorld, until_ns: int) -> list[str]:
-    """Advance the world to the given time and return its event log."""
-    world.run_until(until_ns)
-    return world.event_log

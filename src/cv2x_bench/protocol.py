@@ -29,10 +29,6 @@ CHECKSUM_LEN = 4
 FRAME_OVERHEAD = HEADER_LEN + CHECKSUM_LEN  # 88 bytes
 MAX_PAYLOAD = 10_000_000
 
-# flags bit 0: set by analysis replay tooling on handover-affected frames,
-# always 0 on freshly sent frames.
-FLAG_HANDOVER_AFFECTED = 0x01
-
 _HEADER = struct.Struct(">4sBBHQqqqqqqqqI")
 assert _HEADER.size == HEADER_LEN
 
@@ -75,9 +71,6 @@ class V2XMessage:
     payload: bytes = b""
     flags: int = 0
     checksum: int = field(default=0, compare=False)
-
-    def stamps(self) -> tuple[int, int, int, int]:
-        return (self.t1, self.t2, self.t3, self.t4)
 
 
 def compute_checksum(data: bytes) -> int:

@@ -174,7 +174,7 @@ class NetworkConfig:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"cells must have distinct cell_id values, got {ids}")
         # a direction whose per-tick budget rounds to 0 bits never drains
-        budgets = tick_budget(self.build_cells()[0], tdd, tdd.period_ns)
+        budgets = tick_budget(self.build_cells()[0], tdd.period_ns)
         for key, budget in zip(("ul_capacity_bps", "dl_capacity_bps"), budgets):
             if budget == 0:
                 raise ConfigError(

@@ -1,15 +1,20 @@
 """Agent pipeline tests: stamping order, residence time, integrity
-handling, and role purity."""
+handling, and the real-socket drivers' corrupt-frame handling."""
 
 from __future__ import annotations
 
 import random
+import threading
+import time
 
 import pytest
 
 from cv2x_bench import protocol
-from cv2x_bench.agents import (ProcessingDelay, SimRelay, SimSensor,
-                               SimVehicle)
+from cv2x_bench.agents import (DOWNLINK_TOPIC, UPLINK_TOPIC, ProcessingDelay,
+                               SimRelay, SimSensor, SimVehicle, run_real_relay,
+                               run_real_vehicle)
+from cv2x_bench.analysis import RecordWriter, ingest
+from cv2x_bench.broker import Broker, BrokerClient
 from cv2x_bench.clockmodel import (DriftingClock, OffsetProvider,
                                    corrected_latency_dl, corrected_latency_e2e,
                                    corrected_latency_ul)
@@ -121,14 +126,12 @@ def test_vehicle_logs_corrupt_frame_with_flag():
     assert rec.t4 == 500
 
 
-def test_role_purity_counters():
+def test_vehicle_logs_one_record_per_sent_message():
     cfg = config_from_obj(_sim_config(duration_s=2.0))
     from cv2x_bench.scenario import _build_sim
     world, pipeline, _ = _build_sim(cfg)
     pipeline.start()
     world.run_until(world.start_ns + cfg.duration_ns + 50_000_000)
-    assert pipeline.sensor.app_frames_received == 0
-    assert pipeline.vehicle.app_frames_published == 0
     assert len(pipeline.vehicle.records) == pipeline.sensor.next_seq
 
 
@@ -163,3 +166,73 @@ def test_message_count_matches_the_publish_timeline():
         assert publish_offset_ns(n - 1, rate_hz) < duration_ns
         assert publish_offset_ns(n, rate_hz) >= duration_ns
     assert message_count(1.0, 500_000_000) == 1
+
+
+# -- real-socket drivers ----------------------------------------------------
+
+def _payload_flipped_frame(source_id: int, seq: int) -> bytes:
+    frame = bytearray(protocol.encode(protocol.V2XMessage(
+        source_id=source_id, seq=seq, t1=11, t2=22, t3=33, payload=b"p" * 64)))
+    frame[protocol.HEADER_LEN] ^= 0x01  # first payload byte
+    return bytes(frame)
+
+
+def _run_agent_thread(target, **kwargs):
+    """Start a real agent on a thread; its return value lands in the list."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(target(**kwargs)),
+                              daemon=True)
+    thread.start()
+    return thread, result
+
+
+def _wait_for(condition) -> None:
+    deadline = time.monotonic() + 5.0
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def test_real_relay_drops_a_corrupt_frame():
+    stop = threading.Event()
+    with Broker() as broker:
+        thread, result = _run_agent_thread(run_real_relay, host=broker.host,
+                                           port=broker.port, stop=stop)
+        try:
+            _wait_for(lambda: broker.subscriber_count(UPLINK_TOPIC) == 1)
+            with BrokerClient(broker.host, broker.port) as pub:
+                pub.publish(UPLINK_TOPIC, _payload_flipped_frame(7, 42))
+            _wait_for(lambda: broker.frames_relayed == 1)
+            # the frame is in the relay's socket; its next poll takes it
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert result == [(0, 1)]
+
+
+def test_real_vehicle_logs_a_corrupt_frame(tmp_path):
+    log = tmp_path / "vehicle.jsonl"
+    sink = RecordWriter(log)
+    stop = threading.Event()
+    with Broker() as broker:
+        thread, result = _run_agent_thread(run_real_vehicle, host=broker.host,
+                                           port=broker.port, stop=stop,
+                                           sink=sink, expected=1)
+        try:
+            _wait_for(lambda: broker.subscriber_count(DOWNLINK_TOPIC) == 1)
+            with BrokerClient(broker.host, broker.port) as pub:
+                pub.publish(DOWNLINK_TOPIC, _payload_flipped_frame(7, 42))
+            thread.join(timeout=5.0)
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+            sink.close()
+    assert not thread.is_alive()
+    [rec] = ingest(log)
+    assert rec.corrupt is True
+    assert (rec.source_id, rec.seq) == (7, 42)
+    assert (rec.t1, rec.t2, rec.t3) == (11, 22, 33)
+    assert rec.t4 > 0 and rec.serving_cell == -1
+    assert result == [[rec]]

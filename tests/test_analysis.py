@@ -12,7 +12,7 @@ import pytest
 from cv2x_bench import analysis
 from cv2x_bench.analysis import (IngestError, LatencyStats, PacketRecord, cdf,
                                  detect_handover_affected, emit_report, ingest,
-                                 percentile, read_stats_csv, summarize,
+                                 percentile, summarize,
                                  write_records)
 from cv2x_bench.netem import HandoverEvent
 
@@ -251,16 +251,6 @@ def test_emit_report_files(tmp_path):
     assert rows[0] == "scenario,n,mean_ns,p95_ns,p99_ns"
     assert (tmp_path / "cdf_alpha.csv").exists()
     assert (tmp_path / "cdf_beta.csv").exists()
-
-
-def test_stats_csv_round_trips(tmp_path):
-    stats = {"alpha": _stats([MS, 2 * MS, 3 * MS, 9 * MS])}
-    emit_report(stats, tmp_path)
-    back = read_stats_csv(tmp_path / "stats.csv")
-    assert back["alpha"].n == 4
-    assert back["alpha"].p95_ns == stats["alpha"].p95_ns
-    assert back["alpha"].p99_ns == stats["alpha"].p99_ns
-    assert back["alpha"].mean_ns == pytest.approx(stats["alpha"].mean_ns, abs=0.1)
 
 
 def test_cdf_svg_is_wellformed_with_one_polyline_per_scenario(tmp_path):

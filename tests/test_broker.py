@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import socket
+import sys
+import threading
 import time
 
 import pytest
 
-from cv2x_bench.broker import (Broker, BrokerClient, TransportError,
-                               recv_envelope, send_envelope)
+from cv2x_bench import protocol
+from cv2x_bench.broker import (_MAX_ENVELOPE, Broker, BrokerClient,
+                               TransportError, recv_envelope, send_envelope)
 
 
 def test_envelope_round_trip():
@@ -34,6 +37,70 @@ def test_envelope_requires_command_line():
     finally:
         a.close()
         b.close()
+
+
+def test_envelope_limit_fits_one_frame():
+    # a full-size frame plus a command line must pass, nothing far beyond it
+    largest = protocol.FRAME_OVERHEAD + protocol.MAX_PAYLOAD
+    assert largest + len("MSG some-topic\n") <= _MAX_ENVELOPE < largest + 4096
+
+
+def test_envelope_over_the_limit_is_refused_on_both_read_paths():
+    # the peer closes after the prefix, so a reader that accepted the
+    # length would fail on the missing body instead
+    prefix = (_MAX_ENVELOPE + 1).to_bytes(4, "big")
+    a, b = socket.socketpair()
+    with b:
+        with a:
+            a.sendall(prefix)
+        with pytest.raises(TransportError, match="exceeds limit"):
+            recv_envelope(b)
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        with BrokerClient(*server.getsockname()) as client:
+            conn, _ = server.accept()
+            with conn:
+                conn.sendall(prefix)
+            with pytest.raises(TransportError, match="exceeds limit"):
+                client.recv_message(timeout=2.0)
+
+
+def test_counters_reconcile_under_concurrent_publishers():
+    publishers, per_publisher = 4, 500
+    sent = publishers * per_publisher
+    received = []
+
+    def publish(host: str, port: int) -> None:
+        with BrokerClient(host, port) as pub:
+            for i in range(per_publisher):
+                # every other frame goes to a topic nobody subscribes to
+                pub.publish("UL" if i % 2 else "nowhere", b"x")
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often to expose lost updates
+    try:
+        with Broker() as broker, BrokerClient(broker.host, broker.port) as sub:
+            sub.subscribe("UL")
+            time.sleep(0.1)
+            threads = [threading.Thread(target=publish,
+                                        args=(broker.host, broker.port))
+                       for _ in range(publishers)]
+            for t in threads:
+                t.start()
+            while len(received) < sent // 2:
+                got = sub.recv_message(timeout=5.0)
+                assert got is not None, f"only {len(received)} frames arrived"
+                received.append(got)
+            for t in threads:
+                t.join(timeout=5.0)
+                assert not t.is_alive()
+            deadline = time.monotonic() + 5.0
+            while (broker.frames_relayed + broker.frames_discarded < sent
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert broker.frames_relayed + broker.frames_discarded == sent
+            assert broker.frames_relayed == broker.frames_discarded == sent // 2
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_single_subscriber_receives_in_order():

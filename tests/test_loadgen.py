@@ -4,31 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from cv2x_bench.loadgen import (BackgroundLoad, CbrPacketSource, offered_bits,
-                                parse_load)
+from cv2x_bench.loadgen import BackgroundLoad, CbrPacketSource, parse_load
 from cv2x_bench.netem import Direction
 
 TICK = 2_500_000
-
-
-def test_offered_bits_nominal_uplink():
-    load = parse_load("1x5", Direction.UPLINK)
-    assert offered_bits(load, TICK) == 12_500
-
-
-def test_offered_bits_nominal_downlink_below_budget():
-    load = parse_load("1x110", Direction.DOWNLINK)
-    per_tick = offered_bits(load, TICK)
-    assert per_tick == 275_000
-    assert per_tick < 325_000  # fits the downlink budget, no sustained backlog
-
-
-def test_offered_bits_overload_exceeds_uplink_budget():
-    load = parse_load("2x40", Direction.UPLINK)
-    assert offered_bits(load, TICK) == 100_000  # per UE
-    total = load.ue_count * offered_bits(load, TICK)
-    assert total == 200_000
-    assert total - 100_000 == 100_000  # backlog grows one budget per tick
 
 
 def test_parse_load_none():

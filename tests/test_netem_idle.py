@@ -87,7 +87,7 @@ def _random_params(scheduler: SchedulerKind, seed: int) -> Params:
                               if seed % 4 >= 2 else 10**9))
 
 
-def _build(params: Params, record_events: bool = False):
+def _build(params: Params):
     cells = [CellConfig(cell_id=cell, ul_capacity_bps=params.ul_capacity_bps,
                         dl_capacity_bps=params.dl_capacity_bps)
              for cell in (1, 2)]
@@ -97,8 +97,7 @@ def _build(params: Params, record_events: bool = False):
     link.add_flow(FlowSpec("app-dl", Direction.DOWNLINK, PriorityClass.APPLICATION,
                            Reliability.RELIABLE), mobile=True, suspendable=True)
     link.set_mobility(1, params.handovers)
-    world = SimWorld(link, base_delay_ns=BASE_DELAY, start_ns=params.start_ns,
-                     record_events=record_events)
+    world = SimWorld(link, base_delay_ns=BASE_DELAY, start_ns=params.start_ns)
     for flow_id, direction, rate, size, start, stop in params.sources:
         link.add_flow(FlowSpec(flow_id, direction, PriorityClass.BACKGROUND,
                                Reliability.DROPPABLE, queue_cap_bytes=4 * size),
@@ -132,8 +131,8 @@ def _done(deliveries: list, params: Params):
     return lambda: len(deliveries) >= params.stop_after
 
 
-def _advance(params: Params, record_events: bool = False):
-    world, link, deliveries = _build(params, record_events)
+def _advance(params: Params):
+    world, link, deliveries = _build(params)
     world.run_until(params.mid_ns)
     world.run_until(params.until_ns, done=_done(deliveries, params))
     return world, link, deliveries
@@ -171,18 +170,6 @@ def test_skipping_idle_ticks_matches_stepping_every_tick(scheduler, seed):
     assert any(q.dropped_bits for q in want_link.flows.values())
     assert (len(want) == params.stop_after) == (seed % 4 >= 2)
     assert (params.until_ns - params.start_ns) % TICK != 0
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_recording_world_runs_every_tick(seed):
-    params = _random_params(SchedulerKind.BL, seed)
-    world, link, deliveries = _advance(params, record_events=True)
-    want_world, want_link, want = _step(params)
-    assert world.ticks_skipped == 0
-    assert world.ticks_run == want_world.ticks_run
-    assert sum(line.startswith("tick ") for line in world.event_log) == world.ticks_run
-    assert deliveries == want
-    assert _accounting(link) == _accounting(want_link)
 
 
 def test_skip_lands_on_the_tick_of_the_next_event():

@@ -90,7 +90,6 @@ def test_wire_layout_field_offsets():
 
 
 def test_flags_are_zero_on_freshly_built_frames():
-    # bit 0 is reserved for replay tooling marking handover-affected frames
     from cv2x_bench.agents import SimSensor
     from cv2x_bench.clockmodel import DriftingClock, OffsetProvider
     clock = DriftingClock()
@@ -98,7 +97,6 @@ def test_flags_are_zero_on_freshly_built_frames():
                        OffsetProvider(clock))
     frame = sensor.build_frame(1_000)
     assert decode(frame).flags == 0
-    assert protocol.FLAG_HANDOVER_AFFECTED == 0x01
 
 
 def test_decoded_checksum_matches_frame():
