@@ -287,12 +287,12 @@ def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
                     rate_hz: float, duration_s: float, source_id: int = 1,
                     topic: str = UPLINK_TOPIC, payload_seed: int = 0) -> int:
     """Publish message_count(rate, duration) frames on the sim publish
-    schedule; returns the number sent.  Transport failures trigger
-    reconnect with backoff."""
+    schedule; returns the number sent.  A failed connect or publish is
+    retried on a new connection with backoff."""
     sensor = SimSensor(source_id, frame_size_bytes, rate_hz,
                        round(duration_s * 1_000_000_000), DriftingClock(),
                        ZeroOffsetProvider(), payload_seed)
-    client = BrokerClient(host, port)
+    client = None
     try:
         start = time.monotonic()
         while sensor.next_seq < sensor.n_messages:
@@ -303,17 +303,21 @@ def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
             frame = sensor.build_frame(time.time_ns())
             for attempt in range(_PUBLISH_RETRIES):
                 try:
+                    if client is None:
+                        client = BrokerClient(host, port)
                     client.publish(topic, frame)
                     break
                 except OSError:
+                    if client is not None:
+                        client.close()
+                        client = None
                     time.sleep(0.05 * (2 ** attempt))
-                    client.close()
-                    client = BrokerClient(host, port)
             else:
                 raise ConnectionError(
                     f"publish failed after {_PUBLISH_RETRIES} retries")
     finally:
-        client.close()
+        if client is not None:
+            client.close()
     return sensor.next_seq
 
 

@@ -63,7 +63,10 @@ def _recv_envelope_rest(sock: socket.socket, head: bytes) -> tuple[str, bytes]:
     newline = body.find(b"\n", 0, _MAX_COMMAND_LINE)
     if newline < 0:
         raise TransportError("envelope has no command line")
-    return body[:newline].decode("utf-8"), body[newline + 1:]
+    try:
+        return body[:newline].decode("utf-8"), body[newline + 1:]
+    except UnicodeDecodeError:
+        raise TransportError("envelope command line is not UTF-8") from None
 
 
 class Broker:

@@ -4,10 +4,13 @@ real-socket agent subcommands."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import signal
 import sys
 import threading
 from pathlib import Path
+from typing import Iterator
 
 from . import analysis, scenario
 from .agents import (ProcessingDelay, run_real_relay, run_real_sensor,
@@ -105,44 +108,40 @@ def _cmd_sensor(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _stop_event(duration_s: float) -> Iterator[threading.Event]:
+    """An event set after duration_s seconds (0: never) or on SIGINT; the
+    previous SIGINT handler is back in place when the block ends."""
+    stop = threading.Event()
+    timer = threading.Timer(duration_s, stop.set) if duration_s else None
+    previous = signal.signal(signal.SIGINT, lambda signum, frame: stop.set())
+    try:
+        if timer:
+            timer.start()
+        yield stop
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        if timer:
+            timer.cancel()
+
+
 def _cmd_relay(args: argparse.Namespace) -> int:
     host, port = args.connect
-    stop = threading.Event()
-    timer = threading.Timer(args.duration, stop.set) if args.duration else None
-    if timer:
-        timer.start()
     processing = ProcessingDelay(constant_ns=round(args.proc_ms * 1e6))
-    try:
+    with _stop_event(args.duration) as stop:
         forwarded, corrupt = run_real_relay(host, port, stop=stop,
                                             sub_topic=args.sub, pub_topic=args.pub,
                                             processing=processing)
-    except KeyboardInterrupt:
-        stop.set()
-        forwarded = corrupt = -1
-    finally:
-        if timer:
-            timer.cancel()
     print(f"relay forwarded {forwarded} frames, dropped {corrupt} corrupt")
     return 0
 
 
 def _cmd_vehicle(args: argparse.Namespace) -> int:
     host, port = args.connect
-    stop = threading.Event()
-    timer = threading.Timer(args.duration, stop.set) if args.duration else None
-    if timer:
-        timer.start()
-    sink = analysis.RecordWriter(args.log)
-    try:
+    with contextlib.closing(analysis.RecordWriter(args.log)) as sink, \
+            _stop_event(args.duration) as stop:
         records = run_real_vehicle(host, port, stop=stop, topic=args.topic,
                                    sink=sink, expected=args.expected)
-    except KeyboardInterrupt:
-        stop.set()
-        records = []
-    finally:
-        sink.close()
-        if timer:
-            timer.cancel()
     print(f"vehicle logged {len(records)} records to {args.log}")
     return 0
 

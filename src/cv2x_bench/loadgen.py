@@ -3,7 +3,9 @@
 Each UE is a CBR source emitting fixed-size datagrams at exact integer
 nanosecond times: packet k of a flow at rate r arrives at
 floor(k * packet_bits * 1e9 / r), so the long-run offered rate matches the
-configured rate to within one packet regardless of tick size.
+configured rate to within one packet regardless of tick size.  A source
+keeps no position in its stream: packet_time(k) and count_before(t) are
+pure functions, so the emulator takes a tick's arrivals by count.
 """
 
 from __future__ import annotations
@@ -63,10 +65,12 @@ def parse_load(text: str, direction: Direction,
 class CbrPacketSource:
     """Packet arrival stream for one UE flow.
 
-    arrivals(t0, t1) yields the (time_ns, size_bits) pairs falling in
-    [t0, t1); windows must be queried in increasing, non-overlapping order.
-    open_window(t0, t1), take_before(t) and next_arrival() consume the same
-    stream by count instead, for callers that enqueue packets in runs.
+    Two pure functions count the stream: packet k arrives at
+    packet_time(k), and count_before(t) is the number of packets arriving
+    before t, so the packets in [t0, t1) are those numbered
+    count_before(t0) to count_before(t1) - 1.  arrivals(t0, t1) yields
+    their (time_ns, size_bits) pairs by walking the stream one packet at a
+    time, so its windows must come in increasing, non-overlapping order.
     """
 
     def __init__(self, flow_id: str, rate_bps: int,
@@ -79,16 +83,15 @@ class CbrPacketSource:
         self.packet_bits = packet_size_bytes * 8
         self.start_ns = start_ns
         self.stop_ns = stop_ns
-        self._k = 0
-        self._window_t1 = start_ns
-        self._window_end = 0
+        self._k = 0  # the next packet arrivals() looks at
 
-    def _packet_time(self, k: int) -> int:
+    def packet_time(self, k: int) -> int:
         return self.start_ns + (k * self.packet_bits * 1_000_000_000) // self.rate_bps
 
-    def _count_before(self, t: int) -> int:
-        """Packets of the whole stream arriving before t: the k with
-        _packet_time(k) < t, i.e. k * packet_bits * 1e9 < (t - start) * rate."""
+    def count_before(self, t: int) -> int:
+        """Packets of the whole stream arriving before t and before stop_ns:
+        the k with packet_time(k) < t, i.e. k * packet_bits * 1e9 <
+        (t - start) * rate."""
         if self.stop_ns is not None and t > self.stop_ns:
             t = self.stop_ns
         span = t - self.start_ns
@@ -97,41 +100,13 @@ class CbrPacketSource:
         return -(-span * self.rate_bps // (self.packet_bits * 1_000_000_000))
 
     def arrivals(self, t0: int, t1: int):
-        if self.rate_bps == 0:
-            return
-        while True:
-            t = self._packet_time(self._k)
+        while self.rate_bps:
+            t = self.packet_time(self._k)
             if t >= t1 or (self.stop_ns is not None and t >= self.stop_ns):
                 return
             self._k += 1
             if t >= t0:
                 yield t, self.packet_bits
-
-    def open_window(self, t0: int, t1: int) -> int | None:
-        """Start on the window [t0, t1), skipping packets before t0 as
-        arrivals() does; returns the window's first arrival time, or None
-        if no packet arrives in it."""
-        skipped = self._count_before(t0)
-        if skipped > self._k:
-            self._k = skipped
-        self._window_t1 = t1
-        self._window_end = self._count_before(t1)
-        return self.next_arrival()
-
-    def next_arrival(self) -> int | None:
-        """Time of the open window's next packet, or None when it has none."""
-        return self._packet_time(self._k) if self._k < self._window_end else None
-
-    def take_before(self, t: int) -> int:
-        """Consume the open window's packets arriving before t; returns how
-        many there were."""
-        end = self._window_end
-        if t < self._window_t1:
-            end = min(end, self._count_before(t))
-        if end <= self._k:
-            return 0
-        taken, self._k = end - self._k, end
-        return taken
 
 
 def blast_udp(target: tuple[str, int], rate_bps: int, duration_s: float,

@@ -7,6 +7,9 @@ capacity (the capacity figures already embed the uplink/downlink symbol
 split).  Queued packets are drained against that budget and a packet is
 delivered at the end of the tick in which its last bit is served, so an
 uncongested packet picks up at most one tick of slot-alignment delay.
+A queue holds runs of back-to-back packets of one size; an application
+packet is a run of one that carries its enqueue time and meta, and only
+such a run yields a Delivery.
 
 Two scheduler disciplines are provided:
 
@@ -32,7 +35,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, Iterable
+from typing import Callable, Iterable
 
 
 class SlotKind(Enum):
@@ -246,27 +249,25 @@ def initial_serving_cell(route: MobilityRoute, cells: list[CellConfig]) -> int:
     return cells[_nearest(start[1], start[2], cells)].cell_id
 
 
-@dataclass
-class QueuedPacket:
-    size_bits: int
-    remaining_bits: int
-    enqueue_ns: int
-    arrival_idx: int
-    meta: dict | None = None
-    count: ClassVar[int] = 1
-
-
 @dataclass(slots=True)
 class QueuedRun:
     """`count` packets of `size_bits` from one flow that arrived back to
     back: their arrival indices run from `arrival_idx` without a gap, so no
     packet of any other flow sits between them in arrival order.  Only the
-    head packet can be partly served.  A served run yields no Delivery."""
+    head packet can be partly served.  An application packet is a run of
+    one with an `enqueue_ns`: only such a run yields a Delivery, and no run
+    merges into it."""
 
     arrival_idx: int
     count: int
     size_bits: int
     remaining_bits: int
+    enqueue_ns: int | None = None
+    meta: dict | None = None
+
+    @property
+    def left_bits(self) -> int:
+        return self.remaining_bits + (self.count - 1) * self.size_bits
 
 
 @dataclass(frozen=True)
@@ -279,9 +280,8 @@ class Delivery:
     meta: dict | None = None
 
 
-# (queue, packet) of a QueuedPacket whose last bit was served; a served
-# run is not listed
-Completion = tuple["FlowQueue", QueuedPacket]
+# (queue, packet) of an application packet whose last bit was served
+Completion = tuple["FlowQueue", QueuedRun]
 
 
 class FlowQueue:
@@ -295,32 +295,19 @@ class FlowQueue:
         self.cell_id = cell_id
         self.mobile = mobile
         self.suspendable = suspendable
-        self.packets: deque[QueuedPacket | QueuedRun] = deque()
+        self.packets: deque[QueuedRun] = deque()
         self.backlog_bits = 0
         self.offered_bits = 0
         self.served_bits = 0
         self.dropped_bits = 0
 
-    def enqueue(self, size_bits: int, time_ns: int, arrival_idx: int,
-                meta: dict | None = None) -> bool:
-        self.offered_bits += size_bits
-        if (self.spec.reliability is Reliability.DROPPABLE
-                and self.backlog_bits + size_bits > self.spec.queue_cap_bytes * 8):
-            self.dropped_bits += size_bits
-            return False
-        self.packets.append(QueuedPacket(size_bits=size_bits,
-                                         remaining_bits=size_bits,
-                                         enqueue_ns=time_ns,
-                                         arrival_idx=arrival_idx,
-                                         meta=meta))
-        self.backlog_bits += size_bits
-        return True
-
-    def enqueue_run(self, count: int, size_bits: int, arrival_idx: int) -> int:
+    def enqueue(self, count: int, size_bits: int, arrival_idx: int,
+                enqueue_ns: int | None = None, meta: dict | None = None) -> int:
         """Enqueue `count` back-to-back packets holding arrival indices
         arrival_idx, arrival_idx + 1, ...; returns how many were accepted.
         Tail drop keeps a prefix: once one packet of equal size overflows
-        the cap, every later one does too."""
+        the cap, every later one does too.  With `enqueue_ns` set, the one
+        packet is an application packet (see QueuedRun)."""
         bits = count * size_bits
         self.offered_bits += bits
         if self.spec.reliability is Reliability.DROPPABLE:
@@ -333,42 +320,39 @@ class FlowQueue:
                 count, bits = accepted, accepted * size_bits
         self.backlog_bits += bits
         packets = self.packets
-        if packets:
+        if enqueue_ns is None and packets:
             tail = packets[-1]
-            if (type(tail) is QueuedRun and tail.size_bits == size_bits
+            if (tail.enqueue_ns is None and tail.size_bits == size_bits
                     and tail.arrival_idx + tail.count == arrival_idx):
                 tail.count += count
                 return count
-        packets.append(QueuedRun(arrival_idx, count, size_bits, size_bits))
+        packets.append(QueuedRun(arrival_idx, count, size_bits, size_bits,
+                                 enqueue_ns, meta))
         return count
 
     def serve_bits(self, bits: int, completed: list[Completion]) -> int:
         """Drain up to `bits` from the head of the queue; returns the bits
-        actually served and appends each QueuedPacket completed to
+        actually served and appends each application packet completed to
         `completed`."""
-        served = 0
+        budget = bits
         packets = self.packets
         while bits > 0 and packets:
             head = packets[0]
-            left = head.remaining_bits + (head.count - 1) * head.size_bits
-            if bits >= left:
-                packets.popleft()
-                if type(head) is QueuedPacket:
-                    completed.append((self, head))
-                bits -= left
-                served += left
-                continue
-            if bits >= head.remaining_bits:
-                # a run: its head and `done - 1` more packets complete
-                done, part = divmod(bits - head.remaining_bits, head.size_bits)
-                done += 1
-                head.count -= done
-                head.arrival_idx += done
-                head.remaining_bits = head.size_bits - part
-            else:
-                head.remaining_bits -= bits
-            served += bits
-            break
+            left = head.left_bits
+            if bits < left:
+                # keep the run's last `count` packets, the first partly served
+                left -= bits
+                count = -(-left // head.size_bits)
+                head.arrival_idx += head.count - count
+                head.count = count
+                head.remaining_bits = left - (count - 1) * head.size_bits
+                bits = 0
+                break
+            packets.popleft()
+            if head.enqueue_ns is not None:
+                completed.append((self, head))
+            bits -= left
+        served = budget - bits
         self.backlog_bits -= served
         self.served_bits += served
         return served
@@ -385,14 +369,9 @@ def _serve_fifo(queues: list[FlowQueue], budget: int,
             break
         if len(live) == 1:
             return served_total + live[0].serve_bits(budget, completed)
-        head = live[0]
-        for q in live[1:]:
-            if q.packets[0].arrival_idx < head.packets[0].arrival_idx:
-                head = q
-        entry = head.packets[0]
-        served = head.serve_bits(
-            min(budget, entry.remaining_bits + (entry.count - 1) * entry.size_bits),
-            completed)
+        head = min(live, key=lambda q: q.packets[0].arrival_idx)
+        served = head.serve_bits(min(budget, head.packets[0].left_bits),
+                                 completed)
         budget -= served
         served_total += served
     return served_total
@@ -494,11 +473,12 @@ class LinkSimulator:
 
     def enqueue(self, flow_id: str, size_bits: int, time_ns: int,
                 meta: dict | None = None) -> bool:
+        """Enqueue one application packet; False if it was tail-dropped."""
         if size_bits <= 0:
             raise ValueError("packet size must be positive")
-        q = self.flows[flow_id]
         self._arrival_counter += 1
-        return q.enqueue(size_bits, time_ns, self._arrival_counter, meta)
+        return self.flows[flow_id].enqueue(1, size_bits, self._arrival_counter,
+                                           time_ns, meta) == 1
 
     def enqueue_run(self, flow_id: str, count: int, size_bits: int) -> int:
         """Enqueue `count` packets of one flow that arrive back to back, with
@@ -509,7 +489,7 @@ class LinkSimulator:
             raise ValueError("run needs a positive count and packet size")
         first = self._arrival_counter + 1
         self._arrival_counter += count
-        return self.flows[flow_id].enqueue_run(count, size_bits, first)
+        return self.flows[flow_id].enqueue(count, size_bits, first)
 
     def _flow_groups(self) -> list[_FlowGroup]:
         if self._groups is None:
@@ -601,6 +581,8 @@ class SimWorld:
     source order.  Each stretch of one source's consecutive arrivals
     enters its queue as one run (`LinkSimulator.enqueue_run`); a served run
     is counted in its queue's accounting but not dispatched to the handler.
+    An application packet (`LinkSimulator.enqueue`) is a run of one that
+    carries its meta, and only it is delivered.
     Two worlds built from the same configuration and seeds produce
     identical deliveries and accounting.
 
@@ -618,7 +600,7 @@ class SimWorld:
         self.now_ns = start_ns
         self.on_delivery: Callable[[Delivery], None] | None = None
         # objects with .flow_id, .packet_bits, .rate_bps, .stop_ns,
-        # .open_window(t0, t1), .take_before(t) and .next_arrival(), like
+        # .packet_time(k) and .count_before(t), like
         # loadgen.CbrPacketSource; in place before run_until is called
         self.cbr_sources: list = []
         self._heap: list[tuple[int, int, Callable[[int], None]]] = []
@@ -637,14 +619,16 @@ class SimWorld:
         heap = self._heap
         enqueue_run = self.link.enqueue_run
         pending_before = self._heap_seq
-        heads = []  # [next arrival time, source index, source]
+        # [next arrival time, source index, its packet number, the number
+        # of the source's first packet at or after tick_end, source]
+        heads = []
         for i, src in enumerate(self.cbr_sources):
-            first = src.open_window(tick_start, tick_end)
-            if first is not None:
-                heads.append([first, i, src])
+            k, end = src.count_before(tick_start), src.count_before(tick_end)
+            if k < end:
+                heads.append([src.packet_time(k), i, k, end, src])
         while heads:
             head = min(heads) if len(heads) > 1 else heads[0]
-            arrival_ns, i, src = head
+            arrival_ns, i, k, end, src = head
             bound = tick_end
             if heap:
                 event_ns, seq, callback = heap[0]
@@ -663,12 +647,12 @@ class SimWorld:
                     other_bound = other[0] + 1 if other[1] > i else other[0]
                     if other_bound < bound:
                         bound = other_bound
-            enqueue_run(src.flow_id, src.take_before(bound), src.packet_bits)
-            following = src.next_arrival()
-            if following is None:
+            stop = src.count_before(bound)
+            enqueue_run(src.flow_id, stop - k, src.packet_bits)
+            if stop == end:
                 heads.remove(head)
             else:
-                head[0] = following
+                head[0], head[2] = src.packet_time(stop), stop
         while heap and heap[0][0] < tick_end:
             event_ns, _, callback = heapq.heappop(heap)
             callback(event_ns)

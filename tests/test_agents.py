@@ -1,5 +1,6 @@
 """Agent pipeline tests: stamping order, residence time, integrity
-handling, and the real-socket drivers' corrupt-frame handling."""
+handling, and the real-socket drivers' corrupt-frame handling and
+reconnect."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import pytest
 from cv2x_bench import protocol
 from cv2x_bench.agents import (DOWNLINK_TOPIC, UPLINK_TOPIC, ProcessingDelay,
                                SimRelay, SimSensor, SimVehicle, run_real_relay,
-                               run_real_vehicle)
+                               run_real_sensor, run_real_vehicle)
 from cv2x_bench.analysis import RecordWriter, ingest
 from cv2x_bench.broker import Broker, BrokerClient
 from cv2x_bench.clockmodel import (DriftingClock, OffsetProvider,
@@ -236,3 +237,19 @@ def test_real_vehicle_logs_a_corrupt_frame(tmp_path):
     assert (rec.t1, rec.t2, rec.t3) == (11, 22, 33)
     assert rec.t4 > 0 and rec.serving_cell == -1
     assert result == [[rec]]
+
+
+def test_real_sensor_reconnects_to_a_restarted_broker():
+    # the broker goes away 0.3 s into a 1 s, 100 Hz run and comes back on
+    # the same port 0.3 s later, within the sensor's publish retries
+    with Broker() as broker:
+        host, port = broker.host, broker.port
+        thread, result = _run_agent_thread(
+            run_real_sensor, host=host, port=port, frame_size_bytes=1000,
+            rate_hz=100.0, duration_s=1.0)
+        time.sleep(0.3)
+    time.sleep(0.3)
+    with Broker(host, port):
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert result == [100]

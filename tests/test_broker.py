@@ -157,3 +157,33 @@ def test_subscriber_only_gets_its_topic():
             topic, frame = sub.recv_message(timeout=2.0)
             assert (topic, frame) == ("UL", b"right")
             assert sub.recv_message(timeout=0.2) is None
+
+
+NOT_UTF8 = (3).to_bytes(4, "big") + b"\xff\xfe\n"
+
+
+def test_non_utf8_command_from_a_peer_drops_only_that_connection(monkeypatch):
+    crashed = []
+    monkeypatch.setattr(threading, "excepthook", crashed.append)
+    with Broker() as broker:
+        with socket.create_connection((broker.host, broker.port)) as bad:
+            bad.settimeout(2.0)
+            bad.sendall(NOT_UTF8)
+            assert bad.recv(1) == b""  # the broker closed this connection
+        with BrokerClient(broker.host, broker.port) as sub, \
+                BrokerClient(broker.host, broker.port) as pub:
+            sub.subscribe("UL")
+            time.sleep(0.1)
+            pub.publish("UL", b"still served")
+            assert sub.recv_message(timeout=2.0) == ("UL", b"still served")
+    assert crashed == []
+
+
+def test_non_utf8_command_from_the_broker_raises_transport_error():
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        with BrokerClient(*server.getsockname()) as client:
+            conn, _ = server.accept()
+            with conn:
+                conn.sendall(NOT_UTF8)
+                with pytest.raises(TransportError, match="not UTF-8"):
+                    client.recv_message(timeout=2.0)

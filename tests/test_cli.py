@@ -1,0 +1,130 @@
+"""The `cv2x-bench` command line, called through `cli.main` in process."""
+
+from __future__ import annotations
+
+import json
+import os
+import signal
+import threading
+import time
+from pathlib import Path
+
+from cv2x_bench import cli, protocol, scenario
+from cv2x_bench.broker import Broker, BrokerClient
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _frame(seq: int, flip_payload: bool = False) -> bytes:
+    frame = bytearray(protocol.encode(protocol.V2XMessage(
+        source_id=1, seq=seq, t1=11, t2=22, t3=33, payload=b"p" * 64)))
+    if flip_payload:
+        frame[protocol.HEADER_LEN] ^= 0x01
+    return bytes(frame)
+
+
+def _wait_for(condition) -> None:
+    deadline = time.monotonic() + 5.0
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+def _publish_when_subscribed(broker: Broker, topic: str, frames: list[bytes],
+                             then=None) -> threading.Thread:
+    def run() -> None:
+        _wait_for(lambda: broker.subscriber_count(topic) == 1)
+        with BrokerClient(broker.host, broker.port) as pub:
+            for frame in frames:
+                pub.publish(topic, frame)
+        if then is not None:
+            then()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_run_writes_log_and_config_echo(tmp_path, capsys):
+    assert cli.main(["run", "--config", str(CONFIGS / "nominal_example.json"),
+                     "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("scenario nominal-example: sent=100 records=100\n")
+    log = tmp_path / "nominal-example.jsonl"
+    assert len(log.read_text(encoding="utf-8").splitlines()) == 100
+    assert f"log: {log}" in out
+    echo = json.loads((tmp_path / "nominal-example.config.json")
+                      .read_text(encoding="utf-8"))
+    assert echo["name"] == "nominal-example" and echo["seed"] == 1
+
+
+def test_analyze_writes_the_report(tmp_path, capsys):
+    cli.main(["run", "--config", str(CONFIGS / "nominal_example.json"),
+              "--out", str(tmp_path / "run")])
+    report = tmp_path / "report"
+    assert cli.main(["analyze", "--log", str(tmp_path / "run" / "nominal-example.jsonl"),
+                     "--out", str(report)]) == 0
+    assert "nominal-example [e2e]: n=100 " in capsys.readouterr().out
+    for name in ("stats.csv", "cdf.svg", "per_packet_nominal-example.csv"):
+        assert (report / name).stat().st_size > 0, name
+
+
+def test_init_matrix_writes_the_built_in_matrix(tmp_path):
+    out = tmp_path / "matrix.json"
+    assert cli.main(["init-matrix", "--out", str(out)]) == 0
+    assert (json.loads(out.read_text(encoding="utf-8"))
+            == scenario.matrix_to_obj(scenario.table1_matrix()))
+
+
+def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "bad", "seed": 1, "duration_s": -1}),
+                   encoding="utf-8")
+    assert cli.main(["run", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: config.duration_s must be positive\n"
+
+
+def test_analyze_of_an_empty_log_exits_1(tmp_path, capsys):
+    log = tmp_path / "empty.jsonl"
+    log.write_text("", encoding="utf-8")
+    assert cli.main(["analyze", "--log", str(log)]) == 1
+    assert capsys.readouterr().err == "no records in log\n"
+
+
+def test_vehicle_reports_the_records_in_its_log(tmp_path, capsys):
+    log = tmp_path / "vehicle.jsonl"
+    with Broker() as broker:
+        publisher = _publish_when_subscribed(broker, "DL",
+                                             [_frame(seq) for seq in range(3)])
+        assert cli.main(["vehicle", "--connect", f"{broker.host}:{broker.port}",
+                         "--log", str(log), "--duration", "1"]) == 0
+        publisher.join(timeout=5.0)
+        assert not publisher.is_alive()
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 3
+    assert capsys.readouterr().out == f"vehicle logged 3 records to {log}\n"
+
+
+def test_sigint_ends_relay_with_its_true_counts(capsys):
+    before = signal.getsignal(signal.SIGINT)
+
+    def interrupt() -> None:
+        # the relay forwarded three frames to a topic nobody reads
+        _wait_for(lambda: broker.frames_discarded == 3)
+        # never deliver SIGINT to a default handler, which would raise
+        # KeyboardInterrupt into the test runner; the relay's --duration
+        # then ends it and the counts below fail
+        if signal.getsignal(signal.SIGINT) is not before:
+            os.kill(os.getpid(), signal.SIGINT)
+
+    with Broker() as broker:
+        frames = [_frame(0), _frame(1, flip_payload=True), _frame(2), _frame(3)]
+        sender = _publish_when_subscribed(broker, "UL", frames, then=interrupt)
+        started = time.monotonic()
+        assert cli.main(["relay", "--connect", f"{broker.host}:{broker.port}",
+                         "--duration", "20"]) == 0
+        assert time.monotonic() - started < 10.0
+        sender.join(timeout=5.0)
+        assert not sender.is_alive()
+    assert capsys.readouterr().out == "relay forwarded 3 frames, dropped 1 corrupt\n"
+    assert signal.getsignal(signal.SIGINT) is before

@@ -17,9 +17,9 @@ from functools import partial
 import pytest
 
 from cv2x_bench.loadgen import CbrPacketSource
-from cv2x_bench.netem import (CellConfig, Direction, FlowSpec, LinkSimulator,
-                              PriorityClass, Reliability, SchedulerKind,
-                              SimWorld)
+from cv2x_bench.netem import (CellConfig, Delivery, Direction, FlowSpec,
+                              LinkSimulator, PriorityClass, Reliability,
+                              SchedulerKind, SimWorld)
 
 TICK = 2_500_000
 TICKS = 120
@@ -206,3 +206,71 @@ def test_single_source_tick_is_one_run():
     assert [(e.arrival_idx, e.count) for e in q.packets] == [(1, 7)]
     assert q.packets[0].remaining_bits == 11_199
     assert (q.offered_bits, q.dropped_bits) == (9 * 11_200, 2 * 11_200)
+
+
+def test_application_packets_and_runs_never_merge():
+    # a run right after an application packet of its size and with the next
+    # arrival index, and a packet right after that run, would each extend
+    # the entry before them if the queue did not keep packets apart
+    link = LinkSimulator([CellConfig(cell_id=1, ul_capacity_bps=1_000_000)],
+                         scheduler=SchedulerKind.BL)
+    link.add_flow(FlowSpec("ue", Direction.UPLINK, PriorityClass.APPLICATION,
+                           Reliability.RELIABLE), cell_id=1)
+    assert link.enqueue("ue", 800, 5, meta={"tag": "first"}) is True
+    assert link.enqueue_run("ue", 3, 800) == 3
+    assert link.enqueue("ue", 800, 6, meta={"tag": "second"}) is True
+    q = link.flows["ue"]
+    assert [(e.arrival_idx, e.count, e.enqueue_ns) for e in q.packets] == [
+        (1, 1, 5), (2, 3, None), (5, 1, 6)]
+    # a 2,500-bit budget per tick: the first packet and 1,700 bits of the run,
+    # then the rest of the run and the second packet
+    assert link.run_tick(0) == [Delivery("ue", 800, 5, TICK, 1, {"tag": "first"})]
+    assert [(e.arrival_idx, e.count, e.remaining_bits) for e in q.packets] == [
+        (4, 1, 700), (5, 1, 800)]
+    assert link.run_tick(TICK) == [
+        Delivery("ue", 800, 6, 2 * TICK, 1, {"tag": "second"})]
+    assert not q.packets and q.served_bits == 5 * 800
+
+
+def test_tail_drop_at_the_cap_boundary():
+    # an 80,000-bit cap: a packet or run that fills it exactly is kept, one
+    # bit more is dropped, for single packets and for runs alike
+    link = LinkSimulator([CellConfig(cell_id=1, ul_capacity_bps=400)],
+                         scheduler=SchedulerKind.BL)
+    link.add_flow(FlowSpec("bg", Direction.UPLINK, PriorityClass.BACKGROUND,
+                           Reliability.DROPPABLE, queue_cap_bytes=10_000),
+                  cell_id=1)
+    assert link.enqueue("bg", 40_000, 0) is True
+    assert link.enqueue("bg", 40_001, 0) is False
+    assert link.enqueue_run("bg", 3, 13_334) == 2
+    assert link.enqueue("bg", 13_332, 0) is True
+    assert link.enqueue_run("bg", 1, 1) == 0
+    q = link.flows["bg"]
+    assert (q.backlog_bits, q.dropped_bits) == (80_000, 40_001 + 13_334 + 1)
+
+
+def test_arrivals_on_tick_edges_are_enqueued_once():
+    # the sources' packets fall on the first and on the last instant of
+    # ticks, where an off-by-one window start would drop or repeat one
+    link = LinkSimulator([CellConfig(cell_id=1, ul_capacity_bps=400)],
+                         scheduler=SchedulerKind.BL)
+    world = SimWorld(link)
+    starts = {"edge-end": TICK - 1, "edge-start": TICK}
+    arrived = dict.fromkeys(starts, 0)
+    references = []
+    for flow_id, start_ns in starts.items():
+        link.add_flow(FlowSpec(flow_id, Direction.UPLINK,
+                               PriorityClass.BACKGROUND, Reliability.DROPPABLE),
+                      cell_id=1)
+        world.cbr_sources.append(CbrPacketSource(flow_id, 8_000_000, 1250,
+                                                 start_ns=start_ns))
+        references.append(CbrPacketSource(flow_id, 8_000_000, 1250,
+                                          start_ns=start_ns))
+    for tick in range(8):
+        world.run_tick()
+        for ref in references:
+            arrived[ref.flow_id] += len(list(ref.arrivals(tick * TICK,
+                                                          (tick + 1) * TICK)))
+            assert (link.flows[ref.flow_id].offered_bits
+                    == arrived[ref.flow_id] * 10_000), (tick, ref.flow_id)
+    assert arrived == {"edge-end": 15, "edge-start": 14}
