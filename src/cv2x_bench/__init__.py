@@ -11,8 +11,7 @@ from .clockmodel import (DriftingClock, OffsetEstimate, OffsetProvider,
                          corrected_latency_ul, ntp_query)
 from .netem import (CellConfig, Direction, FlowSpec, HandoverEvent,
                     LinkSimulator, MobilityRoute, PriorityClass, Reliability,
-                    SchedulerKind, SimWorld, SlotKind, TddPattern,
-                    apply_handover, tick_budget)
+                    SchedulerKind, SimWorld, apply_handover, tick_budget)
 from .protocol import (V2XMessage, compute_checksum, decode, encode,
                        make_padded_payload)
 from .scenario import (ScenarioConfig, ScenarioResult, load_config,

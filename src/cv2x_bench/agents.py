@@ -14,7 +14,8 @@ on the SimWorld event loop at simulated reference times.  In real-socket
 mode run_real_sensor, run_real_relay and run_real_vehicle are blocking
 loops over a BrokerClient connection; they give each agent an ideal clock
 and zero offset estimates and pass the host's epoch time as the reference
-instant.
+instant.  The relay and the vehicle end cleanly when the broker closes
+their connection.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, Iterator
 
 from . import protocol
 from .analysis import PacketRecord, RecordWriter
-from .broker import BrokerClient
+from .broker import BrokerClient, ConnectionClosed
 from .clockmodel import DriftingClock, OffsetProvider, ZeroOffsetProvider
-from .netem import Delivery, LinkSimulator, SimWorld
+from .netem import (Delivery, Direction, FlowSpec, LinkSimulator,
+                    PriorityClass, Reliability, SimWorld)
 
 
 UPLINK_TOPIC = "UL"
@@ -105,10 +108,6 @@ class SimSensor:
 
     def publish_time(self, k: int) -> int:
         return self.start_ns + publish_offset_ns(k, self.rate_hz)
-
-    @property
-    def offered_bps(self) -> float:
-        return self.frame_size_bytes * 8 * self.rate_hz
 
     def build_frame(self, reference_ns: int) -> bytes:
         seq = self.next_seq
@@ -191,25 +190,32 @@ class SimVehicle:
 
 class SimPipeline:
     """Wires sensor -> uplink flow -> relay -> downlink flow -> vehicle onto
-    a SimWorld, including the reverse-direction acknowledgment load."""
+    a SimWorld, including the reverse-direction acknowledgment load.
+
+    It adds its own flows to the link: "app-ul" in the sensor's cell and
+    "app-dl" to the mobile vehicle, and with a positive ack_ratio the
+    acknowledgment flows "app-ul-ack" and "app-dl-ack" in the opposite
+    directions."""
 
     def __init__(self, world: SimWorld, link: LinkSimulator,
                  sensor: SimSensor, relay: SimRelay, vehicle: SimVehicle, *,
-                 ul_flow: str = "app-ul", dl_flow: str = "app-dl",
-                 ul_ack_flow: str | None = None, dl_ack_flow: str | None = None,
-                 ack_ratio: float = 0.05,
-                 interruption_windows: list[tuple[int, int]] | None = None) -> None:
+                 sensor_cell: int, ack_ratio: float) -> None:
+        fixed = {"cell_id": sensor_cell}
+        mobile = {"mobile": True, "suspendable": True}
+        flows = [("app-ul", Direction.UPLINK, fixed),
+                 ("app-dl", Direction.DOWNLINK, mobile)]
+        if ack_ratio > 0:
+            flows += [("app-ul-ack", Direction.DOWNLINK, fixed),
+                      ("app-dl-ack", Direction.UPLINK, mobile)]
+        for flow_id, direction, where in flows:
+            link.add_flow(FlowSpec(flow_id, direction, PriorityClass.APPLICATION,
+                                   Reliability.RELIABLE), **where)
         self.world = world
         self.link = link
         self.sensor = sensor
         self.relay = relay
         self.vehicle = vehicle
-        self.ul_flow = ul_flow
-        self.dl_flow = dl_flow
-        self.ul_ack_flow = ul_ack_flow
-        self.dl_ack_flow = dl_ack_flow
         self.ack_ratio = ack_ratio
-        self.windows = list(interruption_windows or [])
         world.on_delivery = self.on_delivery
 
     def start(self) -> None:
@@ -223,7 +229,7 @@ class SimPipeline:
 
     def _publish(self, now_ns: int) -> None:
         frame = self.sensor.build_frame(now_ns)
-        self.link.enqueue(self.ul_flow, len(frame) * 8, now_ns,
+        self.link.enqueue("app-ul", len(frame) * 8, now_ns,
                           meta={"kind": "app-ul", "frame": frame,
                                 "published_ns": now_ns})
         if self.sensor.next_seq < self.sensor.n_messages:
@@ -239,9 +245,8 @@ class SimPipeline:
             self.world.schedule(arrival, partial(self._vehicle_receive,
                                                  meta=d.meta, cell_id=d.cell_id))
 
-    def _enqueue_ack(self, flow_id: str | None, frame_len: int, now_ns: int) -> None:
-        if flow_id is None or self.ack_ratio <= 0:
-            return
+    def _enqueue_ack(self, flow_id: str, frame_len: int, now_ns: int) -> None:
+        # without ack flows the ratio is 0, and so is every ack
         ack_bits = round(frame_len * self.ack_ratio) * 8
         if ack_bits > 0:
             self.link.enqueue(flow_id, ack_bits, now_ns, meta={"kind": "ack"})
@@ -249,7 +254,7 @@ class SimPipeline:
     def _relay_receive(self, now_ns: int, meta: dict) -> None:
         frame = meta["frame"]
         msg = self.relay.receive(frame, now_ns)
-        self._enqueue_ack(self.ul_ack_flow, len(frame), now_ns)
+        self._enqueue_ack("app-ul-ack", len(frame), now_ns)
         if msg is None:
             return
         meta = dict(meta, ul_arrival_ns=now_ns)
@@ -259,7 +264,7 @@ class SimPipeline:
 
     def _relay_forward(self, now_ns: int, meta: dict, msg: protocol.V2XMessage) -> None:
         frame = self.relay.forward(msg, now_ns)
-        self.link.enqueue(self.dl_flow, len(frame) * 8, now_ns,
+        self.link.enqueue("app-dl", len(frame) * 8, now_ns,
                           meta={"kind": "app-dl", "frame": frame,
                                 "published_ns": meta["published_ns"],
                                 "ul_arrival_ns": meta["ul_arrival_ns"],
@@ -269,10 +274,9 @@ class SimPipeline:
         frame = meta["frame"]
         gt_ul = meta["ul_arrival_ns"] - meta["published_ns"]
         gt_dl = now_ns - meta["forward_ns"]
-        affected = any(meta["forward_ns"] < end and now_ns > start
-                       for start, end in self.windows)
-        self.vehicle.receive(frame, now_ns, cell_id, gt_ul, gt_dl, affected)
-        self._enqueue_ack(self.dl_ack_flow, len(frame), now_ns)
+        self.vehicle.receive(frame, now_ns, cell_id, gt_ul, gt_dl,
+                             self.link.interrupted(meta["forward_ns"], now_ns))
+        self._enqueue_ack("app-dl-ack", len(frame), now_ns)
 
 
 # --------------------------------------------------------------------------
@@ -321,20 +325,30 @@ def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
     return sensor.next_seq
 
 
+def _frames(client: BrokerClient, done: Callable[[], bool]) -> Iterator[bytes]:
+    """The frames delivered to the client until done() holds before a
+    receive, or until the broker closes the connection between two
+    envelopes.  A malformed envelope raises TransportError."""
+    while not done():
+        try:
+            got = client.recv_message(timeout=_POLL_S)
+        except ConnectionClosed:
+            return
+        if got is not None:
+            yield got[1]
+
+
 def run_real_relay(host: str, port: int, *, stop: threading.Event,
                    sub_topic: str = UPLINK_TOPIC,
                    pub_topic: str = DOWNLINK_TOPIC,
                    processing: ProcessingDelay | None = None) -> tuple[int, int]:
-    """Forward uplink frames to the downlink topic until stopped; returns
-    (forwarded, corrupt_drops)."""
+    """Forward uplink frames to the downlink topic until stopped or the
+    broker goes; returns (forwarded, corrupt_drops)."""
     relay = SimRelay(DriftingClock(), ZeroOffsetProvider(), processing)
     with BrokerClient(host, port) as client:
         client.subscribe(sub_topic)
-        while not stop.is_set():
-            got = client.recv_message(timeout=_POLL_S)
-            if got is None:
-                continue
-            msg = relay.receive(got[1], time.time_ns())
+        for frame in _frames(client, stop.is_set):
+            msg = relay.receive(frame, time.time_ns())
             if msg is None:
                 continue
             delay_ns = relay.processing.sample(relay.rng)
@@ -348,17 +362,18 @@ def run_real_vehicle(host: str, port: int, *, stop: threading.Event,
                      topic: str = DOWNLINK_TOPIC,
                      sink: RecordWriter | None = None,
                      expected: int | None = None) -> list[PacketRecord]:
-    """Consume downlink frames into PacketRecords until stopped (or until
-    `expected` records have arrived)."""
+    """Consume downlink frames into PacketRecords until stopped, until
+    `expected` records have arrived, or until the broker goes."""
     vehicle = SimVehicle(DriftingClock(), ZeroOffsetProvider())
     records = vehicle.records
+
+    def done() -> bool:
+        return stop.is_set() or (expected is not None and len(records) >= expected)
+
     with BrokerClient(host, port) as client:
         client.subscribe(topic)
-        while not stop.is_set() and (expected is None or len(records) < expected):
-            got = client.recv_message(timeout=_POLL_S)
-            if got is None:
-                continue
-            rec = vehicle.receive(got[1], time.time_ns(), serving_cell=-1,
+        for frame in _frames(client, done):
+            rec = vehicle.receive(frame, time.time_ns(), serving_cell=-1,
                                   gt_ul=-1, gt_dl=-1)
             if sink is not None:
                 sink.append(rec)

@@ -33,6 +33,10 @@ class TransportError(ConnectionError):
     """Envelope framing failed or the peer went away mid-message."""
 
 
+class ConnectionClosed(TransportError):
+    """The peer closed the connection between two envelopes."""
+
+
 def _read_exact(sock: socket.socket, n: int) -> bytes:
     chunks = []
     remaining = n
@@ -106,10 +110,13 @@ class Broker:
         with self._lock:
             conns = list(self._conns)
         for conn in conns:
+            # shutdown wakes the connection's thread from recv and sends the
+            # client a FIN; a bare close from this thread would do neither
             try:
-                conn.close()
+                conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            conn.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
 
@@ -222,7 +229,7 @@ class BrokerClient:
         finally:
             self._sock.settimeout(None)
         if not first:
-            raise TransportError("connection closed")
+            raise ConnectionClosed("connection closed")
         command, frame = _recv_envelope_rest(self._sock, first)
         parts = command.split()
         if len(parts) != 2 or parts[0] != "MSG":

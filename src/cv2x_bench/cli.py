@@ -87,15 +87,9 @@ def _cmd_init_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_broker(args: argparse.Namespace) -> int:
     host, port = args.listen
-    broker = Broker(host, port)
-    broker.start()
-    print(f"broker listening on {broker.host}:{broker.port}", flush=True)
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        broker.stop()
+    with Broker(host, port) as broker, _stop_event(0) as stop:
+        print(f"broker listening on {broker.host}:{broker.port}", flush=True)
+        stop.wait()
     return 0
 
 

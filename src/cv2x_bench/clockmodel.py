@@ -59,10 +59,6 @@ class DriftingClock:
             reading += round(self._rng.gauss(0.0, self.jitter_ns))
         return reading
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.offset0_ns == 0 and self._drift_ppb == 0 and self.jitter_ns == 0
-
 
 @dataclass(frozen=True)
 class OffsetEstimate:

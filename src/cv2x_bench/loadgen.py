@@ -35,10 +35,6 @@ class BackgroundLoad:
         if self.packet_size_bytes <= 0:
             raise ValueError("packet size must be positive")
 
-    @property
-    def total_rate_bps(self) -> int:
-        return self.ue_count * self.per_ue_rate_bps
-
 
 def parse_load(text: str, direction: Direction,
                packet_size_bytes: int = DEFAULT_PACKET_BYTES) -> BackgroundLoad:

@@ -1,15 +1,18 @@
 """Deterministic emulation of a dedicated 5G standalone cell pair.
 
-The link is modeled as a fluid per-tick system: one tick spans a full TDD
-pattern period (default DDDSU at 0.5 ms slots = 2.5 ms) and each direction
-of each cell gets a bit budget per tick derived from its configured
-capacity (the capacity figures already embed the uplink/downlink symbol
-split).  Queued packets are drained against that budget and a packet is
-delivered at the end of the tick in which its last bit is served, so an
-uncongested packet picks up at most one tick of slot-alignment delay.
-A queue holds runs of back-to-back packets of one size; an application
-packet is a run of one that carries its enqueue time and meta, and only
-such a run yields a Delivery.
+The link is modeled as a fluid per-tick system.  One tick spans a full TDD
+pattern period: the pattern's slot count times the slot duration (default
+DDDSU at 0.5 ms slots = 2.5 ms), and LinkSimulator takes only that length.
+The scenario config checks that the pattern holds only D, U and S slots,
+but the letters set nothing else: each direction of each cell gets a bit
+budget per tick derived from its configured capacity, and the capacity
+figures already embed the uplink/downlink symbol split.  Queued packets
+are drained against that budget and a packet is delivered at the end of
+the tick in which its last bit is served, so an uncongested packet picks
+up at most one tick of slot-alignment delay.  A queue holds runs of
+back-to-back packets of one size; an application packet is a run of one
+that carries its enqueue time and meta, and only such a run yields a
+Delivery.
 
 Two scheduler disciplines are provided:
 
@@ -35,13 +38,8 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable
-
-
-class SlotKind(Enum):
-    DOWNLINK = "D"
-    UPLINK = "U"
-    SPECIAL = "S"
 
 
 class Direction(Enum):
@@ -67,36 +65,6 @@ class SchedulerKind(Enum):
 class InvariantViolation(RuntimeError):
     """A per-tick scheduler invariant (conservation, work conservation,
     priority dominance, or queue cap) was broken."""
-
-
-@dataclass(frozen=True)
-class TddPattern:
-    """TDD slot structure; the default is three downlink slots, one special
-    slot and one uplink slot.  Only its period, the length of one tick,
-    enters the model: the cell capacities already embed the symbol split."""
-
-    slots: tuple[SlotKind, ...] = (SlotKind.DOWNLINK, SlotKind.DOWNLINK,
-                                   SlotKind.DOWNLINK, SlotKind.SPECIAL,
-                                   SlotKind.UPLINK)
-    slot_duration_ns: int = 500_000
-
-    def __post_init__(self) -> None:
-        if not self.slots:
-            raise ValueError("pattern needs at least one slot")
-        if self.slot_duration_ns <= 0:
-            raise ValueError("slot duration must be positive")
-
-    @classmethod
-    def from_string(cls, pattern: str, slot_duration_ns: int = 500_000) -> "TddPattern":
-        try:
-            slots = tuple(SlotKind(ch) for ch in pattern.upper())
-        except ValueError:
-            raise ValueError(f"pattern {pattern!r} may only contain D, U, S") from None
-        return cls(slots=slots, slot_duration_ns=slot_duration_ns)
-
-    @property
-    def period_ns(self) -> int:
-        return len(self.slots) * self.slot_duration_ns
 
 
 @dataclass(frozen=True)
@@ -421,13 +389,11 @@ class _FlowGroup:
 class LinkSimulator:
     """Cells, flows, queues, and the per-tick scheduler."""
 
-    def __init__(self, cells: list[CellConfig], pattern: TddPattern | None = None,
-                 scheduler: SchedulerKind = SchedulerKind.BL,
-                 tick_ns: int | None = None) -> None:
+    def __init__(self, cells: list[CellConfig], tick_ns: int = 2_500_000,
+                 scheduler: SchedulerKind = SchedulerKind.BL) -> None:
         if not cells:
             raise ValueError("need at least one cell")
-        self.pattern = pattern or TddPattern()
-        self.tick_ns = tick_ns if tick_ns is not None else self.pattern.period_ns
+        self.tick_ns = tick_ns
         self.scheduler = scheduler
         self.cells: dict[int, CellConfig] = {c.cell_id: c for c in cells}
         if len(self.cells) != len(cells):
@@ -435,10 +401,9 @@ class LinkSimulator:
         self.flows: dict[str, FlowQueue] = {}
         self._groups: list[_FlowGroup] | None = None
         self._arrival_counter = 0
-        default_cell = cells[0].cell_id
-        self._cell_switch_times: list[int] = [0]
-        self._cell_by_switch: list[int] = [default_cell]
-        self._suspensions: list[tuple[int, int]] = []
+        self._initial_cell = cells[0].cell_id
+        # the mobile terminal's handovers, sorted by time
+        self.handovers: list[HandoverEvent] = []
 
     def add_flow(self, spec: FlowSpec, cell_id: int | None = None,
                  mobile: bool = False, suspendable: bool = False) -> FlowQueue:
@@ -453,23 +418,19 @@ class LinkSimulator:
 
     def set_mobility(self, initial_cell: int,
                      events: Iterable[HandoverEvent]) -> None:
-        """Install the mobile terminal's serving-cell timeline and the
-        service interruption windows implied by the handover events."""
-        self._cell_switch_times = [0]
-        self._cell_by_switch = [initial_cell]
-        self._suspensions = []
-        for ev in sorted(events, key=lambda e: e.time_ns):
-            self._cell_switch_times.append(ev.time_ns)
-            self._cell_by_switch.append(ev.to_cell)
-            self._suspensions.append((ev.time_ns, ev.time_ns + ev.interruption_ns))
+        """Install the mobile terminal's first serving cell and the
+        handovers that switch it, each interrupting its service."""
+        self._initial_cell = initial_cell
+        self.handovers = sorted(events, key=attrgetter("time_ns"))
 
     def serving_cell(self, time_ns: int) -> int:
-        idx = bisect_right(self._cell_switch_times, time_ns) - 1
-        return self._cell_by_switch[idx]
+        idx = bisect_right(self.handovers, time_ns, key=attrgetter("time_ns"))
+        return self.handovers[idx - 1].to_cell if idx else self._initial_cell
 
-    def _suspended(self, tick_start: int, tick_end: int) -> bool:
-        return any(tick_start < end and tick_end > start
-                   for start, end in self._suspensions)
+    def interrupted(self, start_ns: int, end_ns: int) -> bool:
+        """Whether a handover interruption overlaps [start_ns, end_ns)."""
+        return any(start_ns < ev.time_ns + ev.interruption_ns
+                   and end_ns > ev.time_ns for ev in self.handovers)
 
     def enqueue(self, flow_id: str, size_bits: int, time_ns: int,
                 meta: dict | None = None) -> bool:
@@ -521,7 +482,7 @@ class LinkSimulator:
 
     def run_tick(self, tick_start: int) -> list[Delivery]:
         tick_end = tick_start + self.tick_ns
-        suspended = self._suspended(tick_start, tick_end)
+        suspended = self.interrupted(tick_start, tick_end)
         serving = self.serving_cell(tick_start)
         deliveries: list[Delivery] = []
         for group in self._flow_groups():

@@ -31,7 +31,7 @@ from .clockmodel import DriftingClock, OffsetProvider
 from .loadgen import (DEFAULT_PACKET_BYTES, CbrPacketSource, parse_load)
 from .netem import (CellConfig, Direction, FlowSpec, HandoverEvent,
                     LinkSimulator, MobilityRoute, PriorityClass, Reliability,
-                    SchedulerKind, SimWorld, TddPattern, apply_handover,
+                    SchedulerKind, SimWorld, apply_handover,
                     initial_serving_cell, tick_budget)
 from .protocol import FRAME_OVERHEAD
 
@@ -164,30 +164,31 @@ class NetworkConfig:
     cells: tuple[CellSpec, ...] = (CellSpec(1), CellSpec(2, (200.0, 0.0)))
 
     def __post_init__(self) -> None:
-        try:
-            tdd = self.build_pattern()
-        except ValueError as exc:
-            raise ConfigError(f"pattern: {exc}") from None
+        if not self.pattern or self.pattern.upper().strip("DUS"):
+            raise ConfigError(f"pattern must be a non-empty string of D, U "
+                              f"and S slots, got {self.pattern!r}")
         if not self.cells:
             raise ConfigError("cells must not be empty")
         ids = [cell.cell_id for cell in self.cells]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"cells must have distinct cell_id values, got {ids}")
         # a direction whose per-tick budget rounds to 0 bits never drains
-        budgets = tick_budget(self.build_cells()[0], tdd.period_ns)
+        budgets = tick_budget(self.build_cells()[0], self.tick_ns)
         for key, budget in zip(("ul_capacity_bps", "dl_capacity_bps"), budgets):
             if budget == 0:
                 raise ConfigError(
                     f"{key} gives a per-tick budget of 0 bits at the "
-                    f"{tdd.period_ns} ns tick; it must be >= "
-                    f"{-(-1_000_000_000 // tdd.period_ns)}")
+                    f"{self.tick_ns} ns tick; it must be >= "
+                    f"{-(-1_000_000_000 // self.tick_ns)}")
 
     @property
     def base_delay_ns(self) -> int:
         return round(self.base_delay_ms * 1_000_000)
 
-    def build_pattern(self) -> TddPattern:
-        return TddPattern.from_string(self.pattern, self.slot_duration_ns)
+    @property
+    def tick_ns(self) -> int:
+        """One tick spans the pattern: its slot count x the slot duration."""
+        return len(self.pattern) * self.slot_duration_ns
 
     def build_cells(self) -> list[CellConfig]:
         return [CellConfig(cell_id=cell.cell_id, position=cell.position,
@@ -387,56 +388,19 @@ class ScenarioResult:
         return analysis.summarize(self.records, which, exclude_processing)
 
 
-def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline,
-                                             list[HandoverEvent]]:
+def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
     net = cfg.network
-    pattern = net.build_pattern()
     cells = net.build_cells()
     start_ns = RUN_EPOCH_NS
-    link = LinkSimulator(cells, pattern,
+    link = LinkSimulator(cells, net.tick_ns,
                          scheduler=SchedulerKind(cfg.scheduler))
-    events: list[HandoverEvent] = []
     if cfg.mobility is not None:
         route = MobilityRoute(tuple((t + start_ns, x, y)
                                     for t, x, y in cfg.mobility.waypoints))
-        events = apply_handover(route, cells,
-                                hysteresis_m=net.handover.hysteresis_m,
-                                interruption_ns=net.handover.interruption_ns,
-                                sample_ns=link.tick_ns)
-        link.set_mobility(initial_serving_cell(route, cells), events)
-    windows = [(e.time_ns, e.time_ns + e.interruption_ns) for e in events]
-    sensor_cell = cells[0].cell_id
-
-    cap = cfg.load.queue_cap_bytes
-    link.add_flow(FlowSpec("app-ul", Direction.UPLINK,
-                           PriorityClass.APPLICATION, Reliability.RELIABLE),
-                  cell_id=sensor_cell)
-    link.add_flow(FlowSpec("app-dl", Direction.DOWNLINK,
-                           PriorityClass.APPLICATION, Reliability.RELIABLE),
-                  mobile=True, suspendable=True)
-    ul_ack = dl_ack = None
-    if net.ack_ratio > 0:
-        ul_ack, dl_ack = "app-ul-ack", "app-dl-ack"
-        link.add_flow(FlowSpec(ul_ack, Direction.DOWNLINK,
-                               PriorityClass.APPLICATION, Reliability.RELIABLE),
-                      cell_id=sensor_cell)
-        link.add_flow(FlowSpec(dl_ack, Direction.UPLINK,
-                               PriorityClass.APPLICATION, Reliability.RELIABLE),
-                      mobile=True, suspendable=True)
-
+        link.set_mobility(initial_serving_cell(route, cells), apply_handover(
+            route, cells, hysteresis_m=net.handover.hysteresis_m,
+            interruption_ns=net.handover.interruption_ns, sample_ns=link.tick_ns))
     world = SimWorld(link, base_delay_ns=net.base_delay_ns, start_ns=start_ns)
-    for attr, direction in (("ul", Direction.UPLINK), ("dl", Direction.DOWNLINK)):
-        load = parse_load(getattr(cfg.load, attr), direction,
-                          cfg.load.packet_size_bytes)
-        for i in range(load.ue_count):
-            flow_id = f"bg-{attr}-{i}"
-            link.add_flow(FlowSpec(flow_id, direction, PriorityClass.BACKGROUND,
-                                   Reliability.DROPPABLE, queue_cap_bytes=cap),
-                          cell_id=sensor_cell)
-            world.cbr_sources.append(
-                CbrPacketSource(flow_id, load.per_ue_rate_bps,
-                                load.packet_size_bytes, start_ns=start_ns,
-                                stop_ns=start_ns + cfg.duration_ns))
 
     def clock_for(name: str) -> DriftingClock:
         p = getattr(cfg.agents, name).clock
@@ -463,11 +427,26 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline,
                      processing=cfg.agents.relay.processing_delay,
                      rng_seed=derive_seed(cfg.seed, "relay-proc"))
     vehicle = SimVehicle(vehicle_clock, provider_for("vehicle", vehicle_clock))
+    sensor_cell = cells[0].cell_id
+    # the pipeline adds the application flows, so they come before the
+    # background flows in the link's flow order
     pipeline = SimPipeline(world, link, sensor, relay, vehicle,
-                           ul_ack_flow=ul_ack, dl_ack_flow=dl_ack,
-                           ack_ratio=net.ack_ratio,
-                           interruption_windows=windows)
-    return world, pipeline, events
+                           sensor_cell=sensor_cell, ack_ratio=net.ack_ratio)
+
+    for attr, direction in (("ul", Direction.UPLINK), ("dl", Direction.DOWNLINK)):
+        load = parse_load(getattr(cfg.load, attr), direction,
+                          cfg.load.packet_size_bytes)
+        for i in range(load.ue_count):
+            flow_id = f"bg-{attr}-{i}"
+            link.add_flow(FlowSpec(flow_id, direction, PriorityClass.BACKGROUND,
+                                   Reliability.DROPPABLE,
+                                   queue_cap_bytes=cfg.load.queue_cap_bytes),
+                          cell_id=sensor_cell)
+            world.cbr_sources.append(
+                CbrPacketSource(flow_id, load.per_ue_rate_bps,
+                                load.packet_size_bytes, start_ns=start_ns,
+                                stop_ns=start_ns + cfg.duration_ns))
+    return world, pipeline
 
 
 _DRAIN_GRACE_NS = 120_000_000_000
@@ -480,7 +459,7 @@ def run_scenario(cfg: ScenarioConfig,
     if cfg.mode == "real":
         result = _run_real(cfg)
     else:
-        world, pipeline, events = _build_sim(cfg)
+        world, pipeline = _build_sim(cfg)
         pipeline.start()
         world.run_until(world.start_ns + cfg.duration_ns)
         world.run_until(world.start_ns + cfg.duration_ns + _DRAIN_GRACE_NS,
@@ -492,7 +471,10 @@ def run_scenario(cfg: ScenarioConfig,
                 f"records after grace period)")
         result = ScenarioResult(
             name=cfg.name, config=cfg, records=pipeline.vehicle.records,
-            handover_events=events,
+            # a route may run on past the end; its later handovers touch
+            # no packet
+            handover_events=[ev for ev in world.link.handovers
+                             if ev.time_ns < world.now_ns],
             affected_seqs=set(pipeline.vehicle.affected_seqs),
             sensor_sent=pipeline.sensor.next_seq,
             relay_corrupt_drops=pipeline.relay.corrupt_drops,

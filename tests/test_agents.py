@@ -5,6 +5,7 @@ reconnect."""
 from __future__ import annotations
 
 import random
+import socket
 import threading
 import time
 
@@ -15,7 +16,8 @@ from cv2x_bench.agents import (DOWNLINK_TOPIC, UPLINK_TOPIC, ProcessingDelay,
                                SimRelay, SimSensor, SimVehicle, run_real_relay,
                                run_real_sensor, run_real_vehicle)
 from cv2x_bench.analysis import RecordWriter, ingest
-from cv2x_bench.broker import Broker, BrokerClient
+from cv2x_bench.broker import (Broker, BrokerClient, TransportError,
+                               recv_envelope)
 from cv2x_bench.clockmodel import (DriftingClock, OffsetProvider,
                                    corrected_latency_dl, corrected_latency_e2e,
                                    corrected_latency_ul)
@@ -44,10 +46,7 @@ def test_sensor_rate_times_duration_messages():
 def test_sensor_offered_load_arithmetic():
     clock = DriftingClock()
     provider = OffsetProvider(clock)
-    sensor = SimSensor(1, 1000, 10.0, 10_000_000_000, clock, provider)
-    assert sensor.offered_bps == 80_000  # 1 kB at 10 Hz
     sensor20 = SimSensor(1, 10_000, 20.0, 10_000_000_000, clock, provider)
-    assert sensor20.offered_bps == 1_600_000  # 10 kB at 20 Hz
     assert sensor20.n_messages == 200
 
 
@@ -130,7 +129,7 @@ def test_vehicle_logs_corrupt_frame_with_flag():
 def test_vehicle_logs_one_record_per_sent_message():
     cfg = config_from_obj(_sim_config(duration_s=2.0))
     from cv2x_bench.scenario import _build_sim
-    world, pipeline, _ = _build_sim(cfg)
+    world, pipeline = _build_sim(cfg)
     pipeline.start()
     world.run_until(world.start_ns + cfg.duration_ns + 50_000_000)
     assert len(pipeline.vehicle.records) == pipeline.sensor.next_seq
@@ -253,3 +252,51 @@ def test_real_sensor_reconnects_to_a_restarted_broker():
         thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert result == [100]
+
+
+def _frame(seq: int) -> bytes:
+    return protocol.encode(protocol.V2XMessage(source_id=1, seq=seq,
+                                               payload=b"p" * 64))
+
+
+def test_real_vehicle_returns_its_records_when_the_broker_goes():
+    stop = threading.Event()
+    timer = threading.Timer(5.0, stop.set)  # ends the vehicle if it misses the close
+    broker = Broker()
+    broker.start()
+    try:
+        thread, result = _run_agent_thread(run_real_vehicle, host=broker.host,
+                                           port=broker.port, stop=stop)
+        timer.start()
+        _wait_for(lambda: broker.subscriber_count(DOWNLINK_TOPIC) == 1)
+        with BrokerClient(broker.host, broker.port) as pub:
+            pub.publish(DOWNLINK_TOPIC, _frame(0))
+            pub.publish(DOWNLINK_TOPIC, _frame(1))
+        _wait_for(lambda: broker.frames_relayed == 2)
+        broker.stop()
+        stopped = time.monotonic()
+        thread.join(timeout=5.0)
+        assert time.monotonic() - stopped < 1.0
+    finally:
+        timer.cancel()
+        broker.stop()
+    assert not thread.is_alive()
+    [records] = result
+    assert [rec.seq for rec in records] == [0, 1]
+
+
+def test_real_relay_raises_on_a_malformed_envelope():
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        def serve() -> None:
+            conn, _ = server.accept()
+            with conn:
+                recv_envelope(conn)  # the relay's subscription
+                conn.sendall((3).to_bytes(4, "big") + b"\xff\xfe\n")
+                conn.recv(1)  # hold the connection until the relay closes it
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        with pytest.raises(TransportError, match="not UTF-8"):
+            run_real_relay(*server.getsockname(), stop=threading.Event())
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()

@@ -187,3 +187,22 @@ def test_non_utf8_command_from_the_broker_raises_transport_error():
                 conn.sendall(NOT_UTF8)
                 with pytest.raises(TransportError, match="not UTF-8"):
                     client.recv_message(timeout=2.0)
+
+
+def test_stop_tells_a_connected_client():
+    broker = Broker()
+    broker.start()
+    try:
+        with BrokerClient(broker.host, broker.port) as sub:
+            sub.subscribe("UL")
+            deadline = time.monotonic() + 5.0
+            while broker.subscriber_count("UL") == 0:
+                assert time.monotonic() < deadline, "timed out"
+                time.sleep(0.01)
+            broker.stop()
+            stopped = time.monotonic()
+            with pytest.raises(TransportError):
+                sub.recv_message(timeout=2.0)
+            assert time.monotonic() - stopped < 1.0
+    finally:
+        broker.stop()

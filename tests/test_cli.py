@@ -128,3 +128,47 @@ def test_sigint_ends_relay_with_its_true_counts(capsys):
         assert not sender.is_alive()
     assert capsys.readouterr().out == "relay forwarded 3 frames, dropped 1 corrupt\n"
     assert signal.getsignal(signal.SIGINT) is before
+
+
+def test_relay_ends_with_its_counts_when_the_broker_stops(capsys):
+    broker = Broker()
+    broker.start()
+
+    def stop_broker() -> None:
+        # the relay forwarded both frames to a topic nobody reads
+        _wait_for(lambda: broker.frames_discarded == 2)
+        broker.stop()
+
+    try:
+        sender = _publish_when_subscribed(broker, "UL", [_frame(0), _frame(1)],
+                                          then=stop_broker)
+        started = time.monotonic()
+        assert cli.main(["relay", "--connect", f"{broker.host}:{broker.port}",
+                         "--duration", "10"]) == 0
+        assert time.monotonic() - started < 3.0
+        sender.join(timeout=5.0)
+        assert not sender.is_alive()
+    finally:
+        broker.stop()
+    assert capsys.readouterr().out == "relay forwarded 2 frames, dropped 0 corrupt\n"
+
+
+def test_broker_stops_on_sigint(capsys):
+    before = signal.getsignal(signal.SIGINT)
+
+    def interrupt() -> None:
+        # wait for the broker's own handler; a default one would raise
+        # KeyboardInterrupt into the test runner
+        deadline = time.monotonic() + 5.0
+        while (signal.getsignal(signal.SIGINT) is before
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        os.kill(os.getpid(), signal.SIGINT)
+
+    interrupter = threading.Thread(target=interrupt, daemon=True)
+    interrupter.start()
+    started = time.monotonic()
+    assert cli.main(["broker", "--listen", "127.0.0.1:0"]) == 0
+    assert time.monotonic() - started < 3.0
+    assert capsys.readouterr().out.startswith("broker listening on 127.0.0.1:")
+    assert signal.getsignal(signal.SIGINT) is before

@@ -19,7 +19,6 @@ def test_ideal_clock_is_identity():
     clock = DriftingClock()
     assert clock.local_now(5_000_000) == 5_000_000
     assert clock.local_now(0) == 0
-    assert clock.is_ideal
 
 
 def test_constant_offset_is_additive():

@@ -1,4 +1,4 @@
-"""Link emulator tests: TDD structure, budgets, scheduling disciplines,
+"""Link emulator tests: tick budgets, scheduling disciplines,
 queue invariants, handover geometry, and event-loop determinism."""
 
 from __future__ import annotations
@@ -9,32 +9,15 @@ from cv2x_bench.loadgen import CbrPacketSource
 from cv2x_bench.netem import (CellConfig, Direction, FlowSpec, HandoverEvent,
                               InvariantViolation, LinkSimulator, MobilityRoute,
                               PriorityClass, Reliability, SchedulerKind,
-                              SimWorld, TddPattern, apply_handover,
+                              SimWorld, apply_handover,
                               initial_serving_cell, tick_budget)
 
 MS = 1_000_000
 
 
-def default_pattern() -> TddPattern:
-    return TddPattern()
-
-
-def test_pattern_defaults():
-    pattern = default_pattern()
-    assert [s.value for s in pattern.slots] == ["D", "D", "D", "S", "U"]
-    assert pattern.period_ns == 2_500_000
-    assert TddPattern.from_string("DDDSU") == pattern
-
-
-def test_pattern_rejects_bad_characters():
-    with pytest.raises(ValueError):
-        TddPattern.from_string("DDXSU")
-
-
 def test_tick_budget_defaults():
     cell = CellConfig(cell_id=1)
-    pattern = default_pattern()
-    assert tick_budget(cell, pattern.period_ns) == (100_000, 325_000)
+    assert tick_budget(cell, 2_500_000) == (100_000, 325_000)
     assert tick_budget(cell, 0) == (0, 0)
 
 

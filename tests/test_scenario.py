@@ -255,7 +255,7 @@ def test_mobility_cell_counts_every_tick_it_runs_or_skips():
     result = run_scenario(cfg)
     # the same cell stepped through every tick, as before idle ticks were
     # skipped
-    world, pipeline, _ = scenario._build_sim(cfg)
+    world, pipeline = scenario._build_sim(cfg)
     pipeline.start()
     end = world.start_ns + cfg.duration_ns
     while world.now_ns < end:
@@ -267,6 +267,31 @@ def test_mobility_cell_counts_every_tick_it_runs_or_skips():
     assert result.ticks_skipped > result.ticks_run > 0
     assert result.records == pipeline.vehicle.records
     assert len(result.handover_events) == 1
+
+
+def test_only_the_handovers_a_run_reaches_are_reported():
+    # the vehicle reaches the first cell 1 s in and turns back at 10 s, long
+    # after the 2 s run has drained
+    there = [[0, 200.0, 0.0], [1_000_000_000, 0.0, 0.0],
+             [10_000_000_000, 0.0, 0.0]]
+    back = there + [[11_000_000_000, 200.0, 0.0]]
+    one, both = (run_scenario(config_from_obj(_minimal(
+        duration_s=2.0, message={"size_bytes": 1000, "rate_hz": 20.0},
+        mobility={"waypoints": route}))) for route in (there, back))
+    [event] = both.handover_events
+    assert (event.from_cell, event.to_cell) == (2, 1)
+    assert both.handover_events == one.handover_events
+    assert both.records == one.records
+    assert both.affected_seqs == one.affected_seqs != set()
+    assert (analysis.detect_handover_affected(both.records, both.handover_events)
+            == analysis.detect_handover_affected(one.records, one.handover_events))
+
+
+def test_tick_is_the_pattern_length_times_the_slot_duration():
+    assert scenario.NetworkConfig().tick_ns == 2_500_000
+    cfg = config_from_obj(_minimal(network={"pattern": "DU",
+                                            "slot_duration_ns": 1_000_000}))
+    assert cfg.network.tick_ns == 2_000_000
 
 
 def _live_worlds() -> set[int]:
@@ -348,6 +373,12 @@ MALFORMED = [
      "config.load.dl: load spec '1x1e305'"),
     ("config", _minimal(network={"pattern": 5}),
      "config.network.pattern must be a string"),
+    ("config", _minimal(network={"pattern": "DDXSU"}),
+     "config.network.pattern must be a non-empty string of D, U and S slots, "
+     "got 'DDXSU'"),
+    ("config", _minimal(network={"pattern": ""}),
+     "config.network.pattern must be a non-empty string of D, U and S slots, "
+     "got ''"),
     ("config", _minimal(network={"handover": 5}),
      "config.network.handover must be an object"),
     ("config", _minimal(network={"cells": 5}), "config.network.cells must be a list"),
