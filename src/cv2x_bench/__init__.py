@@ -9,9 +9,9 @@ from .analysis import LatencyStats, PacketRecord, cdf, ingest, percentile, summa
 from .clockmodel import (DriftingClock, OffsetEstimate, OffsetProvider,
                          corrected_latency_dl, corrected_latency_e2e,
                          corrected_latency_ul, ntp_query)
-from .netem import (CellConfig, Direction, FlowSpec, HandoverEvent,
-                    LinkSimulator, MobilityRoute, PriorityClass, Reliability,
-                    SchedulerKind, SimWorld, apply_handover, tick_budget)
+from .netem import (CellConfig, Direction, HandoverEvent, LinkSimulator,
+                    MobilityRoute, PriorityClass, SchedulerKind, SimWorld,
+                    apply_handover, tick_budget)
 from .protocol import (V2XMessage, compute_checksum, decode, encode,
                        make_padded_payload)
 from .scenario import (ScenarioConfig, ScenarioResult, load_config,

@@ -31,8 +31,8 @@ from . import protocol
 from .analysis import PacketRecord, RecordWriter
 from .broker import BrokerClient, ConnectionClosed
 from .clockmodel import DriftingClock, OffsetProvider, ZeroOffsetProvider
-from .netem import (Delivery, Direction, FlowSpec, LinkSimulator,
-                    PriorityClass, Reliability, SimWorld)
+from .netem import (Delivery, Direction, LinkSimulator, PriorityClass,
+                    SimWorld)
 
 
 UPLINK_TOPIC = "UL"
@@ -200,16 +200,14 @@ class SimPipeline:
     def __init__(self, world: SimWorld, link: LinkSimulator,
                  sensor: SimSensor, relay: SimRelay, vehicle: SimVehicle, *,
                  sensor_cell: int, ack_ratio: float) -> None:
-        fixed = {"cell_id": sensor_cell}
-        mobile = {"mobile": True, "suspendable": True}
-        flows = [("app-ul", Direction.UPLINK, fixed),
-                 ("app-dl", Direction.DOWNLINK, mobile)]
+        # a flow with no cell follows the vehicle
+        flows = [("app-ul", Direction.UPLINK, sensor_cell),
+                 ("app-dl", Direction.DOWNLINK, None)]
         if ack_ratio > 0:
-            flows += [("app-ul-ack", Direction.DOWNLINK, fixed),
-                      ("app-dl-ack", Direction.UPLINK, mobile)]
-        for flow_id, direction, where in flows:
-            link.add_flow(FlowSpec(flow_id, direction, PriorityClass.APPLICATION,
-                                   Reliability.RELIABLE), **where)
+            flows += [("app-ul-ack", Direction.DOWNLINK, sensor_cell),
+                      ("app-dl-ack", Direction.UPLINK, None)]
+        for flow_id, direction, cell_id in flows:
+            link.add_flow(flow_id, direction, PriorityClass.APPLICATION, cell_id)
         self.world = world
         self.link = link
         self.sensor = sensor

@@ -16,7 +16,8 @@ import csv
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -24,9 +25,9 @@ from .clockmodel import (corrected_latency_dl, corrected_latency_e2e,
                          corrected_latency_ul)
 from .netem import HandoverEvent
 
-_RECORD_KEYS = ("src", "seq", "t1", "t2", "t3", "t4",
-                "e1", "e2", "e3", "e4", "size", "cell",
-                "corrupt", "gt_ul", "gt_dl")
+# a log record's keys are PacketRecord's field names, in field order,
+# except for these renames
+_RENAMED = {"source_id": "src", "frame_size": "size", "serving_cell": "cell"}
 
 
 class IngestError(ValueError):
@@ -54,11 +55,7 @@ class PacketRecord:
     gt_dl: int = -1
 
     def to_json_obj(self) -> dict:
-        return {"src": self.source_id, "seq": self.seq,
-                "t1": self.t1, "t2": self.t2, "t3": self.t3, "t4": self.t4,
-                "e1": self.e1, "e2": self.e2, "e3": self.e3, "e4": self.e4,
-                "size": self.frame_size, "cell": self.serving_cell,
-                "corrupt": self.corrupt, "gt_ul": self.gt_ul, "gt_dl": self.gt_dl}
+        return dict(zip(_RECORD_KEYS, _field_values(self)))
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PacketRecord":
@@ -70,17 +67,20 @@ class PacketRecord:
         unknown = [k for k in obj if k not in _RECORD_KEYS]
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
-        for key in _RECORD_KEYS:
+        values = _key_values(obj)
+        for key, value in zip(_RECORD_KEYS, values):
             if key == "corrupt":
-                if not isinstance(obj[key], bool):
+                if not isinstance(value, bool):
                     raise ValueError("'corrupt' must be a boolean")
-            elif not isinstance(obj[key], int) or isinstance(obj[key], bool):
+            elif not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"'{key}' must be an integer")
-        return cls(source_id=obj["src"], seq=obj["seq"],
-                   t1=obj["t1"], t2=obj["t2"], t3=obj["t3"], t4=obj["t4"],
-                   e1=obj["e1"], e2=obj["e2"], e3=obj["e3"], e4=obj["e4"],
-                   frame_size=obj["size"], serving_cell=obj["cell"],
-                   corrupt=obj["corrupt"], gt_ul=obj["gt_ul"], gt_dl=obj["gt_dl"])
+        return cls(*values)
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(PacketRecord))
+_RECORD_KEYS = tuple(_RENAMED.get(name, name) for name in _FIELD_NAMES)
+_field_values = attrgetter(*_FIELD_NAMES)
+_key_values = itemgetter(*_RECORD_KEYS)
 
 
 def record_line(record: PacketRecord) -> str:
@@ -216,11 +216,14 @@ def detect_handover_affected(records: list[PacketRecord],
                              events: list[HandoverEvent]) -> list[PacketRecord]:
     """Records whose downlink leg was hit by a handover interruption.
 
-    With emulator ground truth available (gt_dl >= 0) the check is exact:
-    a record is affected iff its reference-time downlink interval
-    [t3+e3, t4+e4) intersects an interruption window.  For real-socket
-    logs this falls back to a labeled heuristic: anything slower than the
-    p99 of the traffic outside the windows counts as affected.
+    With emulator ground truth available (gt_dl >= 0) a record is affected
+    iff its clock-corrected downlink interval [t3+e3, t4+e4) intersects an
+    interruption window.  That is exact only when the offset estimates are
+    exact: estimation error can misjudge a packet near a window's edge,
+    which is why run_matrix takes the emulator's own set
+    (ScenarioResult.affected_seqs).  For real-socket logs this falls back
+    to a labeled heuristic: anything slower than the p99 of the traffic
+    outside the windows counts as affected.
     """
     windows = sorted((e.time_ns, e.time_ns + e.interruption_ns) for e in events)
     if not windows:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import signal
 import sys
 import threading
@@ -17,13 +18,35 @@ from .agents import (ProcessingDelay, run_real_relay, run_real_sensor,
                      run_real_vehicle)
 from .broker import Broker
 from .loadgen import blast_udp
+from .protocol import FRAME_OVERHEAD
+
+
+def _bounded(kind: type, low: float, high: float = math.inf, *,
+             above: bool = False):
+    """An argparse type: a finite `kind` number from `low` (exclusive when
+    `above`) to `high`; a bad value exits with status 2 naming the option."""
+    def parse(text: str):
+        value = kind(text)
+        if (not math.isfinite(value) or value < low or value > high
+                or (above and value == low)):
+            upper = f" and <= {high}" if high < math.inf else ""
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if above else '>='} {low}{upper}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_POSITIVE = _bounded(float, 0, above=True)
+_NONNEGATIVE = _bounded(float, 0)
+_PORT = _bounded(int, 0, 65535)
 
 
 def _host_port(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep:
         raise argparse.ArgumentTypeError(f"{text!r} is not host:port")
-    return host, int(port)
+    return host, _PORT(port)
 
 
 def _fmt_ms(ns: float) -> str:
@@ -141,7 +164,7 @@ def _cmd_vehicle(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    sent = blast_udp(args.target, round(args.rate_mbps * 1e6), args.duration,
+    sent = blast_udp(args.target, args.rate_mbps * 1e6, args.duration,
                      packet_size_bytes=args.size)
     print(f"loadgen sent {sent} datagrams")
     return 0
@@ -179,19 +202,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensor", help="real-socket sensor agent")
     p.add_argument("--connect", type=_host_port, required=True)
-    p.add_argument("--size", type=int, default=1000, help="frame size in bytes")
-    p.add_argument("--rate", type=float, default=10.0, help="messages per second")
-    p.add_argument("--duration", type=float, default=10.0, help="seconds")
+    p.add_argument("--size", type=_bounded(int, FRAME_OVERHEAD), default=1000,
+                   help="frame size in bytes")
+    p.add_argument("--rate", type=_POSITIVE, default=10.0, help="messages per second")
+    p.add_argument("--duration", type=_NONNEGATIVE, default=10.0, help="seconds")
     p.add_argument("--topic", default="UL")
-    p.add_argument("--source-id", type=int, default=1)
+    p.add_argument("--source-id", type=_bounded(int, 0, 0xFFFF), default=1)
     p.set_defaults(func=_cmd_sensor)
 
     p = sub.add_parser("relay", help="real-socket edge relay agent")
     p.add_argument("--connect", type=_host_port, required=True)
     p.add_argument("--sub", default="UL")
     p.add_argument("--pub", default="DL")
-    p.add_argument("--proc-ms", type=float, default=0.0)
-    p.add_argument("--duration", type=float, default=0.0,
+    p.add_argument("--proc-ms", type=_NONNEGATIVE, default=0.0)
+    p.add_argument("--duration", type=_NONNEGATIVE, default=0.0,
                    help="stop after this many seconds (0 = run until ^C)")
     p.set_defaults(func=_cmd_relay)
 
@@ -199,15 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connect", type=_host_port, required=True)
     p.add_argument("--log", required=True)
     p.add_argument("--topic", default="DL")
-    p.add_argument("--duration", type=float, default=0.0)
+    p.add_argument("--duration", type=_NONNEGATIVE, default=0.0)
     p.add_argument("--expected", type=int, default=None)
     p.set_defaults(func=_cmd_vehicle)
 
     p = sub.add_parser("loadgen", help="real-socket UDP background load")
     p.add_argument("--target", type=_host_port, required=True)
-    p.add_argument("--rate-mbps", type=float, required=True)
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--size", type=int, default=1400)
+    p.add_argument("--rate-mbps", type=_POSITIVE, required=True)
+    p.add_argument("--duration", type=_NONNEGATIVE, default=10.0)
+    p.add_argument("--size", type=_bounded(int, 1, 65507), default=1400,
+                   help="datagram size in bytes")
     p.set_defaults(func=_cmd_loadgen)
     return parser
 

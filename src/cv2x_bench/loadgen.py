@@ -105,9 +105,12 @@ class CbrPacketSource:
                 yield t, self.packet_bits
 
 
-def blast_udp(target: tuple[str, int], rate_bps: int, duration_s: float,
+def blast_udp(target: tuple[str, int], rate_bps: float, duration_s: float,
               packet_size_bytes: int = DEFAULT_PACKET_BYTES) -> int:
-    """Real-socket CBR UDP blaster for loopback/lab use; returns packets sent."""
+    """Real-socket CBR UDP blaster for loopback/lab use; returns packets sent.
+    It sends until duration_s has passed, and never sleeps past that."""
+    if rate_bps <= 0:
+        raise ValueError("rate must be positive")
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     payload = b"\x00" * packet_size_bytes
     interval = packet_size_bytes * 8 / rate_bps
@@ -119,7 +122,7 @@ def blast_udp(target: tuple[str, int], rate_bps: int, duration_s: float,
             sock.sendto(payload, target)
             sent += 1
             next_send += interval
-            sleep_for = next_send - time.monotonic()
+            sleep_for = min(next_send, deadline) - time.monotonic()
             if sleep_for > 0:
                 time.sleep(sleep_for)
     finally:

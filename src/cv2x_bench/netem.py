@@ -23,8 +23,13 @@ Two scheduler disciplines are provided:
       whatever budget remains is split max-min fair across background
       flows.
 
-Reliable flows (the TCP-carried application stream) never drop; droppable
-flows (UDP background load) tail-drop on enqueue above their queue cap.
+A flow is described by two facts.  Its priority class decides whether it
+may drop: an application flow (the TCP-carried stream) never drops, and a
+background flow (UDP load) tail-drops on enqueue above its queue cap.  Its
+cell decides where it is served: a flow added with a cell is served there
+only, and one added without follows the mobile terminal, served only from
+its serving cell and suspended during a handover interruption.
+
 Conservation, work-conservation, priority-dominance, and cap invariants
 are asserted on every tick that runs and raise InvariantViolation when
 broken; SimWorld.run_until skips only ticks without traffic.
@@ -50,11 +55,6 @@ class Direction(Enum):
 class PriorityClass(Enum):
     APPLICATION = "application"
     BACKGROUND = "background"
-
-
-class Reliability(Enum):
-    RELIABLE = "reliable"
-    DROPPABLE = "droppable"
 
 
 class SchedulerKind(Enum):
@@ -91,23 +91,6 @@ def tick_budget(cell: CellConfig, tick_interval_ns: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class FlowSpec:
-    flow_id: str
-    direction: Direction
-    priority_class: PriorityClass
-    reliability: Reliability
-    queue_cap_bytes: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if (self.reliability is Reliability.RELIABLE
-                and self.priority_class is not PriorityClass.APPLICATION):
-            raise ValueError(
-                f"flow {self.flow_id}: only application-class flows may be reliable")
-        if self.reliability is Reliability.DROPPABLE and self.queue_cap_bytes <= 0:
-            raise ValueError(f"flow {self.flow_id}: droppable flows need a positive queue cap")
-
-
-@dataclass(frozen=True)
 class HandoverEvent:
     time_ns: int
     from_cell: int
@@ -136,18 +119,6 @@ class MobilityRoute:
     def end_ns(self) -> int:
         return self.waypoints[-1][0]
 
-    def position_at(self, time_ns: int) -> tuple[float, float]:
-        pts = self.waypoints
-        if time_ns <= pts[0][0]:
-            return pts[0][1], pts[0][2]
-        if time_ns >= pts[-1][0]:
-            return pts[-1][1], pts[-1][2]
-        for (t0, x0, y0), (t1, x1, y1) in zip(pts, pts[1:]):
-            if t0 <= time_ns <= t1:
-                f = (time_ns - t0) / (t1 - t0)
-                return x0 + f * (x1 - x0), y0 + f * (y1 - y0)
-        raise AssertionError("unreachable")
-
 
 def _nearest(x: float, y: float, cells: list[CellConfig]) -> int:
     """Index of the cell nearest to (x, y); the first one on a tie."""
@@ -169,8 +140,10 @@ def apply_handover(route: MobilityRoute, cells: list[CellConfig],
     another cell is closer by more than the hysteresis margin.  The route
     is sampled on the tick grid, so an event time is the first sampled
     instant at which the switch condition holds.  The samples are taken in
-    one forward walk over the route's segments, at the positions
-    MobilityRoute.position_at gives.
+    one forward walk over the route's segments: a sample is interpolated
+    on the first segment that reaches it, so an interior waypoint's time
+    falls on the segment it ends, and the route's end is the last waypoint
+    itself.
     """
     if len(cells) < 2:
         raise ValueError("handover needs at least two cells")
@@ -190,7 +163,6 @@ def apply_handover(route: MobilityRoute, cells: list[CellConfig],
         span, dx, dy = t1 - t0, x1 - x0, y1 - y0
         while t <= t1:
             if t == end:
-                # position_at returns the last waypoint itself here
                 x, y = x1, y1
             else:
                 f = (t - t0) / span
@@ -253,16 +225,19 @@ Completion = tuple["FlowQueue", QueuedRun]
 
 
 class FlowQueue:
-    """One flow's queue plus its cumulative accounting counters."""
+    """One flow's queue plus its cumulative accounting counters.  Only a
+    background flow is droppable: it tail-drops above `cap_bits`."""
 
-    def __init__(self, spec: FlowSpec, cell_id: int | None = None,
-                 mobile: bool = False, suspendable: bool = False) -> None:
-        if cell_id is None and not mobile:
-            raise ValueError(f"flow {spec.flow_id}: fixed flows need a cell")
-        self.spec = spec
+    def __init__(self, flow_id: str, direction: Direction,
+                 priority_class: PriorityClass, cell_id: int | None,
+                 queue_cap_bytes: int) -> None:
+        self.droppable = priority_class is PriorityClass.BACKGROUND
+        if self.droppable and queue_cap_bytes <= 0:
+            raise ValueError(f"flow {flow_id}: background flows need a positive queue cap")
+        self.flow_id = flow_id
+        self.direction = direction
         self.cell_id = cell_id
-        self.mobile = mobile
-        self.suspendable = suspendable
+        self.cap_bits = queue_cap_bytes * 8
         self.packets: deque[QueuedRun] = deque()
         self.backlog_bits = 0
         self.offered_bits = 0
@@ -278,8 +253,8 @@ class FlowQueue:
         packet is an application packet (see QueuedRun)."""
         bits = count * size_bits
         self.offered_bits += bits
-        if self.spec.reliability is Reliability.DROPPABLE:
-            room = self.spec.queue_cap_bytes * 8 - self.backlog_bits
+        if self.droppable:
+            room = self.cap_bits - self.backlog_bits
             if room < bits:
                 accepted = max(0, room // size_bits)
                 self.dropped_bits += bits - accepted * size_bits
@@ -375,10 +350,10 @@ def _serve_waterfill(queues: list[FlowQueue], budget: int,
 @dataclass
 class _FlowGroup:
     """One direction of one cell: its per-tick bit budget and the flows it
-    may serve.  `views[2 * mobile_here + suspended]` holds, in flow order,
-    the flows eligible when the mobile terminal is (or is not) served by
-    this cell and a handover interruption is (or is not) in progress, as
-    (all, application class, background class)."""
+    may serve.  `views[serving == cell_id and not suspended]` holds, in
+    flow order, the flows eligible in a tick, as (all, application class,
+    background class): index 0 only the flows fixed to this cell, index 1
+    also those that follow the mobile terminal."""
 
     cell_id: int
     direction: Direction
@@ -405,14 +380,17 @@ class LinkSimulator:
         # the mobile terminal's handovers, sorted by time
         self.handovers: list[HandoverEvent] = []
 
-    def add_flow(self, spec: FlowSpec, cell_id: int | None = None,
-                 mobile: bool = False, suspendable: bool = False) -> FlowQueue:
-        if spec.flow_id in self.flows:
-            raise ValueError(f"duplicate flow id {spec.flow_id}")
+    def add_flow(self, flow_id: str, direction: Direction,
+                 priority_class: PriorityClass, cell_id: int | None,
+                 queue_cap_bytes: int = 1_000_000) -> FlowQueue:
+        """Add a flow served in cell `cell_id`, or with None one that follows
+        the mobile terminal (see the module docstring)."""
+        if flow_id in self.flows:
+            raise ValueError(f"duplicate flow id {flow_id}")
         if cell_id is not None and cell_id not in self.cells:
             raise ValueError(f"unknown cell {cell_id}")
-        q = FlowQueue(spec, cell_id=cell_id, mobile=mobile, suspendable=suspendable)
-        self.flows[spec.flow_id] = q
+        q = FlowQueue(flow_id, direction, priority_class, cell_id, queue_cap_bytes)
+        self.flows[flow_id] = q
         self._groups = None
         return q
 
@@ -460,23 +438,15 @@ class LinkSimulator:
                 for direction, budget in ((Direction.UPLINK, ul_budget),
                                           (Direction.DOWNLINK, dl_budget)):
                     flows = [q for q in self.flows.values()
-                             if q.spec.direction is direction
-                             and (q.mobile or q.cell_id == cell_id)]
+                             if q.direction is direction
+                             and q.cell_id in (None, cell_id)]
                     if not flows:
                         continue
-                    views = []
-                    for mobile_here in (False, True):
-                        for suspended in (False, True):
-                            eligible = [q for q in flows
-                                        if (mobile_here or not q.mobile)
-                                        and not (suspended and q.suspendable)]
-                            views.append((eligible,
-                                          [q for q in eligible
-                                           if q.spec.priority_class
-                                           is PriorityClass.APPLICATION],
-                                          [q for q in eligible
-                                           if q.spec.priority_class
-                                           is PriorityClass.BACKGROUND]))
+                    fixed = [q for q in flows if q.cell_id is not None]
+                    # only background flows are droppable
+                    views = [(eligible, [q for q in eligible if not q.droppable],
+                              [q for q in eligible if q.droppable])
+                             for eligible in (fixed, flows)]
                     self._groups.append(_FlowGroup(cell_id, direction, budget, views))
         return self._groups
 
@@ -487,7 +457,7 @@ class LinkSimulator:
         deliveries: list[Delivery] = []
         for group in self._flow_groups():
             cell_id, budget = group.cell_id, group.budget
-            eligible, app, bg = group.views[2 * (serving == cell_id) + suspended]
+            eligible, app, bg = group.views[serving == cell_id and not suspended]
             for q in eligible:
                 if q.backlog_bits:
                     break
@@ -513,7 +483,7 @@ class LinkSimulator:
                     f"work conservation broken in cell {cell_id} "
                     f"{group.direction.value}")
             for q, packet in completed:
-                deliveries.append(Delivery(flow_id=q.spec.flow_id,
+                deliveries.append(Delivery(flow_id=q.flow_id,
                                            size_bits=packet.size_bits,
                                            enqueue_ns=packet.enqueue_ns,
                                            delivery_ns=tick_end,
@@ -521,11 +491,10 @@ class LinkSimulator:
         for q in self.flows.values():
             if q.offered_bits - q.served_bits - q.dropped_bits != q.backlog_bits:
                 raise InvariantViolation(
-                    f"conservation broken for flow {q.spec.flow_id}")
-            if (q.spec.reliability is Reliability.DROPPABLE
-                    and q.backlog_bits > q.spec.queue_cap_bytes * 8):
+                    f"conservation broken for flow {q.flow_id}")
+            if q.droppable and q.backlog_bits > q.cap_bits:
                 raise InvariantViolation(
-                    f"queue cap exceeded for flow {q.spec.flow_id}")
+                    f"queue cap exceeded for flow {q.flow_id}")
         return deliveries
 
 

@@ -29,10 +29,9 @@ from .agents import (DOWNLINK_TOPIC, UPLINK_TOPIC, ProcessingDelay,
 from .broker import Broker
 from .clockmodel import DriftingClock, OffsetProvider
 from .loadgen import (DEFAULT_PACKET_BYTES, CbrPacketSource, parse_load)
-from .netem import (CellConfig, Direction, FlowSpec, HandoverEvent,
-                    LinkSimulator, MobilityRoute, PriorityClass, Reliability,
-                    SchedulerKind, SimWorld, apply_handover,
-                    initial_serving_cell, tick_budget)
+from .netem import (CellConfig, Direction, HandoverEvent, LinkSimulator,
+                    MobilityRoute, PriorityClass, SchedulerKind, SimWorld,
+                    apply_handover, initial_serving_cell, tick_budget)
 from .protocol import FRAME_OVERHEAD
 
 SEED_ENV_VAR = "CV2X_SEED"
@@ -65,7 +64,7 @@ class ConfigError(ValueError):
     """
 
 
-def _at_least(minimum, *, default):
+def _at_least(minimum, *, default=MISSING):
     """A config field whose parsed value must be >= minimum."""
     return field(default=default, metadata={"minimum": minimum})
 
@@ -274,11 +273,13 @@ def _schema(cls: type) -> tuple[tuple[str, object, object, bool], ...]:
 
 def _parse(tp, value, path: str, minimum=None):
     """Read a JSON value as type tp, which is a config dataclass,
-    `X | None`, a tuple, str, int or float.  Every error is a ConfigError
-    naming the field's path."""
-    if is_dataclass(tp):
+    `X | None`, a tuple, dict (any JSON object), str, int or float.  Every
+    error is a ConfigError naming the field's path."""
+    if is_dataclass(tp) or tp is dict:
         if not isinstance(value, dict):
             raise ConfigError(f"{path} must be an object")
+        if tp is dict:
+            return value
         schema = _schema(tp)
         _check_keys(value, [name for name, *_ in schema], path)
         kwargs = {}
@@ -353,13 +354,16 @@ def config_from_obj(obj: dict) -> ScenarioConfig:
     return _parse(ScenarioConfig, obj, "config")
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
+def _read_json(path: str | Path):
     with open(path, "r", encoding="utf-8") as fp:
         try:
-            obj = json.load(fp)
+            return json.load(fp)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return config_from_obj(obj)
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    return config_from_obj(_read_json(path))
 
 
 def derive_seed(master_seed: int, label: str) -> int:
@@ -438,10 +442,8 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
                           cfg.load.packet_size_bytes)
         for i in range(load.ue_count):
             flow_id = f"bg-{attr}-{i}"
-            link.add_flow(FlowSpec(flow_id, direction, PriorityClass.BACKGROUND,
-                                   Reliability.DROPPABLE,
-                                   queue_cap_bytes=cfg.load.queue_cap_bytes),
-                          cell_id=sensor_cell)
+            link.add_flow(flow_id, direction, PriorityClass.BACKGROUND,
+                          sensor_cell, cfg.load.queue_cap_bytes)
             world.cbr_sources.append(
                 CbrPacketSource(flow_id, load.per_ue_rate_bps,
                                 load.packet_size_bytes, start_ns=start_ns,
@@ -553,45 +555,32 @@ def _run_real(cfg: ScenarioConfig) -> ScenarioResult:
 # Experiment matrix
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MatrixConfig:
-    master_seed: int
-    defaults: dict
-    cells: list[dict]
+    """Scenario config objects, each merged over `defaults` and seeded from
+    `master_seed` and its name unless it sets a seed."""
+
+    master_seed: int = _at_least(0)
+    defaults: dict = field(default_factory=dict)
+    cells: tuple[dict, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.cells:
+            raise ConfigError("cells must be a non-empty list")
+        for i, cell in enumerate(self.cells):
+            if not isinstance(cell.get("name"), str) or not cell["name"]:
+                raise ConfigError(f"cells[{i}].name must be a non-empty string")
+        names = [cell["name"] for cell in self.cells]
+        if len(set(names)) != len(names):
+            raise ConfigError("cells must have unique names")
 
 
 def matrix_from_obj(obj: dict) -> MatrixConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("matrix config must be a JSON object")
-    _check_keys(obj, {"master_seed", "defaults", "cells"}, "matrix")
-    if "master_seed" not in obj:
-        raise ConfigError("matrix.master_seed is required")
-    master_seed = _num(obj["master_seed"], "matrix.master_seed", integer=True,
-                       minimum=0)
-    defaults = obj.get("defaults", {})
-    if not isinstance(defaults, dict):
-        raise ConfigError("matrix.defaults must be an object")
-    cells = obj.get("cells")
-    if not isinstance(cells, list) or not cells:
-        raise ConfigError("matrix.cells must be a non-empty list")
-    for i, cell in enumerate(cells):
-        if not isinstance(cell, dict):
-            raise ConfigError(f"matrix.cells[{i}] must be an object")
-        if not isinstance(cell.get("name"), str) or not cell["name"]:
-            raise ConfigError(f"matrix.cells[{i}].name must be a non-empty string")
-    names = [cell["name"] for cell in cells]
-    if len(set(names)) != len(names):
-        raise ConfigError("matrix cell names must be unique")
-    return MatrixConfig(master_seed=master_seed, defaults=defaults, cells=cells)
+    return _parse(MatrixConfig, obj, "matrix")
 
 
 def load_matrix_config(path: str | Path) -> MatrixConfig:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            obj = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return matrix_from_obj(obj)
+    return matrix_from_obj(_read_json(path))
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -643,11 +632,9 @@ def run_matrix(matrix: MatrixConfig, out_dir: str | Path) -> MatrixResult:
     stats = {name: res.stats("e2e") for name, res in results.items()}
     written = analysis.emit_report(stats, out)
     for name, res in results.items():
-        affected = {r.seq for r in analysis.detect_handover_affected(
-            res.records, res.handover_events)}
         analysis.write_per_packet_csv(
             res.records, out / f"per_packet_{analysis.safe_name(name)}.csv",
-            affected_seqs=affected)
+            affected_seqs=res.affected_seqs)
         analysis.emit_per_packet_chart(name, res.records, out)
     return MatrixResult(results=results, failures=failures, out_dir=out,
                         stats_csv=written[0])

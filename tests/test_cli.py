@@ -9,6 +9,8 @@ import threading
 import time
 from pathlib import Path
 
+import pytest
+
 from cv2x_bench import cli, protocol, scenario
 from cv2x_bench.broker import Broker, BrokerClient
 
@@ -172,3 +174,27 @@ def test_broker_stops_on_sigint(capsys):
     assert time.monotonic() - started < 3.0
     assert capsys.readouterr().out.startswith("broker listening on 127.0.0.1:")
     assert signal.getsignal(signal.SIGINT) is before
+
+
+BAD_NUMBERS = [
+    (["sensor", "--connect", "127.0.0.1:9", "--rate", "0"], "--rate"),
+    (["sensor", "--connect", "127.0.0.1:9", "--size", "10"], "--size"),
+    (["sensor", "--connect", "127.0.0.1:9", "--source-id", "70000"], "--source-id"),
+    (["relay", "--connect", "127.0.0.1:9", "--proc-ms", "-1"], "--proc-ms"),
+    (["broker", "--listen", "127.0.0.1:99999"], "--listen"),
+    (["loadgen", "--target", "127.0.0.1:9", "--rate-mbps", "0",
+      "--duration", "0.01"], "--rate-mbps"),
+    (["loadgen", "--target", "127.0.0.1:9", "--rate-mbps", "-1",
+      "--duration", "0.01"], "--rate-mbps"),
+    (["loadgen", "--target", "127.0.0.1:9", "--rate-mbps", "1",
+      "--size", "70000", "--duration", "0.01"], "--size"),
+]
+
+
+@pytest.mark.parametrize("argv,option", BAD_NUMBERS,
+                         ids=[" ".join(argv) for argv, _ in BAD_NUMBERS])
+def test_bad_numbers_exit_2_naming_the_option(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {option}: " in capsys.readouterr().err

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import socket
+import time
+
 import pytest
 
-from cv2x_bench.loadgen import BackgroundLoad, CbrPacketSource, parse_load
+from cv2x_bench.loadgen import (BackgroundLoad, CbrPacketSource, blast_udp,
+                                parse_load)
 from cv2x_bench.netem import Direction
 
 TICK = 2_500_000
@@ -70,3 +74,39 @@ def test_cbr_stops_at_stop_time():
 def test_cbr_zero_rate_is_silent():
     src = CbrPacketSource("bg", 0, 1400)
     assert list(src.arrivals(0, 1_000_000_000)) == []
+
+
+def _received(sock: socket.socket) -> int:
+    sock.settimeout(0.5)
+    count = 0
+    try:
+        while True:
+            sock.recv(2048)
+            count += 1
+    except socket.timeout:
+        return count
+
+
+def test_blast_udp_sends_at_its_rate():
+    # 100-byte datagrams at 80 kbit/s: one every 10 ms, 25 in 0.25 s
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sink:
+        sink.bind(("127.0.0.1", 0))
+        sent = blast_udp(sink.getsockname(), 80_000, 0.25, packet_size_bytes=100)
+        assert 22 <= sent <= 27
+        assert _received(sink) == sent
+
+
+def test_blast_udp_never_sleeps_past_its_duration():
+    # one datagram every 2 s, for 0.1 s
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sink:
+        sink.bind(("127.0.0.1", 0))
+        started = time.monotonic()
+        assert blast_udp(sink.getsockname(), 400, 0.1, packet_size_bytes=100) == 1
+        assert time.monotonic() - started < 1.0
+        assert _received(sink) == 1
+
+
+@pytest.mark.parametrize("rate_bps", [0, -8_000])
+def test_blast_udp_rejects_a_rate_that_is_not_positive(rate_bps):
+    with pytest.raises(ValueError, match="rate must be positive"):
+        blast_udp(("127.0.0.1", 9), rate_bps, 0.01)

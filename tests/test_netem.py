@@ -6,13 +6,14 @@ from __future__ import annotations
 import pytest
 
 from cv2x_bench.loadgen import CbrPacketSource
-from cv2x_bench.netem import (CellConfig, Direction, FlowSpec, HandoverEvent,
+from cv2x_bench.netem import (CellConfig, Direction, HandoverEvent,
                               InvariantViolation, LinkSimulator, MobilityRoute,
-                              PriorityClass, Reliability, SchedulerKind,
-                              SimWorld, apply_handover,
-                              initial_serving_cell, tick_budget)
+                              PriorityClass, SchedulerKind, SimWorld,
+                              apply_handover, initial_serving_cell, tick_budget)
 
 MS = 1_000_000
+UL, DL = Direction.UPLINK, Direction.DOWNLINK
+APP, BG = PriorityClass.APPLICATION, PriorityClass.BACKGROUND
 
 
 def test_tick_budget_defaults():
@@ -25,27 +26,18 @@ def _one_cell_link(scheduler: SchedulerKind) -> LinkSimulator:
     return LinkSimulator([CellConfig(cell_id=1)], scheduler=scheduler)
 
 
-def _app_spec(flow_id="app", direction=Direction.UPLINK) -> FlowSpec:
-    return FlowSpec(flow_id, direction, PriorityClass.APPLICATION,
-                    Reliability.RELIABLE)
-
-
-def _bg_spec(flow_id="bg", direction=Direction.UPLINK,
-             cap_bytes=10_000_000) -> FlowSpec:
-    return FlowSpec(flow_id, direction, PriorityClass.BACKGROUND,
-                    Reliability.DROPPABLE, queue_cap_bytes=cap_bytes)
-
-
-def test_background_flows_must_be_droppable():
-    with pytest.raises(ValueError):
-        FlowSpec("x", Direction.UPLINK, PriorityClass.BACKGROUND,
-                 Reliability.RELIABLE)
+def test_only_background_flows_need_a_positive_queue_cap():
+    link = _one_cell_link(SchedulerKind.BL)
+    with pytest.raises(ValueError, match="positive queue cap"):
+        link.add_flow("bg", UL, BG, 1, 0)
+    link.add_flow("app", UL, APP, 1, 0)  # never drops, so its cap is unused
+    assert link.enqueue("app", 8_000, 0) is True
 
 
 def test_ap_serves_application_first():
     link = _one_cell_link(SchedulerKind.AP)
-    link.add_flow(_app_spec(), cell_id=1)
-    link.add_flow(_bg_spec(), cell_id=1)
+    link.add_flow("app", UL, APP, 1)
+    link.add_flow("bg", UL, BG, 1, 10_000_000)
     link.enqueue("bg", 1_000_000, 0)
     link.enqueue("app", 16_000, 0)
     deliveries = link.run_tick(0)
@@ -57,9 +49,9 @@ def test_ap_serves_application_first():
 
 def test_ap_background_residual_split_fairly():
     link = _one_cell_link(SchedulerKind.AP)
-    link.add_flow(_app_spec(), cell_id=1)
-    link.add_flow(_bg_spec("bg0"), cell_id=1)
-    link.add_flow(_bg_spec("bg1"), cell_id=1)
+    link.add_flow("app", UL, APP, 1)
+    link.add_flow("bg0", UL, BG, 1, 10_000_000)
+    link.add_flow("bg1", UL, BG, 1, 10_000_000)
     link.enqueue("bg0", 1_000_000, 0)
     link.enqueue("bg1", 1_000_000, 0)
     link.enqueue("app", 16_000, 0)
@@ -73,8 +65,8 @@ def test_bl_work_conserving_when_application_arrives_first():
     # the application packet is older than the backlog, so it drains fully
     # and the residual budget goes to the background queue
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow(_app_spec(), cell_id=1)
-    link.add_flow(_bg_spec(), cell_id=1)
+    link.add_flow("app", UL, APP, 1)
+    link.add_flow("bg", UL, BG, 1, 10_000_000)
     link.enqueue("app", 16_000, 0)
     link.enqueue("bg", 1_000_000, 0)
     link.run_tick(0)
@@ -86,8 +78,8 @@ def test_bl_is_arrival_ordered_best_effort():
     # under BL there is no QoS differentiation: earlier background bytes
     # delay the application packet
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow(_app_spec(), cell_id=1)
-    link.add_flow(_bg_spec(), cell_id=1)
+    link.add_flow("app", UL, APP, 1)
+    link.add_flow("bg", UL, BG, 1, 10_000_000)
     link.enqueue("bg", 150_000, 0)
     link.enqueue("app", 16_000, 0)
     deliveries = link.run_tick(0)
@@ -104,8 +96,8 @@ def test_bl_overload_backlog_grows_at_excess_rate_until_cap():
     # until the per-flow caps engage
     cap_bytes = 125_000  # 1 Mbit per flow
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow(_bg_spec("bg0", cap_bytes=cap_bytes), cell_id=1)
-    link.add_flow(_bg_spec("bg1", cap_bytes=cap_bytes), cell_id=1)
+    link.add_flow("bg0", UL, BG, 1, cap_bytes)
+    link.add_flow("bg1", UL, BG, 1, cap_bytes)
     per_tick_per_flow = 100_000  # 40 Mbps x 2.5 ms
     growth = []
     for tick in range(40):
@@ -124,7 +116,7 @@ def test_bl_overload_backlog_grows_at_excess_rate_until_cap():
 
 def test_droppable_tail_drop_on_enqueue_only():
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow(_bg_spec(cap_bytes=10_000), cell_id=1)
+    link.add_flow("bg", UL, BG, 1, 10_000)
     assert link.enqueue("bg", 60_000, 0) is True
     assert link.enqueue("bg", 60_000, 0) is False  # would exceed 80k bit cap
     q = link.flows["bg"]
@@ -135,7 +127,7 @@ def test_droppable_tail_drop_on_enqueue_only():
 
 def test_reliable_flow_never_drops():
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow(_app_spec(), cell_id=1)
+    link.add_flow("app", UL, APP, 1)
     for i in range(100):
         assert link.enqueue("app", 500_000, 0) is True
     assert link.flows["app"].dropped_bits == 0
@@ -143,8 +135,8 @@ def test_reliable_flow_never_drops():
 
 def test_conservation_counters_hold_across_ticks():
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow(_app_spec(), cell_id=1)
-    link.add_flow(_bg_spec(cap_bytes=50_000), cell_id=1)
+    link.add_flow("app", UL, APP, 1)
+    link.add_flow("bg", UL, BG, 1, 50_000)
     for tick in range(50):
         t = tick * link.tick_ns
         link.enqueue("app", 30_000, t)
@@ -156,7 +148,7 @@ def test_conservation_counters_hold_across_ticks():
 
 def test_invariant_checks_are_live():
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow(_app_spec(), cell_id=1)
+    link.add_flow("app", UL, APP, 1)
     link.enqueue("app", 10_000, 0)
     link.flows["app"].backlog_bits += 1  # corrupt the accounting
     with pytest.raises(InvariantViolation):
@@ -196,8 +188,7 @@ def test_empty_route_rejected():
 
 def test_no_service_to_suspended_terminal_inside_window():
     link = LinkSimulator(TWO_CELLS, scheduler=SchedulerKind.BL)
-    link.add_flow(_app_spec("dl", Direction.DOWNLINK), mobile=True,
-                  suspendable=True)
+    link.add_flow("dl", DL, APP, None)
     event = HandoverEvent(time_ns=10 * link.tick_ns, from_cell=2, to_cell=1,
                           interruption_ns=20 * link.tick_ns)
     link.set_mobility(2, [event])
@@ -210,6 +201,19 @@ def test_no_service_to_suspended_terminal_inside_window():
     assert len(deliveries) == 1
     assert deliveries[0].delivery_ns == window_end + link.tick_ns
     assert deliveries[0].cell_id == 1  # served by the new cell
+
+
+def test_a_flow_with_a_cell_is_served_through_a_handover():
+    # the vehicle leaves cell 2 at 0 and is out of service for 10 ticks;
+    # the flow fixed to cell 2 is not, the one that follows the vehicle is
+    link = LinkSimulator(TWO_CELLS, scheduler=SchedulerKind.BL)
+    link.add_flow("ul", UL, APP, 2)
+    link.add_flow("dl", DL, APP, None)
+    link.set_mobility(2, [HandoverEvent(time_ns=0, from_cell=2, to_cell=1,
+                                        interruption_ns=10 * link.tick_ns)])
+    link.enqueue("ul", 8_000, 0)
+    link.enqueue("dl", 8_000, 0)
+    assert [(d.flow_id, d.cell_id) for d in link.run_tick(0)] == [("ul", 2)]
 
 
 def test_serving_cell_timeline():
@@ -227,8 +231,8 @@ def _run_world_with_cbr(rate_bps: int, until_ns: int):
     """Application packets sharing a BL uplink with CBR background load;
     returns the deliveries, each flow's accounting and the ticks run."""
     link = LinkSimulator([CellConfig(cell_id=1)], scheduler=SchedulerKind.BL)
-    link.add_flow(_bg_spec(), cell_id=1)
-    link.add_flow(_app_spec(), cell_id=1)
+    link.add_flow("bg", UL, BG, 1, 10_000_000)
+    link.add_flow("app", UL, APP, 1)
     world = SimWorld(link)
     world.cbr_sources.append(CbrPacketSource("bg", rate_bps, 1400))
     deliveries = []
@@ -257,7 +261,7 @@ def test_idle_link_latency_is_alignment_plus_constant():
     # 1 kB frames at 10 Hz on an idle uplink: every packet is delivered at
     # the end of its arrival tick, i.e. within one tick of slot alignment
     link = LinkSimulator([CellConfig(cell_id=1)], scheduler=SchedulerKind.BL)
-    link.add_flow(_app_spec(), cell_id=1)
+    link.add_flow("app", UL, APP, 1)
     world = SimWorld(link)
     delays = []
     world.on_delivery = lambda d: delays.append(d.delivery_ns - d.enqueue_ns)

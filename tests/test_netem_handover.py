@@ -1,5 +1,6 @@
 """apply_handover's one-pass route walk against the per-sample loop it
-replaced, kept here verbatim as the reference."""
+replaced, kept here verbatim as the reference together with the segment
+search that located each sample."""
 
 from __future__ import annotations
 
@@ -16,6 +17,19 @@ def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
+def position_at(route: MobilityRoute, time_ns: int) -> tuple[float, float]:
+    pts = route.waypoints
+    if time_ns <= pts[0][0]:
+        return pts[0][1], pts[0][2]
+    if time_ns >= pts[-1][0]:
+        return pts[-1][1], pts[-1][2]
+    for (t0, x0, y0), (t1, x1, y1) in zip(pts, pts[1:]):
+        if t0 <= time_ns <= t1:
+            f = (time_ns - t0) / (t1 - t0)
+            return x0 + f * (x1 - x0), y0 + f * (y1 - y0)
+    raise AssertionError("unreachable")
+
+
 def reference_apply_handover(route: MobilityRoute, cells: list[CellConfig],
                              hysteresis_m: float = 5.0,
                              interruption_ns: int = 50_000_000,
@@ -24,12 +38,12 @@ def reference_apply_handover(route: MobilityRoute, cells: list[CellConfig],
         raise ValueError("handover needs at least two cells")
     if sample_ns <= 0:
         raise ValueError("sample interval must be positive")
-    start_pos = route.position_at(route.start_ns)
+    start_pos = position_at(route, route.start_ns)
     serving = min(cells, key=lambda c: _distance(start_pos, c.position))
     events: list[HandoverEvent] = []
     t = route.start_ns
     while t <= route.end_ns:
-        pos = route.position_at(t)
+        pos = position_at(route, t)
         nearest = min(cells, key=lambda c: _distance(pos, c.position))
         if (nearest.cell_id != serving.cell_id
                 and _distance(pos, nearest.position)
@@ -112,7 +126,7 @@ def test_interior_waypoint_is_interpolated_not_copied():
     cells = [CellConfig(cell_id=1, position=(0.9 - 0.6, 0.0)),
              CellConfig(cell_id=2, position=(0.9 + 0.6, 0.0))]
     route = MobilityRoute(((0, 0.3, 0.0), (10, 0.9, 0.0), (20, 2.1, 0.0)))
-    assert route.position_at(10)[0] > 0.9
+    assert position_at(route, 10)[0] > 0.9
     events = apply_handover(route, cells, hysteresis_m=0.0, sample_ns=5)
     assert events == reference_apply_handover(route, cells, hysteresis_m=0.0,
                                               sample_ns=5)

@@ -17,9 +17,9 @@ from functools import partial
 import pytest
 
 from cv2x_bench.loadgen import CbrPacketSource
-from cv2x_bench.netem import (CellConfig, Direction, FlowSpec, HandoverEvent,
-                              LinkSimulator, PriorityClass, Reliability,
-                              SchedulerKind, SimWorld)
+from cv2x_bench.netem import (CellConfig, Direction, HandoverEvent,
+                              LinkSimulator, PriorityClass, SchedulerKind,
+                              SimWorld)
 
 TICK = 2_500_000
 TICKS = 400
@@ -92,16 +92,12 @@ def _build(params: Params):
                         dl_capacity_bps=params.dl_capacity_bps)
              for cell in (1, 2)]
     link = LinkSimulator(cells, scheduler=params.scheduler)
-    link.add_flow(FlowSpec("app-ul", Direction.UPLINK, PriorityClass.APPLICATION,
-                           Reliability.RELIABLE), cell_id=1)
-    link.add_flow(FlowSpec("app-dl", Direction.DOWNLINK, PriorityClass.APPLICATION,
-                           Reliability.RELIABLE), mobile=True, suspendable=True)
+    link.add_flow("app-ul", Direction.UPLINK, PriorityClass.APPLICATION, 1)
+    link.add_flow("app-dl", Direction.DOWNLINK, PriorityClass.APPLICATION, None)
     link.set_mobility(1, params.handovers)
     world = SimWorld(link, base_delay_ns=BASE_DELAY, start_ns=params.start_ns)
     for flow_id, direction, rate, size, start, stop in params.sources:
-        link.add_flow(FlowSpec(flow_id, direction, PriorityClass.BACKGROUND,
-                               Reliability.DROPPABLE, queue_cap_bytes=4 * size),
-                      cell_id=1)
+        link.add_flow(flow_id, direction, PriorityClass.BACKGROUND, 1, 4 * size)
         world.cbr_sources.append(CbrPacketSource(
             flow_id, rate, size, start_ns=params.start_ns + start,
             stop_ns=None if stop is None else params.start_ns + stop))
@@ -174,8 +170,7 @@ def test_skipping_idle_ticks_matches_stepping_every_tick(scheduler, seed):
 
 def test_skip_lands_on_the_tick_of_the_next_event():
     link = LinkSimulator([CellConfig(cell_id=1)])
-    link.add_flow(FlowSpec("app", Direction.UPLINK, PriorityClass.APPLICATION,
-                           Reliability.RELIABLE), cell_id=1)
+    link.add_flow("app", Direction.UPLINK, PriorityClass.APPLICATION, 1)
     world = SimWorld(link, start_ns=7)
     seen = []
     world.on_delivery = seen.append
@@ -190,8 +185,7 @@ def test_skip_lands_on_the_tick_of_the_next_event():
 
 def test_live_cbr_source_blocks_skipping():
     link = LinkSimulator([CellConfig(cell_id=1)])
-    link.add_flow(FlowSpec("bg", Direction.UPLINK, PriorityClass.BACKGROUND,
-                           Reliability.DROPPABLE), cell_id=1)
+    link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1)
     world = SimWorld(link)
     # the first packet arrives only after 40 ticks, the source stops at 60
     world.cbr_sources.append(CbrPacketSource("bg", 1_000_000, 1000,

@@ -17,9 +17,9 @@ from functools import partial
 import pytest
 
 from cv2x_bench.loadgen import CbrPacketSource
-from cv2x_bench.netem import (CellConfig, Delivery, Direction, FlowSpec,
-                              LinkSimulator, PriorityClass, Reliability,
-                              SchedulerKind, SimWorld)
+from cv2x_bench.netem import (CellConfig, Delivery, Direction,
+                              LinkSimulator, PriorityClass, SchedulerKind,
+                              SimWorld)
 
 TICK = 2_500_000
 TICKS = 120
@@ -125,13 +125,10 @@ def _run(params: Params, world_cls) -> tuple[list, list, LinkSimulator]:
                                      dl_capacity_bps=params.dl_capacity_bps)],
                          scheduler=params.scheduler)
     for flow_id, direction in APP_FLOWS.items():
-        link.add_flow(FlowSpec(flow_id, direction, PriorityClass.APPLICATION,
-                               Reliability.RELIABLE), cell_id=1)
+        link.add_flow(flow_id, direction, PriorityClass.APPLICATION, 1)
     world = world_cls(link)
     for s in params.sources:
-        link.add_flow(FlowSpec(s.flow_id, s.direction, PriorityClass.BACKGROUND,
-                               Reliability.DROPPABLE, queue_cap_bytes=s.cap_bytes),
-                      cell_id=1)
+        link.add_flow(s.flow_id, s.direction, PriorityClass.BACKGROUND, 1, s.cap_bytes)
         world.cbr_sources.append(s.build())
     tags = itertools.count()
 
@@ -182,8 +179,7 @@ def test_identical_sources_alternate_packet_by_packet():
                          scheduler=SchedulerKind.BL)
     world = SimWorld(link)
     for i in range(2):
-        link.add_flow(FlowSpec(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND,
-                               Reliability.DROPPABLE), cell_id=1)
+        link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1)
         world.cbr_sources.append(CbrPacketSource(f"bg{i}", 8_000_000, 1000))
     world.run_tick()  # arrivals at 0, 1 and 2 ms; a 10,000-bit budget
     queued = [[(e.arrival_idx, e.count, e.remaining_bits)
@@ -196,9 +192,7 @@ def test_single_source_tick_is_one_run():
     link = LinkSimulator([CellConfig(cell_id=1, ul_capacity_bps=400)],
                          scheduler=SchedulerKind.BL)
     world = SimWorld(link)
-    link.add_flow(FlowSpec("bg", Direction.UPLINK, PriorityClass.BACKGROUND,
-                           Reliability.DROPPABLE, queue_cap_bytes=10_000),
-                  cell_id=1)
+    link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1, 10_000)
     world.cbr_sources.append(CbrPacketSource("bg", 40_000_000, 1400))
     world.run_tick()
     q = link.flows["bg"]
@@ -214,8 +208,7 @@ def test_application_packets_and_runs_never_merge():
     # the entry before them if the queue did not keep packets apart
     link = LinkSimulator([CellConfig(cell_id=1, ul_capacity_bps=1_000_000)],
                          scheduler=SchedulerKind.BL)
-    link.add_flow(FlowSpec("ue", Direction.UPLINK, PriorityClass.APPLICATION,
-                           Reliability.RELIABLE), cell_id=1)
+    link.add_flow("ue", Direction.UPLINK, PriorityClass.APPLICATION, 1)
     assert link.enqueue("ue", 800, 5, meta={"tag": "first"}) is True
     assert link.enqueue_run("ue", 3, 800) == 3
     assert link.enqueue("ue", 800, 6, meta={"tag": "second"}) is True
@@ -237,9 +230,7 @@ def test_tail_drop_at_the_cap_boundary():
     # bit more is dropped, for single packets and for runs alike
     link = LinkSimulator([CellConfig(cell_id=1, ul_capacity_bps=400)],
                          scheduler=SchedulerKind.BL)
-    link.add_flow(FlowSpec("bg", Direction.UPLINK, PriorityClass.BACKGROUND,
-                           Reliability.DROPPABLE, queue_cap_bytes=10_000),
-                  cell_id=1)
+    link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1, 10_000)
     assert link.enqueue("bg", 40_000, 0) is True
     assert link.enqueue("bg", 40_001, 0) is False
     assert link.enqueue_run("bg", 3, 13_334) == 2
@@ -259,9 +250,7 @@ def test_arrivals_on_tick_edges_are_enqueued_once():
     arrived = dict.fromkeys(starts, 0)
     references = []
     for flow_id, start_ns in starts.items():
-        link.add_flow(FlowSpec(flow_id, Direction.UPLINK,
-                               PriorityClass.BACKGROUND, Reliability.DROPPABLE),
-                      cell_id=1)
+        link.add_flow(flow_id, Direction.UPLINK, PriorityClass.BACKGROUND, 1)
         world.cbr_sources.append(CbrPacketSource(flow_id, 8_000_000, 1250,
                                                  start_ns=start_ns))
         references.append(CbrPacketSource(flow_id, 8_000_000, 1250,

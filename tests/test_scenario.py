@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import gc
 import json
@@ -212,6 +213,26 @@ def test_matrix_outputs_land_in_per_cell_directories(tmp_path):
         assert (tmp_path / name / f"{name}.config.json").exists()
         assert (tmp_path / f"cdf_{name}.csv").exists()
         assert (tmp_path / f"per_packet_{name}.csv").exists()
+
+
+def test_per_packet_affected_column_is_the_emulators_own_set(tmp_path):
+    # NTP estimates up to 20 ms off: the clock-corrected check misjudges
+    # packets near the interruption's edges, the emulator does not
+    ntp = {"ntp": {"period_s": 0, "noise_bound_ns": 20_000_000}}
+    matrix = scenario.MatrixConfig(master_seed=0, defaults={}, cells=[{
+        "name": "noisy-handover", "seed": 3, "duration_s": 30.0,
+        "message": {"size_bytes": 1000, "rate_hz": 200.0},
+        "mobility": {"waypoints": [[0, 120.0, 0.0], [30_000_000_000, 80.0, 0.0]]},
+        "agents": {"relay": ntp, "vehicle": ntp}}])
+    res = run_matrix(matrix, tmp_path).results["noisy-handover"]
+    with open(tmp_path / "per_packet_noisy-handover.csv", encoding="utf-8") as fp:
+        flagged = {int(row["seq"]) for row in csv.DictReader(fp)
+                   if row["affected"] == "1"}
+    assert len(res.affected_seqs) == 10
+    assert flagged == res.affected_seqs
+    estimated = {r.seq for r in analysis.detect_handover_affected(
+        res.records, res.handover_events)}
+    assert estimated - flagged == {3372, 3373, 3386, 3387}
 
 
 def test_zero_per_tick_budget_names_the_field():
