@@ -6,12 +6,11 @@ handover), and clock-sync-corrected latency analysis.
 """
 
 from .analysis import LatencyStats, PacketRecord, cdf, ingest, percentile, summarize
-from .clockmodel import (DriftingClock, OffsetEstimate, OffsetProvider,
-                         corrected_latency_dl, corrected_latency_e2e,
-                         corrected_latency_ul, ntp_query)
-from .netem import (CellConfig, Direction, HandoverEvent, LinkSimulator,
+from .clockmodel import (DriftingClock, OffsetProvider, corrected_latency_dl,
+                         corrected_latency_e2e, corrected_latency_ul, ntp_query)
+from .netem import (Cell, Direction, HandoverEvent, LinkSimulator,
                     MobilityRoute, PriorityClass, SchedulerKind, SimWorld,
-                    apply_handover, tick_budget)
+                    apply_handover)
 from .protocol import (V2XMessage, compute_checksum, decode, encode,
                        make_padded_payload)
 from .scenario import (ScenarioConfig, ScenarioResult, load_config,

@@ -112,10 +112,10 @@ class SimSensor:
     def build_frame(self, reference_ns: int) -> bytes:
         seq = self.next_seq
         self.next_seq += 1
-        est = self.provider.estimate_at(reference_ns)
+        e1 = self.provider.estimate_at(reference_ns)
         msg = protocol.V2XMessage(
             source_id=self.source_id, seq=seq,
-            t1=self.clock.local_now(reference_ns), e1=est.estimate_ns,
+            t1=self.clock.local_now(reference_ns), e1=e1,
             payload=protocol.make_padded_payload(self.frame_size_bytes,
                                                  self.payload_seed, seq))
         return protocol.encode(msg)
@@ -141,17 +141,15 @@ class SimRelay:
         except protocol.ProtocolError:
             self.corrupt_drops += 1
             return None
-        est = self.provider.estimate_at(reference_ns)
+        msg.e2 = self.provider.estimate_at(reference_ns)
         msg.t2 = self.clock.local_now(reference_ns)
-        msg.e2 = est.estimate_ns
         return msg
 
     def forward(self, msg: protocol.V2XMessage, reference_ns: int) -> bytes:
         """Stamp t3/e3 and re-encode (stamps changed, so the checksum must be
         recomputed)."""
-        est = self.provider.estimate_at(reference_ns)
+        msg.e3 = self.provider.estimate_at(reference_ns)
         msg.t3 = self.clock.local_now(reference_ns)
-        msg.e3 = est.estimate_ns
         self.forwarded += 1
         return protocol.encode(msg)
 
@@ -167,7 +165,7 @@ class SimVehicle:
 
     def receive(self, frame: bytes, reference_ns: int, serving_cell: int,
                 gt_ul: int, gt_dl: int, affected: bool = False) -> PacketRecord:
-        est = self.provider.estimate_at(reference_ns)
+        e4 = self.provider.estimate_at(reference_ns)
         t4 = self.clock.local_now(reference_ns)
         try:
             msg = protocol.decode(frame)
@@ -179,7 +177,7 @@ class SimVehicle:
         rec = PacketRecord(
             source_id=msg.source_id, seq=msg.seq,
             t1=msg.t1, t2=msg.t2, t3=msg.t3, t4=t4,
-            e1=msg.e1, e2=msg.e2, e3=msg.e3, e4=est.estimate_ns,
+            e1=msg.e1, e2=msg.e2, e3=msg.e3, e4=e4,
             frame_size=len(frame), serving_cell=serving_cell,
             corrupt=corrupt, gt_ul=gt_ul, gt_dl=gt_dl)
         self.records.append(rec)

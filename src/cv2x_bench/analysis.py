@@ -214,37 +214,16 @@ def summarize(records: list[PacketRecord], which: str = "e2e",
 
 def detect_handover_affected(records: list[PacketRecord],
                              events: list[HandoverEvent]) -> list[PacketRecord]:
-    """Records whose downlink leg was hit by a handover interruption.
-
-    With emulator ground truth available (gt_dl >= 0) a record is affected
-    iff its clock-corrected downlink interval [t3+e3, t4+e4) intersects an
-    interruption window.  That is exact only when the offset estimates are
-    exact: estimation error can misjudge a packet near a window's edge,
-    which is why run_matrix takes the emulator's own set
-    (ScenarioResult.affected_seqs).  For real-socket logs this falls back
-    to a labeled heuristic: anything slower than the p99 of the traffic
-    outside the windows counts as affected.
+    """Uncorrupted records whose downlink leg was hit by a handover
+    interruption: their clock-corrected downlink interval [t3+e3, t4+e4)
+    intersects an interruption window.  That is exact only when the offset
+    estimates are exact: estimation error can misjudge a packet near a
+    window's edge, which is why run_matrix takes the emulator's own set
+    (ScenarioResult.affected_seqs).
     """
-    windows = sorted((e.time_ns, e.time_ns + e.interruption_ns) for e in events)
-    if not windows:
-        return []
-    usable = [r for r in records if not r.corrupt]
-
-    def interval(rec: PacketRecord) -> tuple[int, int]:
-        return rec.t3 + rec.e3, rec.t4 + rec.e4
-
-    def in_window(rec: PacketRecord) -> bool:
-        start, end = interval(rec)
-        return any(start < w1 and end > w0 for w0, w1 in windows)
-
-    sim_mode = bool(usable) and all(r.gt_dl >= 0 for r in usable)
-    if sim_mode:
-        return [r for r in usable if in_window(r)]
-    outside = [corrected_latency_dl(r) for r in usable if not in_window(r)]
-    if not outside:
-        return list(usable)
-    threshold = percentile(outside, 0.99)
-    return [r for r in usable if corrected_latency_dl(r) > threshold]
+    windows = [(e.time_ns, e.time_ns + e.interruption_ns) for e in events]
+    return [r for r in records if not r.corrupt
+            and any(r.t3 + r.e3 < w1 and r.t4 + r.e4 > w0 for w0, w1 in windows)]
 
 
 def safe_name(name: str) -> str:
@@ -280,9 +259,11 @@ def write_per_packet_csv(records: list[PacketRecord], path: str | Path,
             if rec.corrupt:
                 writer.writerow([rec.seq, "", "", "", rec.serving_cell, 1, 0])
                 continue
+            # a frame sent straight to the vehicle has no relay stamps
+            relayed = rec.t2 and rec.t3
             writer.writerow([rec.seq,
-                             corrected_latency_ul(rec),
-                             corrected_latency_dl(rec),
+                             corrected_latency_ul(rec) if relayed else "",
+                             corrected_latency_dl(rec) if relayed else "",
                              corrected_latency_e2e(rec),
                              rec.serving_cell, 0,
                              1 if rec.seq in affected_seqs else 0])

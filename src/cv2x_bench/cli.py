@@ -49,6 +49,12 @@ def _host_port(text: str) -> tuple[str, int]:
     return host, _PORT(port)
 
 
+def _address(parser: argparse.ArgumentParser, option: str, **kwargs) -> None:
+    """The command's one host:port option, read as `args.address`."""
+    parser.add_argument(option, dest="address", metavar="HOST:PORT",
+                        type=_host_port, **kwargs)
+
+
 def _fmt_ms(ns: float) -> str:
     return f"{ns / 1e6:.3f} ms"
 
@@ -87,7 +93,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not records:
         print("no records in log", file=sys.stderr)
         return 1
-    stats = analysis.summarize(records, args.metric)
+    try:
+        stats = analysis.summarize(records, args.metric)
+    except ValueError as exc:  # no uncorrupted record, or one missing a stamp
+        print(f"error: {args.log}: {exc}", file=sys.stderr)
+        return 1
     name = Path(args.log).stem
     _print_stats(f"{name} [{args.metric}]", stats)
     if args.out:
@@ -109,7 +119,7 @@ def _cmd_init_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_broker(args: argparse.Namespace) -> int:
-    host, port = args.listen
+    host, port = args.address
     with Broker(host, port) as broker, _stop_event(0) as stop:
         print(f"broker listening on {broker.host}:{broker.port}", flush=True)
         stop.wait()
@@ -117,7 +127,7 @@ def _cmd_broker(args: argparse.Namespace) -> int:
 
 
 def _cmd_sensor(args: argparse.Namespace) -> int:
-    host, port = args.connect
+    host, port = args.address
     sent = run_real_sensor(host, port, frame_size_bytes=args.size,
                            rate_hz=args.rate, duration_s=args.duration,
                            source_id=args.source_id, topic=args.topic)
@@ -143,7 +153,7 @@ def _stop_event(duration_s: float) -> Iterator[threading.Event]:
 
 
 def _cmd_relay(args: argparse.Namespace) -> int:
-    host, port = args.connect
+    host, port = args.address
     processing = ProcessingDelay(constant_ns=round(args.proc_ms * 1e6))
     with _stop_event(args.duration) as stop:
         forwarded, corrupt = run_real_relay(host, port, stop=stop,
@@ -154,7 +164,7 @@ def _cmd_relay(args: argparse.Namespace) -> int:
 
 
 def _cmd_vehicle(args: argparse.Namespace) -> int:
-    host, port = args.connect
+    host, port = args.address
     with contextlib.closing(analysis.RecordWriter(args.log)) as sink, \
             _stop_event(args.duration) as stop:
         records = run_real_vehicle(host, port, stop=stop, topic=args.topic,
@@ -164,7 +174,7 @@ def _cmd_vehicle(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    sent = blast_udp(args.target, args.rate_mbps * 1e6, args.duration,
+    sent = blast_udp(args.address, args.rate_mbps * 1e6, args.duration,
                      packet_size_bytes=args.size)
     print(f"loadgen sent {sent} datagrams")
     return 0
@@ -197,11 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_init_matrix)
 
     p = sub.add_parser("broker", help="run the pub-sub broker")
-    p.add_argument("--listen", type=_host_port, default=("127.0.0.1", 4222))
+    _address(p, "--listen", default=("127.0.0.1", 4222))
     p.set_defaults(func=_cmd_broker)
 
     p = sub.add_parser("sensor", help="real-socket sensor agent")
-    p.add_argument("--connect", type=_host_port, required=True)
+    _address(p, "--connect", required=True)
     p.add_argument("--size", type=_bounded(int, FRAME_OVERHEAD), default=1000,
                    help="frame size in bytes")
     p.add_argument("--rate", type=_POSITIVE, default=10.0, help="messages per second")
@@ -211,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sensor)
 
     p = sub.add_parser("relay", help="real-socket edge relay agent")
-    p.add_argument("--connect", type=_host_port, required=True)
+    _address(p, "--connect", required=True)
     p.add_argument("--sub", default="UL")
     p.add_argument("--pub", default="DL")
     p.add_argument("--proc-ms", type=_NONNEGATIVE, default=0.0)
@@ -220,15 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_relay)
 
     p = sub.add_parser("vehicle", help="real-socket vehicle agent")
-    p.add_argument("--connect", type=_host_port, required=True)
+    _address(p, "--connect", required=True)
     p.add_argument("--log", required=True)
     p.add_argument("--topic", default="DL")
     p.add_argument("--duration", type=_NONNEGATIVE, default=0.0)
-    p.add_argument("--expected", type=int, default=None)
+    p.add_argument("--expected", type=_bounded(int, 1), default=None)
     p.set_defaults(func=_cmd_vehicle)
 
     p = sub.add_parser("loadgen", help="real-socket UDP background load")
-    p.add_argument("--target", type=_host_port, required=True)
+    _address(p, "--target", required=True)
     p.add_argument("--rate-mbps", type=_POSITIVE, required=True)
     p.add_argument("--duration", type=_NONNEGATIVE, default=10.0)
     p.add_argument("--size", type=_bounded(int, 1, 65507), default=1400,
@@ -242,12 +252,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (scenario.ConfigError, analysis.IngestError) as exc:
+    except (scenario.ConfigError, analysis.IngestError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        # a file error names its path; a socket error does not name its peer
+        address = getattr(args, "address", None)
+        where = f"{address[0]}:{address[1]}: " if address and not exc.filename else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Per-agent drifting clocks, NTP-style offset estimation, and the
 synchronization-corrected latency formulas.
 
-Sign convention used throughout: an offset estimate E is the value ADDED
-to a local timestamp to map it onto reference time (reference = local + E).
+Sign convention used throughout: an offset estimate E, a plain integer of
+nanoseconds, is the value ADDED to a local timestamp to map it onto
+reference time (reference = local + E).
 A clock that runs 2 ms fast therefore has a true offset of +2 ms and a
 perfect estimate of -2 ms.  The corrected one-way latencies are
 
@@ -60,35 +61,20 @@ class DriftingClock:
         return reading
 
 
-@dataclass(frozen=True)
-class OffsetEstimate:
-    """One NTP query result: the additive-to-local offset estimate."""
-
-    estimate_ns: int
-    error_bound_ns: int
-    queried_at_ns: int
-
-
 def ntp_query(clock: DriftingClock, reference_ns: int,
-              noise_bound_ns: int = 0,
-              rng: random.Random | None = None) -> OffsetEstimate:
+              noise_bound_ns: int = 0, rng: random.Random | None = None) -> int:
     """Estimate the clock's additive-to-local offset at a reference instant.
 
     With zero noise the estimate is exact: adding it to a (jitter-free)
     local reading taken at the same instant recovers reference time.  With
-    a nonzero bound b the estimate carries a uniform error in [-b, +b] and
-    reports b as its error bound.
+    a nonzero bound b the estimate carries a uniform error in [-b, +b],
+    drawn from rng.
     """
-    truth = -clock.true_offset_ns(reference_ns)
-    noise = 0
+    estimate = -clock.true_offset_ns(reference_ns)
     if noise_bound_ns > 0:
-        if rng is None:
-            rng = random.Random(clock.rng_seed ^ 0x6E74707E)
         noise = round(rng.uniform(-noise_bound_ns, noise_bound_ns))
-        noise = max(-noise_bound_ns, min(noise_bound_ns, noise))
-    return OffsetEstimate(estimate_ns=truth + noise,
-                          error_bound_ns=noise_bound_ns,
-                          queried_at_ns=reference_ns)
+        estimate += max(-noise_bound_ns, min(noise_bound_ns, noise))
+    return estimate
 
 
 class OffsetProvider:
@@ -109,18 +95,20 @@ class OffsetProvider:
         self.period_ns = period_ns
         self.noise_bound_ns = noise_bound_ns
         self._rng = random.Random(rng_seed)
-        self._last: OffsetEstimate | None = None
+        # the instant and value of the last query
+        self._queried_at: int | None = None
+        self._estimate = 0
 
-    def estimate_at(self, reference_ns: int) -> OffsetEstimate:
+    def estimate_at(self, reference_ns: int) -> int:
         if self.period_ns == 0:
-            self._last = ntp_query(self.clock, reference_ns,
-                                   self.noise_bound_ns, self._rng)
-            return self._last
+            return ntp_query(self.clock, reference_ns, self.noise_bound_ns,
+                             self._rng)
         query_time = (reference_ns // self.period_ns) * self.period_ns
-        if self._last is None or self._last.queried_at_ns < query_time:
-            self._last = ntp_query(self.clock, query_time,
-                                   self.noise_bound_ns, self._rng)
-        return self._last
+        if self._queried_at is None or self._queried_at < query_time:
+            self._queried_at = query_time
+            self._estimate = ntp_query(self.clock, query_time,
+                                       self.noise_bound_ns, self._rng)
+        return self._estimate
 
 
 class ZeroOffsetProvider:
@@ -131,9 +119,8 @@ class ZeroOffsetProvider:
     raw latencies coincide.
     """
 
-    def estimate_at(self, reference_ns: int) -> OffsetEstimate:
-        return OffsetEstimate(estimate_ns=0, error_bound_ns=0,
-                              queried_at_ns=reference_ns)
+    def estimate_at(self, reference_ns: int) -> int:
+        return 0
 
 
 def corrected_latency_ul(msg: V2XMessage) -> int:

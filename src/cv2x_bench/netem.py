@@ -4,12 +4,13 @@ The link is modeled as a fluid per-tick system.  One tick spans a full TDD
 pattern period: the pattern's slot count times the slot duration (default
 DDDSU at 0.5 ms slots = 2.5 ms), and LinkSimulator takes only that length.
 The scenario config checks that the pattern holds only D, U and S slots,
-but the letters set nothing else: each direction of each cell gets a bit
-budget per tick derived from its configured capacity, and the capacity
-figures already embed the uplink/downlink symbol split.  Queued packets
-are drained against that budget and a packet is delivered at the end of
-the tick in which its last bit is served, so an uncongested packet picks
-up at most one tick of slot-alignment delay.  A queue holds runs of
+but the letters set nothing else.  LinkSimulator takes the network's
+uplink and downlink capacities, which already embed the symbol split, and
+every cell gets the same bit budget per tick in a direction: its capacity
+times the tick length.  Queued packets are drained against that budget
+and a packet is delivered at the end of the tick in which its last bit is
+served, so an uncongested packet picks up at most one tick of
+slot-alignment delay.  A queue holds runs of
 back-to-back packets of one size; an application packet is a run of one
 that carries its enqueue time and meta, and only such a run yields a
 Delivery.
@@ -44,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 
 class Direction(Enum):
@@ -68,26 +69,9 @@ class InvariantViolation(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CellConfig:
+class Cell:
     cell_id: int
     position: tuple[float, float] = (0.0, 0.0)
-    ul_capacity_bps: int = 40_000_000
-    dl_capacity_bps: int = 130_000_000
-
-    def __post_init__(self) -> None:
-        if self.ul_capacity_bps <= 0 or self.dl_capacity_bps <= 0:
-            raise ValueError("cell capacities must be strictly positive")
-
-
-def tick_budget(cell: CellConfig, tick_interval_ns: int) -> tuple[int, int]:
-    """Per-tick (uplink, downlink) bit budgets for one cell.
-
-    The direction capacities already embed the TDD symbol split, so the
-    budget is simply capacity x tick length.
-    """
-    ul = (cell.ul_capacity_bps * tick_interval_ns) // 1_000_000_000
-    dl = (cell.dl_capacity_bps * tick_interval_ns) // 1_000_000_000
-    return ul, dl
 
 
 @dataclass(frozen=True)
@@ -120,7 +104,7 @@ class MobilityRoute:
         return self.waypoints[-1][0]
 
 
-def _nearest(x: float, y: float, cells: list[CellConfig]) -> int:
+def _nearest(x: float, y: float, cells: Sequence[Cell]) -> int:
     """Index of the cell nearest to (x, y); the first one on a tie."""
     best, best_d = 0, None
     for i, cell in enumerate(cells):
@@ -130,7 +114,7 @@ def _nearest(x: float, y: float, cells: list[CellConfig]) -> int:
     return best
 
 
-def apply_handover(route: MobilityRoute, cells: list[CellConfig],
+def apply_handover(route: MobilityRoute, cells: Sequence[Cell],
                    hysteresis_m: float = 5.0,
                    interruption_ns: int = 50_000_000,
                    sample_ns: int = 2_500_000) -> list[HandoverEvent]:
@@ -184,7 +168,7 @@ def apply_handover(route: MobilityRoute, cells: list[CellConfig],
     return events
 
 
-def initial_serving_cell(route: MobilityRoute, cells: list[CellConfig]) -> int:
+def initial_serving_cell(route: MobilityRoute, cells: Sequence[Cell]) -> int:
     start = route.waypoints[0]
     return cells[_nearest(start[1], start[2], cells)].cell_id
 
@@ -364,13 +348,22 @@ class _FlowGroup:
 class LinkSimulator:
     """Cells, flows, queues, and the per-tick scheduler."""
 
-    def __init__(self, cells: list[CellConfig], tick_ns: int = 2_500_000,
-                 scheduler: SchedulerKind = SchedulerKind.BL) -> None:
+    def __init__(self, cells: Sequence[Cell], tick_ns: int = 2_500_000,
+                 scheduler: SchedulerKind = SchedulerKind.BL, *,
+                 ul_capacity_bps: int = 40_000_000,
+                 dl_capacity_bps: int = 130_000_000) -> None:
         if not cells:
             raise ValueError("need at least one cell")
         self.tick_ns = tick_ns
         self.scheduler = scheduler
-        self.cells: dict[int, CellConfig] = {c.cell_id: c for c in cells}
+        # every cell serves each direction with the same per-tick budget
+        self.budgets = {Direction.UPLINK: ul_capacity_bps * tick_ns // 1_000_000_000,
+                        Direction.DOWNLINK: dl_capacity_bps * tick_ns // 1_000_000_000}
+        for direction, budget in self.budgets.items():
+            if budget <= 0:
+                raise ValueError(f"{direction.value} capacity gives {budget} "
+                                 f"bits per tick, which never drain a queue")
+        self.cells: dict[int, Cell] = {c.cell_id: c for c in cells}
         if len(self.cells) != len(cells):
             raise ValueError("cell ids must be unique")
         self.flows: dict[str, FlowQueue] = {}
@@ -433,10 +426,8 @@ class LinkSimulator:
     def _flow_groups(self) -> list[_FlowGroup]:
         if self._groups is None:
             self._groups = []
-            for cell_id, cell in self.cells.items():
-                ul_budget, dl_budget = tick_budget(cell, self.tick_ns)
-                for direction, budget in ((Direction.UPLINK, ul_budget),
-                                          (Direction.DOWNLINK, dl_budget)):
+            for cell_id in self.cells:
+                for direction, budget in self.budgets.items():
                     flows = [q for q in self.flows.values()
                              if q.direction is direction
                              and q.cell_id in (None, cell_id)]

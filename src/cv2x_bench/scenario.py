@@ -29,9 +29,9 @@ from .agents import (DOWNLINK_TOPIC, UPLINK_TOPIC, ProcessingDelay,
 from .broker import Broker
 from .clockmodel import DriftingClock, OffsetProvider
 from .loadgen import (DEFAULT_PACKET_BYTES, CbrPacketSource, parse_load)
-from .netem import (CellConfig, Direction, HandoverEvent, LinkSimulator,
+from .netem import (Cell, Direction, HandoverEvent, LinkSimulator,
                     MobilityRoute, PriorityClass, SchedulerKind, SimWorld,
-                    apply_handover, initial_serving_cell, tick_budget)
+                    apply_handover, initial_serving_cell)
 from .protocol import FRAME_OVERHEAD
 
 SEED_ENV_VAR = "CV2X_SEED"
@@ -146,12 +146,6 @@ class HandoverConfig:
 
 
 @dataclass(frozen=True)
-class CellSpec:
-    cell_id: int
-    position: tuple[float, float] = (0.0, 0.0)
-
-
-@dataclass(frozen=True)
 class NetworkConfig:
     pattern: str = "DDDSU"
     slot_duration_ns: int = _at_least(1, default=500_000)
@@ -160,7 +154,7 @@ class NetworkConfig:
     base_delay_ms: float = _at_least(0, default=2.0)
     ack_ratio: float = _at_least(0, default=0.05)
     handover: HandoverConfig = HandoverConfig()
-    cells: tuple[CellSpec, ...] = (CellSpec(1), CellSpec(2, (200.0, 0.0)))
+    cells: tuple[Cell, ...] = (Cell(1), Cell(2, (200.0, 0.0)))
 
     def __post_init__(self) -> None:
         if not self.pattern or self.pattern.upper().strip("DUS"):
@@ -172,9 +166,8 @@ class NetworkConfig:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"cells must have distinct cell_id values, got {ids}")
         # a direction whose per-tick budget rounds to 0 bits never drains
-        budgets = tick_budget(self.build_cells()[0], self.tick_ns)
-        for key, budget in zip(("ul_capacity_bps", "dl_capacity_bps"), budgets):
-            if budget == 0:
+        for key in ("ul_capacity_bps", "dl_capacity_bps"):
+            if getattr(self, key) * self.tick_ns < 1_000_000_000:
                 raise ConfigError(
                     f"{key} gives a per-tick budget of 0 bits at the "
                     f"{self.tick_ns} ns tick; it must be >= "
@@ -188,12 +181,6 @@ class NetworkConfig:
     def tick_ns(self) -> int:
         """One tick spans the pattern: its slot count x the slot duration."""
         return len(self.pattern) * self.slot_duration_ns
-
-    def build_cells(self) -> list[CellConfig]:
-        return [CellConfig(cell_id=cell.cell_id, position=cell.position,
-                           ul_capacity_bps=self.ul_capacity_bps,
-                           dl_capacity_bps=self.dl_capacity_bps)
-                for cell in self.cells]
 
 
 @dataclass(frozen=True)
@@ -394,15 +381,15 @@ class ScenarioResult:
 
 def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
     net = cfg.network
-    cells = net.build_cells()
     start_ns = RUN_EPOCH_NS
-    link = LinkSimulator(cells, net.tick_ns,
-                         scheduler=SchedulerKind(cfg.scheduler))
+    link = LinkSimulator(net.cells, net.tick_ns, SchedulerKind(cfg.scheduler),
+                         ul_capacity_bps=net.ul_capacity_bps,
+                         dl_capacity_bps=net.dl_capacity_bps)
     if cfg.mobility is not None:
         route = MobilityRoute(tuple((t + start_ns, x, y)
                                     for t, x, y in cfg.mobility.waypoints))
-        link.set_mobility(initial_serving_cell(route, cells), apply_handover(
-            route, cells, hysteresis_m=net.handover.hysteresis_m,
+        link.set_mobility(initial_serving_cell(route, net.cells), apply_handover(
+            route, net.cells, hysteresis_m=net.handover.hysteresis_m,
             interruption_ns=net.handover.interruption_ns, sample_ns=link.tick_ns))
     world = SimWorld(link, base_delay_ns=net.base_delay_ns, start_ns=start_ns)
 
@@ -431,7 +418,7 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
                      processing=cfg.agents.relay.processing_delay,
                      rng_seed=derive_seed(cfg.seed, "relay-proc"))
     vehicle = SimVehicle(vehicle_clock, provider_for("vehicle", vehicle_clock))
-    sensor_cell = cells[0].cell_id
+    sensor_cell = net.cells[0].cell_id
     # the pipeline adds the application flows, so they come before the
     # background flows in the link's flow order
     pipeline = SimPipeline(world, link, sensor, relay, vehicle,

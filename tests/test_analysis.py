@@ -222,18 +222,6 @@ def test_detect_half_open_boundaries():
     assert [r.seq for r in detect_handover_affected([rec], [overlapping])] == [0]
 
 
-def test_detect_real_mode_uses_outlier_heuristic():
-    # no ground truth: anything slower than the p99 of out-of-window
-    # traffic is flagged
-    records = [_record(i, dl=2 * MS, gt_ul=-1, gt_dl=-1) for i in range(100)]
-    records.append(_record(100, dl=80 * MS, gt_ul=-1, gt_dl=-1,
-                           t1=10**9 + 100 * 50 * MS))
-    events = [HandoverEvent(time_ns=1, from_cell=2, to_cell=1,
-                            interruption_ns=2)]
-    flagged = detect_handover_affected(records, events)
-    assert [r.seq for r in flagged] == [100]
-
-
 # -- reports ----------------------------------------------------------------
 
 def _stats(values) -> LatencyStats:

@@ -5,16 +5,18 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from cv2x_bench import cli, protocol, scenario
-from cv2x_bench.broker import Broker, BrokerClient
+from cv2x_bench import analysis, cli, protocol, scenario
+from cv2x_bench.broker import Broker, BrokerClient, recv_envelope, send_envelope
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+MS = 1_000_000
 
 
 def _frame(seq: int, flip_payload: bool = False) -> bytes:
@@ -91,6 +93,89 @@ def test_analyze_of_an_empty_log_exits_1(tmp_path, capsys):
     log.write_text("", encoding="utf-8")
     assert cli.main(["analyze", "--log", str(log)]) == 1
     assert capsys.readouterr().err == "no records in log\n"
+
+
+def _dl_direct_log(path: Path, corrupt: bool = False) -> None:
+    """The log a vehicle writes of frames a sensor published straight to
+    its topic: no relay stamps t2 and t3."""
+    records = [analysis.PacketRecord(source_id=1, seq=seq, t1=10**9 + seq * MS,
+                                     t4=10**9 + seq * MS + 3 * MS, frame_size=100,
+                                     corrupt=corrupt)
+               for seq in range(4)]
+    analysis.write_records(path, records)
+
+
+def test_analyze_of_an_all_corrupt_log_exits_1(tmp_path, capsys):
+    log = tmp_path / "corrupt.jsonl"
+    _dl_direct_log(log, corrupt=True)
+    assert cli.main(["analyze", "--log", str(log)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {log}: no usable records to summarize\n")
+
+
+def test_analyze_of_a_leg_without_its_stamps_exits_1(tmp_path, capsys):
+    log = tmp_path / "dl-direct.jsonl"
+    _dl_direct_log(log)
+    assert cli.main(["analyze", "--log", str(log), "--metric", "ul"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}: uplink latency needs t1 and t2 ")
+    assert err.count("\n") == 1
+    # the end-to-end figure needs only t1 and t4
+    report = tmp_path / "report"
+    assert cli.main(["analyze", "--log", str(log), "--out", str(report)]) == 0
+    assert "dl-direct [e2e]: n=4 mean=3.000 ms " in capsys.readouterr().out
+    rows = (report / "per_packet_dl-direct.csv").read_text().splitlines()
+    assert rows[1:] == [f"{seq},,,3000000,-1,0,0" for seq in range(4)]
+
+
+def _closed_port() -> int:
+    """A loopback port nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.mark.parametrize("command", [["relay"], ["vehicle", "--log", "v.jsonl"],
+                                     ["sensor", "--duration", "0.01"]],
+                         ids=["relay", "vehicle", "sensor"])
+def test_an_unreachable_broker_exits_1_naming_the_address(command, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    address = f"127.0.0.1:{_closed_port()}"
+    assert cli.main([command[0], "--connect", address, *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {address}: ") and err.count("\n") == 1
+
+
+def test_a_malformed_broker_message_exits_1_naming_the_address(capsys):
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        address = f"127.0.0.1:{server.getsockname()[1]}"
+
+        def answer() -> None:
+            conn, _ = server.accept()
+            with conn:
+                recv_envelope(conn)  # the relay's subscription
+                send_envelope(conn, "HELLO UL")
+                conn.recv(1)  # until the relay hangs up
+
+        peer = threading.Thread(target=answer, daemon=True)
+        peer.start()
+        assert cli.main(["relay", "--connect", address, "--duration", "5"]) == 1
+        peer.join(timeout=5.0)
+    assert (capsys.readouterr().err
+            == f"error: {address}: unexpected broker message 'HELLO UL'\n")
+
+
+def test_an_unwritable_log_exits_1_and_a_missing_directory_2(tmp_path, capsys):
+    address = f"127.0.0.1:{_closed_port()}"
+    # a directory cannot be opened as the log
+    assert cli.main(["vehicle", "--connect", address, "--log", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert err.count("\n") == 1
+    missing = tmp_path / "missing" / "v.jsonl"
+    assert cli.main(["vehicle", "--connect", address, "--log", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_vehicle_reports_the_records_in_its_log(tmp_path, capsys):
@@ -181,6 +266,8 @@ BAD_NUMBERS = [
     (["sensor", "--connect", "127.0.0.1:9", "--size", "10"], "--size"),
     (["sensor", "--connect", "127.0.0.1:9", "--source-id", "70000"], "--source-id"),
     (["relay", "--connect", "127.0.0.1:9", "--proc-ms", "-1"], "--proc-ms"),
+    (["vehicle", "--connect", "127.0.0.1:9", "--log", "/nonexistent/v.jsonl",
+      "--expected", "0"], "--expected"),
     (["broker", "--listen", "127.0.0.1:99999"], "--listen"),
     (["loadgen", "--target", "127.0.0.1:9", "--rate-mbps", "0",
       "--duration", "0.01"], "--rate-mbps"),

@@ -46,45 +46,51 @@ def test_ntp_query_sign_convention():
     # clock runs 2 ms fast; the estimate maps local back onto reference
     clock = DriftingClock(offset0_ns=2 * MS)
     est = ntp_query(clock, reference_ns=50 * MS)
-    assert est.estimate_ns == -2 * MS
-    assert clock.local_now(50 * MS) + est.estimate_ns == 50 * MS
+    assert est == -2 * MS
+    assert clock.local_now(50 * MS) + est == 50 * MS
 
 
 def test_ntp_query_ideal_clock_zero_estimate():
-    est = ntp_query(DriftingClock(), reference_ns=123)
-    assert est.estimate_ns == 0
-    assert est.error_bound_ns >= 0
+    assert ntp_query(DriftingClock(), reference_ns=123) == 0
 
 
 def test_ntp_query_noise_stays_within_bound():
     clock = DriftingClock(offset0_ns=7 * MS, drift_ppm=3.0)
     rng = random.Random(11)
     bound = 500_000
+    errors = set()
     for i in range(10_000):
         t = i * 1_000_000
         est = ntp_query(clock, t, noise_bound_ns=bound, rng=rng)
-        assert abs(est.estimate_ns - (-clock.true_offset_ns(t))) <= bound
-        assert est.error_bound_ns == bound
+        errors.add(est - (-clock.true_offset_ns(t)))
+    assert max(map(abs, errors)) <= bound
+    assert len(errors) > 1
 
 
 def test_offset_provider_period_caching():
+    # 20 ppm of drift moves the true offset by 20 us over the 1 s period
     clock = DriftingClock(offset0_ns=MS, drift_ppm=20.0)
-    provider = OffsetProvider(clock, period_ns=10_000)
-    first = provider.estimate_at(2_500)
-    again = provider.estimate_at(9_999)
-    assert again is first  # same period, cached
-    fresh = provider.estimate_at(10_000)
-    assert fresh.queried_at_ns == 10_000
-    assert first.queried_at_ns == 0
+    provider = OffsetProvider(clock, period_ns=1000 * MS)
+    assert provider.estimate_at(250 * MS) == -MS  # queried at 0
+    assert provider.estimate_at(999 * MS) == -MS  # same period, cached
+    assert provider.estimate_at(1000 * MS) == -MS - 20_000
+    assert provider.estimate_at(1999 * MS) == -MS - 20_000
+
+
+def test_offset_provider_reuses_a_noisy_estimate_within_its_period():
+    clock = DriftingClock(offset0_ns=MS)
+    provider = OffsetProvider(clock, period_ns=1000 * MS,
+                              noise_bound_ns=500_000, rng_seed=4)
+    first = provider.estimate_at(0)
+    assert all(provider.estimate_at(t * MS) == first for t in range(1, 1000))
+    assert provider.estimate_at(1000 * MS) != first
 
 
 def test_offset_provider_continuous_mode():
     clock = DriftingClock(offset0_ns=MS, drift_ppm=50.0)
     provider = OffsetProvider(clock, period_ns=0)
     for t in (0, 777, 123_456_789):
-        est = provider.estimate_at(t)
-        assert est.queried_at_ns == t
-        assert clock.local_now(t) + est.estimate_ns == t
+        assert clock.local_now(t) + provider.estimate_at(t) == t
 
 
 def test_corrected_ul_perfect_sync():
@@ -131,9 +137,9 @@ def test_perfect_estimates_recover_true_delay_exactly():
         t_recv = t_send + delay
         msg = V2XMessage(
             t1=sender.local_now(t_send),
-            e1=ntp_query(sender, t_send).estimate_ns,
+            e1=ntp_query(sender, t_send),
             t2=receiver.local_now(t_recv),
-            e2=ntp_query(receiver, t_recv).estimate_ns)
+            e2=ntp_query(receiver, t_recv))
         assert corrected_latency_ul(msg) == delay
 
 

@@ -6,10 +6,10 @@ from __future__ import annotations
 import pytest
 
 from cv2x_bench.loadgen import CbrPacketSource
-from cv2x_bench.netem import (CellConfig, Direction, HandoverEvent,
+from cv2x_bench.netem import (Cell, Direction, HandoverEvent,
                               InvariantViolation, LinkSimulator, MobilityRoute,
                               PriorityClass, SchedulerKind, SimWorld,
-                              apply_handover, initial_serving_cell, tick_budget)
+                              apply_handover, initial_serving_cell)
 
 MS = 1_000_000
 UL, DL = Direction.UPLINK, Direction.DOWNLINK
@@ -17,13 +17,17 @@ APP, BG = PriorityClass.APPLICATION, PriorityClass.BACKGROUND
 
 
 def test_tick_budget_defaults():
-    cell = CellConfig(cell_id=1)
-    assert tick_budget(cell, 2_500_000) == (100_000, 325_000)
-    assert tick_budget(cell, 0) == (0, 0)
+    assert LinkSimulator([Cell(1)], 2_500_000).budgets == {UL: 100_000, DL: 325_000}
+    with pytest.raises(ValueError, match="UL capacity gives 0 bits"):
+        LinkSimulator([Cell(1)], 0)
+    # 400 bps fills one bit per 2.5 ms tick, 399 bps none
+    with pytest.raises(ValueError, match="DL capacity gives 0 bits"):
+        LinkSimulator([Cell(1)], dl_capacity_bps=399)
+    assert LinkSimulator([Cell(1)], dl_capacity_bps=400).budgets[DL] == 1
 
 
 def _one_cell_link(scheduler: SchedulerKind) -> LinkSimulator:
-    return LinkSimulator([CellConfig(cell_id=1)], scheduler=scheduler)
+    return LinkSimulator([Cell(1)], scheduler=scheduler)
 
 
 def test_only_background_flows_need_a_positive_queue_cap():
@@ -157,8 +161,7 @@ def test_invariant_checks_are_live():
 
 # -- handover ---------------------------------------------------------------
 
-TWO_CELLS = [CellConfig(cell_id=1, position=(0.0, 0.0)),
-             CellConfig(cell_id=2, position=(200.0, 0.0))]
+TWO_CELLS = [Cell(1, (0.0, 0.0)), Cell(2, (200.0, 0.0))]
 
 
 def test_route_near_one_cell_yields_no_events():
@@ -230,7 +233,7 @@ def test_serving_cell_timeline():
 def _run_world_with_cbr(rate_bps: int, until_ns: int):
     """Application packets sharing a BL uplink with CBR background load;
     returns the deliveries, each flow's accounting and the ticks run."""
-    link = LinkSimulator([CellConfig(cell_id=1)], scheduler=SchedulerKind.BL)
+    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL)
     link.add_flow("bg", UL, BG, 1, 10_000_000)
     link.add_flow("app", UL, APP, 1)
     world = SimWorld(link)
@@ -260,7 +263,7 @@ def test_same_config_produces_identical_deliveries():
 def test_idle_link_latency_is_alignment_plus_constant():
     # 1 kB frames at 10 Hz on an idle uplink: every packet is delivered at
     # the end of its arrival tick, i.e. within one tick of slot alignment
-    link = LinkSimulator([CellConfig(cell_id=1)], scheduler=SchedulerKind.BL)
+    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL)
     link.add_flow("app", UL, APP, 1)
     world = SimWorld(link)
     delays = []
@@ -278,7 +281,7 @@ def test_idle_link_latency_is_alignment_plus_constant():
 
 
 def test_schedule_in_the_past_rejected():
-    world = SimWorld(LinkSimulator([CellConfig(cell_id=1)]))
+    world = SimWorld(LinkSimulator([Cell(1)]))
     world.run_tick()
     with pytest.raises(ValueError):
         world.schedule(0, lambda t: None)

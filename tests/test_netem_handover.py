@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from cv2x_bench.netem import (CellConfig, HandoverEvent, MobilityRoute,
+from cv2x_bench.netem import (Cell, HandoverEvent, MobilityRoute,
                               apply_handover, initial_serving_cell)
 
 
@@ -30,7 +30,7 @@ def position_at(route: MobilityRoute, time_ns: int) -> tuple[float, float]:
     raise AssertionError("unreachable")
 
 
-def reference_apply_handover(route: MobilityRoute, cells: list[CellConfig],
+def reference_apply_handover(route: MobilityRoute, cells: list[Cell],
                              hysteresis_m: float = 5.0,
                              interruption_ns: int = 50_000_000,
                              sample_ns: int = 2_500_000) -> list[HandoverEvent]:
@@ -70,7 +70,7 @@ def _random_case(seed: int):
         i, j = rng.sample(range(n_cells), 2)
         positions[j] = positions[i]
     ids = rng.sample(range(1, 10), n_cells)
-    cells = [CellConfig(cell_id=i, position=p) for i, p in zip(ids, positions)]
+    cells = [Cell(i, p) for i, p in zip(ids, positions)]
     sample_ns = rng.randrange(1, 40)
     on_grid = rng.random() < 0.5
     times = [rng.randrange(0, 10**6)]
@@ -110,8 +110,7 @@ def test_one_pass_matches_the_per_sample_loop():
 @pytest.mark.parametrize("hysteresis", [0.0, 5.0])
 def test_switch_on_an_interior_waypoint(hysteresis):
     # at t = 10 the route is at its waypoint x = 60, 40 m from cell 2
-    cells = [CellConfig(cell_id=1, position=(0.0, 0.0)),
-             CellConfig(cell_id=2, position=(100.0, 0.0))]
+    cells = [Cell(1, (0.0, 0.0)), Cell(2, (100.0, 0.0))]
     route = MobilityRoute(((0, 0.0, 0.0), (10, 60.0, 0.0), (20, 100.0, 0.0)))
     events = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=5)
     assert events == reference_apply_handover(route, cells, hysteresis_m=hysteresis,
@@ -123,8 +122,7 @@ def test_interior_waypoint_is_interpolated_not_copied():
     # position_at(10) interpolates the first segment to its end, which
     # lands one ulp past x = 0.9, the midpoint between the cells; the
     # waypoint's own x would tie the distances and not switch
-    cells = [CellConfig(cell_id=1, position=(0.9 - 0.6, 0.0)),
-             CellConfig(cell_id=2, position=(0.9 + 0.6, 0.0))]
+    cells = [Cell(1, (0.9 - 0.6, 0.0)), Cell(2, (0.9 + 0.6, 0.0))]
     route = MobilityRoute(((0, 0.3, 0.0), (10, 0.9, 0.0), (20, 2.1, 0.0)))
     assert position_at(route, 10)[0] > 0.9
     events = apply_handover(route, cells, hysteresis_m=0.0, sample_ns=5)
@@ -136,15 +134,14 @@ def test_interior_waypoint_is_interpolated_not_copied():
 @pytest.mark.parametrize("hysteresis,switch_ns", [(0.0, 65), (4.0, 67)])
 def test_a_margin_equal_to_the_hysteresis_does_not_switch(hysteresis, switch_ns):
     # x = t exactly; at x = 64 + hysteresis / 2 the margin equals the hysteresis
-    cells = [CellConfig(cell_id=1, position=(0.0, 0.0)),
-             CellConfig(cell_id=2, position=(128.0, 0.0))]
+    cells = [Cell(1, (0.0, 0.0)), Cell(2, (128.0, 0.0))]
     route = MobilityRoute(((0, 0.0, 0.0), (128, 128.0, 0.0)))
     events = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=1)
     assert [(e.time_ns, e.from_cell, e.to_cell) for e in events] == [(switch_ns, 1, 2)]
 
 
 def test_single_waypoint_route_has_no_events():
-    cells = [CellConfig(cell_id=1), CellConfig(cell_id=2, position=(1.0, 0.0))]
+    cells = [Cell(1), Cell(2, (1.0, 0.0))]
     route = MobilityRoute(((5, 0.9, 0.0),))
     assert apply_handover(route, cells, hysteresis_m=0.0, sample_ns=1) == []
     assert initial_serving_cell(route, cells) == 2

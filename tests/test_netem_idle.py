@@ -17,7 +17,7 @@ from functools import partial
 import pytest
 
 from cv2x_bench.loadgen import CbrPacketSource
-from cv2x_bench.netem import (CellConfig, Direction, HandoverEvent,
+from cv2x_bench.netem import (Cell, Direction, HandoverEvent,
                               LinkSimulator, PriorityClass, SchedulerKind,
                               SimWorld)
 
@@ -88,10 +88,9 @@ def _random_params(scheduler: SchedulerKind, seed: int) -> Params:
 
 
 def _build(params: Params):
-    cells = [CellConfig(cell_id=cell, ul_capacity_bps=params.ul_capacity_bps,
-                        dl_capacity_bps=params.dl_capacity_bps)
-             for cell in (1, 2)]
-    link = LinkSimulator(cells, scheduler=params.scheduler)
+    link = LinkSimulator([Cell(1), Cell(2)], scheduler=params.scheduler,
+                         ul_capacity_bps=params.ul_capacity_bps,
+                         dl_capacity_bps=params.dl_capacity_bps)
     link.add_flow("app-ul", Direction.UPLINK, PriorityClass.APPLICATION, 1)
     link.add_flow("app-dl", Direction.DOWNLINK, PriorityClass.APPLICATION, None)
     link.set_mobility(1, params.handovers)
@@ -169,7 +168,7 @@ def test_skipping_idle_ticks_matches_stepping_every_tick(scheduler, seed):
 
 
 def test_skip_lands_on_the_tick_of_the_next_event():
-    link = LinkSimulator([CellConfig(cell_id=1)])
+    link = LinkSimulator([Cell(1)])
     link.add_flow("app", Direction.UPLINK, PriorityClass.APPLICATION, 1)
     world = SimWorld(link, start_ns=7)
     seen = []
@@ -184,7 +183,7 @@ def test_skip_lands_on_the_tick_of_the_next_event():
 
 
 def test_live_cbr_source_blocks_skipping():
-    link = LinkSimulator([CellConfig(cell_id=1)])
+    link = LinkSimulator([Cell(1)])
     link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1)
     world = SimWorld(link)
     # the first packet arrives only after 40 ticks, the source stops at 60

@@ -17,7 +17,7 @@ from functools import partial
 import pytest
 
 from cv2x_bench.loadgen import CbrPacketSource
-from cv2x_bench.netem import (CellConfig, Delivery, Direction,
+from cv2x_bench.netem import (Cell, Delivery, Direction,
                               LinkSimulator, PriorityClass, SchedulerKind,
                               SimWorld)
 
@@ -120,10 +120,9 @@ def _random_params(scheduler: SchedulerKind, seed: int) -> Params:
 
 
 def _run(params: Params, world_cls) -> tuple[list, list, LinkSimulator]:
-    link = LinkSimulator([CellConfig(cell_id=1,
-                                     ul_capacity_bps=params.ul_capacity_bps,
-                                     dl_capacity_bps=params.dl_capacity_bps)],
-                         scheduler=params.scheduler)
+    link = LinkSimulator([Cell(1)], scheduler=params.scheduler,
+                         ul_capacity_bps=params.ul_capacity_bps,
+                         dl_capacity_bps=params.dl_capacity_bps)
     for flow_id, direction in APP_FLOWS.items():
         link.add_flow(flow_id, direction, PriorityClass.APPLICATION, 1)
     world = world_cls(link)
@@ -175,8 +174,8 @@ def test_batched_world_matches_per_packet_reference(scheduler, seed):
 def test_identical_sources_alternate_packet_by_packet():
     # two sources at one rate arrive at the same instants; source order
     # breaks the tie, so each run holds one packet and BL serves them in turn
-    link = LinkSimulator([CellConfig(cell_id=1, ul_capacity_bps=4_000_000)],
-                         scheduler=SchedulerKind.BL)
+    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
+                         ul_capacity_bps=4_000_000)
     world = SimWorld(link)
     for i in range(2):
         link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1)
@@ -189,8 +188,8 @@ def test_identical_sources_alternate_packet_by_packet():
 
 
 def test_single_source_tick_is_one_run():
-    link = LinkSimulator([CellConfig(cell_id=1, ul_capacity_bps=400)],
-                         scheduler=SchedulerKind.BL)
+    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
+                         ul_capacity_bps=400)
     world = SimWorld(link)
     link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1, 10_000)
     world.cbr_sources.append(CbrPacketSource("bg", 40_000_000, 1400))
@@ -206,8 +205,8 @@ def test_application_packets_and_runs_never_merge():
     # a run right after an application packet of its size and with the next
     # arrival index, and a packet right after that run, would each extend
     # the entry before them if the queue did not keep packets apart
-    link = LinkSimulator([CellConfig(cell_id=1, ul_capacity_bps=1_000_000)],
-                         scheduler=SchedulerKind.BL)
+    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
+                         ul_capacity_bps=1_000_000)
     link.add_flow("ue", Direction.UPLINK, PriorityClass.APPLICATION, 1)
     assert link.enqueue("ue", 800, 5, meta={"tag": "first"}) is True
     assert link.enqueue_run("ue", 3, 800) == 3
@@ -228,8 +227,8 @@ def test_application_packets_and_runs_never_merge():
 def test_tail_drop_at_the_cap_boundary():
     # an 80,000-bit cap: a packet or run that fills it exactly is kept, one
     # bit more is dropped, for single packets and for runs alike
-    link = LinkSimulator([CellConfig(cell_id=1, ul_capacity_bps=400)],
-                         scheduler=SchedulerKind.BL)
+    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
+                         ul_capacity_bps=400)
     link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1, 10_000)
     assert link.enqueue("bg", 40_000, 0) is True
     assert link.enqueue("bg", 40_001, 0) is False
@@ -243,8 +242,8 @@ def test_tail_drop_at_the_cap_boundary():
 def test_arrivals_on_tick_edges_are_enqueued_once():
     # the sources' packets fall on the first and on the last instant of
     # ticks, where an off-by-one window start would drop or repeat one
-    link = LinkSimulator([CellConfig(cell_id=1, ul_capacity_bps=400)],
-                         scheduler=SchedulerKind.BL)
+    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
+                         ul_capacity_bps=400)
     world = SimWorld(link)
     starts = {"edge-end": TICK - 1, "edge-start": TICK}
     arrived = dict.fromkeys(starts, 0)

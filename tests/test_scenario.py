@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cv2x_bench import analysis, scenario
-from cv2x_bench.netem import SimWorld
+from cv2x_bench.netem import Direction, PriorityClass, SimWorld
 from cv2x_bench.scenario import (ConfigError, config_from_obj, derive_seed,
                                  load_config, load_matrix_config, matrix_to_obj,
                                  resolve_matrix_cells, run_matrix, run_scenario,
@@ -247,6 +247,26 @@ def test_zero_per_tick_budget_names_the_field():
         config_from_obj(_minimal(network={"slot_duration_ns": 1,
                                           "ul_capacity_bps": 200_000_000,
                                           "dl_capacity_bps": 199_999_999}))
+
+
+def test_every_cell_is_served_with_the_networks_budget():
+    # a "DU" pattern of 1 ms slots is a 2 ms tick
+    cfg = config_from_obj(_minimal(network={
+        "pattern": "DU", "slot_duration_ns": 1_000_000,
+        "ul_capacity_bps": 8_000_000, "dl_capacity_bps": 24_000_000}))
+    world, _ = scenario._build_sim(cfg)
+    link = world.link
+    assert link.tick_ns == 2_000_000
+    assert link.budgets == {Direction.UPLINK: 16_000, Direction.DOWNLINK: 48_000}
+    for cell in (1, 2):
+        for direction in Direction:
+            flow_id = f"x-{direction.value}-{cell}"
+            link.add_flow(flow_id, direction, PriorityClass.BACKGROUND, cell)
+            link.enqueue_run(flow_id, 10, 8_000)
+    link.run_tick(world.start_ns)
+    assert {flow_id: q.served_bits for flow_id, q in link.flows.items()
+            if flow_id.startswith("x-")} == {
+        "x-UL-1": 16_000, "x-DL-1": 48_000, "x-UL-2": 16_000, "x-DL-2": 48_000}
 
 
 def test_non_finite_numbers_name_the_field():
