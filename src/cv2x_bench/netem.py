@@ -10,16 +10,16 @@ every cell gets the same bit budget per tick in a direction: its capacity
 times the tick length.  Queued packets are drained against that budget
 and a packet is delivered at the end of the tick in which its last bit is
 served, so an uncongested packet picks up at most one tick of
-slot-alignment delay.  A queue holds runs of
-back-to-back packets of one size; an application packet is a run of one
-that carries its enqueue time and meta, and only such a run yields a
-Delivery.
+slot-alignment delay.  A queue holds runs of packets of one size, keyed
+by arrival (see SimWorld); an application packet is a run of one that
+carries its enqueue time and meta, and only such a run yields a Delivery.
 
 Two scheduler disciplines are provided:
 
   BL  best-effort baseline: all flows in a direction share one logical
-      pipe, served strictly in arrival order (no QoS differentiation), so
-      overload traffic queues ahead of application packets.
+      pipe, served strictly in arrival (key) order (no QoS
+      differentiation), so overload traffic queues ahead of application
+      packets.
   AP  absolute priority: application-class queues are drained first, and
       whatever budget remains is split max-min fair across background
       flows.
@@ -175,23 +175,42 @@ def initial_serving_cell(route: MobilityRoute, cells: Sequence[Cell]) -> int:
 
 @dataclass(slots=True)
 class QueuedRun:
-    """`count` packets of `size_bits` from one flow that arrived back to
-    back: their arrival indices run from `arrival_idx` without a gap, so no
-    packet of any other flow sits between them in arrival order.  Only the
-    head packet can be partly served.  An application packet is a run of
-    one with an `enqueue_ns`: only such a run yields a Delivery, and no run
-    merges into it."""
+    """`count` packets of `size_bits` from one flow.  A run of CBR source
+    `src` holds its packets `first` .. `first + count - 1`, packet n keyed
+    (src.packet_time(n), rank, n).  An application packet is a run of one
+    with no source, keyed (enqueue_ns, rank, first): only it yields a
+    Delivery, and no run merges into it.  Only the head packet can be
+    partly served."""
 
-    arrival_idx: int
+    first: int
     count: int
     size_bits: int
     remaining_bits: int
+    rank: int
+    src: object | None = None  # a loadgen.CbrPacketSource
     enqueue_ns: int | None = None
     meta: dict | None = None
 
     @property
     def left_bits(self) -> int:
         return self.remaining_bits + (self.count - 1) * self.size_bits
+
+    def key(self) -> tuple[int, int, int]:
+        """The head packet's order key."""
+        if self.src is None:
+            return self.enqueue_ns, self.rank, self.first
+        return self.src.packet_time(self.first), self.rank, self.first
+
+    def bits_before(self, key: tuple[int, int, int]) -> int:
+        """The bits left of the packets keyed below `key`, which lies above
+        the head packet's key."""
+        if self.src is None:
+            return self.remaining_bits
+        time_ns, rank, _ = key
+        # a packet at time_ns itself is below the key if its rank is lower
+        end = self.src.count_before(time_ns + 1 if self.rank < rank else time_ns)
+        n = min(end - self.first, self.count)
+        return self.remaining_bits + (n - 1) * self.size_bits
 
 
 @dataclass(frozen=True)
@@ -228,33 +247,30 @@ class FlowQueue:
         self.served_bits = 0
         self.dropped_bits = 0
 
-    def enqueue(self, count: int, size_bits: int, arrival_idx: int,
-                enqueue_ns: int | None = None, meta: dict | None = None) -> int:
-        """Enqueue `count` back-to-back packets holding arrival indices
-        arrival_idx, arrival_idx + 1, ...; returns how many were accepted.
-        Tail drop keeps a prefix: once one packet of equal size overflows
-        the cap, every later one does too.  With `enqueue_ns` set, the one
-        packet is an application packet (see QueuedRun)."""
+    def enqueue(self, run: QueuedRun) -> int:
+        """Enqueue a run's packets; returns how many were accepted.  Tail
+        drop keeps a prefix: once one packet of equal size overflows the
+        cap, every later one does too.  A run merges into the tail when its
+        packet numbers continue the tail's, from the same source."""
+        count, size_bits = run.count, run.size_bits
         bits = count * size_bits
         self.offered_bits += bits
         if self.droppable:
             room = self.cap_bits - self.backlog_bits
             if room < bits:
-                accepted = max(0, room // size_bits)
-                self.dropped_bits += bits - accepted * size_bits
-                if not accepted:
+                count = max(0, room // size_bits)
+                self.dropped_bits += bits - count * size_bits
+                if not count:
                     return 0
-                count, bits = accepted, accepted * size_bits
+                run.count, bits = count, count * size_bits
         self.backlog_bits += bits
         packets = self.packets
-        if enqueue_ns is None and packets:
+        if run.src is not None and packets:
             tail = packets[-1]
-            if (tail.enqueue_ns is None and tail.size_bits == size_bits
-                    and tail.arrival_idx + tail.count == arrival_idx):
+            if tail.src is run.src and tail.first + tail.count == run.first:
                 tail.count += count
                 return count
-        packets.append(QueuedRun(arrival_idx, count, size_bits, size_bits,
-                                 enqueue_ns, meta))
+        packets.append(run)
         return count
 
     def serve_bits(self, bits: int, completed: list[Completion]) -> int:
@@ -270,7 +286,7 @@ class FlowQueue:
                 # keep the run's last `count` packets, the first partly served
                 left -= bits
                 count = -(-left // head.size_bits)
-                head.arrival_idx += head.count - count
+                head.first += head.count - count
                 head.count = count
                 head.remaining_bits = left - (count - 1) * head.size_bits
                 bits = 0
@@ -287,20 +303,26 @@ class FlowQueue:
 
 def _serve_fifo(queues: list[FlowQueue], budget: int,
                 completed: list[Completion]) -> int:
-    """Serve queues in global arrival order (one best-effort pipe).  A run
-    is contiguous in arrival order, so its packets are taken together."""
+    """Serve queues in key order (one best-effort pipe).  The head run
+    with the lowest key is served, in one step, up to the key of the next
+    queue's head."""
     served_total = 0
-    while budget > 0:
-        live = [q for q in queues if q.packets]
-        if not live:
-            break
-        if len(live) == 1:
-            return served_total + live[0].serve_bits(budget, completed)
-        head = min(live, key=lambda q: q.packets[0].arrival_idx)
-        served = head.serve_bits(min(budget, head.packets[0].left_bits),
-                                 completed)
+    # [head packet's key, queue] of every queue holding packets; no two
+    # queues' heads share a key, so sorting never compares queues
+    heads = [[q.packets[0].key(), q] for q in queues if q.packets]
+    while budget > 0 and heads:
+        if len(heads) == 1:
+            return served_total + heads[0][1].serve_bits(budget, completed)
+        heads.sort()
+        q = heads[0][1]
+        bits = q.packets[0].bits_before(heads[1][0])
+        served = q.serve_bits(min(budget, bits), completed)
         budget -= served
         served_total += served
+        if not q.packets:
+            del heads[0]
+        elif budget:
+            heads[0][0] = q.packets[0].key()
     return served_total
 
 
@@ -368,7 +390,10 @@ class LinkSimulator:
             raise ValueError("cell ids must be unique")
         self.flows: dict[str, FlowQueue] = {}
         self._groups: list[_FlowGroup] | None = None
-        self._arrival_counter = 0
+        # application packets enqueued so far: the last part of their keys
+        self._app_packets = 0
+        # the rank of the application packets `enqueue` adds (see SimWorld)
+        self.event_rank = -1
         self._initial_cell = cells[0].cell_id
         # the mobile terminal's handovers, sorted by time
         self.handovers: list[HandoverEvent] = []
@@ -405,23 +430,24 @@ class LinkSimulator:
 
     def enqueue(self, flow_id: str, size_bits: int, time_ns: int,
                 meta: dict | None = None) -> bool:
-        """Enqueue one application packet; False if it was tail-dropped."""
+        """Enqueue one application packet, keyed (time_ns, event_rank, its
+        number); False if it was tail-dropped."""
         if size_bits <= 0:
             raise ValueError("packet size must be positive")
-        self._arrival_counter += 1
-        return self.flows[flow_id].enqueue(1, size_bits, self._arrival_counter,
-                                           time_ns, meta) == 1
+        self._app_packets += 1
+        run = QueuedRun(self._app_packets, 1, size_bits, size_bits,
+                        self.event_rank, None, time_ns, meta)
+        return self.flows[flow_id].enqueue(run) == 1
 
-    def enqueue_run(self, flow_id: str, count: int, size_bits: int) -> int:
-        """Enqueue `count` packets of one flow that arrive back to back, with
-        no other enqueue between them; returns how many were accepted.  The
-        queue ends as if each had gone through `enqueue`, but the packets
-        yield no Delivery when served."""
-        if count <= 0 or size_bits <= 0:
+    def enqueue_run(self, src, rank: int, first: int, end: int) -> int:
+        """Enqueue packets `first` .. `end - 1` of CBR source `src` into its
+        flow, packet n keyed (src.packet_time(n), rank, n); returns how many
+        were accepted.  Served, they yield no Delivery."""
+        if first >= end or src.packet_bits <= 0:
             raise ValueError("run needs a positive count and packet size")
-        first = self._arrival_counter + 1
-        self._arrival_counter += count
-        return self.flows[flow_id].enqueue(count, size_bits, first)
+        run = QueuedRun(first, end - first, src.packet_bits, src.packet_bits,
+                        rank, src)
+        return self.flows[src.flow_id].enqueue(run)
 
     def _flow_groups(self) -> list[_FlowGroup]:
         if self._groups is None:
@@ -492,18 +518,24 @@ class LinkSimulator:
 class SimWorld:
     """Single-threaded deterministic event loop around a LinkSimulator.
 
-    Time advances tick by tick.  Within a tick, timed events and the packet
-    arrivals of constant-bitrate sources fire in (time, order) order, then
-    queues are served and deliveries dispatched to the handler.  CBR
-    arrivals do not go through the event heap: each tick, each source's
-    arrivals are merged with the heap as if they had been scheduled at the
-    tick's start, after the events already pending and before any event
-    scheduled while the tick dispatches; arrivals at the same instant keep
-    source order.  Each stretch of one source's consecutive arrivals
-    enters its queue as one run (`LinkSimulator.enqueue_run`); a served run
-    is counted in its queue's accounting but not dispatched to the handler.
-    An application packet (`LinkSimulator.enqueue`) is a run of one that
-    carries its meta, and only it is delivered.
+    Time advances tick by tick.  Each tick, each constant-bitrate source's
+    arrivals in the tick enter its queue as one run
+    (`LinkSimulator.enqueue_run`), the tick's timed events fire in (time,
+    scheduling) order, then queues are served and deliveries dispatched to
+    the handler.  Only application packets (`LinkSimulator.enqueue`) are
+    delivered; a served run is counted in its queue's accounting.
+
+    Packets are served in the order of their keys (time, rank, number), not
+    of their enqueue calls.  Packet n of cbr_sources[i] is keyed
+    (packet_time(n), i, n), an application packet (enqueue time, the rank
+    of its event, its enqueue count).  The one tie rule: at one instant,
+    events pending from before the tick come first (rank -1, as is an
+    enqueue outside an event), then arrivals in source order, then events
+    scheduled during the tick (rank len(cbr_sources)).  A whole tick's
+    arrivals are enqueued at once, which is exact: nothing is served
+    before the tick ends, only background flows drop, each on its own
+    backlog and arrivals, and no event reads a background queue.  An event
+    enqueues at its own firing time and schedules nothing before it.
     Two worlds built from the same configuration and seeds produce
     identical deliveries and accounting.
 
@@ -536,47 +568,20 @@ class SimWorld:
         heapq.heappush(self._heap, (time_ns, self._heap_seq, callback))
 
     def _dispatch(self, tick_start: int, tick_end: int) -> None:
-        """Fire the tick's timed events and enqueue its CBR arrivals."""
+        """Enqueue the tick's CBR arrivals and fire its timed events."""
         heap = self._heap
-        enqueue_run = self.link.enqueue_run
+        link = self.link
+        for rank, src in enumerate(self.cbr_sources):
+            first, end = src.count_before(tick_start), src.count_before(tick_end)
+            if first < end:
+                link.enqueue_run(src, rank, first, end)
         pending_before = self._heap_seq
-        # [next arrival time, source index, its packet number, the number
-        # of the source's first packet at or after tick_end, source]
-        heads = []
-        for i, src in enumerate(self.cbr_sources):
-            k, end = src.count_before(tick_start), src.count_before(tick_end)
-            if k < end:
-                heads.append([src.packet_time(k), i, k, end, src])
-        while heads:
-            head = min(heads) if len(heads) > 1 else heads[0]
-            arrival_ns, i, k, end, src = head
-            bound = tick_end
-            if heap:
-                event_ns, seq, callback = heap[0]
-                # arrivals at event_ns follow an event pending since before
-                # the tick and precede one scheduled during it
-                event_bound = event_ns if seq <= pending_before else event_ns + 1
-                if event_bound <= arrival_ns:
-                    heapq.heappop(heap)
-                    callback(event_ns)
-                    continue
-                if event_bound < bound:
-                    bound = event_bound
-            for other in heads:
-                if other is not head:
-                    # at one instant, sources arrive in list order
-                    other_bound = other[0] + 1 if other[1] > i else other[0]
-                    if other_bound < bound:
-                        bound = other_bound
-            stop = src.count_before(bound)
-            enqueue_run(src.flow_id, stop - k, src.packet_bits)
-            if stop == end:
-                heads.remove(head)
-            else:
-                head[0], head[2] = src.packet_time(stop), stop
+        rank_after = len(self.cbr_sources)
         while heap and heap[0][0] < tick_end:
-            event_ns, _, callback = heapq.heappop(heap)
+            event_ns, seq, callback = heapq.heappop(heap)
+            link.event_rank = -1 if seq <= pending_before else rank_after
             callback(event_ns)
+        link.event_rank = -1
 
     def run_tick(self) -> list[Delivery]:
         tick_start = self.now_ns

@@ -92,7 +92,8 @@ def test_analyze_of_an_empty_log_exits_1(tmp_path, capsys):
     log = tmp_path / "empty.jsonl"
     log.write_text("", encoding="utf-8")
     assert cli.main(["analyze", "--log", str(log)]) == 1
-    assert capsys.readouterr().err == "no records in log\n"
+    assert (capsys.readouterr().err
+            == f"error: {log}: no usable records to summarize\n")
 
 
 def _dl_direct_log(path: Path, corrupt: bool = False) -> None:

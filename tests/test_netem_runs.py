@@ -1,10 +1,11 @@
 """The batched background path against a per-packet reference.
 
-SimWorld enqueues each tick's CBR arrivals as runs and serves them by
-arithmetic.  These tests replay small randomized worlds through a
-reference event loop that schedules every arrival on the heap and feeds it
-to LinkSimulator.enqueue one packet at a time, and require the same
-per-tick queue accounting and the same application deliveries."""
+SimWorld enqueues each source's arrivals of a tick as one run, keyed by
+arrival time, and serves runs by arithmetic.  These tests replay small
+randomized worlds through a reference event loop that schedules every
+arrival on the heap and feeds it to LinkSimulator.enqueue one packet at a
+time, and require the same per-tick queue accounting and the same
+application deliveries."""
 
 from __future__ import annotations
 
@@ -78,28 +79,59 @@ class Params:
 
 
 def _random_params(scheduler: SchedulerKind, seed: int) -> Params:
+    """2-4 sources per direction.  A source after the first has its own
+    rate, or the rate and packet size of the one before it, arriving in
+    lockstep with it or phase-shifted; the seed fixes which of the two the
+    uplink's second source is."""
     rng = random.Random(seed)
     ul_cap = rng.randrange(4_000_000, 12_000_000)
     dl_cap = rng.randrange(8_000_000, 30_000_000)
     sources: list[Source] = []
     for direction, cap_bps, tag in ((Direction.UPLINK, ul_cap, "ul"),
                                     (Direction.DOWNLINK, dl_cap, "dl")):
-        count = rng.choice((1, 2))
+        count = rng.randrange(2, 5)
         # the uplink is overloaded so its small queues fill and drop
         total = cap_bps * (rng.uniform(1.2, 2.0) if direction is Direction.UPLINK
                            else rng.uniform(0.5, 1.5))
-        identical = count == 2 and (seed % 2 == 0 or rng.random() < 0.5)
         for i in range(count):
-            if i == 0 or not identical:
+            kind = rng.choice(("own", "lockstep", "shifted"))
+            if i == 1 and direction is Direction.UPLINK:
+                kind = ("lockstep", "shifted")[seed % 2]
+            if i == 0 or kind == "own":
                 rate = int(total / count * rng.uniform(0.7, 1.3))
                 size = rng.randrange(200, 1500)
                 start = rng.choice((0, rng.randrange(0, 3 * TICK)))
                 stop = rng.choice((None, rng.randrange(TICKS * TICK // 2,
                                                        TICKS * TICK)))
+            elif kind == "shifted":
+                interval = size * 8 * 1_000_000_000 // rate
+                start += rng.randrange(1, max(2, interval))
             sources.append(Source(f"bg-{tag}-{i}", direction, rate, size,
                                   start, stop,
                                   cap_bytes=size * rng.randrange(2, 6)
                                   + rng.randrange(0, size)))
+    return Params(scheduler, ul_cap, dl_cap, sources,
+                  _app_events(rng, sources))
+
+
+def _opposite_direction_params(scheduler: SchedulerKind) -> Params:
+    """Two uplink sources in lockstep and two downlink sources at their
+    rate and packet size, half an interval later: the arrivals of the two
+    directions interleave one by one."""
+    rng = random.Random(99)
+    sources = []
+    for direction, tag, start in ((Direction.UPLINK, "ul", 0),
+                                  (Direction.DOWNLINK, "dl", 500_000)):
+        for i in range(2):
+            # 8,000-bit packets every 1 ms: 16 Mbps offered per direction
+            sources.append(Source(f"bg-{tag}-{i}", direction, 8_000_000, 1000,
+                                  start, None, cap_bytes=3_500))
+    return Params(scheduler, 10_000_000, 14_000_000, sources,
+                  _app_events(rng, sources))
+
+
+def _app_events(rng: random.Random,
+                sources: list[Source]) -> list[tuple[int, str, int, int | None]]:
     arrivals = sorted({t for s in sources
                        for t, _ in s.build().arrivals(0, TICKS * TICK)})
     app_events = []
@@ -116,13 +148,24 @@ def _random_params(scheduler: SchedulerKind, seed: int) -> Params:
             t = rng.randrange(0, TICKS * TICK)
             follow = None
         app_events.append((t, flow, bits, follow))
-    return Params(scheduler, ul_cap, dl_cap, sources, app_events)
+    return app_events
 
 
-def _run(params: Params, world_cls) -> tuple[list, list, LinkSimulator]:
+def _run(params: Params, world_cls) -> tuple[list, list, LinkSimulator, int]:
+    """Per-tick accounting, per-tick application deliveries, the link, and
+    the number of enqueue_run calls."""
     link = LinkSimulator([Cell(1)], scheduler=params.scheduler,
                          ul_capacity_bps=params.ul_capacity_bps,
                          dl_capacity_bps=params.dl_capacity_bps)
+    runs = 0
+    enqueue_run = link.enqueue_run
+
+    def counted_enqueue_run(*args) -> int:
+        nonlocal runs
+        runs += 1
+        return enqueue_run(*args)
+
+    link.enqueue_run = counted_enqueue_run
     for flow_id, direction in APP_FLOWS.items():
         link.add_flow(flow_id, direction, PriorityClass.APPLICATION, 1)
     world = world_cls(link)
@@ -152,39 +195,62 @@ def _run(params: Params, world_cls) -> tuple[list, list, LinkSimulator]:
         accounting.append([(fid, q.offered_bits, q.served_bits, q.dropped_bits,
                             q.backlog_bits) for fid, q in link.flows.items()])
         app_deliveries.append([d for d in deliveries if d.flow_id in APP_FLOWS])
-    return accounting, app_deliveries, link
+    return accounting, app_deliveries, link, runs
 
 
-@pytest.mark.parametrize("scheduler", [SchedulerKind.BL, SchedulerKind.AP])
-@pytest.mark.parametrize("seed", range(8))
-def test_batched_world_matches_per_packet_reference(scheduler, seed):
-    params = _random_params(scheduler, seed)
-    got_accounting, got_deliveries, link = _run(params, SimWorld)
-    want_accounting, want_deliveries, _ = _run(params, PerPacketWorld)
+def _check_against_reference(params: Params) -> None:
+    got_accounting, got_deliveries, link, runs = _run(params, SimWorld)
+    want_accounting, want_deliveries, _, _ = _run(params, PerPacketWorld)
     for tick, (got, want) in enumerate(zip(got_accounting, want_accounting)):
         assert got == want, f"tick {tick}"
     for tick, (got, want) in enumerate(zip(got_deliveries, want_deliveries)):
         assert got == want, f"tick {tick}"
+    # at most one run per source and tick, however the sources interleave
+    assert runs <= len(params.sources) * TICKS
     # the cases exercise what the batching must get right
     assert any(d for d in want_deliveries)
     assert any(q.dropped_bits for q in link.flows.values())
     assert any(follow is not None for *_, follow in params.app_events)
 
 
+@pytest.mark.parametrize("scheduler", [SchedulerKind.BL, SchedulerKind.AP])
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_world_matches_per_packet_reference(scheduler, seed):
+    params = _random_params(scheduler, seed)
+    ul = [s for s in params.sources if s.direction is Direction.UPLINK]
+    assert 2 <= len(ul) <= 4 and 2 <= len(params.sources) - len(ul) <= 4
+    # the uplink's first two sources share a rate, in lockstep or shifted
+    assert (ul[0].rate_bps, ul[0].packet_bytes) == (ul[1].rate_bps, ul[1].packet_bytes)
+    assert (ul[0].start_ns == ul[1].start_ns) == (seed % 2 == 0)
+    _check_against_reference(params)
+
+
+@pytest.mark.parametrize("scheduler", [SchedulerKind.BL, SchedulerKind.AP])
+def test_interleaved_directions_match_per_packet_reference(scheduler):
+    _check_against_reference(_opposite_direction_params(scheduler))
+
+
 def test_identical_sources_alternate_packet_by_packet():
-    # two sources at one rate arrive at the same instants; source order
-    # breaks the tie, so each run holds one packet and BL serves them in turn
+    # two sources at one rate arrive at the same instants; each source's
+    # arrivals of a tick are one run, and BL serves the two in turn, the
+    # first source first at each instant
     link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
                          ul_capacity_bps=4_000_000)
     world = SimWorld(link)
     for i in range(2):
         link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1)
         world.cbr_sources.append(CbrPacketSource(f"bg{i}", 8_000_000, 1000))
+
+    def queued() -> list:
+        return [[(e.first, e.count, e.remaining_bits)
+                 for e in link.flows[f"bg{i}"].packets] for i in range(2)]
+
     world.run_tick()  # arrivals at 0, 1 and 2 ms; a 10,000-bit budget
-    queued = [[(e.arrival_idx, e.count, e.remaining_bits)
-               for e in link.flows[f"bg{i}"].packets] for i in range(2)]
-    assert queued == [[(3, 1, 8_000), (5, 1, 8_000)],
-                      [(2, 1, 6_000), (4, 1, 8_000), (6, 1, 8_000)]]
+    # served: bg0's packet 0, then 2,000 bits of bg1's packet 0
+    assert queued() == [[(1, 2, 8_000)], [(0, 3, 6_000)]]
+    world.run_tick()  # arrivals at 3 and 4 ms extend each run
+    # served: the rest of bg1's packet 0, then 4,000 bits of bg0's packet 1
+    assert queued() == [[(1, 4, 4_000)], [(1, 4, 8_000)]]
 
 
 def test_single_source_tick_is_one_run():
@@ -196,29 +262,31 @@ def test_single_source_tick_is_one_run():
     world.run_tick()
     q = link.flows["bg"]
     # 9 arrivals, 7 fit the 80,000-bit cap, 1 bit was served
-    assert [(e.arrival_idx, e.count) for e in q.packets] == [(1, 7)]
+    assert [(e.first, e.count) for e in q.packets] == [(0, 7)]
     assert q.packets[0].remaining_bits == 11_199
     assert (q.offered_bits, q.dropped_bits) == (9 * 11_200, 2 * 11_200)
 
 
 def test_application_packets_and_runs_never_merge():
-    # a run right after an application packet of its size and with the next
-    # arrival index, and a packet right after that run, would each extend
-    # the entry before them if the queue did not keep packets apart
+    # the first application packet is number 1 and the run's packets of its
+    # size are numbered 2 to 4, so by packet numbers alone the run would
+    # extend it; neither a run nor a packet merges into an application
+    # packet, and a packet never merges into a run
     link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
                          ul_capacity_bps=1_000_000)
     link.add_flow("ue", Direction.UPLINK, PriorityClass.APPLICATION, 1)
+    src = CbrPacketSource("ue", 800_000, 100)  # 800-bit packets
     assert link.enqueue("ue", 800, 5, meta={"tag": "first"}) is True
-    assert link.enqueue_run("ue", 3, 800) == 3
+    assert link.enqueue_run(src, 0, 2, 5) == 3
     assert link.enqueue("ue", 800, 6, meta={"tag": "second"}) is True
     q = link.flows["ue"]
-    assert [(e.arrival_idx, e.count, e.enqueue_ns) for e in q.packets] == [
-        (1, 1, 5), (2, 3, None), (5, 1, 6)]
+    assert [(e.first, e.count, e.enqueue_ns) for e in q.packets] == [
+        (1, 1, 5), (2, 3, None), (2, 1, 6)]
     # a 2,500-bit budget per tick: the first packet and 1,700 bits of the run,
     # then the rest of the run and the second packet
     assert link.run_tick(0) == [Delivery("ue", 800, 5, TICK, 1, {"tag": "first"})]
-    assert [(e.arrival_idx, e.count, e.remaining_bits) for e in q.packets] == [
-        (4, 1, 700), (5, 1, 800)]
+    assert [(e.first, e.count, e.remaining_bits) for e in q.packets] == [
+        (4, 1, 700), (2, 1, 800)]
     assert link.run_tick(TICK) == [
         Delivery("ue", 800, 6, 2 * TICK, 1, {"tag": "second"})]
     assert not q.packets and q.served_bits == 5 * 800
@@ -232,11 +300,12 @@ def test_tail_drop_at_the_cap_boundary():
     link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1, 10_000)
     assert link.enqueue("bg", 40_000, 0) is True
     assert link.enqueue("bg", 40_001, 0) is False
-    assert link.enqueue_run("bg", 3, 13_334) == 2
-    assert link.enqueue("bg", 13_332, 0) is True
-    assert link.enqueue_run("bg", 1, 1) == 0
+    # 13,336-bit packets: two fill 26,672 of the 40,000 bits left
+    assert link.enqueue_run(CbrPacketSource("bg", 1_000_000, 1667), 0, 0, 3) == 2
+    assert link.enqueue("bg", 13_328, 0) is True
+    assert link.enqueue_run(CbrPacketSource("bg", 1_000_000, 1), 1, 0, 1) == 0
     q = link.flows["bg"]
-    assert (q.backlog_bits, q.dropped_bits) == (80_000, 40_001 + 13_334 + 1)
+    assert (q.backlog_bits, q.dropped_bits) == (80_000, 40_001 + 13_336 + 8)
 
 
 def test_arrivals_on_tick_edges_are_enqueued_once():

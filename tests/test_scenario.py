@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cv2x_bench import analysis, scenario
+from cv2x_bench.loadgen import CbrPacketSource
 from cv2x_bench.netem import Direction, PriorityClass, SimWorld
 from cv2x_bench.scenario import (ConfigError, config_from_obj, derive_seed,
                                  load_config, load_matrix_config, matrix_to_obj,
@@ -262,7 +263,8 @@ def test_every_cell_is_served_with_the_networks_budget():
         for direction in Direction:
             flow_id = f"x-{direction.value}-{cell}"
             link.add_flow(flow_id, direction, PriorityClass.BACKGROUND, cell)
-            link.enqueue_run(flow_id, 10, 8_000)
+            # ten 8,000-bit packets
+            link.enqueue_run(CbrPacketSource(flow_id, 8_000_000, 1000), 0, 0, 10)
     link.run_tick(world.start_ns)
     assert {flow_id: q.served_bits for flow_id, q in link.flows.items()
             if flow_id.startswith("x-")} == {
