@@ -19,7 +19,6 @@ import threading
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .clockmodel import (corrected_latency_dl, corrected_latency_e2e,
                          corrected_latency_ul)
@@ -81,6 +80,7 @@ _FIELD_NAMES = tuple(f.name for f in fields(PacketRecord))
 _RECORD_KEYS = tuple(_RENAMED.get(name, name) for name in _FIELD_NAMES)
 _field_values = attrgetter(*_FIELD_NAMES)
 _key_values = itemgetter(*_RECORD_KEYS)
+_VALUE_TYPES = tuple(bool if key == "corrupt" else int for key in _RECORD_KEYS)
 
 
 def record_line(record: PacketRecord) -> str:
@@ -120,6 +120,12 @@ def ingest(path: str | Path) -> list[PacketRecord]:
                 continue
             try:
                 obj = json.loads(line)
+                # a record as written: the keys in field order, exact types
+                if type(obj) is dict and tuple(obj) == _RECORD_KEYS:
+                    values = tuple(obj.values())
+                    if tuple(map(type, values)) == _VALUE_TYPES:
+                        records.append(PacketRecord(*values))
+                        continue
                 records.append(PacketRecord.from_json_obj(obj))
             except ValueError as exc:
                 raise IngestError(f"{path}: line {lineno}: {exc}") from None
@@ -226,6 +232,11 @@ def detect_handover_affected(records: list[PacketRecord],
             and any(r.t3 + r.e3 < w1 and r.t4 + r.e4 > w0 for w0, w1 in windows)]
 
 
+def escape(text: str) -> str:
+    """Escape &, < and > for XML character data."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_." else "-" for ch in name)
 
@@ -293,13 +304,7 @@ def svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str,
         x_max = x_min + 1.0
     if y_max == y_min:
         y_max = y_min + 1.0
-
-    def sx(x: float) -> float:
-        return margin + (x - x_min) / (x_max - x_min) * plot_w
-
-    def sy(y: float) -> float:
-        return height - margin - (y - y_min) / (y_max - y_min) * plot_h
-
+    x_span, y_span = x_max - x_min, y_max - y_min
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -326,7 +331,9 @@ def svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str,
         if not pts:
             continue
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        coords = " ".join(f"{margin + (x - x_min) / x_span * plot_w:.2f},"
+                          f"{height - margin - (y - y_min) / y_span * plot_h:.2f}"
+                          for x, y in pts)
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{coords}"/>')
         parts.append(f'<text x="{width - margin + 4}" y="{margin + 14 * i + 10}" '

@@ -535,7 +535,9 @@ class SimWorld:
     arrivals are enqueued at once, which is exact: nothing is served
     before the tick ends, only background flows drop, each on its own
     backlog and arrivals, and no event reads a background queue.  An event
-    enqueues at its own firing time and schedules nothing before it.
+    enqueues at its own firing time and schedules nothing before it:
+    while an event fires or a delivery is handled, now_ns is its time, and
+    schedule refuses an earlier one.
     Two worlds built from the same configuration and seeds produce
     identical deliveries and accounting.
 
@@ -580,6 +582,7 @@ class SimWorld:
         while heap and heap[0][0] < tick_end:
             event_ns, seq, callback = heapq.heappop(heap)
             link.event_rank = -1 if seq <= pending_before else rank_after
+            self.now_ns = event_ns
             callback(event_ns)
         link.event_rank = -1
 
@@ -588,10 +591,11 @@ class SimWorld:
         tick_end = tick_start + self.tick_ns
         self._dispatch(tick_start, tick_end)
         deliveries = self.link.run_tick(tick_start)
+        # every delivery is at the tick's end
+        self.now_ns = tick_end
         if self.on_delivery is not None:
             for d in deliveries:
                 self.on_delivery(d)
-        self.now_ns = tick_end
         self.ticks_run += 1
         return deliveries
 

@@ -183,6 +183,10 @@ class NetworkConfig:
         return len(self.pattern) * self.slot_duration_ns
 
 
+# the ScenarioConfig fields that configure only the link emulator
+_EMULATOR_FIELDS = ("scheduler", "load", "network", "mobility")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str = "scenario"
@@ -215,6 +219,25 @@ class ScenarioConfig:
                 f"in duration_s {self.duration_s}")
         if self.mobility is not None and len(self.network.cells) < 2:
             raise ConfigError("mobility needs at least two cells in network.cells")
+        if self.mode == "real":
+            self._check_real_mode()
+
+    def _check_real_mode(self) -> None:
+        """The real path runs no link emulator, and its agents stamp with
+        the host clock and zero offsets: a field it cannot apply must keep
+        its default."""
+        for f in fields(self):
+            if f.name in _EMULATOR_FIELDS and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{f.name} applies only in sim mode: the "
+                                  f"real path runs no link emulator")
+        for agent in fields(self.agents):
+            params = getattr(self.agents, agent.name)
+            for name, default in (("clock", ClockParams()), ("ntp", NtpParams())):
+                if getattr(params, name) != default:
+                    raise ConfigError(
+                        f"agents.{agent.name}.{name} applies only in sim "
+                        f"mode: real agents stamp with the host clock and "
+                        f"zero offsets")
 
     @property
     def duration_ns(self) -> int:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import json
 import math
 import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cv2x_bench import analysis
 from cv2x_bench.analysis import (IngestError, LatencyStats, PacketRecord, cdf,
@@ -75,6 +79,66 @@ def test_ingest_rejects_wrong_types(tmp_path):
     path.write_text(__import__("json").dumps(obj) + "\n")
     with pytest.raises(IngestError, match="t1"):
         ingest(path)
+
+
+def _line_with(*dropped: str, **changes) -> str:
+    """A valid log line without the dropped keys and with the changes."""
+    obj = _record(0).to_json_obj()
+    for key in dropped:
+        del obj[key]
+    obj.update(changes)
+    return json.dumps(obj, separators=(",", ":"))
+
+
+# each malformed line, and the error that names it; the record checks are
+# the field-by-field ones, whichever way the line is first tried
+@pytest.mark.parametrize("line, error", [
+    (_line_with("seq"), "missing keys ['seq']"),
+    (_line_with(extra=1), "unknown keys ['extra']"),
+    (_line_with(t1=True), "'t1' must be an integer"),
+    (_line_with(corrupt=0), "'corrupt' must be a boolean"),
+    (_line_with(corrupt=None), "'corrupt' must be a boolean"),
+    (_line_with(corrupt="false"), "'corrupt' must be a boolean"),
+    (_line_with(t2=1.5), "'t2' must be an integer"),
+    (_line_with(size="1000"), "'size' must be an integer"),
+    ("[1, 2, 3]", "record must be a JSON object"),
+    ("42", "record must be a JSON object"),
+], ids=["missing-key", "unknown-key", "true-in-int", "int-in-corrupt",
+        "null-in-corrupt", "string-in-corrupt", "float", "string", "array",
+        "number"])
+def test_ingest_error_names_line_and_field(tmp_path, line, error):
+    path = tmp_path / "log.jsonl"
+    # the blank line is skipped but still counted
+    path.write_text(f"{_line_with()}\n\n{line}\n{_line_with()}\n")
+    with pytest.raises(IngestError) as caught:
+        ingest(path)
+    assert str(caught.value) == f"{path}: line 3: {error}"
+
+
+def test_ingest_accepts_keys_in_any_order(tmp_path):
+    record = _record(7, corrupt=True)
+    obj = record.to_json_obj()
+    keys = list(obj)
+    i, j = keys.index("t1"), keys.index("t4")
+    keys[i], keys[j] = keys[j], keys[i]  # value types still in field order
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(json.dumps(dict(items)) + "\n" for items in (
+        reversed(obj.items()), ((key, obj[key]) for key in keys), obj.items())))
+    assert ingest(path) == [record, record, record]
+
+
+_EDGE_INTS = st.sampled_from([-1, 0, 2**63 - 1]) | st.integers(-1, 2**63 - 1)
+_RECORDS = st.builds(PacketRecord, **{
+    f.name: st.booleans() if f.name == "corrupt" else _EDGE_INTS
+    for f in dataclasses.fields(PacketRecord)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(_RECORDS, max_size=5))
+def test_write_records_then_ingest_returns_the_records(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("log") / "log.jsonl"
+    write_records(path, records)
+    assert ingest(path) == records
 
 
 # -- percentile / cdf -------------------------------------------------------

@@ -6,6 +6,8 @@ import json
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -71,6 +73,18 @@ def test_analyze_writes_the_report(tmp_path, capsys):
     assert "nominal-example [e2e]: n=100 " in capsys.readouterr().out
     for name in ("stats.csv", "cdf.svg", "per_packet_nominal-example.csv"):
         assert (report / name).stat().st_size > 0, name
+
+
+def test_the_cli_imports_no_xml_or_http_modules():
+    # a fresh interpreter, since this one may have loaded them already
+    code = ("import sys, cv2x_bench.cli; print(sorted(m for m in "
+            "('xml.sax', 'urllib.request', 'http.client', 'ssl') "
+            "if m in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.stdout.strip() == "[]"
 
 
 def test_init_matrix_writes_the_built_in_matrix(tmp_path):

@@ -285,3 +285,35 @@ def test_schedule_in_the_past_rejected():
     world.run_tick()
     with pytest.raises(ValueError):
         world.schedule(0, lambda t: None)
+
+
+def test_an_event_schedules_nothing_before_itself():
+    # both times fall in the first 2.5 ms tick, whose start stays at 0
+    world = SimWorld(LinkSimulator([Cell(1)]))
+    world.schedule(2 * MS, lambda t: world.schedule(1 * MS, lambda t: None))
+    with pytest.raises(ValueError, match=f"at {1 * MS} before now {2 * MS}"):
+        world.run_tick()
+
+
+def test_a_delivery_schedules_nothing_before_itself():
+    link = LinkSimulator([Cell(1)])
+    link.add_flow("app", UL, APP, 1)
+    world = SimWorld(link)
+    world.on_delivery = lambda d: world.schedule(d.delivery_ns - 1, print)
+    link.enqueue("app", 8_000, 0)
+    with pytest.raises(ValueError, match=f"before now {world.tick_ns}"):
+        world.run_tick()
+
+
+def test_an_event_may_schedule_at_its_own_time():
+    world = SimWorld(LinkSimulator([Cell(1)]))
+    fired: list[tuple[str, int]] = []
+
+    def parent(t: int) -> None:
+        fired.append(("parent", t))
+        world.schedule(t, lambda t: fired.append(("child", t)))
+
+    world.schedule(2 * MS, parent)
+    world.run_tick()
+    assert fired == [("parent", 2 * MS), ("child", 2 * MS)]
+    assert world.now_ns == world.tick_ns

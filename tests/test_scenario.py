@@ -70,6 +70,52 @@ def test_sim_mode_requires_seed():
     config_from_obj(obj)  # fine without a seed
 
 
+_REAL = {"mode": "real", "duration_s": 10.0,
+         "message": {"size_bytes": 1000, "rate_hz": 10.0}}
+
+
+# each field the real path cannot apply, set off its default
+_NOT_IN_REAL = [
+    ("scheduler", "AP", "config.scheduler"),
+    ("load", {"ul": "1x5"}, "config.load"),
+    ("load", {"queue_cap_bytes": 1}, "config.load"),
+    ("network", {"base_delay_ms": 0.0}, "config.network"),
+    ("network", {"handover": {"interruption_ms": 0.0}}, "config.network"),
+    ("mobility", {"waypoints": [[0, 0.0, 0.0]]}, "config.mobility"),
+    ("agents", {"sensor": {"clock": {"drift_ppm": 1.0}}},
+     "config.agents.sensor.clock"),
+    ("agents", {"relay": {"clock": {"offset0_ns": 5}}},
+     "config.agents.relay.clock"),
+    ("agents", {"vehicle": {"ntp": {"period_s": 1.0}}},
+     "config.agents.vehicle.ntp"),
+]
+
+
+@pytest.mark.parametrize("field, value, named", _NOT_IN_REAL, ids=[
+    f"{field}={json.dumps(value)}" for field, value, _ in _NOT_IN_REAL])
+def test_real_mode_refuses_what_it_cannot_apply(field, value, named):
+    config_from_obj(dict(_REAL, **{field: value}, mode="sim", seed=1))
+    with pytest.raises(ConfigError) as caught:
+        config_from_obj(dict(_REAL, **{field: value}))
+    assert str(caught.value).startswith(f"{named} applies only in sim mode: ")
+
+
+_REAL_APPLIES = [
+    ("scheduler", "BL"),
+    ("load", {"ul": "none", "dl": "none"}),
+    ("network", {"pattern": "DDDSU"}),
+    ("mobility", None),
+    ("agents", {"sensor": {"clock": {"jitter_ns": 0}, "ntp": {}}}),
+    ("agents", {"relay": {"processing_delay": {"constant_ns": 1}}}),
+]
+
+
+@pytest.mark.parametrize("field, value", _REAL_APPLIES, ids=[
+    f"{field}={json.dumps(value)}" for field, value in _REAL_APPLIES])
+def test_real_mode_takes_defaults_and_what_it_applies(field, value):
+    config_from_obj(dict(_REAL, **{field: value}))
+
+
 def test_env_var_overrides_seed(monkeypatch):
     monkeypatch.setenv(scenario.SEED_ENV_VAR, "777")
     cfg = config_from_obj(_minimal(seed=5))
