@@ -33,7 +33,8 @@ its serving cell and suspended during a handover interruption.
 
 Conservation, work-conservation, priority-dominance, and cap invariants
 are asserted on every tick that runs and raise InvariantViolation when
-broken; SimWorld.run_until skips only ticks without traffic.
+broken; SimWorld.run_until skips only ticks whose outcome is known, which
+leave every queue empty as they found it.
 """
 
 from __future__ import annotations
@@ -541,9 +542,14 @@ class SimWorld:
     Two worlds built from the same configuration and seeds produce
     identical deliveries and accounting.
 
-    run_until skips idle ticks: a tick in which no heap event falls, no
-    CBR source is live and no flow holds backlog would dispatch, serve and
-    deliver nothing, so time jumps over it in whole ticks.
+    run_until skips a tick whose outcome is known: no heap event falls in
+    it, no flow holds backlog at its start, and either no CBR source is
+    live or every source's fullest tick fits (see _sources_block_until).
+    Its arrivals then enter empty queues, drop nothing and are all served
+    by BL or AP within the tick, which delivers nothing and leaves every
+    queue empty, so every per-tick invariant holds.  Time jumps over such
+    ticks in whole ticks, and each source's arrivals in them are added to
+    its flow's offered and served bits; an idle span has none.
     """
 
     def __init__(self, link: LinkSimulator, base_delay_ns: int = 2_000_000,
@@ -599,37 +605,68 @@ class SimWorld:
         self.ticks_run += 1
         return deliveries
 
-    def _cbr_live_until(self) -> float:
-        """A time from which on no CBR source has an arrival left."""
+    def _sources_block_until(self, feeds: list[tuple[object, FlowQueue]]) -> float:
+        """A time from which on the CBR sources block no skip.
+
+        It is -inf if the sources' fullest ticks fit: a tick holds at most
+        tick_ns * rate_bps // (packet_bits * 1e9) + 1 packets of a source,
+        as packet times are floors; summed per flow they must fit the cap
+        of a droppable flow, and summed per cell and direction that cell's
+        budget.  A flow without a cell never fits: a handover can suspend
+        it.  Otherwise it is the time from which on no source has an
+        arrival left."""
+        flow_bits: dict[FlowQueue, int] = {}
+        cell_bits: dict[tuple[int | None, Direction], int] = {}
+        for src, q in feeds:
+            bits = src.packet_bits * (
+                self.tick_ns * src.rate_bps // (src.packet_bits * 1_000_000_000) + 1)
+            flow_bits[q] = flow_bits.get(q, 0) + bits
+            cell = (q.cell_id, q.direction)
+            cell_bits[cell] = cell_bits.get(cell, 0) + bits
+        budgets = self.link.budgets
+        if (all(q.cell_id is not None and (not q.droppable or bits <= q.cap_bits)
+                for q, bits in flow_bits.items())
+                and all(bits <= budgets[direction]
+                        for (_, direction), bits in cell_bits.items())):
+            return -math.inf
         live_until = -math.inf
-        for src in self.cbr_sources:
-            if src.rate_bps > 0:
-                if src.stop_ns is None:
-                    return math.inf
-                live_until = max(live_until, src.stop_ns)
+        for src, _ in feeds:
+            if src.stop_ns is None:
+                return math.inf
+            live_until = max(live_until, src.stop_ns)
         return live_until
 
     def run_until(self, until_ns: int,
                   done: Callable[[], bool] | None = None) -> None:
         """Run ticks until now_ns reaches until_ns, or until done() holds
-        before a tick.  An idle tick is skipped, not run; the state at the
-        end is the one running it would leave."""
+        before a tick.  A tick whose outcome is known is skipped, not run;
+        the state at the end is the one running it would leave."""
         tick_ns = self.tick_ns
         heap = self._heap
-        flows = self.link.flows.values()
-        live_until = self._cbr_live_until()
+        flows = self.link.flows
+        # a source without a rate never arrives
+        feeds = [(src, flows[src.flow_id]) for src in self.cbr_sources
+                 if src.rate_bps > 0]
+        blocked_until = self._sources_block_until(feeds)
+        queues = flows.values()
         while self.now_ns < until_ns and (done is None or not done()):
             now = self.now_ns
             if ((not heap or heap[0][0] >= now + tick_ns)
-                    and now >= live_until
-                    and not any(q.backlog_bits for q in flows)):
-                # every tick before the one holding the next event is idle,
-                # and so is every tick needed to reach until_ns
+                    and now >= blocked_until
+                    and not any(q.backlog_bits for q in queues)):
+                # every tick before the one holding the next event is
+                # skipped, and so is every tick needed to reach until_ns
                 n = -(-(until_ns - now) // tick_ns)
                 if heap:
                     n = min(n, (heap[0][0] - now) // tick_ns)
-                self.now_ns = now + n * tick_ns
+                end = now + n * tick_ns
+                # each skipped tick serves its arrivals in full; an idle
+                # span has none
+                for src, q in feeds:
+                    bits = (src.count_before(end) - src.count_before(now)) * src.packet_bits
+                    q.offered_bits += bits
+                    q.served_bits += bits
+                self.now_ns = end
                 self.ticks_skipped += n
                 continue
             self.run_tick()
-

@@ -391,7 +391,7 @@ class ScenarioResult:
     affected_seqs: set[int]
     sensor_sent: int
     relay_corrupt_drops: int = 0
-    # emulator ticks run and skipped as idle; both 0 in real mode
+    # emulator ticks run and skipped; both 0 in real mode
     ticks_run: int = 0
     ticks_skipped: int = 0
     log_path: Path | None = None

@@ -1,18 +1,21 @@
-"""Idle-tick skipping against stepping every tick.
+"""Tick skipping against stepping every tick.
 
-SimWorld.run_until jumps over ticks in which no heap event falls, no CBR
-source is live and no flow holds backlog.  These tests build small
-randomized worlds with sparse application traffic, CBR sources that stop
-mid-run and handover interruptions, run each once through run_until and
-once by calling run_tick on every tick, and require the same deliveries,
-the same queue accounting and the same final time."""
+SimWorld.run_until jumps over ticks in which no heap event falls and no
+flow holds backlog, unless a live CBR source could overflow a queue or a
+cell's budget there.  These tests build small randomized worlds with
+sparse application traffic, CBR sources that overload the link and stop
+mid-run or that always fit, and handover interruptions, run each once
+through run_until and once by calling run_tick on every tick, and require
+the same deliveries, the same queue accounting and the same final time."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import pytest
 
@@ -26,20 +29,36 @@ TICKS = 400
 BASE_DELAY = 2_000_000
 
 
+class Source(NamedTuple):
+    """A CBR source feeding its own background flow, capped at 4 packets."""
+
+    flow_id: str
+    direction: Direction
+    rate_bps: int
+    packet_bytes: int
+    start: int  # offset from the world's start
+    stop: int | None
+    cell_id: int | None = 1
+
+
 @dataclass
 class Params:
     scheduler: SchedulerKind
     start_ns: int
     ul_capacity_bps: int
     dl_capacity_bps: int
-    # (flow_id, direction, rate_bps, packet_bytes, start offset, stop offset)
-    sources: list[tuple[str, Direction, int, int, int, int | None]]
+    sources: list[Source]
     # (offset, flow_id, bits, follow-up offset or None)
     app_events: list[tuple[int, str, int, int | None]]
     handovers: list[HandoverEvent]
     mid_ns: int
     until_ns: int
     stop_after: int
+
+
+def _fits(seed: int) -> bool:
+    """Whether every source of the seed's world fits one tick."""
+    return seed >= 8
 
 
 def _random_params(scheduler: SchedulerKind, seed: int) -> Params:
@@ -50,16 +69,30 @@ def _random_params(scheduler: SchedulerKind, seed: int) -> Params:
     sources = []
     for direction, cap_bps, tag in ((Direction.UPLINK, ul_cap, "ul"),
                                     (Direction.DOWNLINK, dl_cap, "dl")):
-        for i in range(rng.choice((1, 2))):
-            # overloaded sources leave backlog behind when they stop
-            sources.append((f"bg-{tag}-{i}", direction,
-                            int(cap_bps * rng.uniform(0.3, 1.5)),
-                            rng.randrange(200, 1500),
-                            rng.choice((0, rng.randrange(0, 10 * TICK))),
-                            rng.randrange(TICKS * TICK // 8, TICKS * TICK // 3)))
+        count = rng.choice((1, 2))
+        for i in range(count):
+            if not _fits(seed):
+                # overloaded sources leave backlog behind when they stop
+                sources.append(Source(f"bg-{tag}-{i}", direction,
+                                      int(cap_bps * rng.uniform(0.3, 1.5)),
+                                      rng.randrange(200, 1500),
+                                      rng.choice((0, rng.randrange(0, 10 * TICK))),
+                                      rng.randrange(TICKS * TICK // 8, TICKS * TICK // 3)))
+                continue
+            # the fullest tick holds exactly `most` packets, which fit the
+            # queue cap and, with the other sources, the budget; the source
+            # is still live at mid_ns
+            size = rng.randrange(200, 600)
+            most = min(4, cap_bps * TICK // 10**9 // count // (8 * size))
+            rate = rng.randrange(max(1, -(-(most - 1) * 8 * size * 10**9 // TICK)),
+                                 -(-most * 8 * size * 10**9 // TICK))
+            sources.append(Source(f"bg-{tag}-{i}", direction, rate, size,
+                                  rng.choice((0, rng.randrange(0, 10 * TICK))),
+                                  rng.choice((None, rng.randrange(TICKS * TICK // 2,
+                                                                  TICKS * TICK)))))
     if seed % 2:
         # a rate-0 source never stops and never arrives: it blocks nothing
-        sources.append(("bg-ul-idle", Direction.UPLINK, 0, 1000, 0, None))
+        sources.append(Source("bg-ul-idle", Direction.UPLINK, 0, 1000, 0, None))
     app_events = [(k * TICK, "app-ul", 8_000, None)
                   for k in rng.sample(range(TICKS), 3)]  # on a tick boundary
     for _ in range(25):
@@ -95,11 +128,13 @@ def _build(params: Params):
     link.add_flow("app-dl", Direction.DOWNLINK, PriorityClass.APPLICATION, None)
     link.set_mobility(1, params.handovers)
     world = SimWorld(link, base_delay_ns=BASE_DELAY, start_ns=params.start_ns)
-    for flow_id, direction, rate, size, start, stop in params.sources:
-        link.add_flow(flow_id, direction, PriorityClass.BACKGROUND, 1, 4 * size)
+    for src in params.sources:
+        link.add_flow(src.flow_id, src.direction, PriorityClass.BACKGROUND,
+                      src.cell_id, 4 * src.packet_bytes)
         world.cbr_sources.append(CbrPacketSource(
-            flow_id, rate, size, start_ns=params.start_ns + start,
-            stop_ns=None if stop is None else params.start_ns + stop))
+            src.flow_id, src.rate_bps, src.packet_bytes,
+            start_ns=params.start_ns + src.start,
+            stop_ns=None if src.stop is None else params.start_ns + src.stop))
     tags = itertools.count()
     deliveries = []
 
@@ -127,10 +162,12 @@ def _done(deliveries: list, params: Params):
 
 
 def _advance(params: Params):
+    """Run through run_until; also returns the ticks skipped by mid_ns."""
     world, link, deliveries = _build(params)
     world.run_until(params.mid_ns)
+    skipped_by_mid = world.ticks_skipped
     world.run_until(params.until_ns, done=_done(deliveries, params))
-    return world, link, deliveries
+    return world, link, deliveries, skipped_by_mid
 
 
 def _step(params: Params):
@@ -148,23 +185,73 @@ def _accounting(link: LinkSimulator):
             for fid, q in link.flows.items()]
 
 
-@pytest.mark.parametrize("scheduler", [SchedulerKind.BL, SchedulerKind.AP])
-@pytest.mark.parametrize("seed", range(8))
-def test_skipping_idle_ticks_matches_stepping_every_tick(scheduler, seed):
-    params = _random_params(scheduler, seed)
-    got_world, got_link, got = _advance(params)
+def _matches_stepping(params: Params):
+    """Run the world both ways and require the same outcome; returns the
+    skipping world, its link, the deliveries and the ticks it skipped by
+    mid_ns."""
+    got_world, got_link, got, skipped_by_mid = _advance(params)
     want_world, want_link, want = _step(params)
     assert got == want
     assert _accounting(got_link) == _accounting(want_link)
     assert got_world.now_ns == want_world.now_ns
-    assert got_world.ticks_skipped > 0
     assert want_world.ticks_skipped == 0
     assert got_world.ticks_run + got_world.ticks_skipped == want_world.ticks_run
+    return got_world, got_link, got, skipped_by_mid
+
+
+@pytest.mark.parametrize("scheduler", [SchedulerKind.BL, SchedulerKind.AP])
+@pytest.mark.parametrize("seed", range(16))
+def test_skipping_idle_ticks_matches_stepping_every_tick(scheduler, seed):
+    params = _random_params(scheduler, seed)
+    world, link, deliveries, skipped_by_mid = _matches_stepping(params)
+    assert world.ticks_skipped > 0
     # the cases exercise what skipping must get right
-    assert any(d.flow_id == "app-dl" for d in want)
-    assert any(q.dropped_bits for q in want_link.flows.values())
-    assert (len(want) == params.stop_after) == (seed % 4 >= 2)
+    assert any(d.flow_id == "app-dl" for d in deliveries)
+    assert (len(deliveries) == params.stop_after) == (seed % 4 >= 2)
     assert (params.until_ns - params.start_ns) % TICK != 0
+    if _fits(seed):
+        # every source is live from its start to past mid_ns, so ticks
+        # were skipped while one was live
+        assert skipped_by_mid > max(s.start for s in params.sources) // TICK + 1
+    else:
+        assert any(q.dropped_bits for q in link.flows.values())
+
+
+def _with_sources(scheduler: SchedulerKind, ul_capacity_bps: int,
+                  *sources: Source) -> Params:
+    """Seed 1's world (overloaded until the end, two handovers) with its
+    uplink capacity and sources replaced."""
+    return dataclasses.replace(_random_params(scheduler, 1),
+                               ul_capacity_bps=ul_capacity_bps,
+                               sources=list(sources))
+
+
+# 1000-byte packets at 9 Mbps: 2 or 3 in a tick (2.5 ms x 9 Mbps = 2.8125
+# packets), so the fullest tick is 24,000 bits, an uplink budget at 9.6 Mbps
+_NINE_MBPS = Source("bg-ul-0", Direction.UPLINK, 9_000_000, 1000, 0, None)
+
+
+@pytest.mark.parametrize("scheduler", [SchedulerKind.BL, SchedulerKind.AP])
+def test_a_source_whose_fullest_tick_is_the_budget_is_skipped(scheduler):
+    world, *_ = _matches_stepping(_with_sources(scheduler, 9_600_000, _NINE_MBPS))
+    assert world.ticks_skipped > 0  # the source is live all along
+
+
+@pytest.mark.parametrize("scheduler", [SchedulerKind.BL, SchedulerKind.AP])
+def test_a_source_one_bit_over_the_budget_runs_every_tick(scheduler):
+    # 9,599,600 bps is 23,999 bits a tick
+    world, *_ = _matches_stepping(_with_sources(scheduler, 9_599_600, _NINE_MBPS))
+    assert world.ticks_skipped == 0
+
+
+@pytest.mark.parametrize("scheduler", [SchedulerKind.BL, SchedulerKind.AP])
+def test_a_background_flow_that_follows_the_terminal_blocks_skipping(scheduler):
+    # one packet a tick at most, but a handover suspends the flow
+    source = Source("bg-dl-0", Direction.DOWNLINK, 1_000_000, 1000, 0, None,
+                    cell_id=None)
+    world, link, *_ = _matches_stepping(_with_sources(scheduler, 9_600_000, source))
+    assert world.ticks_skipped == 0
+    assert link.flows["bg-dl-0"].offered_bits > 0
 
 
 def test_skip_lands_on_the_tick_of_the_next_event():
@@ -182,21 +269,49 @@ def test_skip_lands_on_the_tick_of_the_next_event():
     assert (world.ticks_run, world.ticks_skipped) == (1, 20)
 
 
+def _lone_source(rate_bps: int, cap_bytes: int = 1_000_000,
+                 stop_ns: int | None = 60 * TICK, until_ns: int = 100 * TICK):
+    """One source of 1000-byte packets on a 40 Mbps uplink (100,000 bits a
+    tick), its first packet after 40 ticks, run to until_ns through
+    run_until and by stepping every tick; returns each world with its
+    flow's (offered, served, dropped, backlog) bits."""
+    runs = []
+    for skip in (True, False):
+        link = LinkSimulator([Cell(1)])
+        q = link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1,
+                          cap_bytes)
+        world = SimWorld(link)
+        world.cbr_sources.append(CbrPacketSource("bg", rate_bps, 1000,
+                                                 start_ns=40 * TICK, stop_ns=stop_ns))
+        if skip:
+            world.run_until(until_ns)
+        while world.now_ns < until_ns:
+            world.run_tick()
+        runs.append((world, (q.offered_bits, q.served_bits, q.dropped_bits,
+                              q.backlog_bits)))
+    return runs
+
+
+def test_live_cbr_source_that_fits_is_skipped():
+    # at most one packet a tick: each is served in its arrival tick
+    (world, got), (stepped, want) = _lone_source(1_000_000)
+    assert (world.ticks_run, world.ticks_skipped) == (0, 100)
+    assert stepped.ticks_run == 100
+    assert got == want
+    offered, served, _, _ = got
+    # packets 0 .. 6 arrive in the 50 ms the source is live
+    assert served == offered == 7 * 8000
+
+
 def test_live_cbr_source_blocks_skipping():
-    link = LinkSimulator([Cell(1)])
-    link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1)
-    world = SimWorld(link)
-    # the first packet arrives only after 40 ticks, the source stops at 60
-    world.cbr_sources.append(CbrPacketSource("bg", 1_000_000, 1000,
-                                             start_ns=40 * TICK, stop_ns=60 * TICK))
-    world.run_until(100 * TICK)
-    assert world.ticks_run == 60  # each packet is served in its arrival tick
-    assert world.ticks_skipped == 40
-    q = link.flows["bg"]
-    assert q.served_bits == q.offered_bits > 0
+    # a source that can overflow runs every tick until it stops
+    for rate_bps, cap_bytes in ((39_000_000, 1_000_000),  # 13 packets > the budget
+                                (10_000_000, 3000)):  # 4 packets > the cap
+        (world, got), (stepped, want) = _lone_source(rate_bps, cap_bytes)
+        assert (world.ticks_run, world.ticks_skipped) == (60, 40)
+        assert got == want
+    offered, served, dropped, backlog = got
+    assert dropped == offered - served > 0 == backlog
     # a source without a stop time stays live to the end
-    world = SimWorld(link)
-    world.cbr_sources.append(CbrPacketSource("bg", 1_000_000, 1000,
-                                             start_ns=40 * TICK))
-    world.run_until(10 * TICK)
+    (world, got), _ = _lone_source(39_000_000, stop_ns=None, until_ns=10 * TICK)
     assert (world.ticks_run, world.ticks_skipped) == (10, 0)

@@ -338,12 +338,8 @@ def test_sim_and_real_mode_send_the_same_message_count():
     assert len(sim.records) == len(real.records) == 1
 
 
-def test_mobility_cell_counts_every_tick_it_runs_or_skips():
-    cfg, = [c for c in resolve_matrix_cells(table1_matrix())
-            if c.mobility is not None]
-    result = run_scenario(cfg)
-    # the same cell stepped through every tick, as before idle ticks were
-    # skipped
+def _stepped(cfg):
+    """The cell stepped through every tick, as before ticks were skipped."""
     world, pipeline = scenario._build_sim(cfg)
     pipeline.start()
     end = world.start_ns + cfg.duration_ns
@@ -352,10 +348,55 @@ def test_mobility_cell_counts_every_tick_it_runs_or_skips():
     while not pipeline.complete and world.now_ns < end + scenario._DRAIN_GRACE_NS:
         world.run_tick()
     assert world.ticks_skipped == 0
+    return world, pipeline
+
+
+def _accounting(world: SimWorld):
+    return [(fid, q.offered_bits, q.served_bits, q.dropped_bits, q.backlog_bits)
+            for fid, q in world.link.flows.items()]
+
+
+def test_mobility_cell_counts_every_tick_it_runs_or_skips():
+    cfg, = [c for c in resolve_matrix_cells(table1_matrix())
+            if c.mobility is not None]
+    result = run_scenario(cfg)
+    world, pipeline = _stepped(cfg)
     assert result.ticks_run + result.ticks_skipped == world.ticks_run
     assert result.ticks_skipped > result.ticks_run > 0
     assert result.records == pipeline.vehicle.records
     assert len(result.handover_events) == 1
+
+
+@pytest.mark.parametrize("seed", (7, 811, 20240510))
+def test_loaded_matrix_cells_match_stepping_every_tick(seed, monkeypatch):
+    cells = {c.name: c for c in resolve_matrix_cells(table1_matrix(seed, duration_s=6.0))}
+    loaded = [name for name in cells if "-load5-110-" in name]
+    assert len(loaded) == 4
+    stepped = {name: _stepped(cells[name])
+               for name in loaded + ["overload-ap-1x40-10k-20hz"]}
+    # run_scenario's own world, for its accounting
+    worlds = {}
+    build_sim = scenario._build_sim
+
+    def keep_world(cfg):
+        world, pipeline = build_sim(cfg)
+        worlds[cfg.name] = world
+        return world, pipeline
+
+    monkeypatch.setattr(scenario, "_build_sim", keep_world)
+    for name, (world, pipeline) in stepped.items():
+        result = run_scenario(cells[name])
+        assert result.records == pipeline.vehicle.records
+        assert _accounting(worlds[name]) == _accounting(world)
+        assert result.ticks_run + result.ticks_skipped == world.ticks_run
+        assert all(offered for _, offered, *_ in _accounting(world))
+    # the overloaded uplink has filled its queue and drops
+    assert worlds["overload-ap-1x40-10k-20hz"].link.flows["bg-ul-0"].dropped_bits > 0
+    for name in loaded:
+        # nominal load always fits a tick: its ticks are skipped as if the
+        # cell had no load
+        sibling = run_scenario(cells[name.replace("-load5-110-", "-noload-")])
+        assert worlds[name].ticks_run == sibling.ticks_run < stepped[name][0].ticks_run
 
 
 def test_only_the_handovers_a_run_reaches_are_reported():
