@@ -21,12 +21,12 @@ from __future__ import annotations
 import socket
 import threading
 
-from .protocol import FRAME_OVERHEAD, MAX_PAYLOAD
+from .protocol import MAX_FRAME_SIZE
 
 # an envelope holds a command line of at most _MAX_COMMAND_LINE bytes
 # (newline included) and at most one frame
 _MAX_COMMAND_LINE = 1024
-_MAX_ENVELOPE = _MAX_COMMAND_LINE + FRAME_OVERHEAD + MAX_PAYLOAD
+_MAX_ENVELOPE = _MAX_COMMAND_LINE + MAX_FRAME_SIZE
 
 
 class TransportError(ConnectionError):

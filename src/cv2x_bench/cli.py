@@ -18,7 +18,7 @@ from .agents import (ProcessingDelay, run_real_relay, run_real_sensor,
                      run_real_vehicle)
 from .broker import Broker
 from .loadgen import blast_udp
-from .protocol import FRAME_OVERHEAD
+from .protocol import FRAME_OVERHEAD, MAX_FRAME_SIZE
 
 
 def _bounded(kind: type, low: float, high: float = math.inf, *,
@@ -209,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensor", help="real-socket sensor agent")
     _address(p, "--connect", required=True)
-    p.add_argument("--size", type=_bounded(int, FRAME_OVERHEAD), default=1000,
-                   help="frame size in bytes")
+    p.add_argument("--size", type=_bounded(int, FRAME_OVERHEAD, MAX_FRAME_SIZE),
+                   default=1000, help="frame size in bytes")
     p.add_argument("--rate", type=_POSITIVE, default=10.0, help="messages per second")
     p.add_argument("--duration", type=_NONNEGATIVE, default=10.0, help="seconds")
     p.add_argument("--topic", default="UL")

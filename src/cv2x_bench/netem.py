@@ -19,7 +19,9 @@ Two scheduler disciplines are provided:
   BL  best-effort baseline: all flows in a direction share one logical
       pipe, served strictly in arrival (key) order (no QoS
       differentiation), so overload traffic queues ahead of application
-      packets.
+      packets.  Where CBR-source runs of two or more queues interleave,
+      they are merged in one pass, packet by packet, with each key computed
+      inline.
   AP  absolute priority: application-class queues are drained first, and
       whatever budget remains is split max-min fair across background
       flows.
@@ -306,7 +308,9 @@ def _serve_fifo(queues: list[FlowQueue], budget: int,
                 completed: list[Completion]) -> int:
     """Serve queues in key order (one best-effort pipe).  The head run
     with the lowest key is served, in one step, up to the key of the next
-    queue's head."""
+    queue's head.  When the two lowest heads are both CBR-source runs,
+    whose packets may alternate one by one, _serve_interleaved serves the
+    leading source runs together in one pass."""
     served_total = 0
     # [head packet's key, queue] of every queue holding packets; no two
     # queues' heads share a key, so sorting never compares queues
@@ -316,6 +320,11 @@ def _serve_fifo(queues: list[FlowQueue], budget: int,
             return served_total + heads[0][1].serve_bits(budget, completed)
         heads.sort()
         q = heads[0][1]
+        if q.packets[0].src is not None and heads[1][1].packets[0].src is not None:
+            served = _serve_interleaved(heads, budget)
+            budget -= served
+            served_total += served
+            continue
         bits = q.packets[0].bits_before(heads[1][0])
         served = q.serve_bits(min(budget, bits), completed)
         budget -= served
@@ -325,6 +334,66 @@ def _serve_fifo(queues: list[FlowQueue], budget: int,
         elif budget:
             heads[0][0] = q.packets[0].key()
     return served_total
+
+
+def _serve_interleaved(heads: list, budget: int) -> int:
+    """Serve the CBR-source head runs that lead the sorted `heads` in one
+    pass, packet by packet in key order, up to `budget` bits; returns the
+    bits served and leaves `heads` holding each queue's new head key.
+
+    Packet n of a run is keyed inline as packet_time keys it: (start_ns +
+    n * packet_bits * 1e9 // rate_bps, rank, n).  A queue whose run
+    empties goes on with its next run.  The pass stops when the budget is
+    spent, leaving a partly served head packet as serve_bits would; before
+    a packet keyed above the first application head; or when a queue
+    empties or its next entry is an application packet, for the caller's
+    step loop to go on.  Served runs complete nothing."""
+    limit = None
+    lead = []
+    for entry in heads:
+        if entry[1].packets[0].src is None:
+            limit = entry[0]
+            break
+        lead.append(entry)
+    # (head key, index into lead): heads is sorted, so this is a heap
+    order = [(*key, i) for i, (key, _) in enumerate(lead)]
+    runs = [q.packets[0] for _, q in lead]
+    served = [0] * len(lead)
+    left = budget
+    while left:
+        time_ns, rank, n, i = order[0]
+        if limit is not None and (time_ns, rank, n) > limit:
+            break
+        run = runs[i]
+        bits = run.remaining_bits
+        if bits > left:
+            run.remaining_bits = bits - left
+            served[i] += left
+            left = 0
+            break
+        left -= bits
+        served[i] += bits
+        if run.count == 1:
+            packets = lead[i][1].packets
+            packets.popleft()
+            if not packets or packets[0].src is None:
+                break
+            run = runs[i] = packets[0]
+            n = run.first
+        else:
+            n += 1
+            run.first = n
+            run.count -= 1
+            run.remaining_bits = run.size_bits
+        src = run.src
+        heapq.heapreplace(order, (src.start_ns + n * src.packet_bits
+                                  * 1_000_000_000 // src.rate_bps,
+                                  run.rank, n, i))
+    for (_, q), bits in zip(lead, served):
+        q.backlog_bits -= bits
+        q.served_bits += bits
+    heads[:len(lead)] = [[q.packets[0].key(), q] for _, q in lead if q.packets]
+    return budget - left
 
 
 def _serve_waterfill(queues: list[FlowQueue], budget: int,
@@ -470,8 +539,11 @@ class LinkSimulator:
 
     def run_tick(self, tick_start: int) -> list[Delivery]:
         tick_end = tick_start + self.tick_ns
-        suspended = self.interrupted(tick_start, tick_end)
-        serving = self.serving_cell(tick_start)
+        if self.handovers:
+            suspended = self.interrupted(tick_start, tick_end)
+            serving = self.serving_cell(tick_start)
+        else:
+            suspended, serving = False, self._initial_cell
         deliveries: list[Delivery] = []
         for group in self._flow_groups():
             cell_id, budget = group.cell_id, group.budget
@@ -566,6 +638,9 @@ class SimWorld:
         self.cbr_sources: list = []
         self._heap: list[tuple[int, int, Callable[[int], None]]] = []
         self._heap_seq = 0
+        # (end t of the last tick run, its sources, each one's
+        # count_before(t)): the next tick's first packets, if it starts at t
+        self._carry: tuple[int, list, list[int]] | None = None
         self.ticks_run = 0
         self.ticks_skipped = 0
 
@@ -579,12 +654,24 @@ class SimWorld:
         """Enqueue the tick's CBR arrivals and fire its timed events."""
         heap = self._heap
         link = self.link
-        for rank, src in enumerate(self.cbr_sources):
-            first, end = src.count_before(tick_start), src.count_before(tick_end)
-            if first < end:
-                link.enqueue_run(src, rank, first, end)
+        sources = self.cbr_sources
+        if sources:
+            # a source's tick is counted once: if the last tick run ended
+            # where this one starts, with the same sources, its end counts
+            # are this tick's first packets
+            carry = self._carry
+            firsts = (carry[2] if carry and carry[0] == tick_start
+                      and carry[1] == sources else None)
+            counts = []
+            for rank, src in enumerate(sources):
+                first = src.count_before(tick_start) if firsts is None else firsts[rank]
+                end = src.count_before(tick_end)
+                counts.append(end)
+                if first < end:
+                    link.enqueue_run(src, rank, first, end)
+            self._carry = tick_end, sources[:], counts
         pending_before = self._heap_seq
-        rank_after = len(self.cbr_sources)
+        rank_after = len(sources)
         while heap and heap[0][0] < tick_end:
             event_ns, seq, callback = heapq.heappop(heap)
             link.event_rank = -1 if seq <= pending_before else rank_after

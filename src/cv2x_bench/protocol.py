@@ -28,6 +28,7 @@ HEADER_LEN = 84
 CHECKSUM_LEN = 4
 FRAME_OVERHEAD = HEADER_LEN + CHECKSUM_LEN  # 88 bytes
 MAX_PAYLOAD = 10_000_000
+MAX_FRAME_SIZE = FRAME_OVERHEAD + MAX_PAYLOAD  # 10,000,088 bytes
 
 _HEADER = struct.Struct(">4sBBHQqqqqqqqqI")
 assert _HEADER.size == HEADER_LEN

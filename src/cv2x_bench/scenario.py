@@ -32,7 +32,7 @@ from .loadgen import (DEFAULT_PACKET_BYTES, CbrPacketSource, parse_load)
 from .netem import (Cell, Direction, HandoverEvent, LinkSimulator,
                     MobilityRoute, PriorityClass, SchedulerKind, SimWorld,
                     apply_handover, initial_serving_cell)
-from .protocol import FRAME_OVERHEAD
+from .protocol import FRAME_OVERHEAD, MAX_FRAME_SIZE
 
 SEED_ENV_VAR = "CV2X_SEED"
 
@@ -111,6 +111,9 @@ class MessageConfig:
     rate_hz: float = 10.0
 
     def __post_init__(self) -> None:
+        if self.size_bytes > MAX_FRAME_SIZE:
+            raise ConfigError(f"size_bytes must be <= {MAX_FRAME_SIZE}, the "
+                              f"largest frame, got {self.size_bytes}")
         if self.rate_hz <= 0:
             raise ConfigError("rate_hz must be positive")
 
@@ -133,6 +136,11 @@ class LoadConfig:
                 raise ConfigError(
                     f"{key}: at most {MAX_BACKGROUND_UES} background UEs per "
                     f"direction, got {load.ue_count}")
+            if load.ue_count and self.packet_size_bytes > self.queue_cap_bytes:
+                raise ConfigError(
+                    f"packet_size_bytes {self.packet_size_bytes} exceeds "
+                    f"queue_cap_bytes {self.queue_cap_bytes}: the {key} "
+                    f"background flows would drop every packet")
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,7 @@ def test_broker_stops_on_sigint(capsys):
 BAD_NUMBERS = [
     (["sensor", "--connect", "127.0.0.1:9", "--rate", "0"], "--rate"),
     (["sensor", "--connect", "127.0.0.1:9", "--size", "10"], "--size"),
+    (["sensor", "--connect", "127.0.0.1:9", "--size", "10000089"], "--size"),
     (["sensor", "--connect", "127.0.0.1:9", "--source-id", "70000"], "--source-id"),
     (["relay", "--connect", "127.0.0.1:9", "--proc-ms", "-1"], "--proc-ms"),
     (["vehicle", "--connect", "127.0.0.1:9", "--log", "/nonexistent/v.jsonl",
@@ -300,3 +301,11 @@ def test_bad_numbers_exit_2_naming_the_option(argv, option, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert f"error: argument {option}: " in capsys.readouterr().err
+
+
+def test_sensor_size_takes_the_largest_frame():
+    # 88 bytes of header and checksum around a 10,000,000-byte payload
+    for size in (88, 10_000_088):
+        args = cli.build_parser().parse_args(
+            ["sensor", "--connect", "127.0.0.1:9", "--size", str(size)])
+        assert args.size == size

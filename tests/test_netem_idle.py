@@ -23,6 +23,7 @@ from cv2x_bench.loadgen import CbrPacketSource
 from cv2x_bench.netem import (Cell, Direction, HandoverEvent,
                               LinkSimulator, PriorityClass, SchedulerKind,
                               SimWorld)
+from per_packet import accounting
 
 TICK = 2_500_000
 TICKS = 400
@@ -180,11 +181,6 @@ def _step(params: Params):
     return world, link, deliveries
 
 
-def _accounting(link: LinkSimulator):
-    return [(fid, q.offered_bits, q.served_bits, q.dropped_bits, q.backlog_bits)
-            for fid, q in link.flows.items()]
-
-
 def _matches_stepping(params: Params):
     """Run the world both ways and require the same outcome; returns the
     skipping world, its link, the deliveries and the ticks it skipped by
@@ -192,7 +188,7 @@ def _matches_stepping(params: Params):
     got_world, got_link, got, skipped_by_mid = _advance(params)
     want_world, want_link, want = _step(params)
     assert got == want
-    assert _accounting(got_link) == _accounting(want_link)
+    assert accounting(got_link) == accounting(want_link)
     assert got_world.now_ns == want_world.now_ns
     assert want_world.ticks_skipped == 0
     assert got_world.ticks_run + got_world.ticks_skipped == want_world.ticks_run

@@ -9,47 +9,25 @@ application deliveries."""
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import pytest
 
+from cv2x_bench import netem
 from cv2x_bench.loadgen import CbrPacketSource
 from cv2x_bench.netem import (Cell, Delivery, Direction,
                               LinkSimulator, PriorityClass, SchedulerKind,
                               SimWorld)
 
+from per_packet import PerPacketWorld, accounting
+
 TICK = 2_500_000
 TICKS = 120
 APP_FLOWS = {"app-ul": Direction.UPLINK, "app-dl": Direction.DOWNLINK}
-
-
-class PerPacketWorld(SimWorld):
-    """Reference event loop: every CBR arrival is a heap event, scheduled at
-    the start of its tick, that enqueues one packet."""
-
-    def run_tick(self):
-        tick_start = self.now_ns
-        tick_end = tick_start + self.tick_ns
-        for src in self.cbr_sources:
-            for arrival_ns, size_bits in src.arrivals(tick_start, tick_end):
-                self.schedule(arrival_ns, partial(self._enqueue_one, src.flow_id,
-                                                  size_bits))
-        while self._heap and self._heap[0][0] < tick_end:
-            time_ns, _, callback = heapq.heappop(self._heap)
-            callback(time_ns)
-        deliveries = self.link.run_tick(tick_start)
-        for d in deliveries:
-            if self.on_delivery is not None:
-                self.on_delivery(d)
-        self.now_ns = tick_end
-        return deliveries
-
-    def _enqueue_one(self, flow_id: str, size_bits: int, now_ns: int) -> None:
-        self.link.enqueue(flow_id, size_bits, now_ns)
 
 
 @dataclass
@@ -189,13 +167,12 @@ def _run(params: Params, world_cls) -> tuple[list, list, LinkSimulator, int]:
     for t, flow, bits, follow in params.app_events:
         world.schedule(t, partial(app_enqueue, flow, bits, follow))
     world.on_delivery = on_delivery
-    accounting, app_deliveries = [], []
+    per_tick, app_deliveries = [], []
     for _ in range(TICKS):
         deliveries = world.run_tick()
-        accounting.append([(fid, q.offered_bits, q.served_bits, q.dropped_bits,
-                            q.backlog_bits) for fid, q in link.flows.items()])
+        per_tick.append(accounting(link))
         app_deliveries.append([d for d in deliveries if d.flow_id in APP_FLOWS])
-    return accounting, app_deliveries, link, runs
+    return per_tick, app_deliveries, link, runs
 
 
 def _check_against_reference(params: Params) -> None:
@@ -331,3 +308,243 @@ def test_arrivals_on_tick_edges_are_enqueued_once():
             assert (link.flows[ref.flow_id].offered_bits
                     == arrived[ref.flow_id] * 10_000), (tick, ref.flow_id)
     assert arrived == {"edge-end": 15, "edge-start": 14}
+
+
+# -- BL merge passes over interleaved source runs ----------------------------
+
+class Pass(NamedTuple):
+    """One _serve_interleaved call: its budget, the bits it served, the
+    first application head's key, and the queued runs (first, count,
+    remaining_bits) of every queue holding packets, before and after."""
+    budget: int
+    served: int
+    limit: tuple[int, int, int] | None
+    before: dict[str, list[tuple[int, int, int]]]
+    after: dict[str, list[tuple[int, int, int]]]
+
+
+@pytest.fixture
+def passes(monkeypatch) -> list[Pass]:
+    calls = []
+    serve_interleaved = netem._serve_interleaved
+
+    def queued(heads) -> dict[str, list[tuple[int, int, int]]]:
+        return {q.flow_id: [(e.first, e.count, e.remaining_bits) for e in q.packets]
+                for _, q in heads}
+
+    def recorded(heads, budget):
+        apps = sorted(key for key, q in heads if q.packets[0].src is None)
+        before = queued(heads)
+        served = serve_interleaved(heads, budget)
+        calls.append(Pass(budget, served, apps[0] if apps else None, before,
+                          queued(heads)))
+        return served
+
+    monkeypatch.setattr(netem, "_serve_interleaved", recorded)
+    return calls
+
+
+def _world(world_cls, ul_capacity_bps: int, sources, cap_bytes: int = 1_000_000):
+    """A BL uplink with an application flow "app" and one background flow
+    per (rate_bps, packet_bytes, start_ns) source, flow "bg<i>"."""
+    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
+                         ul_capacity_bps=ul_capacity_bps)
+    link.add_flow("app", Direction.UPLINK, PriorityClass.APPLICATION, 1)
+    world = world_cls(link)
+    for i, (rate_bps, packet_bytes, start_ns) in enumerate(sources):
+        link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1, cap_bytes)
+        world.cbr_sources.append(CbrPacketSource(f"bg{i}", rate_bps, packet_bytes,
+                                                 start_ns=start_ns))
+    return world
+
+
+def _step_both(build, ticks: int) -> SimWorld:
+    """Step the SimWorld and the PerPacketWorld that build(world_cls) makes
+    alike, and require the same accounting and application deliveries
+    after every tick; returns the SimWorld."""
+    got, want = build(SimWorld), build(PerPacketWorld)
+    background = {src.flow_id for src in want.cbr_sources}
+    for tick in range(ticks):
+        got_deliveries = got.run_tick()
+        want_deliveries = [d for d in want.run_tick() if d.flow_id not in background]
+        assert accounting(got.link) == accounting(want.link), f"tick {tick}"
+        assert got_deliveries == want_deliveries, f"tick {tick}"
+    return got
+
+
+# two sources in lockstep: 8,000-bit packets every 1 ms each
+LOCKSTEP = [(8_000_000, 1000, 0), (8_000_000, 1000, 0)]
+
+
+def test_partly_served_head_carries_across_ticks(passes):
+    # a 10,000-bit budget ends inside a packet every tick
+    _step_both(partial(_world, ul_capacity_bps=4_000_000, sources=LOCKSTEP), 40)
+    assert passes and all(p.served == p.budget for p in passes)
+    carried = [(p, nxt) for p, nxt in zip(passes, passes[1:])
+               if any(runs[0][2] < 8_000 for runs in p.after.values())]
+    assert len(carried) >= 25
+    # the next tick's pass starts from the partly served head as it was left
+    for p, nxt in carried:
+        for flow, runs in p.after.items():
+            if runs[0][2] < 8_000:
+                assert nxt.before[flow][0][:1] + nxt.before[flow][0][2:] == (
+                    runs[0][:1] + runs[0][2:])
+
+
+def test_emptied_run_hands_over_to_its_queues_next_run(passes):
+    # a 5-packet cap under 2.7x overload: tail drops leave gaps, so a queue
+    # holds several runs, and one pass serves across their boundary
+    _step_both(partial(_world, ul_capacity_bps=6_000_000, sources=LOCKSTEP,
+                       cap_bytes=5_000), 60)
+    handovers = 0
+    for p in passes:
+        for flow, runs in p.before.items():
+            after = p.after[flow]
+            gone = len(runs) - len(after)
+            # the runs the pass served from: those it emptied, and the one
+            # it left partly served
+            touched = gone + (bool(after) and after[0] != runs[gone])
+            handovers += touched >= 2
+    assert handovers > 10
+    assert all(p.served == p.budget for p in passes)
+
+
+def _app_at_source_instants(world_cls, scheduled_in_tick: bool):
+    """LOCKSTEP sources slightly over a 36,000-bit budget, so a backlog
+    builds up without drops, and a 2,000-bit application packet at the
+    sources' arrival instant 1 ms into every other tick: an event pending
+    from before its tick (rank -1), or one that an event at the tick's
+    start schedules (rank 2)."""
+    world = _world(world_cls, ul_capacity_bps=14_400_000, sources=LOCKSTEP)
+    link = world.link
+
+    def enqueue(now_ns: int) -> None:
+        link.enqueue("app", 2_000, now_ns, meta={"at": now_ns})
+
+    for k in range(0, 40, 2):
+        at = k * TICK + 1_000_000
+        if scheduled_in_tick:
+            world.schedule(k * TICK, lambda now, at=at: world.schedule(at, enqueue))
+        else:
+            world.schedule(at, enqueue)
+    return world
+
+
+@pytest.mark.parametrize("scheduled_in_tick,rank", [(False, -1), (True, 2)])
+def test_application_packet_ties_with_source_packets(passes, scheduled_in_tick, rank):
+    world = _step_both(partial(_app_at_source_instants,
+                               scheduled_in_tick=scheduled_in_tick), 48)
+    sources = {src.flow_id: src for src in world.cbr_sources}
+
+    def has_packet_at(flow: str, runs, time_ns: int) -> bool:
+        src = sources[flow]
+        return any(src.packet_time(n) == time_ns
+                   for first, count, _ in runs for n in range(first, first + count))
+
+    # passes that stopped at an application head short of the budget, while
+    # source packets of that very instant were queued
+    tied = [p for p in passes if p.limit is not None and p.served < p.budget
+            and any(has_packet_at(flow, runs, p.limit[0])
+                    for flow, runs in p.before.items() if flow in sources)]
+    assert len(tied) >= 10
+    assert {p.limit[1] for p in tied} == {rank}
+
+
+def test_three_sources_of_different_rates_and_sizes(passes):
+    sources = [(6_000_000, 500, 0), (5_000_000, 1200, 300_000),
+               (7_000_000, 900, 1_000)]
+    _step_both(partial(_world, ul_capacity_bps=12_000_000, sources=sources,
+                       cap_bytes=9_000), 80)
+    assert any(len(p.before) == 3 and p.served == p.budget for p in passes)
+    assert max(len(p.before) for p in passes) == 3
+
+
+def test_budget_ending_exactly_on_a_packet_boundary(passes):
+    # 24,000 bits a tick: exactly three 8,000-bit packets, so no head is
+    # ever left partly served
+    _step_both(partial(_world, ul_capacity_bps=9_600_000, sources=LOCKSTEP,
+                       cap_bytes=6_000), 60)
+    assert len(passes) >= 50
+    for p in passes:
+        assert p.served == p.budget == 24_000
+        assert all(runs[0][2] == 8_000 for runs in p.after.values() if runs)
+
+
+# -- each source's tick counted once ------------------------------------------
+
+class CountingSource(CbrPacketSource):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.counts = 0
+
+    def count_before(self, t: int) -> int:
+        self.counts += 1
+        return super().count_before(t)
+
+
+def test_consecutive_ticks_count_each_source_once():
+    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
+                         ul_capacity_bps=4_000_000)
+    world = SimWorld(link)
+    for i in range(2):
+        link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1)
+        world.cbr_sources.append(CountingSource(f"bg{i}", 8_000_000, 1000))
+    for _ in range(10):
+        world.run_tick()
+    # the first tick counts where it starts too; every later one starts
+    # where the one before ended
+    assert [src.counts for src in world.cbr_sources] == [11, 11]
+    assert link.flows["bg0"].offered_bits == 25 * 8_000
+
+
+def test_carried_counts_follow_skips_and_source_changes():
+    # sources that fit every tick of a 40 Mbps uplink, so run_until skips
+    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL)
+    for flow_id in ("a", "b"):
+        link.add_flow(flow_id, Direction.UPLINK, PriorityClass.BACKGROUND, 1)
+    world = SimWorld(link)
+    a = CbrPacketSource("a", 1_000_000, 100)
+    b = CbrPacketSource("b", 3_000_000, 125, start_ns=700_000)
+    faster_a = CbrPacketSource("a", 2_000_000, 100)
+    offered = {"a": 0, "b": 0}
+    since = {}
+
+    def step(ticks: int = 1) -> None:
+        for _ in range(ticks):
+            world.run_tick()
+
+    def check() -> None:
+        for src in world.cbr_sources:
+            start_ns, before = since[src.flow_id]
+            offered[src.flow_id] = before + src.packet_bits * (
+                src.count_before(world.now_ns) - src.count_before(start_ns))
+        for flow_id, q in link.flows.items():
+            assert q.offered_bits == offered[flow_id], flow_id
+            assert q.backlog_bits == 0
+
+    def add(src, rank: int) -> None:
+        world.cbr_sources.insert(rank, src)
+        since[src.flow_id] = (world.now_ns, offered[src.flow_id])
+
+    add(a, 0)
+    step(2)
+    check()
+    world.run_until(40 * TICK)
+    assert world.ticks_skipped > 30
+    check()
+    step(2)
+    check()
+    add(b, 0)  # a moves to rank 1
+    step(3)
+    check()
+    world.cbr_sources = [b, a]  # a new list of the same sources
+    step(2)
+    check()
+    world.cbr_sources.remove(a)
+    world.cbr_sources.remove(b)
+    add(faster_a, 0)
+    step(3)
+    check()
+    world.run_until(80 * TICK)
+    check()
+    assert offered["a"] > 0 and offered["b"] > 0

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cv2x_bench import analysis, scenario
+from cv2x_bench import analysis, netem, scenario
 from cv2x_bench.loadgen import CbrPacketSource
 from cv2x_bench.netem import Direction, PriorityClass, SimWorld
 from cv2x_bench.scenario import (ConfigError, config_from_obj, derive_seed,
                                  load_config, load_matrix_config, matrix_to_obj,
                                  resolve_matrix_cells, run_matrix, run_scenario,
                                  table1_matrix)
+from per_packet import PerPacketWorld, accounting
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -128,6 +129,24 @@ def test_env_var_overrides_seed(monkeypatch):
 def test_message_size_bounds():
     with pytest.raises(ConfigError, match="size_bytes"):
         config_from_obj(_minimal(message={"size_bytes": 87, "rate_hz": 1}))
+    # the largest frame carries a 10,000,000-byte payload
+    largest = config_from_obj(_minimal(message={"size_bytes": 10_000_088}))
+    assert largest.message.size_bytes == 10_000_088
+    for size in (10_000_089, 2**31 + 100):
+        with pytest.raises(ConfigError, match="config.message.size_bytes must be <= 10000088"):
+            config_from_obj(_minimal(message={"size_bytes": size}))
+
+
+def test_background_packet_must_fit_its_queue_cap():
+    fits = config_from_obj(_minimal(load={"ul": "1x5", "packet_size_bytes": 1000,
+                                          "queue_cap_bytes": 1000}))
+    assert fits.load.queue_cap_bytes == 1000
+    with pytest.raises(ConfigError, match="config.load.packet_size_bytes 1001 "
+                                          "exceeds queue_cap_bytes 1000: the dl"):
+        config_from_obj(_minimal(load={"dl": "2x5", "packet_size_bytes": 1001,
+                                       "queue_cap_bytes": 1000}))
+    # without background flows there is nothing to drop
+    assert config_from_obj(_minimal(load={"queue_cap_bytes": 1})).load.ul == "none"
 
 
 def test_bad_load_spec_names_field():
@@ -351,11 +370,6 @@ def _stepped(cfg):
     return world, pipeline
 
 
-def _accounting(world: SimWorld):
-    return [(fid, q.offered_bits, q.served_bits, q.dropped_bits, q.backlog_bits)
-            for fid, q in world.link.flows.items()]
-
-
 def test_mobility_cell_counts_every_tick_it_runs_or_skips():
     cfg, = [c for c in resolve_matrix_cells(table1_matrix())
             if c.mobility is not None]
@@ -387,9 +401,9 @@ def test_loaded_matrix_cells_match_stepping_every_tick(seed, monkeypatch):
     for name, (world, pipeline) in stepped.items():
         result = run_scenario(cells[name])
         assert result.records == pipeline.vehicle.records
-        assert _accounting(worlds[name]) == _accounting(world)
+        assert accounting(worlds[name].link) == accounting(world.link)
         assert result.ticks_run + result.ticks_skipped == world.ticks_run
-        assert all(offered for _, offered, *_ in _accounting(world))
+        assert all(offered for _, offered, *_ in accounting(world.link))
     # the overloaded uplink has filled its queue and drops
     assert worlds["overload-ap-1x40-10k-20hz"].link.flows["bg-ul-0"].dropped_bits > 0
     for name in loaded:
@@ -397,6 +411,46 @@ def test_loaded_matrix_cells_match_stepping_every_tick(seed, monkeypatch):
         # cell had no load
         sibling = run_scenario(cells[name.replace("-load5-110-", "-noload-")])
         assert worlds[name].ticks_run == sibling.ticks_run < stepped[name][0].ticks_run
+
+
+OVERLOAD_CELLS = ("overload-bl-1x40-10k-20hz", "overload-bl-2x40-10k-20hz",
+                  "overload-ap-2x40-10k-20hz")
+
+
+@pytest.mark.parametrize("seed", (7, 811, 20240510))
+def test_overload_cells_match_the_per_packet_reference(seed, monkeypatch):
+    cells = {c.name: c for c in resolve_matrix_cells(table1_matrix(seed, duration_s=3.0))}
+    # every background packet its own heap event and queue entry
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario, "SimWorld", PerPacketWorld)
+        reference = {name: _stepped(cells[name]) for name in OVERLOAD_CELLS}
+    worlds = {}
+    build_sim = scenario._build_sim
+    passes = 0
+    serve_interleaved = netem._serve_interleaved
+
+    def keep_world(cfg):
+        world, pipeline = build_sim(cfg)
+        worlds[cfg.name] = world
+        return world, pipeline
+
+    def counted(heads, budget):
+        nonlocal passes
+        passes += 1
+        return serve_interleaved(heads, budget)
+
+    monkeypatch.setattr(scenario, "_build_sim", keep_world)
+    monkeypatch.setattr(netem, "_serve_interleaved", counted)
+    for name in OVERLOAD_CELLS:
+        world, pipeline = reference[name]
+        result = run_scenario(cells[name])
+        assert result.records == pipeline.vehicle.records
+        assert accounting(worlds[name].link) == accounting(world.link)
+        assert len(result.records) == 60
+    # the two BL sources' queues saturated and were served in merge passes
+    bl = worlds["overload-bl-2x40-10k-20hz"].link.flows
+    assert bl["bg-ul-0"].dropped_bits > 0 and bl["bg-ul-1"].dropped_bits > 0
+    assert passes > 1000
 
 
 def test_only_the_handovers_a_run_reaches_are_reported():
