@@ -47,7 +47,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Sequence
 
 
@@ -107,14 +107,19 @@ class MobilityRoute:
         return self.waypoints[-1][0]
 
 
-def _nearest(x: float, y: float, cells: Sequence[Cell]) -> int:
-    """Index of the cell nearest to (x, y); the first one on a tie."""
-    best, best_d = 0, None
-    for i, cell in enumerate(cells):
-        d = math.hypot(x - cell.position[0], y - cell.position[1])
-        if best_d is None or d < best_d:
-            best, best_d = i, d
-    return best
+def _nearest(x: float, y: float,
+             cells: Sequence[Cell]) -> tuple[int, list[float]]:
+    """The index of the cell nearest to (x, y), the first one on a tie, and
+    every cell's distance to it."""
+    ds = [math.hypot(x - cell.position[0], y - cell.position[1])
+          for cell in cells]
+    return ds.index(min(ds)), ds
+
+
+# the allowance, relative to the largest coordinate or hysteresis, that a
+# sample skip keeps for rounding: a computed position or distance is off
+# the exact one by a few ulps of that scale, far below this
+_SKIP_ALLOWANCE = 1e-9
 
 
 def apply_handover(route: MobilityRoute, cells: Sequence[Cell],
@@ -131,6 +136,18 @@ def apply_handover(route: MobilityRoute, cells: Sequence[Cell],
     on the first segment that reaches it, so an interior waypoint's time
     falls on the segment it ends, and the route's end is the last waypoint
     itself.
+
+    The walk evaluates only the samples whose outcome is not known.  After
+    an evaluated sample, the switch margin is the least d_i - (d_serving -
+    hysteresis_m) over the cells other than the serving one; no cell can
+    switch while it is not negative.  Along one segment every distance
+    moves by at most step = |velocity| * sample_ns per sample, so the
+    margin by at most 2 * step: the next floor((margin - allowance) / (2 *
+    step)) samples of the segment cannot switch and are skipped, never one
+    past the segment's last, and a stationary segment with a positive
+    margin is skipped to its end.  The allowance, _SKIP_ALLOWANCE times
+    (1 m + the largest coordinate + the hysteresis), covers rounding, so
+    the events equal those of evaluating every sample.
     """
     if len(cells) < 2:
         raise ValueError("handover needs at least two cells")
@@ -138,42 +155,46 @@ def apply_handover(route: MobilityRoute, cells: Sequence[Cell],
         raise ValueError("sample interval must be positive")
     pts = route.waypoints
     end = route.end_ns
-    positions = [(i, cell.position[0], cell.position[1])
-                 for i, cell in enumerate(cells)]
     ids = [cell.cell_id for cell in cells]
-    hypot = math.hypot
-    serving = _nearest(pts[0][1], pts[0][2], cells)
+    serving, _ = _nearest(pts[0][1], pts[0][2], cells)
+    coords = [v for w in pts for v in w[1:]] + [v for c in cells for v in c.position]
+    allowance = _SKIP_ALLOWANCE * (1.0 + max(map(abs, coords)) + abs(hysteresis_m))
     events: list[HandoverEvent] = []
     # the sample at the route's start finds the serving cell itself nearest
     t = route.start_ns + sample_ns
     for (t0, x0, y0), (t1, x1, y1) in zip(pts, pts[1:]):
         span, dx, dy = t1 - t0, x1 - x0, y1 - y0
+        # 2 * step: the most the margin moves from one sample to the next
+        step2 = 2 * math.hypot(dx, dy) * sample_ns / span
         while t <= t1:
             if t == end:
                 x, y = x1, y1
             else:
                 f = (t - t0) / span
                 x, y = x0 + f * dx, y0 + f * dy
-            nearest, d_nearest, d_serving = -1, 0.0, 0.0
-            for i, cx, cy in positions:
-                d = hypot(x - cx, y - cy)
-                if nearest < 0 or d < d_nearest:
-                    nearest, d_nearest = i, d
-                if i == serving:
-                    d_serving = d
+            nearest, ds = _nearest(x, y, cells)
             if (ids[nearest] != ids[serving]
-                    and d_nearest < d_serving - hysteresis_m):
+                    and ds[nearest] < ds[serving] - hysteresis_m):
                 events.append(HandoverEvent(time_ns=t, from_cell=ids[serving],
                                             to_cell=ids[nearest],
                                             interruption_ns=interruption_ns))
                 serving = nearest
-            t += sample_ns
+            # the switch margin less the allowance for rounding, and the
+            # samples after t on this segment: those it proves cannot
+            # switch are skipped
+            slack = (min(d for i, d in enumerate(ds) if i != serving)
+                     - (ds[serving] - hysteresis_m) - allowance)
+            left = (t1 - t) // sample_ns
+            skip = 0
+            if slack > 0:
+                skip = left if slack >= step2 * left else int(slack / step2)
+            t += (skip + 1) * sample_ns
     return events
 
 
 def initial_serving_cell(route: MobilityRoute, cells: Sequence[Cell]) -> int:
     start = route.waypoints[0]
-    return cells[_nearest(start[1], start[2], cells)].cell_id
+    return cells[_nearest(start[1], start[2], cells)[0]].cell_id
 
 
 @dataclass(slots=True)
@@ -310,15 +331,18 @@ def _serve_fifo(queues: list[FlowQueue], budget: int,
     with the lowest key is served, in one step, up to the key of the next
     queue's head.  When the two lowest heads are both CBR-source runs,
     whose packets may alternate one by one, _serve_interleaved serves the
-    leading source runs together in one pass."""
+    leading source runs together in one pass.
+
+    An application packet and a CBR-source packet must not share a time
+    and a rank: their keys cannot order them, and such a tie raises
+    ValueError."""
     served_total = 0
-    # [head packet's key, queue] of every queue holding packets; no two
-    # queues' heads share a key, so sorting never compares queues
+    # [head packet's key, queue] of every queue holding packets
     heads = [[q.packets[0].key(), q] for q in queues if q.packets]
     while budget > 0 and heads:
         if len(heads) == 1:
             return served_total + heads[0][1].serve_bits(budget, completed)
-        heads.sort()
+        heads.sort(key=itemgetter(0))
         q = heads[0][1]
         if q.packets[0].src is not None and heads[1][1].packets[0].src is not None:
             served = _serve_interleaved(heads, budget)
@@ -326,6 +350,13 @@ def _serve_fifo(queues: list[FlowQueue], budget: int,
             served_total += served
             continue
         bits = q.packets[0].bits_before(heads[1][0])
+        if bits <= 0:
+            # only a source head tied on (time, rank) with the next key,
+            # an application packet's, has no packet below it
+            time_ns, rank, _ = heads[1][0]
+            raise ValueError(
+                f"an application packet and a CBR-source run share time "
+                f"{time_ns} and rank {rank}; their order is undefined")
         served = q.serve_bits(min(budget, bits), completed)
         budget -= served
         served_total += served
@@ -501,7 +532,9 @@ class LinkSimulator:
     def enqueue(self, flow_id: str, size_bits: int, time_ns: int,
                 meta: dict | None = None) -> bool:
         """Enqueue one application packet, keyed (time_ns, event_rank, its
-        number); False if it was tail-dropped."""
+        number); False if it was tail-dropped.  BL refuses to order it
+        against a CBR-source packet of the same time and rank (see
+        _serve_fifo), which SimWorld's ranks never give."""
         if size_bits <= 0:
             raise ValueError("packet size must be positive")
         self._app_packets += 1

@@ -21,6 +21,7 @@ import random
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 MAGIC = b"CV2X"
 VERSION = 1
@@ -161,18 +162,29 @@ def decode_unchecked(frame: bytes) -> V2XMessage | None:
         flags=flags)
 
 
+@lru_cache(maxsize=4)
+def _padding_tail(seed: int, n: int) -> bytes:
+    """Bytes 8 .. n - 1 of the n pseudorandom bytes drawn from the seed."""
+    return random.Random(seed).randbytes(n)[8:]
+
+
 def make_padded_payload(target_frame_size: int, seed: int, seq: int) -> bytes:
     """Deterministic pseudorandom padding so a frame hits an exact size.
 
-    Returns ``target_frame_size - 88`` bytes derived from (seed, seq); the
-    same pair always yields the same bytes, different seqs yield different
-    bytes with overwhelming probability.
+    Returns ``n = target_frame_size - 88`` bytes: the seq as 8 bytes
+    big-endian, then bytes 8 .. n - 1 of one block of n pseudorandom bytes
+    drawn from the seed.  The block is the same for every seq, so it is
+    drawn once per (seed, n) and kept (a few blocks at most); a payload
+    then costs one copy.  A payload shorter than 8 bytes is the seq's last
+    n bytes.  Seed and seq are taken mod 2**64.  The same (seed, seq)
+    always yields the same bytes, and for n >= 8 different seqs certainly
+    yield different bytes.
     """
     if target_frame_size < FRAME_OVERHEAD:
         raise FrameSizeError(
             f"target frame size {target_frame_size} is below the {FRAME_OVERHEAD}-byte overhead")
     n = target_frame_size - FRAME_OVERHEAD
-    if n == 0:
-        return b""
-    rng = random.Random(((seed & 0xFFFFFFFFFFFFFFFF) << 64) | (seq & 0xFFFFFFFFFFFFFFFF))
-    return rng.randbytes(n)
+    head = (seq & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
+    if n <= 8:
+        return head[8 - n:]
+    return head + _padding_tail(seed & 0xFFFFFFFFFFFFFFFF, n)

@@ -19,7 +19,7 @@ from cv2x_bench.analysis import RecordWriter, ingest
 from cv2x_bench.broker import (Broker, BrokerClient, TransportError,
                                recv_envelope)
 from cv2x_bench.clockmodel import (DriftingClock, OffsetProvider,
-                                   corrected_latency_dl, corrected_latency_e2e,
+                                   ZeroOffsetProvider, corrected_latency_dl, corrected_latency_e2e,
                                    corrected_latency_ul)
 from cv2x_bench.scenario import config_from_obj, run_scenario
 
@@ -252,6 +252,27 @@ def test_real_sensor_reconnects_to_a_restarted_broker():
         thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert result == [100]
+
+
+def test_real_and_sim_sensors_build_the_same_frames():
+    # the real driver stamps t1 from the wall clock; all else, the padding
+    # included, is the sim sensor's for the same seed
+    with Broker() as broker, BrokerClient(broker.host, broker.port) as sub:
+        sub.subscribe(UPLINK_TOPIC)
+        _wait_for(lambda: broker.subscriber_count(UPLINK_TOPIC) == 1)
+        sent = run_real_sensor(broker.host, broker.port, frame_size_bytes=10_000,
+                               rate_hz=100.0, duration_s=0.05, payload_seed=9)
+        real = [protocol.decode(sub.recv_message(timeout=5.0)[1])
+                for _ in range(sent)]
+    sim = SimSensor(1, 10_000, 100.0, 50 * MS, DriftingClock(),
+                    ZeroOffsetProvider(), payload_seed=9)
+    want = [protocol.decode(sim.build_frame(0)) for _ in range(sim.n_messages)]
+    assert sent == len(want) == 5
+    for msg in real:
+        assert msg.t1 > 0
+        msg.t1 = 0
+    assert real == want
+    assert len({msg.payload for msg in real}) == 5
 
 
 def _frame(seq: int) -> bytes:

@@ -3,6 +3,8 @@ queue invariants, handover geometry, and event-loop determinism."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from cv2x_bench.loadgen import CbrPacketSource
@@ -28,6 +30,39 @@ def test_tick_budget_defaults():
 
 def _one_cell_link(scheduler: SchedulerKind) -> LinkSimulator:
     return LinkSimulator([Cell(1)], scheduler=scheduler)
+
+
+@pytest.mark.parametrize("rate_bps,first,flows", [
+    # source packets 0, 1, 2 at 0, 800 and 1600 us; the application packet
+    # is keyed (0, 0, 1), between source packet 0 and the next
+    (1_000_000, 0, ("a", "bg")),
+    # packets 1 and 2 both at 0 ns: source packet 1 and the application
+    # packet share the whole key (0, 0, 1), and the source's queue is first
+    (10**13, 1, ("bg", "a")),
+])
+def test_an_application_packet_and_a_source_run_tied_on_time_and_rank(
+        rate_bps, first, flows):
+    link = _one_cell_link(SchedulerKind.BL)
+    for flow_id in flows:
+        link.add_flow(flow_id, UL, APP if flow_id == "a" else BG, 1)
+    src = CbrPacketSource("bg", rate_bps, 100)
+    link.event_rank = 0
+    link.enqueue("a", 8000, 0)
+    link.enqueue_run(src, 0, first, 3)
+    raised: list[ValueError] = []
+
+    def run() -> None:
+        try:
+            link.run_tick(0)
+        except ValueError as exc:
+            raised.append(exc)
+    # the tie once left run_tick serving 0 bits forever
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(10)
+    assert not worker.is_alive(), "run_tick did not return"
+    [exc] = raised
+    assert "share time 0 and rank 0" in str(exc)
 
 
 def test_only_background_flows_need_a_positive_queue_cap():

@@ -1,6 +1,7 @@
-"""apply_handover's one-pass route walk against the per-sample loop it
-replaced, kept here verbatim as the reference together with the segment
-search that located each sample."""
+"""apply_handover's one-pass route walk, which skips the samples that
+cannot switch, against the per-sample loop it replaced, kept here verbatim
+as the reference together with the segment search that located each
+sample."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import random
 
 import pytest
 
+from cv2x_bench import netem, scenario
 from cv2x_bench.netem import (Cell, HandoverEvent, MobilityRoute,
                               apply_handover, initial_serving_cell)
 
@@ -145,3 +147,140 @@ def test_single_waypoint_route_has_no_events():
     route = MobilityRoute(((5, 0.9, 0.0),))
     assert apply_handover(route, cells, hysteresis_m=0.0, sample_ns=1) == []
     assert initial_serving_cell(route, cells) == 2
+
+
+def _counting_nearest(monkeypatch) -> list[int]:
+    """Count the samples apply_handover evaluates (route start included)."""
+    calls = [0]
+    nearest = netem._nearest
+
+    def counted(x, y, cells):
+        calls[0] += 1
+        return nearest(x, y, cells)
+    monkeypatch.setattr(netem, "_nearest", counted)
+    return calls
+
+
+def test_shipped_mobility_route_matches_and_skips(monkeypatch):
+    matrix = scenario.table1_matrix()
+    [cell] = [c for c in matrix.cells if "mobility" in c]
+    cfg = scenario._resolve_matrix_cell(matrix, cell)
+    net = cfg.network
+    route = MobilityRoute(tuple((t + scenario.RUN_EPOCH_NS, x, y)
+                                for t, x, y in cfg.mobility.waypoints))
+    kwargs = dict(hysteresis_m=net.handover.hysteresis_m,
+                  interruption_ns=net.handover.interruption_ns,
+                  sample_ns=net.tick_ns)
+    want = reference_apply_handover(route, list(net.cells), **kwargs)
+    calls = _counting_nearest(monkeypatch)
+    assert apply_handover(route, net.cells, **kwargs) == want
+    assert len(want) == 1
+    # 80,001 samples, of which the walk evaluates 7 besides the start
+    assert (route.end_ns - route.start_ns) // net.tick_ns == 80_000
+    assert calls[0] < 100
+
+
+def _skip_case(seed: int):
+    """3-5 cells, some mirrored across a straight route so that both stay
+    equidistant from it, and a route mixing stationary segments with ones
+    that move several hysteresis margins per sample."""
+    rng = random.Random(seed)
+    angle = rng.uniform(0, 2 * math.pi)
+    ux, uy = math.cos(angle), math.sin(angle)
+    ox, oy = rng.uniform(-100, 100), rng.uniform(-100, 100)
+
+    def at(s: float, n: float) -> tuple[float, float]:
+        # along the route's line at s, n to its side
+        return ox + s * ux - n * uy, oy + s * uy + n * ux
+
+    positions = []
+    while len(positions) < rng.randrange(3, 6):
+        s, n = rng.uniform(-200, 200), rng.uniform(-80, 80)
+        positions.append(at(s, n))
+        if rng.random() < 0.5:
+            positions.append(at(s, -n))
+    positions = positions[:5]
+    cells = [Cell(i, p) for i, p in zip(rng.sample(range(1, 10), len(positions)),
+                                        positions)]
+    sample_ns = rng.randrange(1, 20)
+    hysteresis = rng.choice((0.0, 5.0, rng.uniform(0.0, 30.0)))
+    t, s = rng.randrange(0, 10**6), rng.uniform(-250, 250)
+    on_line = rng.random() < 0.5
+    waypoints = [(t, *(at(s, 0.0) if on_line else (s, rng.uniform(-50, 50))))]
+    for _ in range(rng.randrange(1, 6)):
+        kind = rng.random()
+        t += sample_ns * rng.randrange(1, 60) + rng.randrange(0, sample_ns)
+        if kind < 0.3:
+            waypoints.append((t, *waypoints[-1][1:]))  # stationary
+        elif kind < 0.6:
+            # up to 40 m a sample, past any hysteresis drawn here
+            s += rng.choice((-1, 1)) * rng.uniform(0, 40) * (t - waypoints[-1][0]) / sample_ns
+            waypoints.append((t, *at(s, 0.0)))
+        else:
+            s += rng.uniform(-150, 150)
+            waypoints.append((t, *(at(s, 0.0) if on_line
+                                   else (s, rng.uniform(-50, 50)))))
+    return MobilityRoute(tuple(waypoints)), cells, hysteresis, sample_ns
+
+
+def test_skipping_walk_matches_the_per_sample_loop():
+    with_events = stationary = fast = equidistant = 0
+    for seed in range(600):
+        route, cells, hysteresis, sample_ns = _skip_case(seed)
+        got = apply_handover(route, cells, hysteresis_m=hysteresis,
+                             interruption_ns=seed, sample_ns=sample_ns)
+        want = reference_apply_handover(route, cells, hysteresis_m=hysteresis,
+                                        interruption_ns=seed, sample_ns=sample_ns)
+        assert got == want, f"seed {seed}"
+        pts = route.waypoints
+        with_events += bool(want)
+        stationary += any(a[1:] == b[1:] for a, b in zip(pts, pts[1:]))
+        fast += any(math.dist(a[1:], b[1:]) * sample_ns / (b[0] - a[0]) > hysteresis
+                    for a, b in zip(pts, pts[1:]))
+        equidistant += any(math.isclose(_distance(pts[0][1:], a.position),
+                                        _distance(pts[0][1:], b.position))
+                           for a in cells for b in cells if a is not b)
+    assert with_events > 300
+    assert stationary > 200
+    assert fast > 200
+    assert equidistant > 100
+
+
+def _zero_margin_case(rng: random.Random):
+    """Two cells on a straight route at decimal coordinates, which reaches
+    the point where the margin to the serving cell is exactly the
+    hysteresis on a sample: x = (length + hysteresis) / 2."""
+    scale = rng.choice((10, 100, 1000))
+    length = rng.randrange(1, 3000) / scale
+    hysteresis = rng.choice((0.0, rng.randrange(0, 500) / scale))
+    samples = rng.randrange(2, 200)
+    k = rng.randrange(1, samples)
+    speed = rng.randrange(1, 1000) / scale
+    start = (length + hysteresis) / 2 - speed * k
+    route = MobilityRoute(((0, start, 0.0), (samples, start + speed * samples, 0.0)))
+    return route, [Cell(1, (0.0, 0.0)), Cell(2, (length, 0.0))], hysteresis
+
+
+def test_margins_that_reach_the_hysteresis_on_a_sample():
+    # the margin falls by exactly 2 * step a sample along the cells' line,
+    # so the skip must land on the first sample that switches, rounding
+    # of the tie included
+    rng = random.Random(14)
+    for case in range(400):
+        route, cells, hysteresis = _zero_margin_case(rng)
+        got = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=1)
+        want = reference_apply_handover(route, cells, hysteresis_m=hysteresis,
+                                        sample_ns=1)
+        assert got == want, f"case {case}"
+
+
+def test_stationary_segment_is_skipped_to_its_end(monkeypatch):
+    cells = [Cell(1, (0.0, 0.0)), Cell(2, (100.0, 0.0)), Cell(3, (50.0, 80.0))]
+    route = MobilityRoute(((0, 10.0, 0.0), (10_000, 10.0, 0.0), (10_100, 90.0, 0.0)))
+    calls = _counting_nearest(monkeypatch)
+    events = apply_handover(route, cells, hysteresis_m=5.0, sample_ns=1)
+    assert events == reference_apply_handover(route, cells, hysteresis_m=5.0,
+                                              sample_ns=1)
+    assert [(e.time_ns, e.from_cell, e.to_cell) for e in events] == [(10_054, 1, 2)]
+    # the start, one sample of the stationary segment, then the moving one
+    assert calls[0] < 110

@@ -217,3 +217,48 @@ def test_padded_payload_no_collisions_over_consecutive_seqs():
     for seq in range(10_000):
         seen.add(make_padded_payload(180, seed=8, seq=seq))
     assert len(seen) == 10_000
+
+
+def test_full_size_padded_payloads_do_not_collide():
+    # 9,912-byte payloads, as the 10 kB matrix cells send
+    seen = set()
+    for seq in range(10_000):
+        seen.add(make_padded_payload(10_000, seed=8, seq=seq))
+    assert len(seen) == 10_000
+
+
+def test_padded_payload_derivation():
+    # the 8-byte seq, then one per-seed block from its eighth byte on
+    a = make_padded_payload(1000, seed=3, seq=12)
+    b = make_padded_payload(1000, seed=3, seq=2**40 + 7)
+    assert a[:8] == (12).to_bytes(8, "big")
+    assert b[:8] == (2**40 + 7).to_bytes(8, "big")
+    assert a[8:] == b[8:] == random.Random(3).randbytes(912)[8:]
+    # the seed changes every padding byte after the seq, bar chance equals
+    c = make_padded_payload(1000, seed=4, seq=12)
+    assert a[:8] == c[:8]
+    assert sum(x != y for x, y in zip(a[8:], c[8:])) > 850
+    # seqs and seeds are taken mod 2**64
+    assert make_padded_payload(1000, seed=3 - 2**64, seq=12 + 2**64) == a
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_short_padded_payloads(n):
+    # shorter than a seq, a payload is the seq's last n bytes; a frame of
+    # only overhead gets b""
+    seq = 0x0102030405060708
+    payload = make_padded_payload(protocol.FRAME_OVERHEAD + n, seed=1, seq=seq)
+    assert len(payload) == n
+    assert payload[:8] == seq.to_bytes(8, "big")[max(0, 8 - n):]
+    frame = encode(V2XMessage(seq=5, payload=payload))
+    assert len(frame) == protocol.FRAME_OVERHEAD + n
+    assert decode(frame).payload == payload
+
+
+def test_padded_payload_is_covered_by_the_checksum():
+    frame = bytearray(encode(V2XMessage(seq=3, payload=make_padded_payload(10_000, 5, 3))))
+    for index in (protocol.HEADER_LEN, protocol.HEADER_LEN + 8, len(frame) - 5):
+        flipped = bytearray(frame)
+        flipped[index] ^= 0x40
+        with pytest.raises(ChecksumError):
+            decode(bytes(flipped))
