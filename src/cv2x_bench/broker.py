@@ -200,14 +200,12 @@ class BrokerClient:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._send_lock = threading.Lock()
-        self.subscriptions: list[str] = []
         self.frames_published = 0
         self.frames_received = 0
 
     def subscribe(self, topic: str) -> None:
         with self._send_lock:
             send_envelope(self._sock, f"SUB {topic}")
-        self.subscriptions.append(topic)
 
     def publish(self, topic: str, frame: bytes) -> None:
         with self._send_lock:

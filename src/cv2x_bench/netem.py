@@ -19,9 +19,8 @@ Two scheduler disciplines are provided:
   BL  best-effort baseline: all flows in a direction share one logical
       pipe, served strictly in arrival (key) order (no QoS
       differentiation), so overload traffic queues ahead of application
-      packets.  Where CBR-source runs of two or more queues interleave,
-      they are merged in one pass, packet by packet, with each key computed
-      inline.
+      packets.  The pipe is one k-way merge of its queues' heads, packet
+      by packet, until one queue is left to drain.
   AP  absolute priority: application-class queues are drained first, and
       whatever budget remains is split max-min fair across background
       flows.
@@ -47,7 +46,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 
@@ -225,17 +224,6 @@ class QueuedRun:
             return self.enqueue_ns, self.rank, self.first
         return self.src.packet_time(self.first), self.rank, self.first
 
-    def bits_before(self, key: tuple[int, int, int]) -> int:
-        """The bits left of the packets keyed below `key`, which lies above
-        the head packet's key."""
-        if self.src is None:
-            return self.remaining_bits
-        time_ns, rank, _ = key
-        # a packet at time_ns itself is below the key if its rank is lower
-        end = self.src.count_before(time_ns + 1 if self.rank < rank else time_ns)
-        n = min(end - self.first, self.count)
-        return self.remaining_bits + (n - 1) * self.size_bits
-
 
 @dataclass(frozen=True)
 class Delivery:
@@ -327,103 +315,59 @@ class FlowQueue:
 
 def _serve_fifo(queues: list[FlowQueue], budget: int,
                 completed: list[Completion]) -> int:
-    """Serve queues in key order (one best-effort pipe).  The head run
-    with the lowest key is served, in one step, up to the key of the next
-    queue's head.  When the two lowest heads are both CBR-source runs,
-    whose packets may alternate one by one, _serve_interleaved serves the
-    leading source runs together in one pass.
+    """Serve queues as one best-effort pipe, packet by packet in key order:
+    a k-way merge of the queues' heads (Knuth, TAOCP vol. 3, 5.4.1) through
+    a heap of (time, rank, number, queue index).  Each pop serves one
+    packet, or as much of it as the budget leaves; the next packet of a
+    source run is keyed inline as packet_time keys it, and a queue whose
+    run empties goes on with its next entry.  Once one queue is left,
+    serve_bits drains it.
 
-    An application packet and a CBR-source packet must not share a time
-    and a rank: their keys cannot order them, and such a tie raises
+    An application packet and a CBR-source packet of another queue must not
+    share a time and a rank: their keys cannot order them, so serving one
+    with the other next in key order, in this call or the next, raises
     ValueError."""
-    served_total = 0
-    # [head packet's key, queue] of every queue holding packets
-    heads = [[q.packets[0].key(), q] for q in queues if q.packets]
-    while budget > 0 and heads:
-        if len(heads) == 1:
-            return served_total + heads[0][1].serve_bits(budget, completed)
-        heads.sort(key=itemgetter(0))
-        q = heads[0][1]
-        if q.packets[0].src is not None and heads[1][1].packets[0].src is not None:
-            served = _serve_interleaved(heads, budget)
-            budget -= served
-            served_total += served
-            continue
-        bits = q.packets[0].bits_before(heads[1][0])
-        if bits <= 0:
-            # only a source head tied on (time, rank) with the next key,
-            # an application packet's, has no packet below it
-            time_ns, rank, _ = heads[1][0]
-            raise ValueError(
-                f"an application packet and a CBR-source run share time "
-                f"{time_ns} and rank {rank}; their order is undefined")
-        served = q.serve_bits(min(budget, bits), completed)
-        budget -= served
-        served_total += served
-        if not q.packets:
-            del heads[0]
-        elif budget:
-            heads[0][0] = q.packets[0].key()
-    return served_total
-
-
-def _serve_interleaved(heads: list, budget: int) -> int:
-    """Serve the CBR-source head runs that lead the sorted `heads` in one
-    pass, packet by packet in key order, up to `budget` bits; returns the
-    bits served and leaves `heads` holding each queue's new head key.
-
-    Packet n of a run is keyed inline as packet_time keys it: (start_ns +
-    n * packet_bits * 1e9 // rate_bps, rank, n).  A queue whose run
-    empties goes on with its next run.  The pass stops when the budget is
-    spent, leaving a partly served head packet as serve_bits would; before
-    a packet keyed above the first application head; or when a queue
-    empties or its next entry is an application packet, for the caller's
-    step loop to go on.  Served runs complete nothing."""
-    limit = None
-    lead = []
-    for entry in heads:
-        if entry[1].packets[0].src is None:
-            limit = entry[0]
-            break
-        lead.append(entry)
-    # (head key, index into lead): heads is sorted, so this is a heap
-    order = [(*key, i) for i, (key, _) in enumerate(lead)]
-    runs = [q.packets[0] for _, q in lead]
-    served = [0] * len(lead)
+    heap = [(*q.packets[0].key(), i) for i, q in enumerate(queues) if q.packets]
+    heapq.heapify(heap)
     left = budget
-    while left:
-        time_ns, rank, n, i = order[0]
-        if limit is not None and (time_ns, rank, n) > limit:
+    while left and heap:
+        if len(heap) == 1:
+            left -= queues[heap[0][3]].serve_bits(left, completed)
             break
-        run = runs[i]
+        time_ns, rank, n, i = heap[0]
+        q = queues[i]
+        packets = q.packets
+        run = packets[0]
         bits = run.remaining_bits
         if bits > left:
-            run.remaining_bits = bits - left
-            served[i] += left
-            left = 0
+            left -= q.serve_bits(left, completed)
             break
         left -= bits
-        served[i] += bits
-        if run.count == 1:
-            packets = lead[i][1].packets
-            packets.popleft()
-            if not packets or packets[0].src is None:
-                break
-            run = runs[i] = packets[0]
-            n = run.first
-        else:
+        q.backlog_bits -= bits
+        q.served_bits += bits
+        src = run.src
+        if run.count > 1:
             n += 1
             run.first = n
             run.count -= 1
             run.remaining_bits = run.size_bits
-        src = run.src
-        heapq.heapreplace(order, (src.start_ns + n * src.packet_bits
-                                  * 1_000_000_000 // src.rate_bps,
-                                  run.rank, n, i))
-    for (_, q), bits in zip(lead, served):
-        q.backlog_bits -= bits
-        q.served_bits += bits
-    heads[:len(lead)] = [[q.packets[0].key(), q] for _, q in lead if q.packets]
+            heapq.heapreplace(heap, (src.start_ns + n * src.packet_bits
+                                     * 1_000_000_000 // src.rate_bps, rank, n, i))
+        else:
+            packets.popleft()
+            if src is None:
+                completed.append((q, run))
+            if packets:
+                heapq.heapreplace(heap, (*packets[0].key(), i))
+            else:
+                heapq.heappop(heap)
+        # the packet served next, now or in a later call
+        after = heap[0]
+        if (after[0] == time_ns and after[1] == rank and after[3] != i
+                and (queues[after[3]].packets[0].src is None) != (src is None)):
+            raise ValueError(
+                f"an application packet and a CBR-source packet share time "
+                f"{time_ns} and rank {rank}; their order is undefined")
     return budget - left
 
 
@@ -532,9 +476,10 @@ class LinkSimulator:
     def enqueue(self, flow_id: str, size_bits: int, time_ns: int,
                 meta: dict | None = None) -> bool:
         """Enqueue one application packet, keyed (time_ns, event_rank, its
-        number); False if it was tail-dropped.  BL refuses to order it
-        against a CBR-source packet of the same time and rank (see
-        _serve_fifo), which SimWorld's ranks never give."""
+        number); False if it was tail-dropped.  Its key cannot order it
+        against a CBR-source packet of another queue with the same time and
+        rank, so serving the two next to each other raises ValueError (see
+        _serve_fifo); SimWorld's ranks never give such a pair."""
         if size_bits <= 0:
             raise ValueError("packet size must be positive")
         self._app_packets += 1

@@ -39,6 +39,10 @@ def _one_cell_link(scheduler: SchedulerKind) -> LinkSimulator:
     # packets 1 and 2 both at 0 ns: source packet 1 and the application
     # packet share the whole key (0, 0, 1), and the source's queue is first
     (10**13, 1, ("bg", "a")),
+    # packets 2, 3 and 4 all at 0 ns: the application packet, keyed (0, 0,
+    # 1), sorts first, and source packet 2 follows it from the one queue
+    # left
+    (10**13, 2, ("a", "bg")),
 ])
 def test_an_application_packet_and_a_source_run_tied_on_time_and_rank(
         rate_bps, first, flows):

@@ -13,9 +13,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cv2x_bench import netem
 from cv2x_bench.loadgen import CbrPacketSource
@@ -310,37 +313,43 @@ def test_arrivals_on_tick_edges_are_enqueued_once():
     assert arrived == {"edge-end": 15, "edge-start": 14}
 
 
-# -- BL merge passes over interleaved source runs ----------------------------
+# -- BL merges over interleaved source runs -----------------------------------
 
 class Pass(NamedTuple):
-    """One _serve_interleaved call: its budget, the bits it served, the
-    first application head's key, and the queued runs (first, count,
-    remaining_bits) of every queue holding packets, before and after."""
+    """One _serve_fifo call: its queues, its budget, the bits it served,
+    the application packets it completed as (flow, enqueue_ns, rank), and
+    the queued runs (first, count, remaining_bits) of every queue holding
+    packets, before and after."""
+    queues: list
     budget: int
     served: int
-    limit: tuple[int, int, int] | None
+    completed: list[tuple[str, int, int]]
     before: dict[str, list[tuple[int, int, int]]]
     after: dict[str, list[tuple[int, int, int]]]
 
 
+def _queued(queues) -> dict[str, list[tuple[int, int, int]]]:
+    return {q.flow_id: [(e.first, e.count, e.remaining_bits) for e in q.packets]
+            for q in queues if q.packets}
+
+
 @pytest.fixture
 def passes(monkeypatch) -> list[Pass]:
+    """Every _serve_fifo call, in order; _step_both keeps the SimWorld's."""
     calls = []
-    serve_interleaved = netem._serve_interleaved
+    serve_fifo = netem._serve_fifo
 
-    def queued(heads) -> dict[str, list[tuple[int, int, int]]]:
-        return {q.flow_id: [(e.first, e.count, e.remaining_bits) for e in q.packets]
-                for _, q in heads}
-
-    def recorded(heads, budget):
-        apps = sorted(key for key, q in heads if q.packets[0].src is None)
-        before = queued(heads)
-        served = serve_interleaved(heads, budget)
-        calls.append(Pass(budget, served, apps[0] if apps else None, before,
-                          queued(heads)))
+    def recorded(queues, budget, completed):
+        before = _queued(queues)
+        done = len(completed)
+        served = serve_fifo(queues, budget, completed)
+        calls.append(Pass(queues, budget, served,
+                          [(q.flow_id, e.enqueue_ns, e.rank)
+                           for q, e in completed[done:]],
+                          before, _queued(queues)))
         return served
 
-    monkeypatch.setattr(netem, "_serve_interleaved", recorded)
+    monkeypatch.setattr(netem, "_serve_fifo", recorded)
     return calls
 
 
@@ -358,10 +367,11 @@ def _world(world_cls, ul_capacity_bps: int, sources, cap_bytes: int = 1_000_000)
     return world
 
 
-def _step_both(build, ticks: int) -> SimWorld:
+def _step_both(build, ticks: int, passes: list[Pass] | None = None) -> SimWorld:
     """Step the SimWorld and the PerPacketWorld that build(world_cls) makes
     alike, and require the same accounting and application deliveries
-    after every tick; returns the SimWorld."""
+    after every tick; returns the SimWorld.  `passes` keeps only the calls
+    that served the SimWorld's queues."""
     got, want = build(SimWorld), build(PerPacketWorld)
     background = {src.flow_id for src in want.cbr_sources}
     for tick in range(ticks):
@@ -369,6 +379,9 @@ def _step_both(build, ticks: int) -> SimWorld:
         want_deliveries = [d for d in want.run_tick() if d.flow_id not in background]
         assert accounting(got.link) == accounting(want.link), f"tick {tick}"
         assert got_deliveries == want_deliveries, f"tick {tick}"
+    if passes is not None:
+        flows = set(got.link.flows.values())
+        passes[:] = [p for p in passes if p.queues[0] in flows]
     return got
 
 
@@ -378,12 +391,15 @@ LOCKSTEP = [(8_000_000, 1000, 0), (8_000_000, 1000, 0)]
 
 def test_partly_served_head_carries_across_ticks(passes):
     # a 10,000-bit budget ends inside a packet every tick
-    _step_both(partial(_world, ul_capacity_bps=4_000_000, sources=LOCKSTEP), 40)
-    assert passes and all(p.served == p.budget for p in passes)
+    _step_both(partial(_world, ul_capacity_bps=4_000_000, sources=LOCKSTEP), 40,
+               passes)
+    # one merge of both queues a tick
+    assert len(passes) == 40
+    assert all(p.served == p.budget and len(p.before) == 2 for p in passes)
     carried = [(p, nxt) for p, nxt in zip(passes, passes[1:])
                if any(runs[0][2] < 8_000 for runs in p.after.values())]
     assert len(carried) >= 25
-    # the next tick's pass starts from the partly served head as it was left
+    # the next tick's call starts from the partly served head as it was left
     for p, nxt in carried:
         for flow, runs in p.after.items():
             if runs[0][2] < 8_000:
@@ -393,15 +409,15 @@ def test_partly_served_head_carries_across_ticks(passes):
 
 def test_emptied_run_hands_over_to_its_queues_next_run(passes):
     # a 5-packet cap under 2.7x overload: tail drops leave gaps, so a queue
-    # holds several runs, and one pass serves across their boundary
+    # holds several runs, and one call serves across their boundary
     _step_both(partial(_world, ul_capacity_bps=6_000_000, sources=LOCKSTEP,
-                       cap_bytes=5_000), 60)
+                       cap_bytes=5_000), 60, passes)
     handovers = 0
     for p in passes:
         for flow, runs in p.before.items():
             after = p.after[flow]
             gone = len(runs) - len(after)
-            # the runs the pass served from: those it emptied, and the one
+            # the runs the call served from: those it emptied, and the one
             # it left partly served
             touched = gone + (bool(after) and after[0] != runs[gone])
             handovers += touched >= 2
@@ -430,31 +446,33 @@ def _app_at_source_instants(world_cls, scheduled_in_tick: bool):
     return world
 
 
+def _served_in_full(p: Pass, flow: str) -> set[int]:
+    """The numbers of the packets of `flow` that the call served in full."""
+    def numbers(runs) -> set[int]:
+        return {n for first, count, _ in runs for n in range(first, first + count)}
+    return numbers(p.before.get(flow, [])) - numbers(p.after.get(flow, []))
+
+
 @pytest.mark.parametrize("scheduled_in_tick,rank", [(False, -1), (True, 2)])
 def test_application_packet_ties_with_source_packets(passes, scheduled_in_tick, rank):
     world = _step_both(partial(_app_at_source_instants,
-                               scheduled_in_tick=scheduled_in_tick), 48)
+                               scheduled_in_tick=scheduled_in_tick), 48, passes)
     sources = {src.flow_id: src for src in world.cbr_sources}
-
-    def has_packet_at(flow: str, runs, time_ns: int) -> bool:
-        src = sources[flow]
-        return any(src.packet_time(n) == time_ns
-                   for first, count, _ in runs for n in range(first, first + count))
-
-    # passes that stopped at an application head short of the budget, while
-    # source packets of that very instant were queued
-    tied = [p for p in passes if p.limit is not None and p.served < p.budget
-            and any(has_packet_at(flow, runs, p.limit[0])
-                    for flow, runs in p.before.items() if flow in sources)]
+    # application packets served in the same call as source packets of
+    # their very instant
+    tied = [(time_ns, app_rank) for p in passes
+            for _, time_ns, app_rank in p.completed
+            if any(sources[flow].packet_time(n) == time_ns
+                   for flow in sources for n in _served_in_full(p, flow))]
     assert len(tied) >= 10
-    assert {p.limit[1] for p in tied} == {rank}
+    assert {app_rank for _, app_rank in tied} == {rank}
 
 
 def test_three_sources_of_different_rates_and_sizes(passes):
     sources = [(6_000_000, 500, 0), (5_000_000, 1200, 300_000),
                (7_000_000, 900, 1_000)]
     _step_both(partial(_world, ul_capacity_bps=12_000_000, sources=sources,
-                       cap_bytes=9_000), 80)
+                       cap_bytes=9_000), 80, passes)
     assert any(len(p.before) == 3 and p.served == p.budget for p in passes)
     assert max(len(p.before) for p in passes) == 3
 
@@ -463,11 +481,102 @@ def test_budget_ending_exactly_on_a_packet_boundary(passes):
     # 24,000 bits a tick: exactly three 8,000-bit packets, so no head is
     # ever left partly served
     _step_both(partial(_world, ul_capacity_bps=9_600_000, sources=LOCKSTEP,
-                       cap_bytes=6_000), 60)
+                       cap_bytes=6_000), 60, passes)
     assert len(passes) >= 50
     for p in passes:
         assert p.served == p.budget == 24_000
         assert all(runs[0][2] == 8_000 for runs in p.after.values() if runs)
+
+
+# -- BL order against a sort of every queued packet ---------------------------
+
+# (packet_bytes, rate_bps) of sources whose packets fall on a 100 us grid, so
+# that sources share instants, and sources of one rank packet numbers too
+GRID_SOURCES = [(100, 8_000_000), (100, 4_000_000), (150, 6_000_000),
+                (125, 10_000_000)]
+
+
+def _sorted_service(link: LinkSimulator, budget: int):
+    """Serve `budget` bits by hand: every queued packet expanded to its key
+    (time, rank, number) and its queue's position, sorted, and served in
+    that order.  Returns each flow's served bits, its runs left as (first,
+    count, remaining_bits), and the tags of the application packets
+    completed, in order."""
+    packets = []
+    for index, q in enumerate(link.flows.values()):
+        for run in q.packets:
+            for n in range(run.first, run.first + run.count):
+                time_ns = run.enqueue_ns if run.src is None else run.src.packet_time(n)
+                bits = run.remaining_bits if n == run.first else run.size_bits
+                packets.append(((time_ns, run.rank, n, index), q.flow_id, run, n, bits))
+    packets.sort(key=itemgetter(0))
+    served = dict.fromkeys(link.flows, 0)
+    rest, completed = {}, []
+    for _, flow, run, n, bits in packets:
+        take = min(bits, budget)
+        budget -= take
+        served[flow] += take
+        rest[id(run), n] = bits - take
+        if take == bits and run.src is None:
+            completed.append(run.meta["tag"])
+    runs = {}
+    for flow, q in link.flows.items():
+        runs[flow] = []
+        for run in q.packets:
+            left = [n for n in range(run.first, run.first + run.count) if rest[id(run), n]]
+            if left:
+                runs[flow].append((left[0], len(left), rest[id(run), left[0]]))
+    return served, runs, completed
+
+
+@settings(max_examples=150, deadline=None)
+@given(budget=st.integers(200, 12_000),
+       sources=st.lists(st.tuples(
+           st.sampled_from(GRID_SOURCES),
+           st.sampled_from([0, 100_000, 200_000]),  # start_ns
+           st.integers(0, 2),  # the source's rank, which others may share
+           st.integers(1, 6),  # its queue cap in packets
+           st.lists(st.integers(1, 5), min_size=3, max_size=3)),  # arrivals
+           min_size=1, max_size=3),
+       apps=st.lists(st.tuples(
+           st.integers(0, 2_000_000),  # time_ns
+           st.sampled_from([-1, 3]),  # below or above every source's rank
+           st.integers(1, 3_000),  # bits
+           st.sampled_from(["app0", "app1"])), max_size=8))
+def test_bl_serves_every_queued_packet_in_key_order(budget, sources, apps):
+    # three rounds of arrivals, the first two served in a tick each: a full
+    # queue tail-drops, so the next round starts a run of its own, and a
+    # budget that ends inside a packet leaves a partly served head
+    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
+                         ul_capacity_bps=budget * 400)
+    for flow_id in ("app0", "app1"):
+        link.add_flow(flow_id, Direction.UPLINK, PriorityClass.APPLICATION, 1)
+    feeds = []
+    for k, ((size, rate_bps), start_ns, rank, cap, arrivals) in enumerate(sources):
+        link.add_flow(f"bg{k}", Direction.UPLINK, PriorityClass.BACKGROUND, 1,
+                      cap * size)
+        feeds.append((CbrPacketSource(f"bg{k}", rate_bps, size, start_ns=start_ns),
+                      rank, arrivals))
+    # application packets enqueued in key order, so each queue is sorted
+    apps.sort()
+    for tick in range(3):
+        for src, rank, arrivals in feeds:
+            first = sum(arrivals[:tick])
+            link.enqueue_run(src, rank, first, first + arrivals[tick])
+        for tag in range(len(apps) * tick // 3, len(apps) * (tick + 1) // 3):
+            time_ns, rank, bits, flow_id = apps[tag]
+            link.event_rank = rank
+            link.enqueue(flow_id, bits, time_ns, meta={"tag": tag})
+        if tick < 2:
+            link.run_tick(tick * TICK)
+    served, runs, completed = _sorted_service(link, budget)
+    before = {flow_id: q.served_bits for flow_id, q in link.flows.items()}
+    deliveries = link.run_tick(2 * TICK)
+    assert {flow_id: q.served_bits - before[flow_id]
+            for flow_id, q in link.flows.items()} == served
+    assert {flow_id: [(e.first, e.count, e.remaining_bits) for e in q.packets]
+            for flow_id, q in link.flows.items()} == runs
+    assert [d.meta["tag"] for d in deliveries] == completed
 
 
 # -- each source's tick counted once ------------------------------------------
