@@ -1,5 +1,5 @@
-"""Packet-log ingestion, clock-corrected latency statistics, handover
-flagging, and CSV/SVG report emission.
+"""Packet-log ingestion, clock-corrected latency statistics, and CSV/SVG
+report emission.
 
 The on-disk log is JSON lines, one object per delivered message:
 
@@ -16,13 +16,14 @@ import csv
 import json
 import math
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .clockmodel import (corrected_latency_dl, corrected_latency_e2e,
                          corrected_latency_ul)
-from .netem import HandoverEvent
 
 # a log record's keys are PacketRecord's field names, in field order,
 # except for these renames
@@ -81,6 +82,8 @@ _RECORD_KEYS = tuple(_RENAMED.get(name, name) for name in _FIELD_NAMES)
 _field_values = attrgetter(*_FIELD_NAMES)
 _key_values = itemgetter(*_RECORD_KEYS)
 _VALUE_TYPES = tuple(bool if key == "corrupt" else int for key in _RECORD_KEYS)
+# what may follow a record on its line: the newline, or nothing on the last
+_LINE_ENDS = ("\n", "")
 
 
 def record_line(record: PacketRecord) -> str:
@@ -114,19 +117,26 @@ class RecordWriter:
 def ingest(path: str | Path) -> list[PacketRecord]:
     """Load a packet log; parse problems raise IngestError naming the line."""
     records: list[PacketRecord] = []
+    scan = json.JSONDecoder().scan_once
     with open(path, "r", encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
+            # a record as written: one object alone on its line, its keys in
+            # field order, its values of the exact types
+            try:
+                obj, end = scan(line, 0)
+            except (StopIteration, ValueError):
+                obj, end = None, 0
+            if (type(obj) is dict and line[end:] in _LINE_ENDS
+                    and tuple(obj) == _RECORD_KEYS):
+                values = tuple(obj.values())
+                if tuple(map(type, values)) == _VALUE_TYPES:
+                    records.append(PacketRecord(*values))
+                    continue
+            # any other line: parsed and checked field by field
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                # a record as written: the keys in field order, exact types
-                if type(obj) is dict and tuple(obj) == _RECORD_KEYS:
-                    values = tuple(obj.values())
-                    if tuple(map(type, values)) == _VALUE_TYPES:
-                        records.append(PacketRecord(*values))
-                        continue
-                records.append(PacketRecord.from_json_obj(obj))
+                records.append(PacketRecord.from_json_obj(json.loads(line)))
             except ValueError as exc:
                 raise IngestError(f"{path}: line {lineno}: {exc}") from None
     return records
@@ -149,11 +159,9 @@ def cdf(samples: list[int]) -> list[tuple[int, float]]:
         raise ValueError("cdf of empty sample set")
     ordered = sorted(samples)
     n = len(ordered)
-    points: list[tuple[int, float]] = []
-    for i, value in enumerate(ordered):
-        if i + 1 == n or ordered[i + 1] != value:
-            points.append((value, (i + 1) / n))
-    return points
+    # each value, in order, with the rank of its last occurrence
+    last_rank = dict(zip(ordered, range(1, n + 1)))
+    return [(value, rank / n) for value, rank in last_rank.items()]
 
 
 @dataclass
@@ -181,55 +189,26 @@ class LatencyStats:
                    cdf=cdf(ordered))
 
 
-_METRICS = ("ul", "dl", "e2e")
+_LATENCY = {"ul": corrected_latency_ul, "dl": corrected_latency_dl,
+            "e2e": corrected_latency_e2e}
 
 
-def latency_samples(records: list[PacketRecord], which: str = "e2e",
-                    exclude_processing: bool = False) -> list[int]:
+def latency_samples(records: list[PacketRecord], which: str = "e2e") -> list[int]:
     """Corrected latencies of the uncorrupted records, in record order.
 
-    which selects uplink ("ul"), downlink ("dl"), or end-to-end ("e2e");
-    exclude_processing subtracts the corrected server residence time from
-    the end-to-end figure to isolate the network.
+    which selects uplink ("ul"), downlink ("dl"), or end-to-end ("e2e").
     """
-    if which not in _METRICS:
-        raise ValueError(f"metric must be one of {_METRICS}, got {which!r}")
-    samples: list[int] = []
-    for rec in records:
-        if rec.corrupt:
-            continue
-        if which == "ul":
-            samples.append(corrected_latency_ul(rec))
-        elif which == "dl":
-            samples.append(corrected_latency_dl(rec))
-        else:
-            value = corrected_latency_e2e(rec)
-            if exclude_processing:
-                value -= (rec.t3 + rec.e3) - (rec.t2 + rec.e2)
-            samples.append(value)
-    return samples
+    latency = _LATENCY.get(which)
+    if latency is None:
+        raise ValueError(f"metric must be one of {tuple(_LATENCY)}, got {which!r}")
+    return [latency(rec) for rec in records if not rec.corrupt]
 
 
-def summarize(records: list[PacketRecord], which: str = "e2e",
-              exclude_processing: bool = False) -> LatencyStats:
-    samples = latency_samples(records, which, exclude_processing)
+def summarize(records: list[PacketRecord], which: str = "e2e") -> LatencyStats:
+    samples = latency_samples(records, which)
     if not samples:
         raise ValueError("no usable records to summarize")
     return LatencyStats.from_samples(samples)
-
-
-def detect_handover_affected(records: list[PacketRecord],
-                             events: list[HandoverEvent]) -> list[PacketRecord]:
-    """Uncorrupted records whose downlink leg was hit by a handover
-    interruption: their clock-corrected downlink interval [t3+e3, t4+e4)
-    intersects an interruption window.  That is exact only when the offset
-    estimates are exact: estimation error can misjudge a packet near a
-    window's edge, which is why run_matrix takes the emulator's own set
-    (ScenarioResult.affected_seqs).
-    """
-    windows = [(e.time_ns, e.time_ns + e.interruption_ns) for e in events]
-    return [r for r in records if not r.corrupt
-            and any(r.t3 + r.e3 < w1 and r.t4 + r.e4 > w0 for w0, w1 in windows)]
 
 
 def escape(text: str) -> str:
@@ -251,52 +230,79 @@ def write_stats_csv(stats_by_scenario: dict[str, LatencyStats],
                              stats.p95_ns, stats.p99_ns])
 
 
-def write_cdf_csv(stats: LatencyStats, path: str | Path) -> None:
+def _write_csv_lines(path: str | Path, lines: list[str]) -> None:
+    """Write rows already joined by commas, each ended with CRLF as
+    csv.writer ends it."""
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["latency_ns", "cum_fraction"])
-        for value, fraction in stats.cdf:
-            writer.writerow([value, f"{fraction:.9f}"])
+        fp.write("\r\n".join(lines) + "\r\n")
+
+
+def write_cdf_csv(stats: LatencyStats, path: str | Path) -> None:
+    _write_csv_lines(path, ["latency_ns,cum_fraction"]
+                     + [f"{value},{fraction:.9f}" for value, fraction in stats.cdf])
 
 
 def write_per_packet_csv(records: list[PacketRecord], path: str | Path,
                          affected_seqs: set[int] | None = None) -> None:
     affected_seqs = affected_seqs or set()
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["seq", "ul_ns", "dl_ns", "e2e_ns", "cell",
-                         "corrupt", "affected"])
-        for rec in records:
-            if rec.corrupt:
-                writer.writerow([rec.seq, "", "", "", rec.serving_cell, 1, 0])
-                continue
-            # a frame sent straight to the vehicle has no relay stamps
-            relayed = rec.t2 and rec.t3
-            writer.writerow([rec.seq,
-                             corrected_latency_ul(rec) if relayed else "",
-                             corrected_latency_dl(rec) if relayed else "",
-                             corrected_latency_e2e(rec),
-                             rec.serving_cell, 0,
-                             1 if rec.seq in affected_seqs else 0])
+    lines = ["seq,ul_ns,dl_ns,e2e_ns,cell,corrupt,affected"]
+    for rec in records:
+        seq = rec.seq
+        if rec.corrupt:
+            lines.append(f"{seq},,,,{rec.serving_cell},1,0")
+            continue
+        # a frame sent straight to the vehicle has no relay stamps
+        hops = (f"{corrected_latency_ul(rec)},{corrected_latency_dl(rec)}"
+                if rec.t2 and rec.t3 else ",")
+        lines.append(f"{seq},{hops},{corrected_latency_e2e(rec)},{rec.serving_cell},"
+                     f"0,{1 if seq in affected_seqs else 0}")
+    _write_csv_lines(path, lines)
 
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
             "#393b79", "#637939", "#8c6d31")
+_X, _Y = itemgetter(0), itemgetter(1)
+
+
+def m4(points: list[tuple[float, float]], x_min: float, x_span: float,
+       columns: int) -> list[tuple[float, float]]:
+    """M4 (Jugel et al., PVLDB 7(10), 2014): of the points, in x order, that
+    fall in each of `columns` equal columns of [x_min, x_min + x_span], the
+    first, the last, the lowest and the highest (the first of equals),
+    returned in x order.  A line through them draws the same pixels as a
+    line through every point when each column is one pixel wide."""
+    if not points:
+        return []
+    ordered = sorted(points, key=_X)
+    xs, ys = list(map(_X, ordered)), list(map(_Y, ordered))
+    bounds = [x_min + c * x_span / columns for c in range(1, columns)]
+    kept: list[int] = []
+    lo, n = 0, len(xs)
+    while lo < n:
+        column = bisect_right(bounds, xs[lo])
+        hi = bisect_left(xs, bounds[column], lo) if column < len(bounds) else n
+        part = ys[lo:hi]
+        kept += sorted({lo, hi - 1, lo + part.index(min(part)),
+                        lo + part.index(max(part))})
+        lo = hi
+    return [ordered[i] for i in kept]
 
 
 def svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str,
                    x_label: str, y_label: str,
                    width: int = 900, height: int = 520) -> str:
-    """Minimal dependency-free line chart: one polyline per series."""
+    """Minimal dependency-free line chart: one polyline per series, through
+    its points in x order.  Each series is drawn at plot resolution, through
+    the points `m4` keeps with one column per pixel, so its size does not
+    grow with its points.  A series whose points all fall on one pixel is
+    drawn as a one-pixel dash, so that every series with a point shows."""
     margin = 70
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
-    points = [p for pts in series.values() for p in pts]
+    points = list(chain.from_iterable(series.values()))
     if points:
-        x_min = min(p[0] for p in points)
-        x_max = max(p[0] for p in points)
-        y_min = min(p[1] for p in points)
-        y_max = max(p[1] for p in points)
+        x_min, x_max = min(map(_X, points)), max(map(_X, points))
+        y_min, y_max = min(map(_Y, points)), max(map(_Y, points))
     else:
         x_min = y_min = 0.0
         x_max = y_max = 1.0
@@ -331,15 +337,31 @@ def svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str,
         if not pts:
             continue
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{margin + (x - x_min) / x_span * plot_w:.2f},"
-                          f"{height - margin - (y - y_min) / y_span * plot_h:.2f}"
-                          for x, y in pts)
+        pixels = [(margin + (x - x_min) / x_span * plot_w,
+                   height - margin - (y - y_min) / y_span * plot_h)
+                  for x, y in m4(pts, x_min, x_span, plot_w)]
+        coords = [f"{px:.2f},{py:.2f}" for px, py in pixels]
+        if len(set(coords)) == 1:
+            px, py = pixels[0]
+            coords.append(f"{px + 1:.2f},{py:.2f}")
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                     f'points="{coords}"/>')
+                     f'points="{" ".join(coords)}"/>')
         parts.append(f'<text x="{width - margin + 4}" y="{margin + 14 * i + 10}" '
                      f'font-size="10" fill="{color}">{escape(name)}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def _cdf_steps_ms(cdf: list[tuple[int, float]]) -> list[tuple[float, float]]:
+    """The vertices of an empirical CDF drawn as a step function, values in
+    ms: up from the fraction below each value to the fraction at it, so a
+    point mass is a vertical segment."""
+    steps: list[tuple[float, float]] = []
+    below = 0.0
+    for value, fraction in cdf:
+        steps += ((value / 1e6, below), (value / 1e6, fraction))
+        below = fraction
+    return steps
 
 
 def emit_report(stats_by_scenario: dict[str, LatencyStats],
@@ -359,7 +381,7 @@ def emit_report(stats_by_scenario: dict[str, LatencyStats],
         cdf_path = out / f"cdf_{safe_name(name)}.csv"
         write_cdf_csv(stats, cdf_path)
         written.append(cdf_path)
-        series[name] = [(value / 1e6, fraction) for value, fraction in stats.cdf]
+        series[name] = _cdf_steps_ms(stats.cdf)
     svg_path = out / "cdf.svg"
     svg_path.write_text(
         svg_line_chart(series, "Latency CDF by scenario",
@@ -371,7 +393,7 @@ def emit_report(stats_by_scenario: dict[str, LatencyStats],
 
 def emit_per_packet_chart(name: str, records: list[PacketRecord],
                           out_dir: str | Path) -> Path:
-    pts = [(float(rec.seq), corrected_latency_e2e(rec) / 1e6)
+    pts = [(rec.seq, corrected_latency_e2e(rec) / 1e6)
            for rec in records if not rec.corrupt]
     path = Path(out_dir) / f"per_packet_{safe_name(name)}.svg"
     path.write_text(

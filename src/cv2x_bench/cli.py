@@ -13,11 +13,9 @@ import threading
 from pathlib import Path
 from typing import Iterator
 
-from . import analysis, scenario
-from .agents import (ProcessingDelay, run_real_relay, run_real_sensor,
-                     run_real_vehicle)
-from .broker import Broker
-from .loadgen import blast_udp
+# the emulator, the broker and the agents are imported by the subcommands
+# that use them, so that `analyze` loads only what it runs
+from . import analysis
 from .protocol import FRAME_OVERHEAD, MAX_FRAME_SIZE
 
 
@@ -65,6 +63,7 @@ def _print_stats(name: str, stats: analysis.LatencyStats) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from . import scenario
     cfg = scenario.load_config(args.config)
     result = scenario.run_scenario(cfg, out_dir=args.out)
     print(f"scenario {result.name}: sent={result.sensor_sent} "
@@ -78,6 +77,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from . import scenario
     matrix = scenario.load_matrix_config(args.config)
     result = scenario.run_matrix(matrix, args.out)
     for name, res in result.results.items():
@@ -107,6 +107,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_init_matrix(args: argparse.Namespace) -> int:
+    from . import scenario
     matrix = scenario.table1_matrix()
     Path(args.out).write_text(
         json.dumps(scenario.matrix_to_obj(matrix), indent=2) + "\n",
@@ -116,6 +117,7 @@ def _cmd_init_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_broker(args: argparse.Namespace) -> int:
+    from .broker import Broker
     host, port = args.address
     with Broker(host, port) as broker, _stop_event(0) as stop:
         print(f"broker listening on {broker.host}:{broker.port}", flush=True)
@@ -124,6 +126,7 @@ def _cmd_broker(args: argparse.Namespace) -> int:
 
 
 def _cmd_sensor(args: argparse.Namespace) -> int:
+    from .agents import run_real_sensor
     host, port = args.address
     sent = run_real_sensor(host, port, frame_size_bytes=args.size,
                            rate_hz=args.rate, duration_s=args.duration,
@@ -150,6 +153,7 @@ def _stop_event(duration_s: float) -> Iterator[threading.Event]:
 
 
 def _cmd_relay(args: argparse.Namespace) -> int:
+    from .agents import ProcessingDelay, run_real_relay
     host, port = args.address
     processing = ProcessingDelay(constant_ns=round(args.proc_ms * 1e6))
     with _stop_event(args.duration) as stop:
@@ -161,6 +165,7 @@ def _cmd_relay(args: argparse.Namespace) -> int:
 
 
 def _cmd_vehicle(args: argparse.Namespace) -> int:
+    from .agents import run_real_vehicle
     host, port = args.address
     with contextlib.closing(analysis.RecordWriter(args.log)) as sink, \
             _stop_event(args.duration) as stop:
@@ -171,6 +176,7 @@ def _cmd_vehicle(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
+    from .loadgen import blast_udp
     sent = blast_udp(args.address, args.rate_mbps * 1e6, args.duration,
                      packet_size_bytes=args.size)
     print(f"loadgen sent {sent} datagrams")
@@ -244,12 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_error() -> tuple[type, ...]:
+    """scenario.ConfigError, once a subcommand has loaded scenario: no
+    config error is raised before that."""
+    scenario = sys.modules.get(f"{__package__}.scenario")
+    return (scenario.ConfigError,) if scenario else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (scenario.ConfigError, analysis.IngestError, FileNotFoundError) as exc:
+    except (analysis.IngestError, FileNotFoundError, *_config_error()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

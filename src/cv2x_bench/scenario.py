@@ -405,9 +405,8 @@ class ScenarioResult:
     log_path: Path | None = None
     config_echo_path: Path | None = None
 
-    def stats(self, which: str = "e2e",
-              exclude_processing: bool = False) -> analysis.LatencyStats:
-        return analysis.summarize(self.records, which, exclude_processing)
+    def stats(self, which: str = "e2e") -> analysis.LatencyStats:
+        return analysis.summarize(self.records, which)
 
 
 def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:

@@ -18,6 +18,7 @@ from cv2x_bench import analysis, scenario
 from cv2x_bench.clockmodel import corrected_latency_dl, corrected_latency_ul
 from cv2x_bench.protocol import (ChecksumError, MalformedFrameError,
                                  V2XMessage, compute_checksum, decode, encode)
+from handover import detect_handover_affected
 
 MS = 1_000_000
 TICK_NS = 2_500_000
@@ -153,7 +154,7 @@ def test_mobility_handover(matrix_runs):
     event = res.handover_events[0]
     interruption = event.interruption_ns
 
-    flagged = analysis.detect_handover_affected(res.records, res.handover_events)
+    flagged = detect_handover_affected(res.records, res.handover_events)
     flagged_seqs = {r.seq for r in flagged}
     assert flagged_seqs == res.affected_seqs  # zero false pos/neg vs emulator
     assert len(flagged_seqs) >= 1

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from cv2x_bench import analysis
 from cv2x_bench.analysis import (IngestError, LatencyStats, PacketRecord, cdf,
-                                 detect_handover_affected, emit_report, ingest,
-                                 percentile, summarize,
+                                 emit_report, ingest, percentile, summarize,
                                  write_records)
 from cv2x_bench.netem import HandoverEvent
+from handover import detect_handover_affected
 
 MS = 1_000_000
 
@@ -141,6 +141,65 @@ def test_write_records_then_ingest_returns_the_records(tmp_path_factory, records
     assert ingest(path) == records
 
 
+def _reference_ingest(path) -> list[PacketRecord]:
+    """ingest without its fast path: every line through json.loads and the
+    field-by-field check."""
+    records = []
+    with open(path, encoding="utf-8") as fp:
+        for lineno, line in enumerate(fp, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(PacketRecord.from_json_obj(json.loads(line)))
+            except ValueError as exc:
+                raise IngestError(f"{path}: line {lineno}: {exc}") from None
+    return records
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except IngestError as exc:
+        return str(exc)
+
+
+def _with(obj: dict, **changes) -> str:
+    return json.dumps({**obj, **changes}, separators=(",", ":"))
+
+
+# each turns a record's JSON object into the text of its line
+_PERTURBATIONS = {
+    "as-written": lambda obj: _with(obj),
+    "leading-space": lambda obj: " " + _with(obj),
+    "trailing-spaces": lambda obj: _with(obj) + "  ",
+    "bom": lambda obj: "\ufeff" + _with(obj),
+    "trailing-junk": lambda obj: _with(obj) + "x",
+    "second-object": lambda obj: _with(obj) + "{}",
+    "reordered-keys": lambda obj: json.dumps(dict(reversed(obj.items()))),
+    "true-in-int": lambda obj: _with(obj, seq=True),
+    "float-in-int": lambda obj: _with(obj, t1=1.0),
+    "nan": lambda obj: _with(obj, t2=math.nan),
+    "duplicate-key-last": lambda obj: _with(obj)[:-1] + ',"seq":5}',
+    "duplicate-key-first": lambda obj: '{"seq":5,' + _with(obj)[1:],
+    "spaced": lambda obj: json.dumps(obj),
+    "blank": lambda obj: "",
+    "whitespace": lambda obj: " \t ",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(st.tuples(_RECORDS, st.sampled_from(sorted(_PERTURBATIONS))),
+                      max_size=6),
+       newline=st.sampled_from(["\n", "\r\n"]), last_newline=st.booleans())
+def test_ingest_matches_the_field_by_field_reference(tmp_path_factory, lines,
+                                                      newline, last_newline):
+    text = newline.join(_PERTURBATIONS[kind](record.to_json_obj())
+                        for record, kind in lines)
+    path = tmp_path_factory.getbasetemp() / "perturbed.jsonl"
+    path.write_bytes((text + (newline if last_newline else "")).encode("utf-8"))
+    assert _outcome(ingest, path) == _outcome(_reference_ingest, path)
+
+
 # -- percentile / cdf -------------------------------------------------------
 
 def test_percentile_nearest_rank_examples():
@@ -235,14 +294,6 @@ def test_summarize_requires_usable_records():
         summarize([], "e2e")
 
 
-def test_summarize_can_exclude_residence_time():
-    records = [_record(i, ul=3 * MS, proc=5 * MS, dl=2 * MS) for i in range(10)]
-    with_proc = summarize(records, "e2e")
-    without = summarize(records, "e2e", exclude_processing=True)
-    assert with_proc.mean_ns == 10 * MS
-    assert without.mean_ns == 5 * MS
-
-
 def test_latency_requirement_check_is_expressible():
     # e.g. "95% of latencies below 40 ms" is a plain percentile comparison
     records = [_record(i, ul=3 * MS, dl=2 * MS) for i in range(100)]
@@ -326,3 +377,70 @@ def test_per_packet_outputs(tmp_path):
     assert int(rows[0]["e2e_ns"]) == 5 * MS
     svg = analysis.emit_per_packet_chart("x", records, tmp_path)
     ET.parse(svg)  # must be valid XML
+
+
+# -- charts -----------------------------------------------------------------
+
+def _brute_m4(points, x_min, x_span, columns):
+    """Per column, point by point: the first, last, lowest and highest
+    point (the first of equals), in x order."""
+    ordered = sorted(points, key=lambda p: p[0])
+    bounds = [x_min + c * x_span / columns for c in range(1, columns)]
+    by_column: dict[int, list[int]] = {}
+    for i, (x, _) in enumerate(ordered):
+        by_column.setdefault(sum(b <= x for b in bounds), []).append(i)
+    kept = []
+    for column in sorted(by_column):
+        members = by_column[column]
+        ys = [ordered[i][1] for i in members]
+        kept += sorted({members[0], members[-1], members[ys.index(min(ys))],
+                        members[ys.index(max(ys))]})
+    return [ordered[i] for i in kept]
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 40) | st.floats(0, 40),
+                                 st.integers(-5, 5)), max_size=60),
+       columns=st.integers(1, 12))
+def test_m4_keeps_each_columns_first_last_lowest_and_highest(points, columns):
+    xs = [x for x, _ in points]
+    x_min = min(xs, default=0)
+    x_span = (max(xs, default=0) - x_min) or 1
+    assert (analysis.m4(points, x_min, x_span, columns)
+            == _brute_m4(points, x_min, x_span, columns))
+
+
+def _polylines(svg_path) -> list[list[tuple[float, float]]]:
+    root = ET.parse(svg_path).getroot()
+    return [[tuple(map(float, pair.split(","))) for pair in line.get("points").split()]
+            for line in root.iter("{http://www.w3.org/2000/svg}polyline")]
+
+
+def test_every_series_with_a_sample_draws_two_distinct_vertices(tmp_path):
+    emit_report({"one": _stats([7 * MS]), "flat": _stats([7 * MS] * 5),
+                 "spread": _stats(range(MS, 900 * MS, 7 * MS))}, tmp_path)
+    for records in ([_record(0)], [_record(3)] * 4, [_record(i) for i in range(50)]):
+        svg = analysis.emit_per_packet_chart("x", records, tmp_path)
+        [vertices] = _polylines(svg)
+        assert len(set(vertices)) >= 2
+    for vertices in _polylines(tmp_path / "cdf.svg"):
+        assert len(set(vertices)) >= 2
+
+
+def test_a_point_mass_cdf_is_a_vertical_segment(tmp_path):
+    emit_report({"flat": _stats([7 * MS] * 200)}, tmp_path)
+    [vertices] = _polylines(tmp_path / "cdf.svg")
+    # from fraction 0 at the foot of the plot to 1 at its top
+    assert vertices == [(70.0, 450.0), (70.0, 70.0)]
+
+
+@pytest.mark.parametrize("n", [1_000, 100_000])
+def test_chart_size_does_not_grow_with_the_records(tmp_path, n):
+    rng = random.Random(n)
+    records = [_record(seq, ul=rng.randrange(MS, 50 * MS), dl=rng.randrange(MS, 9 * MS))
+               for seq in range(n)]
+    rng.shuffle(records)
+    emit_report({"x": summarize(records)}, tmp_path)
+    analysis.emit_per_packet_chart("x", records, tmp_path)
+    for name in ("cdf.svg", "per_packet_x.svg"):
+        assert (tmp_path / name).stat().st_size < 48_000, name

@@ -87,6 +87,25 @@ def test_the_cli_imports_no_xml_or_http_modules():
     assert result.stdout.strip() == "[]"
 
 
+def test_analyze_loads_only_the_analysis_modules(tmp_path):
+    # a fresh interpreter, since this one has loaded every module
+    log = tmp_path / "log.jsonl"
+    analysis.write_records(log, [analysis.PacketRecord(
+        source_id=1, seq=seq, t1=10**9, t2=10**9 + MS, t3=10**9 + 2 * MS,
+        t4=10**9 + 3 * MS) for seq in range(3)])
+    code = ("import sys; from cv2x_bench import cli; "
+            f"assert cli.main(['analyze', '--log', {str(log)!r}, "
+            f"'--out', {str(tmp_path / 'report')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('cv2x_bench')))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.stdout.splitlines()[-1] == str(sorted(
+        f"cv2x_bench{name}" for name in ("", ".analysis", ".cli", ".clockmodel",
+                                         ".protocol")))
+
+
 def test_init_matrix_writes_the_built_in_matrix(tmp_path):
     out = tmp_path / "matrix.json"
     assert cli.main(["init-matrix", "--out", str(out)]) == 0
@@ -100,6 +119,15 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys):
                    encoding="utf-8")
     assert cli.main(["run", "--config", str(bad)]) == 2
     assert capsys.readouterr().err == "error: config.duration_s must be positive\n"
+
+
+def test_malformed_matrix_config_exits_2_naming_the_field(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"master_seed": 1, "cells": "none"}),
+                   encoding="utf-8")
+    assert cli.main(["matrix", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: matrix.cells must be a list\n"
 
 
 def test_analyze_of_an_empty_log_exits_1(tmp_path, capsys):

@@ -21,6 +21,7 @@ from cv2x_bench.scenario import (ConfigError, config_from_obj, derive_seed,
                                  load_config, load_matrix_config, matrix_to_obj,
                                  resolve_matrix_cells, run_matrix, run_scenario,
                                  table1_matrix)
+from handover import detect_handover_affected
 from per_packet import PerPacketWorld, accounting
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -296,7 +297,7 @@ def test_per_packet_affected_column_is_the_emulators_own_set(tmp_path):
                    if row["affected"] == "1"}
     assert len(res.affected_seqs) == 10
     assert flagged == res.affected_seqs
-    estimated = {r.seq for r in analysis.detect_handover_affected(
+    estimated = {r.seq for r in detect_handover_affected(
         res.records, res.handover_events)}
     assert estimated - flagged == {3372, 3373, 3386, 3387}
 
@@ -469,8 +470,8 @@ def test_only_the_handovers_a_run_reaches_are_reported():
     assert both.handover_events == one.handover_events
     assert both.records == one.records
     assert both.affected_seqs == one.affected_seqs != set()
-    assert (analysis.detect_handover_affected(both.records, both.handover_events)
-            == analysis.detect_handover_affected(one.records, one.handover_events))
+    assert (detect_handover_affected(both.records, both.handover_events)
+            == detect_handover_affected(one.records, one.handover_events))
 
 
 def test_tick_is_the_pattern_length_times_the_slot_duration():
