@@ -25,14 +25,15 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import protocol
 from .analysis import PacketRecord, RecordWriter
 from .broker import BrokerClient, ConnectionClosed
 from .clockmodel import DriftingClock, OffsetProvider, ZeroOffsetProvider
-from .netem import (Delivery, Direction, LinkSimulator, PriorityClass,
-                    SimWorld)
+
+if TYPE_CHECKING:
+    from .netem import Delivery, LinkSimulator, SimWorld
 
 
 UPLINK_TOPIC = "UL"
@@ -198,6 +199,8 @@ class SimPipeline:
     def __init__(self, world: SimWorld, link: LinkSimulator,
                  sensor: SimSensor, relay: SimRelay, vehicle: SimVehicle, *,
                  sensor_cell: int, ack_ratio: float) -> None:
+        # the emulator is imported only here, so the real agents never load it
+        from .netem import Direction, PriorityClass
         # a flow with no cell follows the vehicle
         flows = [("app-ul", Direction.UPLINK, sensor_cell),
                  ("app-dl", Direction.DOWNLINK, None)]

@@ -225,7 +225,7 @@ class QueuedRun:
         return self.src.packet_time(self.first), self.rank, self.first
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Delivery:
     flow_id: str
     size_bits: int
@@ -442,6 +442,13 @@ class LinkSimulator:
         self._initial_cell = cells[0].cell_id
         # the mobile terminal's handovers, sorted by time
         self.handovers: list[HandoverEvent] = []
+        # the sorted times at which a handover or an interruption's end
+        # changes the terminal's state, and for each k its state (serving
+        # cell, interrupted) at every instant of [bounds[k-1], bounds[k])
+        self._bounds: list[int] = []
+        self._states = [(self._initial_cell, False)]
+        # (lo, hi, serving, suspended): the state of every tick in [lo, hi)
+        self._segment = (-math.inf, math.inf, self._initial_cell, False)
 
     def add_flow(self, flow_id: str, direction: Direction,
                  priority_class: PriorityClass, cell_id: int | None,
@@ -463,15 +470,45 @@ class LinkSimulator:
         handovers that switch it, each interrupting its service."""
         self._initial_cell = initial_cell
         self.handovers = sorted(events, key=attrgetter("time_ns"))
+        if any(ev.interruption_ns < 0 for ev in self.handovers):
+            raise ValueError("a handover interruption cannot be negative")
+        starts = [ev.time_ns for ev in self.handovers]
+        ends = sorted(t + ev.interruption_ns for t, ev in zip(starts, self.handovers))
+        self._bounds = sorted(set(starts + ends))
+        # an instant is interrupted if more interruptions have started than
+        # ended by it
+        self._states = [(self.serving_cell(t),
+                         bisect_right(starts, t) > bisect_right(ends, t))
+                        for t in [-math.inf] + self._bounds]
+        self._segment = (math.inf, -math.inf, initial_cell, False)  # none yet
 
     def serving_cell(self, time_ns: int) -> int:
         idx = bisect_right(self.handovers, time_ns, key=attrgetter("time_ns"))
         return self.handovers[idx - 1].to_cell if idx else self._initial_cell
 
     def interrupted(self, start_ns: int, end_ns: int) -> bool:
-        """Whether a handover interruption overlaps [start_ns, end_ns)."""
-        return any(start_ns < ev.time_ns + ev.interruption_ns
-                   and end_ns > ev.time_ns for ev in self.handovers)
+        """Whether a handover interruption overlaps [start_ns, end_ns).
+
+        It does if one covers start_ns.  If none does, the first bound
+        after start_ns is where one starts (one that ends there started
+        after start_ns, and at or before the bound), so it does exactly
+        if that bound falls before end_ns."""
+        k = bisect_right(self._bounds, start_ns)
+        return start_ns < end_ns and (
+            self._states[k][1] or (k < len(self._bounds) and self._bounds[k] < end_ns))
+
+    def _locate(self, start_ns: int, end_ns: int) -> tuple:
+        """The segment (lo, hi, serving cell, suspended) of the tick
+        [start_ns, end_ns): the span between two bounds that holds it, or
+        the tick alone if a bound falls inside it, which it then holds
+        interrupted (see interrupted)."""
+        bounds = self._bounds
+        k = bisect_right(bounds, start_ns)
+        serving, suspended = self._states[k]
+        hi = bounds[k] if k < len(bounds) else math.inf
+        if end_ns > hi:
+            return start_ns, end_ns, serving, True
+        return (bounds[k - 1] if k else -math.inf), hi, serving, suspended
 
     def enqueue(self, flow_id: str, size_bits: int, time_ns: int,
                 meta: dict | None = None) -> bool:
@@ -517,11 +554,9 @@ class LinkSimulator:
 
     def run_tick(self, tick_start: int) -> list[Delivery]:
         tick_end = tick_start + self.tick_ns
-        if self.handovers:
-            suspended = self.interrupted(tick_start, tick_end)
-            serving = self.serving_cell(tick_start)
-        else:
-            suspended, serving = False, self._initial_cell
+        lo, hi, serving, suspended = self._segment
+        if tick_start < lo or tick_end > hi:
+            lo, hi, serving, suspended = self._segment = self._locate(tick_start, tick_end)
         deliveries: list[Delivery] = []
         for group in self._flow_groups():
             cell_id, budget = group.cell_id, group.budget

@@ -4,10 +4,14 @@ reconnect."""
 
 from __future__ import annotations
 
+import os
 import random
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -321,3 +325,14 @@ def test_real_relay_raises_on_a_malformed_envelope():
             run_real_relay(*server.getsockname(), stop=threading.Event())
         thread.join(timeout=5.0)
     assert not thread.is_alive()
+
+
+def test_real_agents_do_not_load_the_emulator():
+    # a fresh interpreter, since this one has loaded every module
+    code = ("import sys, cv2x_bench.agents; "
+            "print('cv2x_bench.netem' in sys.modules)")
+    src = str(Path(protocol.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.stdout.split() == ["False"]

@@ -1,7 +1,8 @@
 """apply_handover's one-pass route walk, which skips the samples that
 cannot switch, against the per-sample loop it replaced, kept here verbatim
 as the reference together with the segment search that located each
-sample."""
+sample; and the link's mobility state, worked out once per segment between
+handover bounds, against the per-tick lookups it replaced."""
 
 from __future__ import annotations
 
@@ -9,10 +10,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cv2x_bench import netem, scenario
-from cv2x_bench.netem import (Cell, HandoverEvent, MobilityRoute,
-                              apply_handover, initial_serving_cell)
+from cv2x_bench.netem import (Cell, HandoverEvent, LinkSimulator,
+                              MobilityRoute, apply_handover,
+                              initial_serving_cell)
 
 
 def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -284,3 +288,81 @@ def test_stationary_segment_is_skipped_to_its_end(monkeypatch):
     assert [(e.time_ns, e.from_cell, e.to_cell) for e in events] == [(10_054, 1, 2)]
     # the start, one sample of the stationary segment, then the moving one
     assert calls[0] < 110
+
+
+# -- mobility state per segment --------------------------------------------
+
+def _interrupted_scan(link: LinkSimulator, start_ns: int, end_ns: int) -> bool:
+    """The per-event scan that interrupted() replaced."""
+    return any(start_ns < ev.time_ns + ev.interruption_ns
+               and end_ns > ev.time_ns for ev in link.handovers)
+
+
+def _check_ticks(link: LinkSimulator, starts) -> tuple[set[int], int]:
+    """Run each tick and check the state it was served with; returns the
+    cells that served and the number of suspended ticks."""
+    served, suspended = set(), 0
+    for t in starts:
+        link.run_tick(t)
+        want = (link.serving_cell(t), _interrupted_scan(link, t, t + link.tick_ns))
+        assert link._segment[2:] == want, t
+        assert link.interrupted(t, t + link.tick_ns) == want[1], t
+        served.add(want[0])
+        suspended += want[1]
+    return served, suspended
+
+
+def test_shipped_mobility_cell_state_on_every_tick():
+    matrix = scenario.table1_matrix()
+    [cell] = [c for c in matrix.cells if "mobility" in c]
+    cfg = scenario._resolve_matrix_cell(matrix, cell)
+    world, _ = scenario._build_sim(cfg)
+    link = world.link
+    [event] = link.handovers
+    start = world.start_ns
+    served, suspended = _check_ticks(
+        link, range(start, start + cfg.duration_ns, link.tick_ns))
+    assert len(served) == 2
+    assert suspended == -(-event.interruption_ns // link.tick_ns)
+
+
+_STEPS = st.lists(st.tuples(st.sampled_from(("edge", "any", "back")),
+                            st.integers(0, 40), st.integers(0, 60)),
+                  max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STEPS, st.integers(0, 9), st.randoms(use_true_random=False), st.data())
+def test_segment_state_matches_the_per_tick_lookups(steps, phase, rng, data):
+    # ticks of 10 ns from phase on; events on tick edges or anywhere, or
+    # back to back, with interruptions of none, under a tick or several
+    tick = 10
+    link = LinkSimulator([Cell(1), Cell(2)], tick_ns=tick,
+                         ul_capacity_bps=10**9, dl_capacity_bps=10**9)
+    link.add_flow("dl", netem.Direction.DOWNLINK, netem.PriorityClass.APPLICATION,
+                  None)
+    events, t, end, cell = [], phase, phase, 2
+    for kind, gap, interruption in steps:
+        if kind == "edge":
+            t = (t - phase) // tick * tick + phase + gap * tick
+        else:
+            t = end if kind == "back" else t + gap
+        events.append(HandoverEvent(t, cell, 3 - cell, interruption))
+        end, cell = t + interruption, 3 - cell
+    link.set_mobility(2, events)
+    last = max([end] + [ev.time_ns + ev.interruption_ns for ev in events])
+    starts = list(range(phase - 3 * tick, last + 3 * tick, tick))
+    _check_ticks(link, starts)
+    # in any order, with ticks skipped
+    rng.shuffle(starts)
+    _check_ticks(link, starts[:len(starts) // 2])
+    for _ in range(20):
+        a = data.draw(st.integers(phase - 20, last + 20))
+        b = data.draw(st.integers(a - 5, last + 30))
+        assert link.interrupted(a, b) == (a < b and _interrupted_scan(link, a, b))
+
+
+def test_negative_interruption_is_refused():
+    link = LinkSimulator([Cell(1), Cell(2)])
+    with pytest.raises(ValueError, match="negative"):
+        link.set_mobility(1, [HandoverEvent(10, 1, 2, -1)])

@@ -1,11 +1,18 @@
 """Wire codec tests: round-trips, framing errors, corruption detection,
-checksum check values, and deterministic padding."""
+checksum check values, CRC combination and the table of known CRCs, and
+deterministic padding."""
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import types
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cv2x_bench import protocol
 from cv2x_bench.protocol import (ChecksumError, FrameSizeError,
@@ -34,6 +41,29 @@ def _random_message(rng: random.Random, max_payload: int = 2000) -> V2XMessage:
         e3=rng.randrange(-1 << 40, 1 << 40), e4=rng.randrange(-1 << 40, 1 << 40),
         payload=rng.randbytes(rng.randrange(0, max_payload)),
         flags=rng.randrange(0, 256))
+
+
+def _reference_frame(msg: V2XMessage) -> bytes:
+    """The frame as header + payload + CRC-32 of both, packed field by
+    field."""
+    body = b"".join((
+        b"CV2X", bytes((1, msg.flags)), msg.source_id.to_bytes(2, "big"),
+        msg.seq.to_bytes(8, "big"),
+        *(v.to_bytes(8, "big", signed=True)
+          for v in (msg.t1, msg.t2, msg.t3, msg.t4, msg.e1, msg.e2, msg.e3, msg.e4)),
+        len(msg.payload).to_bytes(4, "big"), msg.payload))
+    return body + compute_checksum(body).to_bytes(4, "big")
+
+
+def _count_crc_bytes(monkeypatch) -> list[int]:
+    """Count the bytes the codec hands to zlib.crc32."""
+    read = [0]
+
+    def crc32(data, value=0):
+        read[0] += memoryview(data).nbytes
+        return zlib.crc32(data, value)
+    monkeypatch.setattr(protocol, "zlib", types.SimpleNamespace(crc32=crc32))
+    return read
 
 
 def test_empty_message_round_trip():
@@ -87,6 +117,29 @@ def test_wire_layout_field_offsets():
     assert frame[80:84] == (2).to_bytes(4, "big")                # payload len
     assert frame[84:86] == b"\xAA\xBB"
     assert frame[86:90] == compute_checksum(frame[:86]).to_bytes(4, "big")
+
+
+def test_encode_matches_the_reference_frame():
+    # payloads the codec has not seen, padded payloads whose CRC it knows,
+    # payloads of decoded frames, and bytearray payloads
+    rng = random.Random(4321)
+    for i in range(600):
+        msg = _random_message(rng)
+        kind = i % 4
+        if kind == 1:
+            msg.payload = make_padded_payload(
+                rng.choice((protocol.FRAME_OVERHEAD + 3, 1000, 10_000,
+                            rng.randrange(96, 3000))), rng.randrange(4), msg.seq)
+        elif kind == 2:
+            msg.payload = decode(encode(_random_message(rng))).payload
+        elif kind == 3:
+            msg.payload = bytearray(msg.payload)
+        frame = encode(msg)
+        assert frame == _reference_frame(msg)
+        decoded = decode(frame)
+        assert decoded == msg
+        decoded.t2, decoded.t3 = msg.t3, msg.t2  # the relay's re-encode
+        assert encode(decoded) == _reference_frame(decoded)
 
 
 def test_flags_are_zero_on_freshly_built_frames():
@@ -187,6 +240,150 @@ def test_checksum_matches_independent_reference():
 def test_checksum_deterministic():
     data = b"repeatable"
     assert compute_checksum(data) == compute_checksum(bytes(data))
+
+
+@pytest.mark.parametrize("len_a", [0, 1, 84, 904, 912, 9904, 9912])
+@pytest.mark.parametrize("len_b", [0, 1, 8, 84, 904, 912, 9904, 9912])
+def test_crc32_combine_matches_zlib(len_a, len_b):
+    rng = random.Random(len_a * 10_007 + len_b)
+    for _ in range(3):
+        a, b = rng.randbytes(len_a), rng.randbytes(len_b)
+        crc_a, crc_b, crc_ab = zlib.crc32(a), zlib.crc32(b), zlib.crc32(a + b)
+        assert protocol.crc32_combine(crc_a, crc_b, len_b) == crc_ab
+        # and the part after a known prefix from the whole
+        assert protocol.crc32_combine(crc_a, crc_ab, len_b) == crc_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=3000), st.data())
+def test_crc32_combine_on_random_splits(data, draw):
+    cut = draw.draw(st.integers(0, len(data)))
+    a, b = data[:cut], data[cut:]
+    assert (protocol.crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b))
+            == compute_checksum(data) == _crc32_bitwise(data))
+
+
+def test_emulated_frames_read_no_payload_byte_for_their_checksum(monkeypatch):
+    # a padded payload, encoded, decoded, re-encoded and decoded again, as
+    # sensor, relay and vehicle handle it, reads only its seq and the
+    # headers, once the lengths' tables are built
+    def relay(seq: int) -> V2XMessage:
+        msg = decode(encode(V2XMessage(
+            seq=seq, payload=make_padded_payload(10_000, seed=11, seq=seq))))
+        msg.t2 = msg.t3 = 7
+        assert decode(encode(msg)) == msg
+        return msg
+
+    relay(4)
+    read = _count_crc_bytes(monkeypatch)
+    msg = relay(5)
+    assert read[0] == 8 + 4 * protocol.HEADER_LEN
+    assert msg.payload == make_padded_payload(10_000, seed=11, seq=5)
+
+
+def test_other_frames_are_read_once(monkeypatch):
+    frame = encode(V2XMessage(seq=5, payload=bytes(range(256)) * 39))
+    copies = [bytes(bytearray(frame)), bytearray(frame), memoryview(frame)]
+    read = _count_crc_bytes(monkeypatch)
+    for copy in copies:
+        read[0] = 0
+        msg = decode(copy)
+        assert read[0] == len(frame) - protocol.CHECKSUM_LEN
+        read[0] = 0
+        encode(msg)  # its payload was not taken from a known frame
+        assert read[0] == len(frame) - protocol.CHECKSUM_LEN
+
+
+def test_known_table_is_bounded_and_evicts_the_oldest():
+    frames = [encode(V2XMessage(seq=i, payload=b"p" * i)) for i in range(50)]
+    assert len(protocol._known) == protocol._KNOWN_SLOTS
+    held = [f for f in frames if protocol._known_crc(f) is not None]
+    assert held == frames[-protocol._KNOWN_SLOTS:]
+    for f in held:
+        assert protocol._known_crc(f) == compute_checksum(f[:-4])
+
+
+def test_threaded_encode_and_decode():
+    # relay and vehicle threads share the table, as in a loopback run
+    errors: list[BaseException] = []
+
+    def work(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            for seq in range(1500):
+                payload = (make_padded_payload(rng.choice((200, 1000)), seed, seq)
+                           if seq % 2 else rng.randbytes(rng.randrange(64)))
+                msg = V2XMessage(source_id=seed, seq=seq, payload=payload)
+                frame = encode(msg)
+                assert frame == _reference_frame(msg)
+                got = decode(frame)
+                assert got == msg
+                got.t3 = seq
+                assert decode(encode(got)) == got
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(protocol._known) == protocol._KNOWN_SLOTS
+
+
+_FRAMES = st.builds(
+    lambda seed, n, padded: encode(V2XMessage(
+        source_id=seed & 0xFFFF, seq=seed, t1=seed * 3, e1=-seed,
+        payload=(make_padded_payload(protocol.FRAME_OVERHEAD + n, seed, seed)
+                 if padded else random.Random(seed).randbytes(n)))),
+    st.integers(0, 2**32), st.integers(0, 2000), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FRAMES, st.data())
+def test_fuzzed_frames_raise_only_protocol_errors(frame, data):
+    mutated = bytearray(frame)
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(("flip", "truncate", "extend")))
+        if kind == "flip" and mutated:
+            pos = data.draw(st.integers(0, len(mutated) * 8 - 1))
+            mutated[pos // 8] ^= 1 << (pos % 8)
+        elif kind == "truncate":
+            del mutated[data.draw(st.integers(0, len(mutated))):]
+        else:
+            mutated += data.draw(st.binary(min_size=1, max_size=16))
+    for candidate in (bytes(mutated), mutated):
+        try:
+            decode(candidate)
+        except protocol.ProtocolError:
+            pass
+        salvaged = decode_unchecked(candidate)
+        assert salvaged is None or isinstance(salvaged, V2XMessage)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FRAMES, st.integers(0, 2**32))
+def test_corrupt_copy_of_an_encoded_frame_is_caught(frame, draw):
+    # any bit but those of magic, version and payload length, whose
+    # corruption the framing checks find before the checksum
+    checked = [*range(5 * 8, 80 * 8), *range(protocol.HEADER_LEN * 8, len(frame) * 8)]
+    bit = checked[draw % len(checked)]
+    corrupt = bytearray(frame)
+    corrupt[bit // 8] ^= 1 << (bit % 8)
+    assert protocol._known_crc(frame) is not None
+    with pytest.raises(ChecksumError):
+        decode(bytes(corrupt))
+    # a bytearray is read in full every time, however it changes
+    with pytest.raises(ChecksumError):
+        decode(corrupt)
+    corrupt[bit // 8] ^= 1 << (bit % 8)
+    assert decode(corrupt) == decode(frame)
 
 
 def test_padded_payload_minimum_target_is_empty():
