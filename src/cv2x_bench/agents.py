@@ -162,10 +162,9 @@ class SimVehicle:
         self.clock = clock
         self.provider = provider
         self.records: list[PacketRecord] = []
-        self.affected_seqs: set[int] = set()
 
     def receive(self, frame: bytes, reference_ns: int, serving_cell: int,
-                gt_ul: int, gt_dl: int, affected: bool = False) -> PacketRecord:
+                gt_ul: int, gt_dl: int) -> PacketRecord:
         e4 = self.provider.estimate_at(reference_ns)
         t4 = self.clock.local_now(reference_ns)
         try:
@@ -182,8 +181,6 @@ class SimVehicle:
             frame_size=len(frame), serving_cell=serving_cell,
             corrupt=corrupt, gt_ul=gt_ul, gt_dl=gt_dl)
         self.records.append(rec)
-        if affected and not corrupt:
-            self.affected_seqs.add(msg.seq)
         return rec
 
 
@@ -215,6 +212,8 @@ class SimPipeline:
         self.relay = relay
         self.vehicle = vehicle
         self.ack_ratio = ack_ratio
+        # the seqs of intact frames whose downlink a handover interrupted
+        self.affected_seqs: set[int] = set()
         world.on_delivery = self.on_delivery
 
     def start(self) -> None:
@@ -273,8 +272,9 @@ class SimPipeline:
         frame = meta["frame"]
         gt_ul = meta["ul_arrival_ns"] - meta["published_ns"]
         gt_dl = now_ns - meta["forward_ns"]
-        self.vehicle.receive(frame, now_ns, cell_id, gt_ul, gt_dl,
-                             self.link.interrupted(meta["forward_ns"], now_ns))
+        rec = self.vehicle.receive(frame, now_ns, cell_id, gt_ul, gt_dl)
+        if not rec.corrupt and self.link.interrupted(meta["forward_ns"], now_ns):
+            self.affected_seqs.add(rec.seq)
         self._enqueue_ack("app-dl-ack", len(frame), now_ns)
 
 

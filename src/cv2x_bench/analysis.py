@@ -102,12 +102,10 @@ class RecordWriter:
     def __init__(self, path: str | Path) -> None:
         self._fp = open(path, "w", encoding="utf-8")
         self._lock = threading.Lock()
-        self.count = 0
 
     def append(self, record: PacketRecord) -> None:
         with self._lock:
             self._fp.write(record_line(record) + "\n")
-            self.count += 1
 
     def close(self) -> None:
         with self._lock:
@@ -290,14 +288,13 @@ def m4(points: list[tuple[float, float]], x_min: float, x_span: float,
 
 
 def svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str,
-                   x_label: str, y_label: str,
-                   width: int = 900, height: int = 520) -> str:
+                   x_label: str, y_label: str) -> str:
     """Minimal dependency-free line chart: one polyline per series, through
     its points in x order.  Each series is drawn at plot resolution, through
     the points `m4` keeps with one column per pixel, so its size does not
     grow with its points.  A series whose points all fall on one pixel is
     drawn as a one-pixel dash, so that every series with a point shows."""
-    margin = 70
+    margin, width, height = 70, 900, 520
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
     points = list(chain.from_iterable(series.values()))
     if points:

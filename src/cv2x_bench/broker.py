@@ -196,12 +196,10 @@ class Broker:
 class BrokerClient:
     """Blocking single-connection client; one reader at a time."""
 
-    def __init__(self, host: str, port: int, timeout: float = 5.0) -> None:
-        self._sock = socket.create_connection((host, port), timeout=timeout)
+    def __init__(self, host: str, port: int) -> None:
+        self._sock = socket.create_connection((host, port), timeout=5.0)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._send_lock = threading.Lock()
-        self.frames_published = 0
-        self.frames_received = 0
 
     def subscribe(self, topic: str) -> None:
         with self._send_lock:
@@ -210,7 +208,6 @@ class BrokerClient:
     def publish(self, topic: str, frame: bytes) -> None:
         with self._send_lock:
             send_envelope(self._sock, f"PUB {topic}", frame)
-        self.frames_published += 1
 
     def recv_message(self, timeout: float | None = None) -> tuple[str, bytes] | None:
         """Next (topic, frame) delivered to a subscription, or None on timeout.
@@ -232,7 +229,6 @@ class BrokerClient:
         parts = command.split()
         if len(parts) != 2 or parts[0] != "MSG":
             raise TransportError(f"unexpected broker message {command!r}")
-        self.frames_received += 1
         return parts[1], frame
 
     def close(self) -> None:

@@ -124,17 +124,18 @@ _SKIP_ALLOWANCE = 1e-9
 def apply_handover(route: MobilityRoute, cells: Sequence[Cell],
                    hysteresis_m: float = 5.0,
                    interruption_ns: int = 50_000_000,
-                   sample_ns: int = 2_500_000) -> list[HandoverEvent]:
-    """Compute the handover events a vehicle following the route triggers.
+                   sample_ns: int = 2_500_000) -> tuple[int, list[HandoverEvent]]:
+    """The id of the cell serving a vehicle at the route's start, and the
+    handover events the vehicle triggers following the route.
 
-    The serving cell starts as the nearest cell and switches only once
-    another cell is closer by more than the hysteresis margin.  The route
-    is sampled on the tick grid, so an event time is the first sampled
-    instant at which the switch condition holds.  The samples are taken in
-    one forward walk over the route's segments: a sample is interpolated
-    on the first segment that reaches it, so an interior waypoint's time
-    falls on the segment it ends, and the route's end is the last waypoint
-    itself.
+    The serving cell starts as the nearest cell (the first one on a tie)
+    and switches only once another cell is closer by more than the
+    hysteresis margin.  The route is sampled on the tick grid, so an event
+    time is the first sampled instant at which the switch condition holds.
+    The samples are taken in one forward walk over the route's segments: a
+    sample is interpolated on the first segment that reaches it, so an
+    interior waypoint's time falls on the segment it ends, and the route's
+    end is the last waypoint itself.
 
     The walk evaluates only the samples whose outcome is not known.  After
     an evaluated sample, the switch margin is the least d_i - (d_serving -
@@ -156,6 +157,7 @@ def apply_handover(route: MobilityRoute, cells: Sequence[Cell],
     end = route.end_ns
     ids = [cell.cell_id for cell in cells]
     serving, _ = _nearest(pts[0][1], pts[0][2], cells)
+    start_cell = ids[serving]
     coords = [v for w in pts for v in w[1:]] + [v for c in cells for v in c.position]
     allowance = _SKIP_ALLOWANCE * (1.0 + max(map(abs, coords)) + abs(hysteresis_m))
     events: list[HandoverEvent] = []
@@ -188,12 +190,7 @@ def apply_handover(route: MobilityRoute, cells: Sequence[Cell],
             if slack > 0:
                 skip = left if slack >= step2 * left else int(slack / step2)
             t += (skip + 1) * sample_ns
-    return events
-
-
-def initial_serving_cell(route: MobilityRoute, cells: Sequence[Cell]) -> int:
-    start = route.waypoints[0]
-    return cells[_nearest(start[1], start[2], cells)[0]].cell_id
+    return start_cell, events
 
 
 @dataclass(slots=True)
@@ -439,16 +436,7 @@ class LinkSimulator:
         self._app_packets = 0
         # the rank of the application packets `enqueue` adds (see SimWorld)
         self.event_rank = -1
-        self._initial_cell = cells[0].cell_id
-        # the mobile terminal's handovers, sorted by time
-        self.handovers: list[HandoverEvent] = []
-        # the sorted times at which a handover or an interruption's end
-        # changes the terminal's state, and for each k its state (serving
-        # cell, interrupted) at every instant of [bounds[k-1], bounds[k])
-        self._bounds: list[int] = []
-        self._states = [(self._initial_cell, False)]
-        # (lo, hi, serving, suspended): the state of every tick in [lo, hi)
-        self._segment = (-math.inf, math.inf, self._initial_cell, False)
+        self.set_mobility(cells[0].cell_id, [])
 
     def add_flow(self, flow_id: str, direction: Direction,
                  priority_class: PriorityClass, cell_id: int | None,
@@ -468,40 +456,36 @@ class LinkSimulator:
                      events: Iterable[HandoverEvent]) -> None:
         """Install the mobile terminal's first serving cell and the
         handovers that switch it, each interrupting its service."""
-        self._initial_cell = initial_cell
+        # the mobile terminal's handovers, sorted by time
         self.handovers = sorted(events, key=attrgetter("time_ns"))
         if any(ev.interruption_ns < 0 for ev in self.handovers):
             raise ValueError("a handover interruption cannot be negative")
         starts = [ev.time_ns for ev in self.handovers]
         ends = sorted(t + ev.interruption_ns for t, ev in zip(starts, self.handovers))
+        # the sorted times at which a handover or an interruption's end
+        # changes the terminal's state, and for each k its state (serving
+        # cell, interrupted) at every instant of [bounds[k-1], bounds[k]):
+        # the cell the last handover by then switched to, and whether more
+        # interruptions have started than ended by then
         self._bounds = sorted(set(starts + ends))
-        # an instant is interrupted if more interruptions have started than
-        # ended by it
-        self._states = [(self.serving_cell(t),
-                         bisect_right(starts, t) > bisect_right(ends, t))
+        cells = [initial_cell] + [ev.to_cell for ev in self.handovers]
+        self._states = [(cells[n := bisect_right(starts, t)], n > bisect_right(ends, t))
                         for t in [-math.inf] + self._bounds]
-        self._segment = (math.inf, -math.inf, initial_cell, False)  # none yet
-
-    def serving_cell(self, time_ns: int) -> int:
-        idx = bisect_right(self.handovers, time_ns, key=attrgetter("time_ns"))
-        return self.handovers[idx - 1].to_cell if idx else self._initial_cell
+        # (lo, hi, serving, suspended): the state of every tick in [lo, hi);
+        # none yet
+        self._segment = (math.inf, -math.inf, initial_cell, False)
 
     def interrupted(self, start_ns: int, end_ns: int) -> bool:
-        """Whether a handover interruption overlaps [start_ns, end_ns).
-
-        It does if one covers start_ns.  If none does, the first bound
-        after start_ns is where one starts (one that ends there started
-        after start_ns, and at or before the bound), so it does exactly
-        if that bound falls before end_ns."""
-        k = bisect_right(self._bounds, start_ns)
-        return start_ns < end_ns and (
-            self._states[k][1] or (k < len(self._bounds) and self._bounds[k] < end_ns))
+        """Whether a handover interruption overlaps [start_ns, end_ns)."""
+        return start_ns < end_ns and self._locate(start_ns, end_ns)[3]
 
     def _locate(self, start_ns: int, end_ns: int) -> tuple:
-        """The segment (lo, hi, serving cell, suspended) of the tick
-        [start_ns, end_ns): the span between two bounds that holds it, or
-        the tick alone if a bound falls inside it, which it then holds
-        interrupted (see interrupted)."""
+        """The segment (lo, hi, serving cell, suspended) of [start_ns,
+        end_ns): the span between two bounds that holds it, or, if a bound
+        falls inside it, the range alone and suspended.  An interruption
+        then overlaps the range: one covers start_ns, or else the first
+        bound after start_ns is where one starts (one that ends there
+        started after start_ns, and at or before the bound)."""
         bounds = self._bounds
         k = bisect_right(bounds, start_ns)
         serving, suspended = self._states[k]

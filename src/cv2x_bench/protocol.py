@@ -35,7 +35,7 @@ import itertools
 import random
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 MAGIC = b"CV2X"
@@ -68,12 +68,9 @@ class ChecksumError(ProtocolError):
 
 @dataclass
 class V2XMessage:
-    """One application message as carried on the wire.
-
-    ``checksum`` is filled in by the codec (computed on encode, verified on
-    decode) and is excluded from equality so that round-tripping a message
-    whose checksum was never set still compares equal.
-    """
+    """One application message as carried on the wire; the codec computes
+    its CRC-32 trailer on encode and checks it on decode.  The fields up to
+    e4 are the header's after flags, in the same order."""
 
     source_id: int = 0
     seq: int = 0
@@ -87,7 +84,6 @@ class V2XMessage:
     e4: int = 0
     payload: bytes = b""
     flags: int = 0
-    checksum: int = field(default=0, compare=False)
 
 
 def compute_checksum(data: bytes) -> int:
@@ -151,9 +147,8 @@ def encode(msg: V2XMessage) -> bytes:
     """Serialize a message to its wire frame.
 
     The checksum is computed here over header + payload and appended as the
-    trailing 4 bytes; any value already in ``msg.checksum`` is ignored.  A
-    payload whose CRC the codec knows is not read for it (see the module
-    docstring).
+    trailing 4 bytes.  A payload whose CRC the codec knows is not read for
+    it (see the module docstring).
     """
     if len(msg.payload) > MAX_PAYLOAD:
         raise FrameSizeError(
@@ -180,6 +175,14 @@ def encode(msg: V2XMessage) -> bytes:
                      crc)
 
 
+def _parse(frame: bytes) -> tuple[bytes, int, int, V2XMessage]:
+    """The magic, version and payload length in the header of a frame at
+    least HEADER_LEN bytes long, and the message the frame carries."""
+    magic, version, flags, *fields, payload_len = _HEADER.unpack_from(frame)
+    payload = frame[HEADER_LEN:HEADER_LEN + payload_len]
+    return magic, version, payload_len, V2XMessage(*fields, payload, flags)
+
+
 def decode(frame: bytes) -> V2XMessage:
     """Parse and verify a wire frame.
 
@@ -190,8 +193,7 @@ def decode(frame: bytes) -> V2XMessage:
     if len(frame) < FRAME_OVERHEAD:
         raise MalformedFrameError(
             f"frame of {len(frame)} bytes is shorter than minimum {FRAME_OVERHEAD}")
-    (magic, version, flags, source_id, seq,
-     t1, t2, t3, t4, e1, e2, e3, e4, payload_len) = _HEADER.unpack_from(frame)
+    magic, version, payload_len, msg = _parse(frame)
     if magic != MAGIC:
         raise MalformedFrameError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -206,15 +208,10 @@ def decode(frame: bytes) -> V2XMessage:
     if received != expected:
         raise ChecksumError(
             f"checksum mismatch: frame carries 0x{received:08X}, computed 0x{expected:08X}")
-    payload = frame[HEADER_LEN:HEADER_LEN + payload_len]
     if known is not None:
-        _remember(payload, crc32_combine(zlib.crc32(frame[:HEADER_LEN]), known,
-                                         payload_len))
-    return V2XMessage(
-        source_id=source_id, seq=seq,
-        t1=t1, t2=t2, t3=t3, t4=t4,
-        e1=e1, e2=e2, e3=e3, e4=e4,
-        payload=payload, flags=flags, checksum=received)
+        _remember(msg.payload, crc32_combine(zlib.crc32(frame[:HEADER_LEN]), known,
+                                             payload_len))
+    return msg
 
 
 def decode_unchecked(frame: bytes) -> V2XMessage | None:
@@ -222,23 +219,14 @@ def decode_unchecked(frame: bytes) -> V2XMessage | None:
 
     Used to salvage identifying fields (source, seq, stamps) from a frame
     that failed verification so the receiver can log it as corrupt.
-    Returns None when even the header is unreadable.
+    Returns None when the frame is shorter than a header or its magic is
+    wrong; the version, length and checksum are not checked, and the
+    payload is whatever the frame holds of it.
     """
     if len(frame) < HEADER_LEN:
         return None
-    try:
-        (magic, version, flags, source_id, seq,
-         t1, t2, t3, t4, e1, e2, e3, e4, payload_len) = _HEADER.unpack(frame[:HEADER_LEN])
-    except struct.error:
-        return None
-    if magic != MAGIC:
-        return None
-    return V2XMessage(
-        source_id=source_id, seq=seq,
-        t1=t1, t2=t2, t3=t3, t4=t4,
-        e1=e1, e2=e2, e3=e3, e4=e4,
-        payload=frame[HEADER_LEN:HEADER_LEN + payload_len],
-        flags=flags)
+    magic, _, _, msg = _parse(frame)
+    return msg if magic == MAGIC else None
 
 
 @lru_cache(maxsize=4)

@@ -31,7 +31,7 @@ from .clockmodel import DriftingClock, OffsetProvider
 from .loadgen import (DEFAULT_PACKET_BYTES, CbrPacketSource, parse_load)
 from .netem import (Cell, Direction, HandoverEvent, LinkSimulator,
                     MobilityRoute, PriorityClass, SchedulerKind, SimWorld,
-                    apply_handover, initial_serving_cell)
+                    apply_handover)
 from .protocol import FRAME_OVERHEAD, MAX_FRAME_SIZE
 
 SEED_ENV_VAR = "CV2X_SEED"
@@ -418,7 +418,7 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
     if cfg.mobility is not None:
         route = MobilityRoute(tuple((t + start_ns, x, y)
                                     for t, x, y in cfg.mobility.waypoints))
-        link.set_mobility(initial_serving_cell(route, net.cells), apply_handover(
+        link.set_mobility(*apply_handover(
             route, net.cells, hysteresis_m=net.handover.hysteresis_m,
             interruption_ns=net.handover.interruption_ns, sample_ns=link.tick_ns))
     world = SimWorld(link, base_delay_ns=net.base_delay_ns, start_ns=start_ns)
@@ -494,7 +494,7 @@ def run_scenario(cfg: ScenarioConfig,
             # no packet
             handover_events=[ev for ev in world.link.handovers
                              if ev.time_ns < world.now_ns],
-            affected_seqs=set(pipeline.vehicle.affected_seqs),
+            affected_seqs=set(pipeline.affected_seqs),
             sensor_sent=pipeline.sensor.next_seq,
             relay_corrupt_drops=pipeline.relay.corrupt_drops,
             ticks_run=world.ticks_run, ticks_skipped=world.ticks_skipped)
@@ -664,8 +664,8 @@ DEFAULT_HANDOVER_ROUTE = {
 }
 
 
-def table1_matrix(master_seed: int = 20240510, duration_s: float = 10.0,
-                  mobility_duration_s: float = 120.0) -> MatrixConfig:
+def table1_matrix(master_seed: int = 20240510,
+                  duration_s: float = 10.0) -> MatrixConfig:
     """The built-in 13-cell evaluation matrix: 8 nominal cells
     ({BL, AP} x {no load, nominal load} x {1 kB @ 10 Hz, 10 kB @ 20 Hz}),
     4 uplink-overload cells ({BL, AP} x {1x40, 2x40}), and 1 mobility cell."""
@@ -692,7 +692,7 @@ def table1_matrix(master_seed: int = 20240510, duration_s: float = 10.0,
         "scheduler": "BL",
         "load": {"ul": "none", "dl": "none"},
         "message": {"size_bytes": 10000, "rate_hz": 20.0},
-        "duration_s": mobility_duration_s,
+        "duration_s": 120.0,
         "mobility": dict(DEFAULT_HANDOVER_ROUTE)})
     return MatrixConfig(master_seed=master_seed,
                         defaults={"duration_s": duration_s},

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cv2x_bench import protocol
+from cv2x_bench import protocol, scenario
 from cv2x_bench.agents import (DOWNLINK_TOPIC, UPLINK_TOPIC, ProcessingDelay,
                                SimRelay, SimSensor, SimVehicle, run_real_relay,
                                run_real_sensor, run_real_vehicle)
@@ -25,6 +25,7 @@ from cv2x_bench.broker import (Broker, BrokerClient, TransportError,
 from cv2x_bench.clockmodel import (DriftingClock, OffsetProvider,
                                    ZeroOffsetProvider, corrected_latency_dl, corrected_latency_e2e,
                                    corrected_latency_ul)
+from cv2x_bench.netem import HandoverEvent
 from cv2x_bench.scenario import config_from_obj, run_scenario
 
 MS = 1_000_000
@@ -128,6 +129,25 @@ def test_vehicle_logs_corrupt_frame_with_flag():
     assert rec.corrupt is True
     assert rec.seq == 9 and rec.source_id == 4
     assert rec.t4 == 500
+
+
+def test_pipeline_flags_only_intact_frames_a_handover_interrupted():
+    _, pipeline = scenario._build_sim(config_from_obj(_sim_config()))
+    first, second = pipeline.link.cells
+    pipeline.link.set_mobility(first, [HandoverEvent(1000, first, second, 500)])
+
+    def arrive(seq: int, forward_ns: int, now_ns: int, corrupt: bool) -> None:
+        frame = bytearray(protocol.encode(protocol.V2XMessage(seq=seq)))
+        frame[-1] ^= corrupt
+        meta = {"frame": bytes(frame), "published_ns": 0, "ul_arrival_ns": 0,
+                "forward_ns": forward_ns}
+        pipeline._vehicle_receive(now_ns, meta=meta, cell_id=second)
+
+    arrive(1, 900, 1200, corrupt=False)
+    arrive(2, 900, 1200, corrupt=True)
+    arrive(3, 1500, 2000, corrupt=False)  # after the interruption's end
+    assert [rec.corrupt for rec in pipeline.vehicle.records] == [False, True, False]
+    assert pipeline.affected_seqs == {1}
 
 
 def test_vehicle_logs_one_record_per_sent_message():

@@ -11,7 +11,7 @@ from cv2x_bench.loadgen import CbrPacketSource
 from cv2x_bench.netem import (Cell, Direction, HandoverEvent,
                               InvariantViolation, LinkSimulator, MobilityRoute,
                               PriorityClass, SchedulerKind, SimWorld,
-                              apply_handover, initial_serving_cell)
+                              apply_handover)
 
 MS = 1_000_000
 UL, DL = Direction.UPLINK, Direction.DOWNLINK
@@ -205,7 +205,7 @@ TWO_CELLS = [Cell(1, (0.0, 0.0)), Cell(2, (200.0, 0.0))]
 
 def test_route_near_one_cell_yields_no_events():
     route = MobilityRoute(((0, 10.0, 0.0), (10_000_000_000, 20.0, 0.0)))
-    assert apply_handover(route, TWO_CELLS) == []
+    assert apply_handover(route, TWO_CELLS) == (1, [])
 
 
 def test_straight_route_emits_one_event_at_hysteresis_crossing():
@@ -213,14 +213,14 @@ def test_straight_route_emits_one_event_at_hysteresis_crossing():
     # condition dist(c1) < dist(c2) - 5 m first holds past s = 102.5 m, so
     # with 2.5 ms route sampling the event lands at 102.5025 s
     route = MobilityRoute(((0, 200.0, 0.0), (200_000_000_000, 0.0, 0.0)))
-    events = apply_handover(route, TWO_CELLS, hysteresis_m=5.0,
-                            interruption_ns=50 * MS, sample_ns=2_500_000)
+    start_cell, events = apply_handover(route, TWO_CELLS, hysteresis_m=5.0,
+                                        interruption_ns=50 * MS, sample_ns=2_500_000)
+    assert start_cell == 2
     assert len(events) == 1
     ev = events[0]
     assert (ev.from_cell, ev.to_cell) == (2, 1)
     assert ev.time_ns == 102_502_500_000
     assert ev.interruption_ns == 50 * MS
-    assert initial_serving_cell(route, TWO_CELLS) == 2
 
 
 def test_empty_route_rejected():
@@ -259,12 +259,17 @@ def test_a_flow_with_a_cell_is_served_through_a_handover():
 
 
 def test_serving_cell_timeline():
+    # a handover at tick 4 with no interruption: cell 2 serves the terminal
+    # up to tick 3, and cell 1 from tick 4 on
     link = LinkSimulator(TWO_CELLS)
-    link.set_mobility(2, [HandoverEvent(time_ns=1000, from_cell=2, to_cell=1)])
-    assert link.serving_cell(0) == 2
-    assert link.serving_cell(999) == 2
-    assert link.serving_cell(1000) == 1
-    assert link.serving_cell(5000) == 1
+    link.add_flow("dl", DL, APP, None)
+    link.set_mobility(2, [HandoverEvent(time_ns=4 * link.tick_ns, from_cell=2,
+                                        to_cell=1, interruption_ns=0)])
+    cells = []
+    for tick in (0, 3, 4, 9):
+        link.enqueue("dl", 8_000, tick * link.tick_ns)
+        cells += [d.cell_id for d in link.run_tick(tick * link.tick_ns)]
+    assert cells == [2, 2, 1, 1]
 
 
 # -- event loop -------------------------------------------------------------

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from cv2x_bench import netem, scenario
 from cv2x_bench.netem import (Cell, HandoverEvent, LinkSimulator,
-                              MobilityRoute, apply_handover,
-                              initial_serving_cell)
+                              MobilityRoute, apply_handover)
 
 
 def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -95,13 +94,13 @@ def test_one_pass_matches_the_per_sample_loop():
     with_events = on_waypoint_events = ties = 0
     for seed in range(1500):
         route, cells, hysteresis, sample_ns = _random_case(seed)
-        got = apply_handover(route, cells, hysteresis_m=hysteresis,
-                             interruption_ns=seed, sample_ns=sample_ns)
+        start_cell, got = apply_handover(route, cells, hysteresis_m=hysteresis,
+                                         interruption_ns=seed, sample_ns=sample_ns)
         want = reference_apply_handover(route, cells, hysteresis_m=hysteresis,
                                         interruption_ns=seed, sample_ns=sample_ns)
         assert got == want, f"seed {seed}"
         start = route.waypoints[0][1:]
-        assert initial_serving_cell(route, cells) == min(
+        assert start_cell == min(
             cells, key=lambda c: _distance(start, c.position)).cell_id
         times = {w[0] for w in route.waypoints}
         with_events += bool(want)
@@ -118,7 +117,7 @@ def test_switch_on_an_interior_waypoint(hysteresis):
     # at t = 10 the route is at its waypoint x = 60, 40 m from cell 2
     cells = [Cell(1, (0.0, 0.0)), Cell(2, (100.0, 0.0))]
     route = MobilityRoute(((0, 0.0, 0.0), (10, 60.0, 0.0), (20, 100.0, 0.0)))
-    events = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=5)
+    _, events = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=5)
     assert events == reference_apply_handover(route, cells, hysteresis_m=hysteresis,
                                               sample_ns=5)
     assert [(e.time_ns, e.from_cell, e.to_cell) for e in events] == [(10, 1, 2)]
@@ -131,7 +130,7 @@ def test_interior_waypoint_is_interpolated_not_copied():
     cells = [Cell(1, (0.9 - 0.6, 0.0)), Cell(2, (0.9 + 0.6, 0.0))]
     route = MobilityRoute(((0, 0.3, 0.0), (10, 0.9, 0.0), (20, 2.1, 0.0)))
     assert position_at(route, 10)[0] > 0.9
-    events = apply_handover(route, cells, hysteresis_m=0.0, sample_ns=5)
+    _, events = apply_handover(route, cells, hysteresis_m=0.0, sample_ns=5)
     assert events == reference_apply_handover(route, cells, hysteresis_m=0.0,
                                               sample_ns=5)
     assert [e.time_ns for e in events] == [10]
@@ -142,15 +141,14 @@ def test_a_margin_equal_to_the_hysteresis_does_not_switch(hysteresis, switch_ns)
     # x = t exactly; at x = 64 + hysteresis / 2 the margin equals the hysteresis
     cells = [Cell(1, (0.0, 0.0)), Cell(2, (128.0, 0.0))]
     route = MobilityRoute(((0, 0.0, 0.0), (128, 128.0, 0.0)))
-    events = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=1)
+    _, events = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=1)
     assert [(e.time_ns, e.from_cell, e.to_cell) for e in events] == [(switch_ns, 1, 2)]
 
 
 def test_single_waypoint_route_has_no_events():
     cells = [Cell(1), Cell(2, (1.0, 0.0))]
     route = MobilityRoute(((5, 0.9, 0.0),))
-    assert apply_handover(route, cells, hysteresis_m=0.0, sample_ns=1) == []
-    assert initial_serving_cell(route, cells) == 2
+    assert apply_handover(route, cells, hysteresis_m=0.0, sample_ns=1) == (2, [])
 
 
 def _counting_nearest(monkeypatch) -> list[int]:
@@ -177,7 +175,7 @@ def test_shipped_mobility_route_matches_and_skips(monkeypatch):
                   sample_ns=net.tick_ns)
     want = reference_apply_handover(route, list(net.cells), **kwargs)
     calls = _counting_nearest(monkeypatch)
-    assert apply_handover(route, net.cells, **kwargs) == want
+    assert apply_handover(route, net.cells, **kwargs)[1] == want
     assert len(want) == 1
     # 80,001 samples, of which the walk evaluates 7 besides the start
     assert (route.end_ns - route.start_ns) // net.tick_ns == 80_000
@@ -231,8 +229,8 @@ def test_skipping_walk_matches_the_per_sample_loop():
     with_events = stationary = fast = equidistant = 0
     for seed in range(600):
         route, cells, hysteresis, sample_ns = _skip_case(seed)
-        got = apply_handover(route, cells, hysteresis_m=hysteresis,
-                             interruption_ns=seed, sample_ns=sample_ns)
+        _, got = apply_handover(route, cells, hysteresis_m=hysteresis,
+                                interruption_ns=seed, sample_ns=sample_ns)
         want = reference_apply_handover(route, cells, hysteresis_m=hysteresis,
                                         interruption_ns=seed, sample_ns=sample_ns)
         assert got == want, f"seed {seed}"
@@ -272,7 +270,7 @@ def test_margins_that_reach_the_hysteresis_on_a_sample():
     rng = random.Random(14)
     for case in range(400):
         route, cells, hysteresis = _zero_margin_case(rng)
-        got = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=1)
+        _, got = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=1)
         want = reference_apply_handover(route, cells, hysteresis_m=hysteresis,
                                         sample_ns=1)
         assert got == want, f"case {case}"
@@ -282,7 +280,7 @@ def test_stationary_segment_is_skipped_to_its_end(monkeypatch):
     cells = [Cell(1, (0.0, 0.0)), Cell(2, (100.0, 0.0)), Cell(3, (50.0, 80.0))]
     route = MobilityRoute(((0, 10.0, 0.0), (10_000, 10.0, 0.0), (10_100, 90.0, 0.0)))
     calls = _counting_nearest(monkeypatch)
-    events = apply_handover(route, cells, hysteresis_m=5.0, sample_ns=1)
+    _, events = apply_handover(route, cells, hysteresis_m=5.0, sample_ns=1)
     assert events == reference_apply_handover(route, cells, hysteresis_m=5.0,
                                               sample_ns=1)
     assert [(e.time_ns, e.from_cell, e.to_cell) for e in events] == [(10_054, 1, 2)]
@@ -298,13 +296,25 @@ def _interrupted_scan(link: LinkSimulator, start_ns: int, end_ns: int) -> bool:
                and end_ns > ev.time_ns for ev in link.handovers)
 
 
-def _check_ticks(link: LinkSimulator, starts) -> tuple[set[int], int]:
+def _serving_scan(link: LinkSimulator, initial_cell: int, time_ns: int) -> int:
+    """The per-event scan for the serving cell: the cell the last handover
+    at or before time_ns switched to, in time order, ties in list order."""
+    cell = initial_cell
+    for ev in sorted(link.handovers, key=lambda ev: ev.time_ns):
+        if ev.time_ns <= time_ns:
+            cell = ev.to_cell
+    return cell
+
+
+def _check_ticks(link: LinkSimulator, initial_cell: int,
+                 starts) -> tuple[set[int], int]:
     """Run each tick and check the state it was served with; returns the
     cells that served and the number of suspended ticks."""
     served, suspended = set(), 0
     for t in starts:
         link.run_tick(t)
-        want = (link.serving_cell(t), _interrupted_scan(link, t, t + link.tick_ns))
+        want = (_serving_scan(link, initial_cell, t),
+                _interrupted_scan(link, t, t + link.tick_ns))
         assert link._segment[2:] == want, t
         assert link.interrupted(t, t + link.tick_ns) == want[1], t
         served.add(want[0])
@@ -320,8 +330,11 @@ def test_shipped_mobility_cell_state_on_every_tick():
     link = world.link
     [event] = link.handovers
     start = world.start_ns
+    route_start = cfg.mobility.waypoints[0][1:]
+    initial_cell = min(cfg.network.cells,
+                       key=lambda c: _distance(route_start, c.position)).cell_id
     served, suspended = _check_ticks(
-        link, range(start, start + cfg.duration_ns, link.tick_ns))
+        link, initial_cell, range(start, start + cfg.duration_ns, link.tick_ns))
     assert len(served) == 2
     assert suspended == -(-event.interruption_ns // link.tick_ns)
 
@@ -352,10 +365,10 @@ def test_segment_state_matches_the_per_tick_lookups(steps, phase, rng, data):
     link.set_mobility(2, events)
     last = max([end] + [ev.time_ns + ev.interruption_ns for ev in events])
     starts = list(range(phase - 3 * tick, last + 3 * tick, tick))
-    _check_ticks(link, starts)
+    _check_ticks(link, 2, starts)
     # in any order, with ticks skipped
     rng.shuffle(starts)
-    _check_ticks(link, starts[:len(starts) // 2])
+    _check_ticks(link, 2, starts[:len(starts) // 2])
     for _ in range(20):
         a = data.draw(st.integers(phase - 20, last + 20))
         b = data.draw(st.integers(a - 5, last + 30))

@@ -153,9 +153,10 @@ def test_flags_are_zero_on_freshly_built_frames():
 
 
 def test_decoded_checksum_matches_frame():
-    frame = encode(V2XMessage(source_id=9, seq=1, payload=b"hello"))
-    decoded = decode(frame)
-    assert decoded.checksum == compute_checksum(frame[:-4])
+    msg = V2XMessage(source_id=9, seq=1, payload=b"hello")
+    frame = encode(msg)
+    assert int.from_bytes(frame[-4:], "big") == compute_checksum(frame[:-4])
+    assert decode(frame) == msg
 
 
 def test_single_bit_flips_rejected():
