@@ -12,7 +12,8 @@ instant the caller passes in.
 Two transports drive them.  In emulation mode a SimPipeline schedules them
 on the SimWorld event loop at simulated reference times.  In real-socket
 mode run_real_sensor, run_real_relay and run_real_vehicle are blocking
-loops over a BrokerClient connection; they give each agent an ideal clock
+loops over a BrokerClient connection, wired sensor -> UPLINK_TOPIC ->
+relay -> DOWNLINK_TOPIC -> vehicle; they give each agent an ideal clock
 and zero offset estimates and pass the host's epoch time as the reference
 instant.  The relay and the vehicle end cleanly when the broker closes
 their connection.
@@ -288,7 +289,7 @@ _POLL_S = 0.2
 
 def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
                     rate_hz: float, duration_s: float, source_id: int = 1,
-                    topic: str = UPLINK_TOPIC, payload_seed: int = 0) -> int:
+                    payload_seed: int = 0) -> int:
     """Publish message_count(rate, duration) frames on the sim publish
     schedule; returns the number sent.  A failed connect or publish is
     retried on a new connection with backoff."""
@@ -308,7 +309,7 @@ def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
                 try:
                     if client is None:
                         client = BrokerClient(host, port)
-                    client.publish(topic, frame)
+                    client.publish(UPLINK_TOPIC, frame)
                     break
                 except OSError:
                     if client is not None:
@@ -338,14 +339,12 @@ def _frames(client: BrokerClient, done: Callable[[], bool]) -> Iterator[bytes]:
 
 
 def run_real_relay(host: str, port: int, *, stop: threading.Event,
-                   sub_topic: str = UPLINK_TOPIC,
-                   pub_topic: str = DOWNLINK_TOPIC,
                    processing: ProcessingDelay | None = None) -> tuple[int, int]:
     """Forward uplink frames to the downlink topic until stopped or the
     broker goes; returns (forwarded, corrupt_drops)."""
     relay = SimRelay(DriftingClock(), ZeroOffsetProvider(), processing)
     with BrokerClient(host, port) as client:
-        client.subscribe(sub_topic)
+        client.subscribe(UPLINK_TOPIC)
         for frame in _frames(client, stop.is_set):
             msg = relay.receive(frame, time.time_ns())
             if msg is None:
@@ -353,12 +352,11 @@ def run_real_relay(host: str, port: int, *, stop: threading.Event,
             delay_ns = relay.processing.sample(relay.rng)
             if delay_ns > 0:
                 time.sleep(delay_ns / 1e9)
-            client.publish(pub_topic, relay.forward(msg, time.time_ns()))
+            client.publish(DOWNLINK_TOPIC, relay.forward(msg, time.time_ns()))
     return relay.forwarded, relay.corrupt_drops
 
 
 def run_real_vehicle(host: str, port: int, *, stop: threading.Event,
-                     topic: str = DOWNLINK_TOPIC,
                      sink: RecordWriter | None = None,
                      expected: int | None = None) -> list[PacketRecord]:
     """Consume downlink frames into PacketRecords until stopped, until
@@ -370,7 +368,7 @@ def run_real_vehicle(host: str, port: int, *, stop: threading.Event,
         return stop.is_set() or (expected is not None and len(records) >= expected)
 
     with BrokerClient(host, port) as client:
-        client.subscribe(topic)
+        client.subscribe(DOWNLINK_TOPIC)
         for frame in _frames(client, done):
             rec = vehicle.receive(frame, time.time_ns(), serving_cell=-1,
                                   gt_ul=-1, gt_dl=-1)

@@ -9,15 +9,18 @@ followed by that many bytes, which are a UTF-8 command line terminated by
     broker -> client:  "MSG <topic>\\n" + frame
 
 An envelope longer than one full-size frame plus a 1,024-byte command
-line is refused with TransportError.
+line is refused with TransportError.  recv_envelope is the one envelope
+reader of the broker and the client alike.
 
 Delivery is at-most-once per subscriber connection with per-connection
 FIFO ordering; frames published to a topic nobody subscribes to are
-silently discarded.
+silently discarded.  A client socket's 5 s timeout bounds every send and
+the rest of every envelope: a stalled broker raises socket.timeout.
 """
 
 from __future__ import annotations
 
+import select
 import socket
 import threading
 
@@ -55,11 +58,12 @@ def send_envelope(sock: socket.socket, command: str, frame: bytes = b"") -> None
 
 
 def recv_envelope(sock: socket.socket) -> tuple[str, bytes]:
-    return _recv_envelope_rest(sock, b"")
-
-
-def _recv_envelope_rest(sock: socket.socket, head: bytes) -> tuple[str, bytes]:
-    """Read the rest of an envelope whose first len(head) bytes were read."""
+    """Read one envelope as (command, frame).  A peer that closes before
+    the envelope's first byte raises ConnectionClosed; one that closes
+    inside it, or a malformed envelope, raises TransportError."""
+    head = sock.recv(4)
+    if not head:
+        raise ConnectionClosed("connection closed")
     length = int.from_bytes(head + _read_exact(sock, 4 - len(head)), "big")
     if length > _MAX_ENVELOPE:
         raise TransportError(f"envelope of {length} bytes exceeds limit")
@@ -83,9 +87,9 @@ class Broker:
         self._listener.listen(16)
         self.host, self.port = self._listener.getsockname()
         self._subscribers: dict[str, list[socket.socket]] = {}
-        self._send_locks: dict[socket.socket, threading.Lock] = {}
+        # every live connection, with the lock that orders its sends
+        self._conns: dict[socket.socket, threading.Lock] = {}
         self._lock = threading.Lock()
-        self._conns: list[socket.socket] = []
         self._running = False
         self._accept_thread: threading.Thread | None = None
         self.frames_relayed = 0
@@ -139,8 +143,7 @@ class Broker:
             conn.settimeout(None)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
-                self._conns.append(conn)
-                self._send_locks[conn] = threading.Lock()
+                self._conns[conn] = threading.Lock()
             threading.Thread(target=self._serve_conn, args=(conn,),
                              name="broker-conn", daemon=True).start()
 
@@ -149,9 +152,7 @@ class Broker:
             for subs in self._subscribers.values():
                 if conn in subs:
                     subs.remove(conn)
-            if conn in self._conns:
-                self._conns.remove(conn)
-            self._send_locks.pop(conn, None)
+            self._conns.pop(conn, None)
         try:
             conn.close()
         except OSError:
@@ -181,7 +182,7 @@ class Broker:
                 self.frames_discarded += 1
                 return
         for conn in targets:
-            lock = self._send_locks.get(conn)
+            lock = self._conns.get(conn)
             if lock is None:
                 continue
             try:
@@ -210,22 +211,16 @@ class BrokerClient:
             send_envelope(self._sock, f"PUB {topic}", frame)
 
     def recv_message(self, timeout: float | None = None) -> tuple[str, bytes] | None:
-        """Next (topic, frame) delivered to a subscription, or None on timeout.
-
-        The timeout only covers the idle wait for a message to start; once
-        the first byte of an envelope arrives the rest is read blocking, so
-        a poll timeout can never split an envelope.
-        """
-        self._sock.settimeout(timeout)
-        try:
-            first = self._sock.recv(1)
-        except socket.timeout:
+        """Next (topic, frame) delivered to a subscription, or None if none
+        starts within `timeout` seconds (None: no limit).  Only the wait for
+        the socket to become readable is timed this way; recv_envelope then
+        reads under the socket's 5 s timeout, so a poll timeout never
+        splits an envelope."""
+        poller = select.poll()
+        poller.register(self._sock, select.POLLIN)
+        if not poller.poll(None if timeout is None else timeout * 1000):
             return None
-        finally:
-            self._sock.settimeout(None)
-        if not first:
-            raise ConnectionClosed("connection closed")
-        command, frame = _recv_envelope_rest(self._sock, first)
+        command, frame = recv_envelope(self._sock)
         parts = command.split()
         if len(parts) != 2 or parts[0] != "MSG":
             raise TransportError(f"unexpected broker message {command!r}")

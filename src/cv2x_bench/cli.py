@@ -130,7 +130,7 @@ def _cmd_sensor(args: argparse.Namespace) -> int:
     host, port = args.address
     sent = run_real_sensor(host, port, frame_size_bytes=args.size,
                            rate_hz=args.rate, duration_s=args.duration,
-                           source_id=args.source_id, topic=args.topic)
+                           source_id=args.source_id)
     print(f"sensor sent {sent} frames")
     return 0
 
@@ -158,7 +158,6 @@ def _cmd_relay(args: argparse.Namespace) -> int:
     processing = ProcessingDelay(constant_ns=round(args.proc_ms * 1e6))
     with _stop_event(args.duration) as stop:
         forwarded, corrupt = run_real_relay(host, port, stop=stop,
-                                            sub_topic=args.sub, pub_topic=args.pub,
                                             processing=processing)
     print(f"relay forwarded {forwarded} frames, dropped {corrupt} corrupt")
     return 0
@@ -169,8 +168,8 @@ def _cmd_vehicle(args: argparse.Namespace) -> int:
     host, port = args.address
     with contextlib.closing(analysis.RecordWriter(args.log)) as sink, \
             _stop_event(args.duration) as stop:
-        records = run_real_vehicle(host, port, stop=stop, topic=args.topic,
-                                   sink=sink, expected=args.expected)
+        records = run_real_vehicle(host, port, stop=stop, sink=sink,
+                                   expected=args.expected)
     print(f"vehicle logged {len(records)} records to {args.log}")
     return 0
 
@@ -219,14 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default=1000, help="frame size in bytes")
     p.add_argument("--rate", type=_POSITIVE, default=10.0, help="messages per second")
     p.add_argument("--duration", type=_NONNEGATIVE, default=10.0, help="seconds")
-    p.add_argument("--topic", default="UL")
     p.add_argument("--source-id", type=_bounded(int, 0, 0xFFFF), default=1)
     p.set_defaults(func=_cmd_sensor)
 
     p = sub.add_parser("relay", help="real-socket edge relay agent")
     _address(p, "--connect", required=True)
-    p.add_argument("--sub", default="UL")
-    p.add_argument("--pub", default="DL")
     p.add_argument("--proc-ms", type=_NONNEGATIVE, default=0.0)
     p.add_argument("--duration", type=_NONNEGATIVE, default=0.0,
                    help="stop after this many seconds (0 = run until ^C)")
@@ -235,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vehicle", help="real-socket vehicle agent")
     _address(p, "--connect", required=True)
     p.add_argument("--log", required=True)
-    p.add_argument("--topic", default="DL")
     p.add_argument("--duration", type=_NONNEGATIVE, default=0.0)
     p.add_argument("--expected", type=_bounded(int, 1), default=None)
     p.set_defaults(func=_cmd_vehicle)

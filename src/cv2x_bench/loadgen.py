@@ -14,8 +14,10 @@ import math
 import socket
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .netem import Direction
+if TYPE_CHECKING:
+    from .netem import Direction
 
 DEFAULT_PACKET_BYTES = 1400
 

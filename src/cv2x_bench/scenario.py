@@ -521,13 +521,16 @@ def _run_real(cfg: ScenarioConfig) -> ScenarioResult:
     expected = message_count(cfg.message.rate_hz, cfg.duration_ns)
     stop = threading.Event()
     records: list[analysis.PacketRecord] = []
+    corrupt_drops: list[int] = []
     errors: list[BaseException] = []
 
     with Broker() as broker:
         def relay_main() -> None:
             try:
-                run_real_relay(broker.host, broker.port, stop=stop,
-                               processing=cfg.agents.relay.processing_delay)
+                _, corrupt = run_real_relay(
+                    broker.host, broker.port, stop=stop,
+                    processing=cfg.agents.relay.processing_delay)
+                corrupt_drops.append(corrupt)
             except BaseException as exc:  # surfaced after join
                 errors.append(exc)
 
@@ -565,7 +568,7 @@ def _run_real(cfg: ScenarioConfig) -> ScenarioResult:
         raise RuntimeError(f"real-mode agent failed: {errors[0]!r}") from errors[0]
     return ScenarioResult(name=cfg.name, config=cfg, records=records,
                           handover_events=[], affected_seqs=set(),
-                          sensor_sent=sent)
+                          sensor_sent=sent, relay_corrupt_drops=sum(corrupt_drops))
 
 
 # --------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from cv2x_bench import protocol
 from cv2x_bench.broker import (_MAX_COMMAND_LINE, _MAX_ENVELOPE, Broker,
-                               BrokerClient, TransportError, recv_envelope,
-                               send_envelope)
+                               BrokerClient, ConnectionClosed, TransportError,
+                               recv_envelope, send_envelope)
 
 
 def test_envelope_round_trip():
@@ -40,6 +40,41 @@ def test_envelope_requires_command_line():
     finally:
         a.close()
         b.close()
+
+
+def test_peer_closing_between_envelopes_raises_connection_closed():
+    a, b = socket.socketpair()
+    with b:
+        with a:
+            send_envelope(a, "MSG UL", b"last")
+        assert recv_envelope(b) == ("MSG UL", b"last")
+        with pytest.raises(ConnectionClosed):
+            recv_envelope(b)
+
+
+@pytest.mark.parametrize("sent", [1, 2, 3])
+def test_peer_closing_inside_the_prefix_is_not_a_clean_close(sent):
+    a, b = socket.socketpair()
+    with b:
+        with a:
+            a.sendall((5).to_bytes(4, "big")[:sent])
+        with pytest.raises(TransportError) as caught:
+            recv_envelope(b)
+        assert not isinstance(caught.value, ConnectionClosed)
+
+
+def test_client_socket_keeps_its_timeout_across_receives():
+    # a receive's own timeout must not replace the socket's 5 s one, which
+    # bounds every send and the rest of an envelope
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        with BrokerClient(*server.getsockname()) as client:
+            conn, _ = server.accept()
+            with conn:
+                send_envelope(conn, "MSG DL", b"frame")
+                assert client.recv_message(timeout=2.0) == ("DL", b"frame")
+                assert client._sock.gettimeout() == 5.0
+                assert client.recv_message(timeout=0.05) is None
+                assert client._sock.gettimeout() == 5.0
 
 
 def test_envelope_limit_fits_one_frame():

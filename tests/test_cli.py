@@ -87,23 +87,37 @@ def test_the_cli_imports_no_xml_or_http_modules():
     assert result.stdout.strip() == "[]"
 
 
-def test_analyze_loads_only_the_analysis_modules(tmp_path):
-    # a fresh interpreter, since this one has loaded every module
-    log = tmp_path / "log.jsonl"
-    analysis.write_records(log, [analysis.PacketRecord(
-        source_id=1, seq=seq, t1=10**9, t2=10**9 + MS, t3=10**9 + 2 * MS,
-        t4=10**9 + 3 * MS) for seq in range(3)])
+def _modules_loaded_by(argv: list[str]) -> list[str]:
+    """The sorted list of cv2x_bench modules, as printed by a fresh
+    interpreter after cli.main(argv) returns 0 (this one has loaded every
+    module)."""
     code = ("import sys; from cv2x_bench import cli; "
-            f"assert cli.main(['analyze', '--log', {str(log)!r}, "
-            f"'--out', {str(tmp_path / 'report')!r}]) == 0; "
+            f"assert cli.main({argv!r}) == 0; "
             "print(sorted(m for m in sys.modules if m.startswith('cv2x_bench')))")
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True,
                             env=dict(os.environ, PYTHONPATH=src))
-    assert result.stdout.splitlines()[-1] == str(sorted(
-        f"cv2x_bench{name}" for name in ("", ".analysis", ".cli", ".clockmodel",
-                                         ".protocol")))
+    return result.stdout.splitlines()[-1]
+
+
+def test_analyze_loads_only_the_analysis_modules(tmp_path):
+    log = tmp_path / "log.jsonl"
+    analysis.write_records(log, [analysis.PacketRecord(
+        source_id=1, seq=seq, t1=10**9, t2=10**9 + MS, t3=10**9 + 2 * MS,
+        t4=10**9 + 3 * MS) for seq in range(3)])
+    base = ("", ".analysis", ".cli", ".clockmodel", ".protocol")
+    assert _modules_loaded_by(
+        ["analyze", "--log", str(log), "--out", str(tmp_path / "report")]
+    ) == str(sorted(f"cv2x_bench{name}" for name in base))
+    # the UDP blaster does not load the emulator
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sink:
+        sink.bind(("127.0.0.1", 0))
+        host, port = sink.getsockname()
+        assert _modules_loaded_by(
+            ["loadgen", "--target", f"{host}:{port}", "--rate-mbps", "1",
+             "--duration", "0.01", "--size", "100"]
+        ) == str(sorted(f"cv2x_bench{name}" for name in (*base, ".loadgen")))
 
 
 def test_init_matrix_writes_the_built_in_matrix(tmp_path):
@@ -329,6 +343,20 @@ def test_bad_numbers_exit_2_naming_the_option(argv, option, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert f"error: argument {option}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sensor", "--connect", "127.0.0.1:9", "--topic", "UL"],
+    ["relay", "--connect", "127.0.0.1:9", "--sub", "UL"],
+    ["relay", "--connect", "127.0.0.1:9", "--pub", "DL"],
+    ["vehicle", "--connect", "127.0.0.1:9", "--log", "v.jsonl", "--topic", "DL"],
+], ids=" ".join)
+def test_the_pipeline_topics_are_not_options(argv, capsys):
+    # sensor -> UL -> relay -> DL -> vehicle is the only wiring analyze reads
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " in capsys.readouterr().err
 
 
 def test_sensor_size_takes_the_largest_frame():

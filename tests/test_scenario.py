@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cv2x_bench import analysis, netem, scenario
+from cv2x_bench import analysis, netem, protocol, scenario
+from cv2x_bench.agents import UPLINK_TOPIC
+from cv2x_bench.broker import BrokerClient
 from cv2x_bench.loadgen import CbrPacketSource
 from cv2x_bench.netem import Direction, PriorityClass, SimWorld
 from cv2x_bench.scenario import (ConfigError, config_from_obj, derive_seed,
@@ -356,6 +358,26 @@ def test_sim_and_real_mode_send_the_same_message_count():
     real = run_scenario(config_from_obj(dict(obj, mode="real")))
     assert sim.sensor_sent == real.sensor_sent == 1
     assert len(sim.records) == len(real.records) == 1
+
+
+def test_real_mode_counts_the_relays_corrupt_drops(monkeypatch):
+    # the sensor first publishes one frame with a flipped payload bit: the
+    # relay drops it, and every frame the sensor then sends is logged
+    run_real_sensor = scenario.run_real_sensor
+
+    def sensor_with_a_corrupt_frame(host, port, **kwargs):
+        frame = bytearray(protocol.encode(protocol.V2XMessage(
+            seq=0, t1=1, payload=bytes(16))))
+        frame[protocol.HEADER_LEN] ^= 0x01
+        with BrokerClient(host, port) as client:
+            client.publish(UPLINK_TOPIC, bytes(frame))
+        return run_real_sensor(host, port, **kwargs)
+
+    monkeypatch.setattr(scenario, "run_real_sensor", sensor_with_a_corrupt_frame)
+    result = run_scenario(config_from_obj(_minimal(mode="real", duration_s=0.5)))
+    assert result.sensor_sent == 5
+    assert result.relay_corrupt_drops == 1
+    assert len(result.records) == result.sensor_sent
 
 
 def _stepped(cfg):
