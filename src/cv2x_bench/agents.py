@@ -2,21 +2,23 @@
 vehicle (consumer).
 
 SimSensor, SimRelay and SimVehicle are the one implementation of the
-stamping contract: the sensor sets t1/e1 when it builds a frame, the relay
-sets t2/e2 on receipt and t3/e3 when it re-publishes (recomputing the
-checksum since the stamps changed), and the vehicle sets t4/e4 and logs
-one PacketRecord per message, salvaging what it can of a corrupt frame.
-Each stamp reads the agent's clock and offset provider at a reference
-instant the caller passes in.
+stamping contract, and they stamp protocol.V2XMessage objects: the sensor
+sets t1/e1 when it builds a message, the relay sets t2/e2 on receipt and
+t3/e3 when it re-publishes, and the vehicle sets t4/e4 and logs one
+PacketRecord per message.  Each stamp reads the agent's clock and offset
+provider at a reference instant the caller passes in.
 
 Two transports drive them.  In emulation mode a SimPipeline schedules them
-on the SimWorld event loop at simulated reference times.  In real-socket
-mode run_real_sensor, run_real_relay and run_real_vehicle are blocking
-loops over a BrokerClient connection, wired sensor -> UPLINK_TOPIC ->
-relay -> DOWNLINK_TOPIC -> vehicle; they give each agent an ideal clock
-and zero offset estimates and pass the host's epoch time as the reference
-instant.  The relay and the vehicle end cleanly when the broker closes
-their connection.
+on the SimWorld event loop at simulated reference times and hands each
+message object from hop to hop; the link sees only its frame size, and
+nothing is encoded.  In real-socket mode run_real_sensor, run_real_relay
+and run_real_vehicle are blocking loops over a BrokerClient connection,
+wired sensor -> UPLINK_TOPIC -> relay -> DOWNLINK_TOPIC -> vehicle; they
+encode and decode at the socket, the relay dropping corrupt frames and
+the vehicle logging what it can salvage of them.  They give each agent an
+ideal clock and zero offset estimates and pass the host's epoch time as
+the reference instant.  The relay and the vehicle end cleanly when the
+broker closes their connection.
 """
 
 from __future__ import annotations
@@ -111,16 +113,17 @@ class SimSensor:
     def publish_time(self, k: int) -> int:
         return self.start_ns + publish_offset_ns(k, self.rate_hz)
 
-    def build_frame(self, reference_ns: int) -> bytes:
+    def build_frame(self, reference_ns: int) -> protocol.V2XMessage:
+        """The next message, stamped with t1/e1; its frame is
+        protocol.encode(message), frame_size_bytes long."""
         seq = self.next_seq
         self.next_seq += 1
         e1 = self.provider.estimate_at(reference_ns)
-        msg = protocol.V2XMessage(
+        return protocol.V2XMessage(
             source_id=self.source_id, seq=seq,
             t1=self.clock.local_now(reference_ns), e1=e1,
             payload=protocol.make_padded_payload(self.frame_size_bytes,
                                                  self.payload_seed, seq))
-        return protocol.encode(msg)
 
 
 class SimRelay:
@@ -134,26 +137,21 @@ class SimRelay:
         self.processing = processing or ProcessingDelay()
         self.rng = random.Random(rng_seed)
         self.forwarded = 0
-        self.corrupt_drops = 0
 
-    def receive(self, frame: bytes, reference_ns: int) -> protocol.V2XMessage | None:
-        """Stamp t2/e2 on a verified frame; corrupt frames are dropped."""
-        try:
-            msg = protocol.decode(frame)
-        except protocol.ProtocolError:
-            self.corrupt_drops += 1
-            return None
+    def receive(self, msg: protocol.V2XMessage,
+                reference_ns: int) -> protocol.V2XMessage:
+        """Stamp t2/e2 on the received message, in place."""
         msg.e2 = self.provider.estimate_at(reference_ns)
         msg.t2 = self.clock.local_now(reference_ns)
         return msg
 
-    def forward(self, msg: protocol.V2XMessage, reference_ns: int) -> bytes:
-        """Stamp t3/e3 and re-encode (stamps changed, so the checksum must be
-        recomputed)."""
+    def forward(self, msg: protocol.V2XMessage,
+                reference_ns: int) -> protocol.V2XMessage:
+        """Stamp t3/e3 on the message to re-publish, in place."""
         msg.e3 = self.provider.estimate_at(reference_ns)
         msg.t3 = self.clock.local_now(reference_ns)
         self.forwarded += 1
-        return protocol.encode(msg)
+        return msg
 
 
 class SimVehicle:
@@ -164,22 +162,18 @@ class SimVehicle:
         self.provider = provider
         self.records: list[PacketRecord] = []
 
-    def receive(self, frame: bytes, reference_ns: int, serving_cell: int,
-                gt_ul: int, gt_dl: int) -> PacketRecord:
+    def receive(self, msg: protocol.V2XMessage, reference_ns: int,
+                frame_size: int, serving_cell: int, gt_ul: int, gt_dl: int,
+                corrupt: bool = False) -> PacketRecord:
+        """Stamp t4/e4 and log the message, which arrived in a frame of
+        frame_size bytes (corrupt: one that failed verification)."""
         e4 = self.provider.estimate_at(reference_ns)
         t4 = self.clock.local_now(reference_ns)
-        try:
-            msg = protocol.decode(frame)
-            corrupt = False
-        except protocol.ProtocolError:
-            salvaged = protocol.decode_unchecked(frame)
-            msg = salvaged if salvaged is not None else protocol.V2XMessage()
-            corrupt = True
         rec = PacketRecord(
             source_id=msg.source_id, seq=msg.seq,
             t1=msg.t1, t2=msg.t2, t3=msg.t3, t4=t4,
             e1=msg.e1, e2=msg.e2, e3=msg.e3, e4=e4,
-            frame_size=len(frame), serving_cell=serving_cell,
+            frame_size=frame_size, serving_cell=serving_cell,
             corrupt=corrupt, gt_ul=gt_ul, gt_dl=gt_dl)
         self.records.append(rec)
         return rec
@@ -212,8 +206,11 @@ class SimPipeline:
         self.sensor = sensor
         self.relay = relay
         self.vehicle = vehicle
-        self.ack_ratio = ack_ratio
-        # the seqs of intact frames whose downlink a handover interrupted
+        # every frame, a message's on either hop, is the sensor's size; an
+        # ack is ack_ratio of it, and without ack flows the ratio is 0
+        self.frame_bits = sensor.frame_size_bytes * 8
+        self.ack_bits = round(sensor.frame_size_bytes * ack_ratio) * 8
+        # the seqs of the messages whose downlink a handover interrupted
         self.affected_seqs: set[int] = set()
         world.on_delivery = self.on_delivery
 
@@ -223,13 +220,12 @@ class SimPipeline:
 
     @property
     def complete(self) -> bool:
-        delivered = len(self.vehicle.records) + self.relay.corrupt_drops
-        return delivered >= self.sensor.n_messages
+        return len(self.vehicle.records) >= self.sensor.n_messages
 
     def _publish(self, now_ns: int) -> None:
-        frame = self.sensor.build_frame(now_ns)
-        self.link.enqueue("app-ul", len(frame) * 8, now_ns,
-                          meta={"kind": "app-ul", "frame": frame,
+        msg = self.sensor.build_frame(now_ns)
+        self.link.enqueue("app-ul", self.frame_bits, now_ns,
+                          meta={"kind": "app-ul", "msg": msg,
                                 "published_ns": now_ns})
         if self.sensor.next_seq < self.sensor.n_messages:
             self.world.schedule(self.sensor.publish_time(self.sensor.next_seq),
@@ -244,39 +240,33 @@ class SimPipeline:
             self.world.schedule(arrival, partial(self._vehicle_receive,
                                                  meta=d.meta, cell_id=d.cell_id))
 
-    def _enqueue_ack(self, flow_id: str, frame_len: int, now_ns: int) -> None:
-        # without ack flows the ratio is 0, and so is every ack
-        ack_bits = round(frame_len * self.ack_ratio) * 8
-        if ack_bits > 0:
-            self.link.enqueue(flow_id, ack_bits, now_ns, meta={"kind": "ack"})
+    def _enqueue_ack(self, flow_id: str, now_ns: int) -> None:
+        if self.ack_bits > 0:
+            self.link.enqueue(flow_id, self.ack_bits, now_ns, meta={"kind": "ack"})
 
     def _relay_receive(self, now_ns: int, meta: dict) -> None:
-        frame = meta["frame"]
-        msg = self.relay.receive(frame, now_ns)
-        self._enqueue_ack("app-ul-ack", len(frame), now_ns)
-        if msg is None:
-            return
+        self.relay.receive(meta["msg"], now_ns)
+        self._enqueue_ack("app-ul-ack", now_ns)
         meta = dict(meta, ul_arrival_ns=now_ns)
         forward_at = now_ns + self.relay.processing.sample(self.relay.rng)
-        self.world.schedule(forward_at, partial(self._relay_forward,
-                                                meta=meta, msg=msg))
+        self.world.schedule(forward_at, partial(self._relay_forward, meta=meta))
 
-    def _relay_forward(self, now_ns: int, meta: dict, msg: protocol.V2XMessage) -> None:
-        frame = self.relay.forward(msg, now_ns)
-        self.link.enqueue("app-dl", len(frame) * 8, now_ns,
-                          meta={"kind": "app-dl", "frame": frame,
+    def _relay_forward(self, now_ns: int, meta: dict) -> None:
+        msg = self.relay.forward(meta["msg"], now_ns)
+        self.link.enqueue("app-dl", self.frame_bits, now_ns,
+                          meta={"kind": "app-dl", "msg": msg,
                                 "published_ns": meta["published_ns"],
                                 "ul_arrival_ns": meta["ul_arrival_ns"],
                                 "forward_ns": now_ns})
 
     def _vehicle_receive(self, now_ns: int, meta: dict, cell_id: int) -> None:
-        frame = meta["frame"]
         gt_ul = meta["ul_arrival_ns"] - meta["published_ns"]
         gt_dl = now_ns - meta["forward_ns"]
-        rec = self.vehicle.receive(frame, now_ns, cell_id, gt_ul, gt_dl)
-        if not rec.corrupt and self.link.interrupted(meta["forward_ns"], now_ns):
+        rec = self.vehicle.receive(meta["msg"], now_ns, self.sensor.frame_size_bytes,
+                                   cell_id, gt_ul, gt_dl)
+        if self.link.interrupted(meta["forward_ns"], now_ns):
             self.affected_seqs.add(rec.seq)
-        self._enqueue_ack("app-dl-ack", len(frame), now_ns)
+        self._enqueue_ack("app-dl-ack", now_ns)
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +294,7 @@ def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
                      - time.monotonic())
             if delay > 0:
                 time.sleep(delay)
-            frame = sensor.build_frame(time.time_ns())
+            frame = protocol.encode(sensor.build_frame(time.time_ns()))
             for attempt in range(_PUBLISH_RETRIES):
                 try:
                     if client is None:
@@ -343,24 +333,32 @@ def run_real_relay(host: str, port: int, *, stop: threading.Event,
     """Forward uplink frames to the downlink topic until stopped or the
     broker goes; returns (forwarded, corrupt_drops)."""
     relay = SimRelay(DriftingClock(), ZeroOffsetProvider(), processing)
+    corrupt_drops = 0
     with BrokerClient(host, port) as client:
         client.subscribe(UPLINK_TOPIC)
         for frame in _frames(client, stop.is_set):
-            msg = relay.receive(frame, time.time_ns())
-            if msg is None:
+            now_ns = time.time_ns()
+            try:
+                msg = protocol.decode(frame)
+            except protocol.ProtocolError:
+                corrupt_drops += 1
                 continue
+            relay.receive(msg, now_ns)
             delay_ns = relay.processing.sample(relay.rng)
             if delay_ns > 0:
                 time.sleep(delay_ns / 1e9)
-            client.publish(DOWNLINK_TOPIC, relay.forward(msg, time.time_ns()))
-    return relay.forwarded, relay.corrupt_drops
+            client.publish(DOWNLINK_TOPIC,
+                           protocol.encode(relay.forward(msg, time.time_ns())))
+    return relay.forwarded, corrupt_drops
 
 
 def run_real_vehicle(host: str, port: int, *, stop: threading.Event,
                      sink: RecordWriter | None = None,
                      expected: int | None = None) -> list[PacketRecord]:
     """Consume downlink frames into PacketRecords until stopped, until
-    `expected` records have arrived, or until the broker goes."""
+    `expected` records have arrived, or until the broker goes.  A frame
+    that fails verification is logged as corrupt, with the fields its
+    header still holds, or none if its header is lost too."""
     vehicle = SimVehicle(DriftingClock(), ZeroOffsetProvider())
     records = vehicle.records
 
@@ -370,8 +368,14 @@ def run_real_vehicle(host: str, port: int, *, stop: threading.Event,
     with BrokerClient(host, port) as client:
         client.subscribe(DOWNLINK_TOPIC)
         for frame in _frames(client, done):
-            rec = vehicle.receive(frame, time.time_ns(), serving_cell=-1,
-                                  gt_ul=-1, gt_dl=-1)
+            now_ns = time.time_ns()
+            try:
+                msg, corrupt = protocol.decode(frame), False
+            except protocol.ProtocolError:
+                msg = protocol.decode_unchecked(frame) or protocol.V2XMessage()
+                corrupt = True
+            rec = vehicle.receive(msg, now_ns, len(frame), serving_cell=-1,
+                                  gt_ul=-1, gt_dl=-1, corrupt=corrupt)
             if sink is not None:
                 sink.append(rec)
     return records

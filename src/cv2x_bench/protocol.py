@@ -14,24 +14,13 @@ sender-side clock offset estimates (value to ADD to the matching local
 timestamp to map it onto reference time).  Offsets are always carried on
 the wire and are meaningful only where the matching timestamp is nonzero.
 
-The codec reads each payload's bytes at most once per frame it builds or
-checks.  CRC-32 is linear, so crc(A + B) follows from crc(A), crc(B) and
-len(B) (crc32_combine).  A small table maps the last few bytes objects
-the codec itself produced to their CRC: the frames encode returns, the
-padded payloads make_padded_payload returns (their CRC comes from the
-cached padding block's), and the payload of a frame whose decode found it
-there.  encode of a payload in the table combines its CRC with the
-header's; decode of a frame in the table checks the trailer against the
-CRC already known.  This is exact: bytes objects are immutable, they are
-matched by identity, and the table holds a reference to each, so no other
-object can take one's place.  Every other frame (a bytearray, a copy, any
-frame read from a socket) is checked in one pass over its bytes, as is
-every payload encode has not seen.
+Agents stamp V2XMessage objects; the codec runs only where a frame meets
+a socket, and each encode or decode reads every byte before the trailer
+once, in a single CRC-32 pass.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import struct
 import zlib
@@ -91,64 +80,11 @@ def compute_checksum(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
-@lru_cache(maxsize=16)
-def _zeros_tables(n: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Byte tables of the linear map that advances a CRC-32 register over
-    n zero bytes: zlib.crc32(B, c) == zlib.crc32(B) ^ advance(c) for any B
-    of n bytes, advance(c) the XOR of tables[k][byte k of c].
-
-    advance multiplies by X = x^(8n) mod the polynomial.  The register
-    1 << 31 is the polynomial 1, so it maps to X, which two passes over n
-    zero bytes give; 1 << (31 - j) is x^j and maps to X times x^j, which is
-    X stepped over j zero bits."""
-    zeros = bytes(n)
-    image = zlib.crc32(zeros, 1 << 31) ^ zlib.crc32(zeros)
-    bits = [0] * 32
-    for i in range(31, -1, -1):
-        bits[i] = image
-        image = (image >> 1) ^ (0xEDB88320 if image & 1 else 0)
-    tables = ([0] * 256, [0] * 256, [0] * 256, [0] * 256)
-    for k, table in enumerate(tables):
-        for b in range(1, 256):
-            low = b & -b
-            table[b] = table[b ^ low] ^ bits[8 * k + low.bit_length() - 1]
-    return tables
-
-
-def crc32_combine(crc_a: int, crc_b: int, len_b: int) -> int:
-    """The CRC-32 of A + B from crc(A), crc(B) and len(B), as zlib's
-    crc32_combine.  XOR being its own inverse, it also gives crc(B) from
-    crc(A), crc(A + B) and len(B)."""
-    t0, t1, t2, t3 = _zeros_tables(len_b)
-    return (t0[crc_a & 0xFF] ^ t1[crc_a >> 8 & 0xFF] ^ t2[crc_a >> 16 & 0xFF]
-            ^ t3[crc_a >> 24] ^ crc_b)
-
-
-# (object, its CRC-32) for the last bytes objects the codec produced, in a
-# ring of slots; each slot is replaced whole, so no lock is needed
-_KNOWN_SLOTS = 8
-_known: list[tuple[bytes | None, int]] = [(None, 0)] * _KNOWN_SLOTS
-_next_slot = itertools.count()
-
-
-def _remember(data: bytes, crc: int) -> bytes:
-    _known[next(_next_slot) % _KNOWN_SLOTS] = (data, crc)
-    return data
-
-
-def _known_crc(data: object) -> int | None:
-    for known, crc in _known:
-        if known is data:
-            return crc
-    return None
-
-
 def encode(msg: V2XMessage) -> bytes:
     """Serialize a message to its wire frame.
 
     The checksum is computed here over header + payload and appended as the
-    trailing 4 bytes.  A payload whose CRC the codec knows is not read for
-    it (see the module docstring).
+    trailing 4 bytes.
     """
     if len(msg.payload) > MAX_PAYLOAD:
         raise FrameSizeError(
@@ -165,14 +101,8 @@ def encode(msg: V2XMessage) -> bytes:
             len(msg.payload))
     except struct.error as exc:
         raise ProtocolError(f"field out of range: {exc}") from None
-    payload = msg.payload
-    crc = _known_crc(payload)
-    if crc is None:
-        crc = zlib.crc32(payload, zlib.crc32(header))
-    else:
-        crc = crc32_combine(zlib.crc32(header), crc, len(payload))
-    return _remember(b"".join((header, payload, crc.to_bytes(CHECKSUM_LEN, "big"))),
-                     crc)
+    crc = zlib.crc32(msg.payload, zlib.crc32(header))
+    return b"".join((header, msg.payload, crc.to_bytes(CHECKSUM_LEN, "big")))
 
 
 def _parse(frame: bytes) -> tuple[bytes, int, int, V2XMessage]:
@@ -202,15 +132,10 @@ def decode(frame: bytes) -> V2XMessage:
         raise MalformedFrameError(
             f"frame length {len(frame)} does not match header payload_len {payload_len}")
     received = int.from_bytes(frame[-CHECKSUM_LEN:], "big")
-    known = _known_crc(frame)
-    expected = (zlib.crc32(memoryview(frame)[:-CHECKSUM_LEN]) if known is None
-                else known)
+    expected = zlib.crc32(memoryview(frame)[:-CHECKSUM_LEN])
     if received != expected:
         raise ChecksumError(
             f"checksum mismatch: frame carries 0x{received:08X}, computed 0x{expected:08X}")
-    if known is not None:
-        _remember(msg.payload, crc32_combine(zlib.crc32(frame[:HEADER_LEN]), known,
-                                             payload_len))
     return msg
 
 
@@ -230,11 +155,9 @@ def decode_unchecked(frame: bytes) -> V2XMessage | None:
 
 
 @lru_cache(maxsize=4)
-def _padding_tail(seed: int, n: int) -> tuple[bytes, int]:
-    """Bytes 8 .. n - 1 of the n pseudorandom bytes drawn from the seed,
-    and their CRC-32."""
-    tail = random.Random(seed).randbytes(n)[8:]
-    return tail, zlib.crc32(tail)
+def _padding_tail(seed: int, n: int) -> bytes:
+    """Bytes 8 .. n - 1 of the n pseudorandom bytes drawn from the seed."""
+    return random.Random(seed).randbytes(n)[8:]
 
 
 def make_padded_payload(target_frame_size: int, seed: int, seq: int) -> bytes:
@@ -243,9 +166,8 @@ def make_padded_payload(target_frame_size: int, seed: int, seq: int) -> bytes:
     Returns ``n = target_frame_size - 88`` bytes: the seq as 8 bytes
     big-endian, then bytes 8 .. n - 1 of one block of n pseudorandom bytes
     drawn from the seed.  The block is the same for every seq, so it is
-    drawn and checksummed once per (seed, n) and kept (a few blocks at
-    most); a payload then costs one copy, and its CRC, which encode uses,
-    follows from the block's.  A payload shorter than 8 bytes is the seq's
+    drawn once per (seed, n) and kept (a few blocks at most); a payload
+    then costs one copy.  A payload shorter than 8 bytes is the seq's
     last n bytes.  Seed and seq are taken mod 2**64.  The same (seed, seq)
     always yields the same bytes, and for n >= 8 different seqs certainly
     yield different bytes.
@@ -257,6 +179,4 @@ def make_padded_payload(target_frame_size: int, seed: int, seq: int) -> bytes:
     head = (seq & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
     if n <= 8:
         return head[8 - n:]
-    tail, tail_crc = _padding_tail(seed & 0xFFFFFFFFFFFFFFFF, n)
-    return _remember(head + tail,
-                     crc32_combine(zlib.crc32(head), tail_crc, n - 8))
+    return head + _padding_tail(seed & 0xFFFFFFFFFFFFFFFF, n)

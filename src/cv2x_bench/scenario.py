@@ -398,6 +398,7 @@ class ScenarioResult:
     handover_events: list[HandoverEvent]
     affected_seqs: set[int]
     sensor_sent: int
+    # frames the real relay dropped as corrupt; always 0 in sim mode
     relay_corrupt_drops: int = 0
     # emulator ticks run and skipped; both 0 in real mode
     ticks_run: int = 0
@@ -496,7 +497,6 @@ def run_scenario(cfg: ScenarioConfig,
                              if ev.time_ns < world.now_ns],
             affected_seqs=set(pipeline.affected_seqs),
             sensor_sent=pipeline.sensor.next_seq,
-            relay_corrupt_drops=pipeline.relay.corrupt_drops,
             ticks_run=world.ticks_run, ticks_skipped=world.ticks_skipped)
         # the world holds the pipeline's handler and the pipeline the world;
         # without this cycle the finished cell is freed now rather than by

@@ -70,5 +70,7 @@ def test_traced_emulator_run_passes_through_the_wrapped_layers():
     assert calls["agents.stamp"] == 40
     for name in ("scenario.cell.traced", "netem.world_tick", "netem.link_tick",
                  "netem.schedule", "netem.enqueue", "agents.on_delivery",
-                 "protocol.encode", "protocol.decode", "clockmodel.estimate"):
+                 "protocol.payload", "clockmodel.estimate"):
         assert calls.get(name, 0) > 0, name
+    # messages go from hop to hop as objects; only a socket needs a frame
+    assert calls.get("protocol.encode", 0) == calls.get("protocol.decode", 0) == 0

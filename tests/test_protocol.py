@@ -1,6 +1,6 @@
 """Wire codec tests: round-trips, framing errors, corruption detection,
-checksum check values, CRC combination and the table of known CRCs, and
-deterministic padding."""
+checksum check values, one CRC pass per frame, and deterministic
+padding."""
 
 from __future__ import annotations
 
@@ -55,15 +55,15 @@ def _reference_frame(msg: V2XMessage) -> bytes:
     return body + compute_checksum(body).to_bytes(4, "big")
 
 
-def _count_crc_bytes(monkeypatch) -> list[int]:
-    """Count the bytes the codec hands to zlib.crc32."""
-    read = [0]
+def _crc_reads(monkeypatch) -> list[bytes]:
+    """Record the bytes the codec hands to zlib.crc32, call by call."""
+    reads: list[bytes] = []
 
     def crc32(data, value=0):
-        read[0] += memoryview(data).nbytes
+        reads.append(bytes(data))
         return zlib.crc32(data, value)
     monkeypatch.setattr(protocol, "zlib", types.SimpleNamespace(crc32=crc32))
-    return read
+    return reads
 
 
 def test_empty_message_round_trip():
@@ -120,8 +120,8 @@ def test_wire_layout_field_offsets():
 
 
 def test_encode_matches_the_reference_frame():
-    # payloads the codec has not seen, padded payloads whose CRC it knows,
-    # payloads of decoded frames, and bytearray payloads
+    # random payloads, padded payloads, payloads of decoded frames, and
+    # bytearray payloads
     rng = random.Random(4321)
     for i in range(600):
         msg = _random_message(rng)
@@ -148,8 +148,9 @@ def test_flags_are_zero_on_freshly_built_frames():
     clock = DriftingClock()
     sensor = SimSensor(1, 200, 10.0, 1_000_000_000, clock,
                        OffsetProvider(clock))
-    frame = sensor.build_frame(1_000)
-    assert decode(frame).flags == 0
+    msg = sensor.build_frame(1_000)
+    assert msg.flags == 0
+    assert decode(encode(msg)).flags == 0
 
 
 def test_decoded_checksum_matches_frame():
@@ -243,69 +244,31 @@ def test_checksum_deterministic():
     assert compute_checksum(data) == compute_checksum(bytes(data))
 
 
-@pytest.mark.parametrize("len_a", [0, 1, 84, 904, 912, 9904, 9912])
-@pytest.mark.parametrize("len_b", [0, 1, 8, 84, 904, 912, 9904, 9912])
-def test_crc32_combine_matches_zlib(len_a, len_b):
-    rng = random.Random(len_a * 10_007 + len_b)
-    for _ in range(3):
-        a, b = rng.randbytes(len_a), rng.randbytes(len_b)
-        crc_a, crc_b, crc_ab = zlib.crc32(a), zlib.crc32(b), zlib.crc32(a + b)
-        assert protocol.crc32_combine(crc_a, crc_b, len_b) == crc_ab
-        # and the part after a known prefix from the whole
-        assert protocol.crc32_combine(crc_a, crc_ab, len_b) == crc_b
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.binary(max_size=3000), st.data())
-def test_crc32_combine_on_random_splits(data, draw):
-    cut = draw.draw(st.integers(0, len(data)))
-    a, b = data[:cut], data[cut:]
-    assert (protocol.crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b))
-            == compute_checksum(data) == _crc32_bitwise(data))
-
-
-def test_emulated_frames_read_no_payload_byte_for_their_checksum(monkeypatch):
-    # a padded payload, encoded, decoded, re-encoded and decoded again, as
-    # sensor, relay and vehicle handle it, reads only its seq and the
-    # headers, once the lengths' tables are built
-    def relay(seq: int) -> V2XMessage:
-        msg = decode(encode(V2XMessage(
-            seq=seq, payload=make_padded_payload(10_000, seed=11, seq=seq))))
-        msg.t2 = msg.t3 = 7
-        assert decode(encode(msg)) == msg
-        return msg
-
-    relay(4)
-    read = _count_crc_bytes(monkeypatch)
-    msg = relay(5)
-    assert read[0] == 8 + 4 * protocol.HEADER_LEN
-    assert msg.payload == make_padded_payload(10_000, seed=11, seq=5)
-
-
 def test_other_frames_are_read_once(monkeypatch):
-    frame = encode(V2XMessage(seq=5, payload=bytes(range(256)) * 39))
-    copies = [bytes(bytearray(frame)), bytearray(frame), memoryview(frame)]
-    read = _count_crc_bytes(monkeypatch)
-    for copy in copies:
-        read[0] = 0
-        msg = decode(copy)
-        assert read[0] == len(frame) - protocol.CHECKSUM_LEN
-        read[0] = 0
-        encode(msg)  # its payload was not taken from a known frame
-        assert read[0] == len(frame) - protocol.CHECKSUM_LEN
-
-
-def test_known_table_is_bounded_and_evicts_the_oldest():
-    frames = [encode(V2XMessage(seq=i, payload=b"p" * i)) for i in range(50)]
-    assert len(protocol._known) == protocol._KNOWN_SLOTS
-    held = [f for f in frames if protocol._known_crc(f) is not None]
-    assert held == frames[-protocol._KNOWN_SLOTS:]
-    for f in held:
-        assert protocol._known_crc(f) == compute_checksum(f[:-4])
+    # every encode and every decode hands each byte before the trailer to
+    # zlib.crc32 once, in order, whatever the payload and the frame's type
+    messages = [V2XMessage(seq=5, t1=3, payload=make_padded_payload(10_000, seed=11, seq=5)),
+                V2XMessage(seq=6, payload=bytes(range(256)) * 39)]
+    reads = _crc_reads(monkeypatch)
+    for msg in messages:
+        reads.clear()
+        frame = encode(msg)
+        assert b"".join(reads) == frame[:-protocol.CHECKSUM_LEN]
+        for copy in (frame, bytes(bytearray(frame)), bytearray(frame),
+                     memoryview(frame)):
+            reads.clear()
+            got = decode(copy)
+            assert got == msg
+            assert b"".join(reads) == frame[:-protocol.CHECKSUM_LEN]
+        got.t2, got.t3 = 7, 8  # the relay's stamps, then its re-encode
+        reads.clear()
+        frame = encode(got)
+        assert b"".join(reads) == frame[:-protocol.CHECKSUM_LEN]
+        assert decode(frame) == got
 
 
 def test_threaded_encode_and_decode():
-    # relay and vehicle threads share the table, as in a loopback run
+    # relay and vehicle threads share the codec, as in a loopback run
     errors: list[BaseException] = []
 
     def work(seed: int) -> None:
@@ -335,7 +298,6 @@ def test_threaded_encode_and_decode():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
-    assert len(protocol._known) == protocol._KNOWN_SLOTS
 
 
 _FRAMES = st.builds(
@@ -377,7 +339,6 @@ def test_corrupt_copy_of_an_encoded_frame_is_caught(frame, draw):
     bit = checked[draw % len(checked)]
     corrupt = bytearray(frame)
     corrupt[bit // 8] ^= 1 << (bit % 8)
-    assert protocol._known_crc(frame) is not None
     with pytest.raises(ChecksumError):
         decode(bytes(corrupt))
     # a bytearray is read in full every time, however it changes
