@@ -80,6 +80,40 @@ def compute_checksum(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
+@lru_cache(maxsize=16)
+def _zeros_tables(n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Byte tables of the linear map that advances a CRC-32 register over
+    n zero bytes: zlib.crc32(B, c) == zlib.crc32(B) ^ advance(c) for any B
+    of n bytes, advance(c) the XOR of tables[k][byte k of c].
+
+    advance multiplies by X = x^(8n) mod the polynomial.  The register
+    1 << 31 is the polynomial 1, so it maps to X, which two passes over n
+    zero bytes give; 1 << (31 - j) is x^j and maps to X times x^j, which is
+    X stepped over j zero bits."""
+    zeros = bytes(n)
+    image = zlib.crc32(zeros, 1 << 31) ^ zlib.crc32(zeros)
+    bits = [0] * 32
+    for i in range(31, -1, -1):
+        bits[i] = image
+        image = (image >> 1) ^ (0xEDB88320 if image & 1 else 0)
+    tables = ([0] * 256, [0] * 256, [0] * 256, [0] * 256)
+    for k, table in enumerate(tables):
+        for b in range(1, 256):
+            low = b & -b
+            table[b] = table[b ^ low] ^ bits[8 * k + low.bit_length() - 1]
+    return tables
+
+
+def crc32_combine(crc_a: int, crc_b: int, len_b: int) -> int:
+    """The CRC-32 of A + B from crc(A), crc(B) and len(B), as zlib's
+    crc32_combine.  XOR being its own inverse, it also gives crc(B) from
+    crc(A), crc(A + B) and len(B).  The codec does not call it: encode and
+    decode each make one pass over the frame."""
+    t0, t1, t2, t3 = _zeros_tables(len_b)
+    return (t0[crc_a & 0xFF] ^ t1[crc_a >> 8 & 0xFF] ^ t2[crc_a >> 16 & 0xFF]
+            ^ t3[crc_a >> 24] ^ crc_b)
+
+
 def encode(msg: V2XMessage) -> bytes:
     """Serialize a message to its wire frame.
 

@@ -1,6 +1,6 @@
 """Wire codec tests: round-trips, framing errors, corruption detection,
-checksum check values, one CRC pass per frame, and deterministic
-padding."""
+checksum check values, CRC combination, one CRC pass per frame, and
+deterministic padding."""
 
 from __future__ import annotations
 
@@ -242,6 +242,27 @@ def test_checksum_matches_independent_reference():
 def test_checksum_deterministic():
     data = b"repeatable"
     assert compute_checksum(data) == compute_checksum(bytes(data))
+
+
+@pytest.mark.parametrize("len_a", [0, 1, 84, 904, 912, 9904, 9912])
+@pytest.mark.parametrize("len_b", [0, 1, 8, 84, 904, 912, 9904, 9912])
+def test_crc32_combine_matches_zlib(len_a, len_b):
+    rng = random.Random(len_a * 10_007 + len_b)
+    for _ in range(3):
+        a, b = rng.randbytes(len_a), rng.randbytes(len_b)
+        crc_a, crc_b, crc_ab = zlib.crc32(a), zlib.crc32(b), zlib.crc32(a + b)
+        assert protocol.crc32_combine(crc_a, crc_b, len_b) == crc_ab
+        # and the part after a known prefix from the whole
+        assert protocol.crc32_combine(crc_a, crc_ab, len_b) == crc_b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=3000), st.data())
+def test_crc32_combine_on_random_splits(data, draw):
+    cut = draw.draw(st.integers(0, len(data)))
+    a, b = data[:cut], data[cut:]
+    assert (protocol.crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b))
+            == compute_checksum(data) == _crc32_bitwise(data))
 
 
 def test_other_frames_are_read_once(monkeypatch):
