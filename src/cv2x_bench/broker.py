@@ -14,8 +14,11 @@ reader of the broker and the client alike.
 
 Delivery is at-most-once per subscriber connection with per-connection
 FIFO ordering; frames published to a topic nobody subscribes to are
-silently discarded.  A client socket's 5 s timeout bounds every send and
-the rest of every envelope: a stalled broker raises socket.timeout.
+silently discarded.  A subscriber whose socket accepts no byte for 1 s
+is disconnected and the frame counted as discarded, so a consumer that
+stops reading cannot stall the publishers.  A client socket's 5 s timeout
+bounds every send and the rest of every envelope: a stalled broker raises
+socket.timeout.
 """
 
 from __future__ import annotations
@@ -81,22 +84,17 @@ class Broker:
     """Threaded topic fan-out relay."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
+        self._listener = socket.create_server((host, port), backlog=16)
         self.host, self.port = self._listener.getsockname()
         self._subscribers: dict[str, list[socket.socket]] = {}
         # every live connection, with the lock that orders its sends
         self._conns: dict[socket.socket, threading.Lock] = {}
         self._lock = threading.Lock()
-        self._running = False
         self._accept_thread: threading.Thread | None = None
         self.frames_relayed = 0
         self.frames_discarded = 0
 
     def start(self) -> None:
-        self._running = True
         self._accept_thread = threading.Thread(target=self._accept_loop,
                                                name="broker-accept", daemon=True)
         self._accept_thread.start()
@@ -106,23 +104,18 @@ class Broker:
             return len(self._subscribers.get(topic, ()))
 
     def stop(self) -> None:
-        self._running = False
+        # shutdown wakes a blocked accept at once; a bare close would not
         try:
-            self._listener.close()
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join()
         with self._lock:
             conns = list(self._conns)
         for conn in conns:
-            # shutdown wakes the connection's thread from recv and sends the
-            # client a FIN; a bare close from this thread would do neither
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
+            self._drop_conn(conn)
 
     def __enter__(self) -> "Broker":
         self.start()
@@ -132,16 +125,19 @@ class Broker:
         self.stop()
 
     def _accept_loop(self) -> None:
-        self._listener.settimeout(0.2)
-        while self._running:
+        # imported only where a broker runs: every process that imports the
+        # scenario runner loads this module
+        import struct
+        while True:
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 return
-            conn.settimeout(None)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # a send that moves no byte for 1 s fails, and _fan_out then
+            # drops the subscriber
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO,
+                            struct.pack("ll", 1, 0))
             with self._lock:
                 self._conns[conn] = threading.Lock()
             threading.Thread(target=self._serve_conn, args=(conn,),
@@ -153,14 +149,17 @@ class Broker:
                 if conn in subs:
                     subs.remove(conn)
             self._conns.pop(conn, None)
+        # shutdown wakes the connection's thread from recv and sends the
+        # client a FIN; a bare close from another thread would do neither
         try:
-            conn.close()
+            conn.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        conn.close()
 
     def _serve_conn(self, conn: socket.socket) -> None:
         try:
-            while self._running:
+            while True:
                 command, frame = recv_envelope(conn)
                 parts = command.split()
                 if len(parts) == 2 and parts[0] == "SUB":
@@ -191,6 +190,8 @@ class Broker:
                 with self._lock:
                     self.frames_relayed += 1
             except OSError:
+                with self._lock:
+                    self.frames_discarded += 1
                 self._drop_conn(conn)
 
 

@@ -383,14 +383,10 @@ def _serve_waterfill(queues: list[FlowQueue], budget: int,
                 if budget == 0:
                     break
             break
-        progressed = 0
         for q in active:
             served = q.serve_bits(min(share, q.backlog_bits), completed)
             budget -= served
             served_total += served
-            progressed += served
-        if progressed == 0:
-            break
         active = [q for q in active if q.backlog_bits > 0]
     return served_total
 

@@ -516,59 +516,48 @@ def run_scenario(cfg: ScenarioConfig,
 
 
 def _run_real(cfg: ScenarioConfig) -> ScenarioResult:
-    """Loopback real-socket run: broker, relay, and vehicle threads plus a
-    blocking sensor."""
+    """Loopback real-socket run: a broker, the relay and the vehicle on a
+    two-thread pool, and a blocking sensor."""
+    # imported here: the benchmark forks its system processes from a process
+    # that imports this module, and a child's peak RSS counts the parent's
+    from concurrent.futures import ThreadPoolExecutor, wait
     expected = message_count(cfg.message.rate_hz, cfg.duration_ns)
     stop = threading.Event()
-    records: list[analysis.PacketRecord] = []
-    corrupt_drops: list[int] = []
-    errors: list[BaseException] = []
-
-    with Broker() as broker:
-        def relay_main() -> None:
-            try:
-                _, corrupt = run_real_relay(
-                    broker.host, broker.port, stop=stop,
-                    processing=cfg.agents.relay.processing_delay)
-                corrupt_drops.append(corrupt)
-            except BaseException as exc:  # surfaced after join
-                errors.append(exc)
-
-        def vehicle_main() -> None:
-            try:
-                records.extend(run_real_vehicle(broker.host, broker.port,
-                                                stop=stop, expected=expected))
-            except BaseException as exc:
-                errors.append(exc)
-
-        relay_thread = threading.Thread(target=relay_main, name="relay", daemon=True)
-        vehicle_thread = threading.Thread(target=vehicle_main, name="vehicle",
-                                          daemon=True)
-        relay_thread.start()
-        vehicle_thread.start()
-        # publish only once both subscriptions have landed, so the first
-        # frames cannot be discarded as subscriber-less
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if (broker.subscriber_count(UPLINK_TOPIC) >= 1
-                    and broker.subscriber_count(DOWNLINK_TOPIC) >= 1):
-                break
-            time.sleep(0.01)
-        else:
-            raise RuntimeError("agents did not subscribe in time")
-        sent = run_real_sensor(broker.host, broker.port,
-                               frame_size_bytes=cfg.message.size_bytes,
-                               rate_hz=cfg.message.rate_hz,
-                               duration_s=cfg.duration_s,
-                               payload_seed=derive_seed(cfg.seed, "payload"))
-        vehicle_thread.join(timeout=cfg.duration_s + 10)
-        stop.set()
-        relay_thread.join(timeout=5)
-    if errors:
-        raise RuntimeError(f"real-mode agent failed: {errors[0]!r}") from errors[0]
+    sent = None
+    with Broker() as broker, ThreadPoolExecutor(2) as pool:
+        relay = pool.submit(run_real_relay, broker.host, broker.port, stop=stop,
+                            processing=cfg.agents.relay.processing_delay)
+        vehicle = pool.submit(run_real_vehicle, broker.host, broker.port,
+                              stop=stop, expected=expected)
+        try:
+            # publish only once both subscriptions have landed, so the first
+            # frames cannot be discarded as subscriber-less; an agent that
+            # ends before then has failed
+            deadline = time.monotonic() + 5.0
+            while not (broker.subscriber_count(UPLINK_TOPIC)
+                       and broker.subscriber_count(DOWNLINK_TOPIC)):
+                if relay.done() or vehicle.done() or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            else:
+                sent = run_real_sensor(broker.host, broker.port,
+                                       frame_size_bytes=cfg.message.size_bytes,
+                                       rate_hz=cfg.message.rate_hz,
+                                       duration_s=cfg.duration_s,
+                                       payload_seed=derive_seed(cfg.seed, "payload"))
+                wait((vehicle,), timeout=cfg.duration_s + 10)
+        finally:
+            stop.set()
+        try:
+            records = vehicle.result()
+            _, corrupt_drops = relay.result()
+        except Exception as exc:
+            raise RuntimeError(f"real-mode agent failed: {exc!r}") from exc
+    if sent is None:
+        raise RuntimeError("agents did not subscribe in time")
     return ScenarioResult(name=cfg.name, config=cfg, records=records,
                           handover_events=[], affected_seqs=set(),
-                          sensor_sent=sent, relay_corrupt_drops=sum(corrupt_drops))
+                          sensor_sent=sent, relay_corrupt_drops=corrupt_drops)
 
 
 # --------------------------------------------------------------------------

@@ -379,6 +379,16 @@ def test_per_packet_outputs(tmp_path):
     ET.parse(svg)  # must be valid XML
 
 
+def test_per_packet_csv_leaves_a_corrupt_records_latencies_blank(tmp_path):
+    # a corrupt record is never flagged affected, even if its seq is listed
+    records = [_record(7, corrupt=True, serving_cell=2), _record(8)]
+    path = tmp_path / "per_packet_x.csv"
+    analysis.write_per_packet_csv(records, path, affected_seqs={7})
+    lines = path.read_text().splitlines()
+    assert lines[1] == "7,,,,2,1,0"
+    assert lines[2] == f"8,{3 * MS},{2 * MS},{5 * MS},1,0,0"
+
+
 # -- charts -----------------------------------------------------------------
 
 def _brute_m4(points, x_min, x_span, columns):

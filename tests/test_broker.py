@@ -256,13 +256,13 @@ def test_fuzzed_wire_input_raises_only_transport_errors(pieces):
 NOT_UTF8 = (3).to_bytes(4, "big") + b"\xff\xfe\n"
 
 
-def test_non_utf8_command_from_a_peer_drops_only_that_connection(monkeypatch):
+def _bad_peer_loses_only_its_connection(monkeypatch, wire: bytes) -> None:
     crashed = []
     monkeypatch.setattr(threading, "excepthook", crashed.append)
     with Broker() as broker:
         with socket.create_connection((broker.host, broker.port)) as bad:
             bad.settimeout(2.0)
-            bad.sendall(NOT_UTF8)
+            bad.sendall(wire)
             assert bad.recv(1) == b""  # the broker closed this connection
         with BrokerClient(broker.host, broker.port) as sub, \
                 BrokerClient(broker.host, broker.port) as pub:
@@ -271,6 +271,16 @@ def test_non_utf8_command_from_a_peer_drops_only_that_connection(monkeypatch):
             pub.publish("UL", b"still served")
             assert sub.recv_message(timeout=2.0) == ("UL", b"still served")
     assert crashed == []
+
+
+def test_non_utf8_command_from_a_peer_drops_only_that_connection(monkeypatch):
+    _bad_peer_loses_only_its_connection(monkeypatch, NOT_UTF8)
+
+
+def test_unknown_command_from_a_peer_drops_only_that_connection(monkeypatch):
+    body = b"FOO UL\n"
+    _bad_peer_loses_only_its_connection(
+        monkeypatch, len(body).to_bytes(4, "big") + body)
 
 
 def test_non_utf8_command_from_the_broker_raises_transport_error():
@@ -300,3 +310,40 @@ def test_stop_tells_a_connected_client():
             assert time.monotonic() - stopped < 1.0
     finally:
         broker.stop()
+
+
+def test_a_subscriber_that_stops_reading_is_dropped():
+    # 20 MB of frames is more than the non-reader's socket buffers hold at
+    # Linux's default limits; the broker's sends to it then stall, and past
+    # its 1 s send deadline it is dropped, so the publisher and the reader
+    # go on
+    n = 2000
+    received = []
+    with Broker() as broker, \
+            BrokerClient(broker.host, broker.port) as stalled, \
+            BrokerClient(broker.host, broker.port) as reader, \
+            BrokerClient(broker.host, broker.port) as pub:
+        stalled.subscribe("DL")
+        reader.subscribe("DL")
+        deadline = time.monotonic() + 5.0
+        while broker.subscriber_count("DL") < 2:
+            assert time.monotonic() < deadline, "timed out"
+            time.sleep(0.01)
+
+        def read() -> None:
+            while len(received) < n:
+                got = reader.recv_message(timeout=5.0)
+                if got is None:
+                    return
+                received.append(int.from_bytes(got[1][:4], "big"))
+
+        reading = threading.Thread(target=read)
+        reading.start()
+        for i in range(n):
+            pub.publish("DL", i.to_bytes(4, "big") + bytes(10_000))
+        reading.join(timeout=10.0)
+        assert received == list(range(n))
+        assert broker.subscriber_count("DL") == 1
+        # the frame whose send failed is discarded, every other one relayed
+        assert broker.frames_discarded == 1
+        assert broker.frames_relayed > n

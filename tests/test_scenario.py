@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import json
 import re
+import time
 import typing
 from pathlib import Path
 
@@ -378,6 +379,20 @@ def test_real_mode_counts_the_relays_corrupt_drops(monkeypatch):
     assert result.sensor_sent == 5
     assert result.relay_corrupt_drops == 1
     assert len(result.records) == result.sensor_sent
+
+
+def test_real_mode_reports_a_failing_agent_at_once(monkeypatch):
+    failure = ValueError("relay failed")
+
+    def failing_relay(host, port, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(scenario, "run_real_relay", failing_relay)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="real-mode agent failed") as info:
+        run_scenario(config_from_obj(_minimal(mode="real", duration_s=0.5)))
+    assert time.monotonic() - started < 2.0
+    assert info.value.__cause__ is failure
 
 
 def _stepped(cfg):
