@@ -14,11 +14,11 @@ reader of the broker and the client alike.
 
 Delivery is at-most-once per subscriber connection with per-connection
 FIFO ordering; frames published to a topic nobody subscribes to are
-silently discarded.  A subscriber whose socket accepts no byte for 1 s
-is disconnected and the frame counted as discarded, so a consumer that
-stops reading cannot stall the publishers.  A client socket's 5 s timeout
-bounds every send and the rest of every envelope: a stalled broker raises
-socket.timeout.
+silently discarded.  A subscriber whose socket has not taken a whole
+frame 1 s after its send began is disconnected and the frame counted as
+discarded, so a consumer that stops reading stalls the publishers for at
+most 1 s.  A client socket's 5 s timeout bounds every send and the rest
+of every envelope: a stalled broker raises socket.timeout.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import select
 import socket
 import threading
+import time
 
 from .protocol import MAX_FRAME_SIZE
 
@@ -33,6 +34,8 @@ from .protocol import MAX_FRAME_SIZE
 # (newline included) and at most one frame
 _MAX_COMMAND_LINE = 1024
 _MAX_ENVELOPE = _MAX_COMMAND_LINE + MAX_FRAME_SIZE
+# the time a subscriber's socket has to take each whole frame
+_SEND_DEADLINE_S = 1.0
 
 
 class TransportError(ConnectionError):
@@ -55,9 +58,38 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def send_envelope(sock: socket.socket, command: str, frame: bytes = b"") -> None:
+def _envelope(command: str, frame: bytes) -> bytes:
     body = command.encode("utf-8") + b"\n" + frame
-    sock.sendall(len(body).to_bytes(4, "big") + body)
+    return len(body).to_bytes(4, "big") + body
+
+
+def send_envelope(sock: socket.socket, command: str, frame: bytes = b"") -> None:
+    sock.sendall(_envelope(command, frame))
+
+
+def _send_within(sock: socket.socket, data: bytes, seconds: float) -> None:
+    """Send all of `data`, or raise TimeoutError once `seconds` have passed
+    since the first send.  Every send is non-blocking, so data the socket
+    takes at once costs one send call."""
+    try:
+        sent = sock.send(data, socket.MSG_DONTWAIT)
+    except BlockingIOError:
+        sent = 0
+    if sent == len(data):
+        return
+    deadline = time.monotonic() + seconds
+    poller = select.poll()
+    poller.register(sock, select.POLLOUT)
+    view = memoryview(data)
+    while sent < len(data):
+        left = deadline - time.monotonic()
+        if left <= 0 or not poller.poll(left * 1000):
+            raise TimeoutError(f"peer took {sent} of {len(data)} bytes "
+                               f"in {seconds} s")
+        try:
+            sent += sock.send(view[sent:], socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            pass
 
 
 def recv_envelope(sock: socket.socket) -> tuple[str, bytes]:
@@ -125,19 +157,12 @@ class Broker:
         self.stop()
 
     def _accept_loop(self) -> None:
-        # imported only where a broker runs: every process that imports the
-        # scenario runner loads this module
-        import struct
         while True:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # a send that moves no byte for 1 s fails, and _fan_out then
-            # drops the subscriber
-            conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO,
-                            struct.pack("ll", 1, 0))
             with self._lock:
                 self._conns[conn] = threading.Lock()
             threading.Thread(target=self._serve_conn, args=(conn,),
@@ -180,16 +205,19 @@ class Broker:
             if not targets:
                 self.frames_discarded += 1
                 return
+        data = _envelope(f"MSG {topic}", frame)
         for conn in targets:
             lock = self._conns.get(conn)
             if lock is None:
                 continue
             try:
                 with lock:
-                    send_envelope(conn, f"MSG {topic}", frame)
+                    _send_within(conn, data, _SEND_DEADLINE_S)
                 with self._lock:
                     self.frames_relayed += 1
-            except OSError:
+            # a connection another thread closed has no file descriptor to
+            # poll (ValueError)
+            except (OSError, ValueError):
                 with self._lock:
                     self.frames_discarded += 1
                 self._drop_conn(conn)

@@ -35,7 +35,8 @@ its serving cell and suspended during a handover interruption.
 Conservation, work-conservation, priority-dominance, and cap invariants
 are asserted on every tick that runs and raise InvariantViolation when
 broken; SimWorld.run_until skips only ticks whose outcome is known, which
-leave every queue empty as they found it.
+leave every queue empty as they found it, and checks them on every tick of
+an AP span it advances in one call.
 """
 
 from __future__ import annotations
@@ -368,27 +369,49 @@ def _serve_fifo(queues: list[FlowQueue], budget: int,
     return budget - left
 
 
-def _serve_waterfill(queues: list[FlowQueue], budget: int,
-                     completed: list[Completion]) -> int:
-    """Max-min fair (byte-fair round-robin) split of a budget across flows."""
-    served_total = 0
-    active = [q for q in queues if q.backlog_bits > 0]
+def _waterfill(demands: list[int], budget: int) -> list[int]:
+    """Max-min fair (byte-fair round-robin) split of a budget across
+    demands (Bertsekas and Gallager, Data Networks, 6.5.2): each round
+    gives every unmet demand budget // unmet bits, or what it still lacks,
+    until the share rounds to 0; the bits left then go to the unmet
+    demands in order.  Demands that all fit are returned as they are."""
+    if sum(demands) <= budget:
+        return demands
+    if len(demands) == 1:
+        return [budget]
+    grants = [0] * len(demands)
+    active = [i for i, d in enumerate(demands) if d > 0]
     while budget > 0 and active:
         share = budget // len(active)
         if share == 0:
-            for q in active:
-                served = q.serve_bits(min(budget, q.backlog_bits), completed)
-                budget -= served
-                served_total += served
+            for i in active:
+                grant = min(budget, demands[i] - grants[i])
+                grants[i] += grant
+                budget -= grant
                 if budget == 0:
                     break
             break
-        for q in active:
-            served = q.serve_bits(min(share, q.backlog_bits), completed)
-            budget -= served
-            served_total += served
-        active = [q for q in active if q.backlog_bits > 0]
-    return served_total
+        unmet = []
+        for i in active:
+            grant = demands[i] - grants[i]
+            if grant > share:
+                grant = share
+                unmet.append(i)
+            grants[i] += grant
+            budget -= grant
+        active = unmet
+    return grants
+
+
+def _serve_waterfill(queues: list[FlowQueue], budget: int,
+                     completed: list[Completion]) -> int:
+    """Serve each queue its max-min fair share of a budget (_waterfill)."""
+    served = 0
+    active = [q for q in queues if q.backlog_bits]
+    if active:
+        for q, grant in zip(active, _waterfill([q.backlog_bits for q in active], budget)):
+            served += q.serve_bits(grant, completed)
+    return served
 
 
 @dataclass
@@ -615,6 +638,14 @@ class SimWorld:
     queue empty, so every per-tick invariant holds.  Time jumps over such
     ticks in whole ticks, and each source's arrivals in them are added to
     its flow's offered and served bits; an idle span has none.
+
+    Under AP, run_until also advances the ticks up to the next event's, or
+    to until_ns, in one call (_advance_span), counted as skipped, when no
+    heap event falls in the next tick, only the CBR-fed flows hold
+    backlog, none of them an application packet, and each is a background
+    flow fixed to a cell.  Such a span admits and serves CBR runs only, by
+    the rules stepping uses: it delivers nothing, so done() cannot change,
+    and the invariants are checked on every tick it advances.
     """
 
     def __init__(self, link: LinkSimulator, base_delay_ns: int = 2_000_000,
@@ -631,7 +662,7 @@ class SimWorld:
         self.cbr_sources: list = []
         self._heap: list[tuple[int, int, Callable[[int], None]]] = []
         self._heap_seq = 0
-        # (end t of the last tick run, its sources, each one's
+        # (end t of the last tick run or advanced, its sources, each one's
         # count_before(t)): the next tick's first packets, if it starts at t
         self._carry: tuple[int, list, list[int]] | None = None
         self.ticks_run = 0
@@ -643,21 +674,26 @@ class SimWorld:
         self._heap_seq += 1
         heapq.heappush(self._heap, (time_ns, self._heap_seq, callback))
 
+    def _counts_at(self, t: int) -> list[int]:
+        """Each CBR source's count_before(t).  A source's tick is counted
+        once: if the last tick run or advanced ended at t, with the same
+        sources, its end counts are returned."""
+        carry = self._carry
+        sources = self.cbr_sources
+        if carry and carry[0] == t and carry[1] == sources:
+            return carry[2]
+        return [src.count_before(t) for src in sources]
+
     def _dispatch(self, tick_start: int, tick_end: int) -> None:
         """Enqueue the tick's CBR arrivals and fire its timed events."""
         heap = self._heap
         link = self.link
         sources = self.cbr_sources
         if sources:
-            # a source's tick is counted once: if the last tick run ended
-            # where this one starts, with the same sources, its end counts
-            # are this tick's first packets
-            carry = self._carry
-            firsts = (carry[2] if carry and carry[0] == tick_start
-                      and carry[1] == sources else None)
+            firsts = self._counts_at(tick_start)
             counts = []
             for rank, src in enumerate(sources):
-                first = src.count_before(tick_start) if firsts is None else firsts[rank]
+                first = firsts[rank]
                 end = src.count_before(tick_end)
                 counts.append(end)
                 if first < end:
@@ -716,37 +752,116 @@ class SimWorld:
             live_until = max(live_until, src.stop_ns)
         return live_until
 
+    def _advance_span(self, n: int,
+                      groups: list[tuple[_FlowGroup, list[FlowQueue]]]) -> None:
+        """Advance n AP ticks in which only the CBR-fed background flows
+        of `groups`, each cell direction with its background flows fixed to
+        the cell, hold packets (see run_until), as running them would.
+
+        Each tick enqueues its arrivals as _dispatch does, splits each
+        budget by _waterfill in integers and checks the invariants
+        run_tick checks on the flows it touches.  At the end each flow
+        serves the bits it was granted from its head at once: serving is
+        FIFO within a flow.  A run that merged into a tail stepping would
+        have served away is trimmed to the packets it would hold alone; it
+        keeps the tail's rank, which AP never reads for a background run."""
+        sources = self.cbr_sources
+        link = self.link
+        counts = list(self._counts_at(self.now_ns))
+        served_before = {q: q.served_bits for _, bg in groups for q in bg}
+        t = self.now_ns
+        for _ in range(n):
+            tick_end = t + self.tick_ns
+            for rank, src in enumerate(sources):
+                first = counts[rank]
+                end = counts[rank] = src.count_before(tick_end)
+                if first < end:
+                    link.enqueue_run(src, rank, first, end)
+            t = tick_end
+            for group, bg in groups:
+                served = 0
+                for q, grant in zip(bg, _waterfill([q.backlog_bits for q in bg],
+                                                   group.budget)):
+                    q.backlog_bits -= grant
+                    q.served_bits += grant
+                    served += grant
+                if served > group.budget:
+                    raise InvariantViolation(
+                        f"served {served} bits over budget {group.budget} "
+                        f"in cell {group.cell_id} {group.direction.value}")
+                if served < group.budget and any(q.backlog_bits for q in bg):
+                    raise InvariantViolation(
+                        f"work conservation broken in cell {group.cell_id} "
+                        f"{group.direction.value}")
+            for q in served_before:
+                if q.offered_bits - q.served_bits - q.dropped_bits != q.backlog_bits:
+                    raise InvariantViolation(
+                        f"conservation broken for flow {q.flow_id}")
+                if q.backlog_bits > q.cap_bits:
+                    raise InvariantViolation(
+                        f"queue cap exceeded for flow {q.flow_id}")
+        completed: list[Completion] = []  # a CBR run completes nothing
+        for q, before in served_before.items():
+            # count the span's service back, and serve it from the head
+            served = q.served_bits - before
+            q.served_bits, q.backlog_bits = before, q.backlog_bits + served
+            q.serve_bits(served, completed)
+        self._carry = t, sources[:], counts
+        self.now_ns = t
+        self.ticks_skipped += n
+
     def run_until(self, until_ns: int,
                   done: Callable[[], bool] | None = None) -> None:
         """Run ticks until now_ns reaches until_ns, or until done() holds
-        before a tick.  A tick whose outcome is known is skipped, not run;
-        the state at the end is the one running it would leave."""
+        before a tick.  A tick whose outcome is known is skipped, and a span
+        of AP ticks with nothing to decide is advanced in one call, not run;
+        the state at the end is the one running them would leave."""
         tick_ns = self.tick_ns
         heap = self._heap
-        flows = self.link.flows
+        link = self.link
+        flows = link.flows
         # a source without a rate never arrives
         feeds = [(src, flows[src.flow_id]) for src in self.cbr_sources
                  if src.rate_bps > 0]
         blocked_until = self._sources_block_until(feeds)
         queues = flows.values()
+        fed = {q for _, q in feeds}
+        # spans need AP and fed flows that drop and are fixed to a cell (the
+        # cell rule of _sources_block_until); every other flow must be empty
+        span_groups = None
+        if (link.scheduler is SchedulerKind.AP and fed
+                and all(q.droppable and q.cell_id is not None for q in fed)):
+            span_groups = [(g, g.views[0][2]) for g in link._flow_groups()
+                           if not fed.isdisjoint(g.views[0][2])]
+            unfed = [q for q in queues if q not in fed]
+            source_of = attrgetter("src")
         while self.now_ns < until_ns and (done is None or not done()):
             now = self.now_ns
-            if ((not heap or heap[0][0] >= now + tick_ns)
-                    and now >= blocked_until
-                    and not any(q.backlog_bits for q in queues)):
-                # every tick before the one holding the next event is
-                # skipped, and so is every tick needed to reach until_ns
-                n = -(-(until_ns - now) // tick_ns)
-                if heap:
-                    n = min(n, (heap[0][0] - now) // tick_ns)
-                end = now + n * tick_ns
-                # each skipped tick serves its arrivals in full; an idle
-                # span has none
-                for src, q in feeds:
-                    bits = (src.count_before(end) - src.count_before(now)) * src.packet_bits
-                    q.offered_bits += bits
-                    q.served_bits += bits
-                self.now_ns = end
-                self.ticks_skipped += n
-                continue
+            if not heap or heap[0][0] >= now + tick_ns:
+                idle = now >= blocked_until and not any(q.backlog_bits for q in queues)
+                # a span needs the unfed queues empty and no application
+                # packet (a run with no source) in a fed one, which it
+                # would deliver
+                if idle or (span_groups is not None
+                            and not any(q.backlog_bits for q in unfed)
+                            and not any(None in map(source_of, q.packets)
+                                        for q in fed)):
+                    # every tick before the one holding the next event, and
+                    # every tick needed to reach until_ns
+                    n = -(-(until_ns - now) // tick_ns)
+                    if heap:
+                        n = min(n, (heap[0][0] - now) // tick_ns)
+                    if not idle:
+                        self._advance_span(n, span_groups)
+                        continue
+                    end = now + n * tick_ns
+                    # each skipped tick serves its arrivals in full; an
+                    # idle span has none
+                    for src, q in feeds:
+                        bits = (src.count_before(end) - src.count_before(now)) * src.packet_bits
+                        q.offered_bits += bits
+                        q.served_bits += bits
+                    self.now_ns = end
+                    self.ticks_skipped += n
+                    continue
             self.run_tick()

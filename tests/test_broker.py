@@ -316,7 +316,8 @@ def test_a_subscriber_that_stops_reading_is_dropped():
     # 20 MB of frames is more than the non-reader's socket buffers hold at
     # Linux's default limits; the broker's sends to it then stall, and past
     # its 1 s send deadline it is dropped, so the publisher and the reader
-    # go on
+    # go on.  The deadline holds for the whole frame, however many partial
+    # sends it takes, so the publisher stalls about 1 s in all
     n = 2000
     received = []
     with Broker() as broker, \
@@ -339,8 +340,10 @@ def test_a_subscriber_that_stops_reading_is_dropped():
 
         reading = threading.Thread(target=read)
         reading.start()
+        started = time.monotonic()
         for i in range(n):
             pub.publish("DL", i.to_bytes(4, "big") + bytes(10_000))
+        assert time.monotonic() - started < 2.0
         reading.join(timeout=10.0)
         assert received == list(range(n))
         assert broker.subscriber_count("DL") == 1

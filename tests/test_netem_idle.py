@@ -2,11 +2,14 @@
 
 SimWorld.run_until jumps over ticks in which no heap event falls and no
 flow holds backlog, unless a live CBR source could overflow a queue or a
-cell's budget there.  These tests build small randomized worlds with
-sparse application traffic, CBR sources that overload the link and stop
-mid-run or that always fit, and handover interruptions, run each once
-through run_until and once by calling run_tick on every tick, and require
-the same deliveries, the same queue accounting and the same final time."""
+cell's budget there; under AP it advances ticks in which only background
+flows fed by CBR sources hold packets as one span.  These tests build
+small randomized worlds with sparse application traffic, CBR sources that
+overload the link and stop mid-run or that always fit, and handover
+interruptions, run each once through run_until and once by calling
+run_tick on every tick, and require the same deliveries, the same queue
+accounting and the same final time; spans are also checked alone, down to
+every queued run."""
 
 from __future__ import annotations
 
@@ -18,6 +21,8 @@ from functools import partial
 from typing import NamedTuple
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cv2x_bench.loadgen import CbrPacketSource
 from cv2x_bench.netem import (Cell, Direction, HandoverEvent,
@@ -235,9 +240,13 @@ def test_a_source_whose_fullest_tick_is_the_budget_is_skipped(scheduler):
 
 @pytest.mark.parametrize("scheduler", [SchedulerKind.BL, SchedulerKind.AP])
 def test_a_source_one_bit_over_the_budget_runs_every_tick(scheduler):
-    # 9,599,600 bps is 23,999 bits a tick
+    # 9,599,600 bps is 23,999 bits a tick: BL runs every tick, and AP
+    # advances the ticks without an application packet as spans
     world, *_ = _matches_stepping(_with_sources(scheduler, 9_599_600, _NINE_MBPS))
-    assert world.ticks_skipped == 0
+    if scheduler is SchedulerKind.BL:
+        assert world.ticks_skipped == 0
+    else:
+        assert world.ticks_skipped > 0
 
 
 @pytest.mark.parametrize("scheduler", [SchedulerKind.BL, SchedulerKind.AP])
@@ -311,3 +320,73 @@ def test_live_cbr_source_blocks_skipping():
     # a source without a stop time stays live to the end
     (world, got), _ = _lone_source(39_000_000, stop_ns=None, until_ns=10 * TICK)
     assert (world.ticks_run, world.ticks_skipped) == (10, 0)
+
+
+def _span_world(start_ns: int, sources, warm_ticks: int):
+    """An AP world with empty application flows and `sources`, each
+    (rate_bps, packet_bytes, cap_packets, start offset, stop offset or None,
+    cell, direction) feeding its own background flow, stepped `warm_ticks`
+    ticks."""
+    link = LinkSimulator([Cell(1), Cell(2)], scheduler=SchedulerKind.AP,
+                         ul_capacity_bps=4_000_000, dl_capacity_bps=8_000_000)
+    link.add_flow("app-ul", Direction.UPLINK, PriorityClass.APPLICATION, 1)
+    link.add_flow("app-dl", Direction.DOWNLINK, PriorityClass.APPLICATION, None)
+    world = SimWorld(link, start_ns=start_ns)
+    for i, (rate, size, cap, start, stop, cell, direction) in enumerate(sources):
+        link.add_flow(f"bg{i}", direction, PriorityClass.BACKGROUND, cell,
+                      cap * size)
+        world.cbr_sources.append(CbrPacketSource(
+            f"bg{i}", rate, size, start_ns=start_ns + start,
+            stop_ns=None if stop is None else start_ns + stop))
+    for _ in range(warm_ticks):
+        world.run_tick()
+    return world, link
+
+
+def _queued_runs(link: LinkSimulator) -> dict[str, list[tuple]]:
+    return {flow_id: [(r.first, r.count, r.size_bits, r.remaining_bits, r.rank,
+                       r.src.flow_id, r.enqueue_ns, r.meta) for r in q.packets]
+            for flow_id, q in link.flows.items()}
+
+
+def _carried(world: SimWorld) -> tuple:
+    t, sources, counts = world._carry
+    return t, [src.flow_id for src in sources], counts
+
+
+_SPAN_SOURCES = st.lists(st.tuples(
+    st.integers(1_000_000, 9_000_000),  # rate_bps
+    st.integers(100, 1500),  # packet bytes
+    st.integers(1, 12),  # queue cap in packets
+    st.integers(0, 10 * TICK),  # start offset
+    st.one_of(st.none(), st.integers(10 * TICK, 100 * TICK)),  # stop offset
+    st.sampled_from([1, 1, 2]),  # cell
+    st.sampled_from([Direction.UPLINK, Direction.UPLINK, Direction.DOWNLINK])),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(start_ns=st.sampled_from([0, 12_345]), sources=_SPAN_SOURCES,
+       warm_ticks=st.integers(12, 40), span_ticks=st.integers(1, 60))
+# two flows share the uplink of cell 1: their queues hold runs cut by tail
+# drop and a partly served head when the span starts, and one source stops
+# inside it
+@example(start_ns=0,
+         sources=[(6_000_000, 1000, 8, 0, None, 1, Direction.UPLINK),
+                  (3_000_000, 700, 5, TICK // 3, 30 * TICK, 1, Direction.UPLINK)],
+         warm_ticks=20, span_ticks=25)
+def test_an_ap_span_matches_stepping_tick_by_tick(start_ns, sources, warm_ticks,
+                                                  span_ticks):
+    world, link = _span_world(start_ns, sources, warm_ticks)
+    want_world, want_link = _span_world(start_ns, sources, warm_ticks)
+    assert _queued_runs(link) == _queued_runs(want_link)
+    # a backlog rules out the idle skip, so run_until advances a span
+    assume(any(q.backlog_bits for q in link.flows.values()))
+    world.run_until(world.now_ns + span_ticks * TICK)
+    for _ in range(span_ticks):
+        want_world.run_tick()
+    assert (world.ticks_run, world.ticks_skipped) == (warm_ticks, span_ticks)
+    assert accounting(link) == accounting(want_link)
+    assert _queued_runs(link) == _queued_runs(want_link)
+    assert _carried(world) == _carried(want_world)
+    assert world.now_ns == want_world.now_ns
