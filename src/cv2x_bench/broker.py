@@ -58,26 +58,23 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _envelope(command: str, frame: bytes) -> bytes:
+def send_envelope(sock: socket.socket, command: str, frame: bytes = b"",
+                  deadline_s: float | None = None) -> None:
+    """Send one envelope.  With deadline_s, every send is non-blocking and
+    TimeoutError is raised once deadline_s have passed since the first
+    send, so an envelope the socket takes at once costs one send call."""
     body = command.encode("utf-8") + b"\n" + frame
-    return len(body).to_bytes(4, "big") + body
-
-
-def send_envelope(sock: socket.socket, command: str, frame: bytes = b"") -> None:
-    sock.sendall(_envelope(command, frame))
-
-
-def _send_within(sock: socket.socket, data: bytes, seconds: float) -> None:
-    """Send all of `data`, or raise TimeoutError once `seconds` have passed
-    since the first send.  Every send is non-blocking, so data the socket
-    takes at once costs one send call."""
+    data = len(body).to_bytes(4, "big") + body
+    if deadline_s is None:
+        sock.sendall(data)
+        return
     try:
         sent = sock.send(data, socket.MSG_DONTWAIT)
     except BlockingIOError:
         sent = 0
     if sent == len(data):
         return
-    deadline = time.monotonic() + seconds
+    deadline = time.monotonic() + deadline_s
     poller = select.poll()
     poller.register(sock, select.POLLOUT)
     view = memoryview(data)
@@ -85,7 +82,7 @@ def _send_within(sock: socket.socket, data: bytes, seconds: float) -> None:
         left = deadline - time.monotonic()
         if left <= 0 or not poller.poll(left * 1000):
             raise TimeoutError(f"peer took {sent} of {len(data)} bytes "
-                               f"in {seconds} s")
+                               f"in {deadline_s} s")
         try:
             sent += sock.send(view[sent:], socket.MSG_DONTWAIT)
         except BlockingIOError:
@@ -205,14 +202,14 @@ class Broker:
             if not targets:
                 self.frames_discarded += 1
                 return
-        data = _envelope(f"MSG {topic}", frame)
         for conn in targets:
             lock = self._conns.get(conn)
             if lock is None:
                 continue
             try:
                 with lock:
-                    _send_within(conn, data, _SEND_DEADLINE_S)
+                    send_envelope(conn, f"MSG {topic}", frame,
+                                  deadline_s=_SEND_DEADLINE_S)
                 with self._lock:
                     self.frames_relayed += 1
             # a connection another thread closed has no file descriptor to

@@ -369,49 +369,27 @@ def _serve_fifo(queues: list[FlowQueue], budget: int,
     return budget - left
 
 
-def _waterfill(demands: list[int], budget: int) -> list[int]:
-    """Max-min fair (byte-fair round-robin) split of a budget across
-    demands (Bertsekas and Gallager, Data Networks, 6.5.2): each round
-    gives every unmet demand budget // unmet bits, or what it still lacks,
-    until the share rounds to 0; the bits left then go to the unmet
-    demands in order.  Demands that all fit are returned as they are."""
-    if sum(demands) <= budget:
-        return demands
-    if len(demands) == 1:
-        return [budget]
-    grants = [0] * len(demands)
-    active = [i for i, d in enumerate(demands) if d > 0]
+def _serve_waterfill(queues: list[FlowQueue], budget: int,
+                     completed: list[Completion]) -> int:
+    """Max-min fair (byte-fair round-robin) split of a budget across flows."""
+    served_total = 0
+    active = [q for q in queues if q.backlog_bits > 0]
     while budget > 0 and active:
         share = budget // len(active)
         if share == 0:
-            for i in active:
-                grant = min(budget, demands[i] - grants[i])
-                grants[i] += grant
-                budget -= grant
+            for q in active:
+                served = q.serve_bits(min(budget, q.backlog_bits), completed)
+                budget -= served
+                served_total += served
                 if budget == 0:
                     break
             break
-        unmet = []
-        for i in active:
-            grant = demands[i] - grants[i]
-            if grant > share:
-                grant = share
-                unmet.append(i)
-            grants[i] += grant
-            budget -= grant
-        active = unmet
-    return grants
-
-
-def _serve_waterfill(queues: list[FlowQueue], budget: int,
-                     completed: list[Completion]) -> int:
-    """Serve each queue its max-min fair share of a budget (_waterfill)."""
-    served = 0
-    active = [q for q in queues if q.backlog_bits]
-    if active:
-        for q, grant in zip(active, _waterfill([q.backlog_bits for q in active], budget)):
-            served += q.serve_bits(grant, completed)
-    return served
+        for q in active:
+            served = q.serve_bits(min(share, q.backlog_bits), completed)
+            budget -= served
+            served_total += served
+        active = [q for q in active if q.backlog_bits > 0]
+    return served_total
 
 
 @dataclass
@@ -426,6 +404,31 @@ class _FlowGroup:
     direction: Direction
     budget: int
     views: list[tuple[list[FlowQueue], list[FlowQueue], list[FlowQueue]]]
+
+
+def _check_group(group: _FlowGroup, served: int,
+                 queues: list[FlowQueue]) -> None:
+    """A group's per-tick invariants: it served at most its budget, and
+    all of it while a flow in `queues` still holds backlog."""
+    if served > group.budget:
+        raise InvariantViolation(
+            f"served {served} bits over budget {group.budget} "
+            f"in cell {group.cell_id} {group.direction.value}")
+    if served < group.budget and any(q.backlog_bits for q in queues):
+        raise InvariantViolation(
+            f"work conservation broken in cell {group.cell_id} "
+            f"{group.direction.value}")
+
+
+def _check_flows(queues: Iterable[FlowQueue]) -> None:
+    """Each flow's per-tick invariants: conservation and the cap."""
+    for q in queues:
+        if q.offered_bits - q.served_bits - q.dropped_bits != q.backlog_bits:
+            raise InvariantViolation(
+                f"conservation broken for flow {q.flow_id}")
+        if q.droppable and q.backlog_bits > q.cap_bits:
+            raise InvariantViolation(
+                f"queue cap exceeded for flow {q.flow_id}")
 
 
 class LinkSimulator:
@@ -580,27 +583,14 @@ class LinkSimulator:
                         f"{group.direction.value}")
             else:
                 served = _serve_fifo(eligible, budget, completed)
-            if served > budget:
-                raise InvariantViolation(
-                    f"served {served} bits over budget {budget} "
-                    f"in cell {cell_id} {group.direction.value}")
-            if served < budget and any(q.backlog_bits for q in eligible):
-                raise InvariantViolation(
-                    f"work conservation broken in cell {cell_id} "
-                    f"{group.direction.value}")
+            _check_group(group, served, eligible)
             for q, packet in completed:
                 deliveries.append(Delivery(flow_id=q.flow_id,
                                            size_bits=packet.size_bits,
                                            enqueue_ns=packet.enqueue_ns,
                                            delivery_ns=tick_end,
                                            cell_id=cell_id, meta=packet.meta))
-        for q in self.flows.values():
-            if q.offered_bits - q.served_bits - q.dropped_bits != q.backlog_bits:
-                raise InvariantViolation(
-                    f"conservation broken for flow {q.flow_id}")
-            if q.droppable and q.backlog_bits > q.cap_bits:
-                raise InvariantViolation(
-                    f"queue cap exceeded for flow {q.flow_id}")
+        _check_flows(self.flows.values())
         return deliveries
 
 
@@ -756,56 +746,27 @@ class SimWorld:
                       groups: list[tuple[_FlowGroup, list[FlowQueue]]]) -> None:
         """Advance n AP ticks in which only the CBR-fed background flows
         of `groups`, each cell direction with its background flows fixed to
-        the cell, hold packets (see run_until), as running them would.
-
-        Each tick enqueues its arrivals as _dispatch does, splits each
-        budget by _waterfill in integers and checks the invariants
-        run_tick checks on the flows it touches.  At the end each flow
-        serves the bits it was granted from its head at once: serving is
-        FIFO within a flow.  A run that merged into a tail stepping would
-        have served away is trimmed to the packets it would hold alone; it
-        keeps the tail's rank, which AP never reads for a background run."""
+        the cell, hold packets (see run_until), as running them would: each
+        tick enqueues its arrivals as _dispatch does, serves each group's
+        flows by _serve_waterfill and checks the invariants run_tick checks
+        on the flows it touches."""
         sources = self.cbr_sources
         link = self.link
         counts = list(self._counts_at(self.now_ns))
-        served_before = {q: q.served_bits for _, bg in groups for q in bg}
+        touched = [q for _, bg in groups for q in bg]
+        completed: list[Completion] = []  # a CBR run completes nothing
         t = self.now_ns
         for _ in range(n):
-            tick_end = t + self.tick_ns
+            t += self.tick_ns
             for rank, src in enumerate(sources):
                 first = counts[rank]
-                end = counts[rank] = src.count_before(tick_end)
+                end = counts[rank] = src.count_before(t)
                 if first < end:
                     link.enqueue_run(src, rank, first, end)
-            t = tick_end
             for group, bg in groups:
-                served = 0
-                for q, grant in zip(bg, _waterfill([q.backlog_bits for q in bg],
-                                                   group.budget)):
-                    q.backlog_bits -= grant
-                    q.served_bits += grant
-                    served += grant
-                if served > group.budget:
-                    raise InvariantViolation(
-                        f"served {served} bits over budget {group.budget} "
-                        f"in cell {group.cell_id} {group.direction.value}")
-                if served < group.budget and any(q.backlog_bits for q in bg):
-                    raise InvariantViolation(
-                        f"work conservation broken in cell {group.cell_id} "
-                        f"{group.direction.value}")
-            for q in served_before:
-                if q.offered_bits - q.served_bits - q.dropped_bits != q.backlog_bits:
-                    raise InvariantViolation(
-                        f"conservation broken for flow {q.flow_id}")
-                if q.backlog_bits > q.cap_bits:
-                    raise InvariantViolation(
-                        f"queue cap exceeded for flow {q.flow_id}")
-        completed: list[Completion] = []  # a CBR run completes nothing
-        for q, before in served_before.items():
-            # count the span's service back, and serve it from the head
-            served = q.served_bits - before
-            q.served_bits, q.backlog_bits = before, q.backlog_bits + served
-            q.serve_bits(served, completed)
+                served = _serve_waterfill(bg, group.budget, completed)
+                _check_group(group, served, bg)
+            _check_flows(touched)
         self._carry = t, sources[:], counts
         self.now_ns = t
         self.ticks_skipped += n

@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import Counter
-from itertools import accumulate, repeat
-from operator import truediv
 
 import pytest
 
@@ -210,11 +207,10 @@ def test_statistics_match_bruteforce_oracle():
         for q in (rng.uniform(0.001, 1.0), 0.95, 0.99, 1.0):
             assert analysis.percentile(samples, q) == ordered[math.ceil(q * n) - 1]
         points = analysis.cdf(samples)
-        # each distinct value with the share of samples at or below it:
-        # Counter keeps the sorted order, accumulate sums the counts
-        counts = Counter(ordered)
-        expected = list(zip(counts, map(truediv, accumulate(counts.values()),
-                                        repeat(n))))
+        expected = []
+        for i, v in enumerate(ordered):
+            if i + 1 == n or ordered[i + 1] != v:
+                expected.append((v, (i + 1) / n))
         assert points == expected
         assert points[-1][1] == 1.0
         assert len(points) == len(set(samples))
