@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import signal
 import sys
@@ -106,16 +105,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_init_matrix(args: argparse.Namespace) -> int:
-    from . import scenario
-    matrix = scenario.table1_matrix()
-    Path(args.out).write_text(
-        json.dumps(scenario.matrix_to_obj(matrix), indent=2) + "\n",
-        encoding="utf-8")
-    print(f"wrote built-in matrix to {args.out}")
-    return 0
-
-
 def _cmd_broker(args: argparse.Namespace) -> int:
     from .broker import Broker
     host, port = args.address
@@ -203,10 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["ul", "dl", "e2e"], default="e2e")
     p.add_argument("--out", default=None, help="directory for CSV/SVG report")
     p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("init-matrix", help="write the built-in matrix config")
-    p.add_argument("--out", default="table1_matrix.json")
-    p.set_defaults(func=_cmd_init_matrix)
 
     p = sub.add_parser("broker", help="run the pub-sub broker")
     _address(p, "--listen", default=("127.0.0.1", 4222))

@@ -316,10 +316,10 @@ def _serve_fifo(queues: list[FlowQueue], budget: int,
     """Serve queues as one best-effort pipe, packet by packet in key order:
     a k-way merge of the queues' heads (Knuth, TAOCP vol. 3, 5.4.1) through
     a heap of (time, rank, number, queue index).  Each pop serves one
-    packet, or as much of it as the budget leaves; the next packet of a
-    source run is keyed inline as packet_time keys it, and a queue whose
-    run empties goes on with its next entry.  Once one queue is left,
-    serve_bits drains it.
+    packet, or as much of it as the budget leaves; a queue whose run
+    empties goes on with its next entry, and the next packet of a source
+    run is keyed by packet_time's formula, written inline for speed, so
+    the two must stay equal.  Once one queue is left, serve_bits drains it.
 
     An application packet and a CBR-source packet of another queue must not
     share a time and a rank: their keys cannot order them, so serving one
@@ -646,8 +646,8 @@ class SimWorld:
         self.start_ns = start_ns
         self.now_ns = start_ns
         self.on_delivery: Callable[[Delivery], None] | None = None
-        # objects with .flow_id, .packet_bits, .rate_bps, .stop_ns,
-        # .packet_time(k) and .count_before(t), like
+        # objects with .flow_id, .start_ns, .packet_bits, .rate_bps,
+        # .stop_ns, .packet_time(k) and .count_before(t), like
         # loadgen.CbrPacketSource; in place before run_until is called
         self.cbr_sources: list = []
         self._heap: list[tuple[int, int, Callable[[int], None]]] = []

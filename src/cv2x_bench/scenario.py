@@ -1,5 +1,6 @@
-"""Scenario configuration, the built-in experiment matrix, and the runners
-that wire agents, link emulation, background load, and analysis together.
+"""Scenario and matrix configuration, and the runners that wire agents,
+link emulation, background load, and analysis together.  The paper's
+13-cell evaluation matrix is data, not code: `configs/table1_matrix.json`.
 
 Configs are strict JSON: unknown keys are rejected so experiment
 definitions cannot silently carry typos.  The resolved config (all
@@ -576,12 +577,17 @@ class MatrixConfig:
     def __post_init__(self) -> None:
         if not self.cells:
             raise ConfigError("cells must be a non-empty list")
+        # run_matrix writes each cell's files under its name's safe_name
+        by_stem: dict[str, str] = {}
         for i, cell in enumerate(self.cells):
-            if not isinstance(cell.get("name"), str) or not cell["name"]:
+            name = cell.get("name")
+            if not isinstance(name, str) or not name:
                 raise ConfigError(f"cells[{i}].name must be a non-empty string")
-        names = [cell["name"] for cell in self.cells]
-        if len(set(names)) != len(names):
-            raise ConfigError("cells must have unique names")
+            stem = analysis.safe_name(name)
+            if stem in by_stem:
+                raise ConfigError(f"cells {by_stem[stem]!r} and {name!r} "
+                                  f"have the same output name {stem!r}")
+            by_stem[stem] = name
 
 
 def matrix_from_obj(obj: dict) -> MatrixConfig:
@@ -648,48 +654,3 @@ def run_matrix(matrix: MatrixConfig, out_dir: str | Path) -> MatrixResult:
     return MatrixResult(results=results, failures=failures, out_dir=out,
                         stats_csv=written[0])
 
-
-DEFAULT_HANDOVER_ROUTE = {
-    # straight 200 m line from the second cell's position to the first, at
-    # 1 m/s: the vehicle starts near one antenna and drives to the other.
-    "waypoints": [[0, 200.0, 0.0], [200_000_000_000, 0.0, 0.0]],
-}
-
-
-def table1_matrix(master_seed: int = 20240510,
-                  duration_s: float = 10.0) -> MatrixConfig:
-    """The built-in 13-cell evaluation matrix: 8 nominal cells
-    ({BL, AP} x {no load, nominal load} x {1 kB @ 10 Hz, 10 kB @ 20 Hz}),
-    4 uplink-overload cells ({BL, AP} x {1x40, 2x40}), and 1 mobility cell."""
-    cells: list[dict] = []
-    nominal_loads = [("noload", {"ul": "none", "dl": "none"}),
-                     ("load5-110", {"ul": "1x5", "dl": "1x110"})]
-    messages = [("1k-10hz", {"size_bytes": 1000, "rate_hz": 10.0}),
-                ("10k-20hz", {"size_bytes": 10000, "rate_hz": 20.0})]
-    for sched in ("BL", "AP"):
-        for load_tag, load in nominal_loads:
-            for msg_tag, msg in messages:
-                cells.append({
-                    "name": f"nominal-{sched.lower()}-{load_tag}-{msg_tag}",
-                    "scheduler": sched, "load": load, "message": msg})
-    for sched in ("BL", "AP"):
-        for ue_tag in ("1x40", "2x40"):
-            cells.append({
-                "name": f"overload-{sched.lower()}-{ue_tag}-10k-20hz",
-                "scheduler": sched,
-                "load": {"ul": ue_tag, "dl": "none"},
-                "message": {"size_bytes": 10000, "rate_hz": 20.0}})
-    cells.append({
-        "name": "mobility-bl-noload-10k-20hz",
-        "scheduler": "BL",
-        "load": {"ul": "none", "dl": "none"},
-        "message": {"size_bytes": 10000, "rate_hz": 20.0},
-        "duration_s": 120.0,
-        "mobility": dict(DEFAULT_HANDOVER_ROUTE)})
-    return MatrixConfig(master_seed=master_seed,
-                        defaults={"duration_s": duration_s},
-                        cells=cells)
-
-
-# a matrix echoes through the same walk as a scenario config
-matrix_to_obj = config_to_obj

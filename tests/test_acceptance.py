@@ -1,7 +1,7 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS line
 with the measured figures (run with `pytest tests/test_acceptance.py -v -s`).
 
-The emulated-link criteria share two full runs of the built-in 13-cell
+The emulated-link criteria share two full runs of the shipped 13-cell
 matrix (session fixture) so determinism can be checked byte-for-byte
 without re-running everything.
 """
@@ -19,6 +19,7 @@ from cv2x_bench.clockmodel import corrected_latency_dl, corrected_latency_ul
 from cv2x_bench.protocol import (ChecksumError, MalformedFrameError,
                                  V2XMessage, compute_checksum, decode, encode)
 from handover import detect_handover_affected
+from shipped_matrix import shipped_matrix
 
 MS = 1_000_000
 TICK_NS = 2_500_000
@@ -40,9 +41,9 @@ def matrix_runs(tmp_path_factory):
     out_a = tmp_path_factory.mktemp("matrix-a")
     out_b = tmp_path_factory.mktemp("matrix-b")
     start = time.monotonic()
-    run_a = scenario.run_matrix(scenario.table1_matrix(MASTER_SEED), out_a)
+    run_a = scenario.run_matrix(shipped_matrix(MASTER_SEED), out_a)
     elapsed_a = time.monotonic() - start
-    run_b = scenario.run_matrix(scenario.table1_matrix(MASTER_SEED), out_b)
+    run_b = scenario.run_matrix(shipped_matrix(MASTER_SEED), out_b)
     return run_a, run_b, elapsed_a
 
 

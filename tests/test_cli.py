@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cv2x_bench import analysis, cli, protocol, scenario
+from cv2x_bench import analysis, cli, protocol
 from cv2x_bench.broker import Broker, BrokerClient, recv_envelope, send_envelope
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -118,13 +118,6 @@ def test_analyze_loads_only_the_analysis_modules(tmp_path):
             ["loadgen", "--target", f"{host}:{port}", "--rate-mbps", "1",
              "--duration", "0.01", "--size", "100"]
         ) == str(sorted(f"cv2x_bench{name}" for name in (*base, ".loadgen")))
-
-
-def test_init_matrix_writes_the_built_in_matrix(tmp_path):
-    out = tmp_path / "matrix.json"
-    assert cli.main(["init-matrix", "--out", str(out)]) == 0
-    assert (json.loads(out.read_text(encoding="utf-8"))
-            == scenario.matrix_to_obj(scenario.table1_matrix()))
 
 
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from cv2x_bench import netem, scenario
 from cv2x_bench.netem import (Cell, HandoverEvent, LinkSimulator,
                               MobilityRoute, apply_handover)
+from shipped_matrix import shipped_matrix
 
 
 def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -164,7 +165,7 @@ def _counting_nearest(monkeypatch) -> list[int]:
 
 
 def test_shipped_mobility_route_matches_and_skips(monkeypatch):
-    matrix = scenario.table1_matrix()
+    matrix = shipped_matrix()
     [cell] = [c for c in matrix.cells if "mobility" in c]
     cfg = scenario._resolve_matrix_cell(matrix, cell)
     net = cfg.network
@@ -323,7 +324,7 @@ def _check_ticks(link: LinkSimulator, initial_cell: int,
 
 
 def test_shipped_mobility_cell_state_on_every_tick():
-    matrix = scenario.table1_matrix()
+    matrix = shipped_matrix()
     [cell] = [c for c in matrix.cells if "mobility" in c]
     cfg = scenario._resolve_matrix_cell(matrix, cell)
     world, _ = scenario._build_sim(cfg)

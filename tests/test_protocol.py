@@ -245,7 +245,7 @@ def test_checksum_deterministic():
 
 
 @pytest.mark.parametrize("len_a", [0, 1, 84, 904, 912, 9904, 9912])
-@pytest.mark.parametrize("len_b", [0, 1, 8, 84, 904, 912, 9904, 9912])
+@pytest.mark.parametrize("len_b", [0, 8, 84, 9912])
 def test_crc32_combine_matches_zlib(len_a, len_b):
     rng = random.Random(len_a * 10_007 + len_b)
     for _ in range(3):

@@ -21,11 +21,11 @@ from cv2x_bench.broker import BrokerClient
 from cv2x_bench.loadgen import CbrPacketSource
 from cv2x_bench.netem import Direction, PriorityClass, SimWorld
 from cv2x_bench.scenario import (ConfigError, config_from_obj, derive_seed,
-                                 load_config, load_matrix_config, matrix_to_obj,
-                                 resolve_matrix_cells, run_matrix, run_scenario,
-                                 table1_matrix)
+                                 load_config, load_matrix_config,
+                                 resolve_matrix_cells, run_matrix, run_scenario)
 from handover import detect_handover_affected
 from per_packet import PerPacketWorld, accounting
+from shipped_matrix import MATRIX_CONFIG, shipped_matrix
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -224,7 +224,9 @@ def test_derive_seed_is_stable_and_label_sensitive():
 
 
 def test_builtin_matrix_has_13_distinct_cells():
-    matrix = table1_matrix()
+    matrix = load_matrix_config(MATRIX_CONFIG)
+    assert matrix.master_seed == 20240510
+    assert matrix.defaults == {"duration_s": 10.0}
     cfgs = resolve_matrix_cells(matrix)
     assert len(cfgs) == 13
     names = [c.name for c in cfgs]
@@ -242,16 +244,20 @@ def test_builtin_matrix_has_13_distinct_cells():
     assert {c.scheduler for c in nominal} == {"BL", "AP"}
     assert {(c.load.ul, c.load.dl) for c in nominal} == {("none", "none"),
                                                          ("1x5", "1x110")}
+    assert all(c.duration_s == 10.0 for c in nominal + overload)
     assert {c.load.ul for c in overload} == {"1x40", "2x40"}
+    assert {c.scheduler for c in overload} == {"BL", "AP"}
     assert all(c.load.dl == "none" for c in overload)
+    assert all((c.message.size_bytes, c.message.rate_hz) == (10_000, 20.0)
+               for c in overload)
     assert mobility[0].scheduler == "BL"
     assert mobility[0].message.size_bytes == 10_000
-
-
-def test_shipped_matrix_file_matches_builder():
-    shipped = load_matrix_config(CONFIGS_DIR / "table1_matrix.json")
-    assert matrix_to_obj(shipped) == matrix_to_obj(table1_matrix())
-    assert len(resolve_matrix_cells(shipped)) == 13
+    # 120 s on a straight 200 m line from the second cell to the first, at 1 m/s
+    assert mobility[0].duration_s == 120.0
+    assert [list(p) for p in mobility[0].mobility.waypoints] == [
+        [0, 200.0, 0.0], [200_000_000_000, 0.0, 0.0]]
+    positions = {c.cell_id: c.position for c in mobility[0].network.cells}
+    assert positions == {1: (0.0, 0.0), 2: (200.0, 0.0)}
 
 
 def test_run_matrix_isolates_cell_failures(tmp_path):
@@ -409,7 +415,7 @@ def _stepped(cfg):
 
 
 def test_mobility_cell_counts_every_tick_it_runs_or_skips():
-    cfg, = [c for c in resolve_matrix_cells(table1_matrix())
+    cfg, = [c for c in resolve_matrix_cells(shipped_matrix())
             if c.mobility is not None]
     result = run_scenario(cfg)
     world, pipeline = _stepped(cfg)
@@ -421,7 +427,7 @@ def test_mobility_cell_counts_every_tick_it_runs_or_skips():
 
 @pytest.mark.parametrize("seed", (7, 811, 20240510))
 def test_loaded_matrix_cells_match_stepping_every_tick(seed, monkeypatch):
-    cells = {c.name: c for c in resolve_matrix_cells(table1_matrix(seed, duration_s=6.0))}
+    cells = {c.name: c for c in resolve_matrix_cells(shipped_matrix(seed, duration_s=6.0))}
     loaded = [name for name in cells if "-load5-110-" in name]
     assert len(loaded) == 4
     overload_ap = ["overload-ap-1x40-10k-20hz", "overload-ap-2x40-10k-20hz"]
@@ -461,7 +467,7 @@ OVERLOAD_CELLS = ("overload-bl-1x40-10k-20hz", "overload-bl-2x40-10k-20hz",
 
 @pytest.mark.parametrize("seed", (7, 811, 20240510))
 def test_overload_cells_match_the_per_packet_reference(seed, monkeypatch):
-    cells = {c.name: c for c in resolve_matrix_cells(table1_matrix(seed, duration_s=3.0))}
+    cells = {c.name: c for c in resolve_matrix_cells(shipped_matrix(seed, duration_s=3.0))}
     # every background packet its own heap event and queue entry
     with monkeypatch.context() as patch:
         patch.setattr(scenario, "SimWorld", PerPacketWorld)
@@ -655,6 +661,12 @@ MALFORMED = [
      "matrix.cells[0].name must be a non-empty string"),
     ("matrix", {"master_seed": 1, "defaults": 5, "cells": [{"name": "a"}]},
      "matrix.defaults must be an object"),
+    ("matrix", {"master_seed": 1, "cells": [{"name": "a"}, {"name": "a"}]},
+     "matrix.cells 'a' and 'a' have the same output name 'a'"),
+    # run_matrix would write both cells' files under one stem
+    ("matrix", {"master_seed": 1, "cells": [{"name": "a b"}, {"name": "c"},
+                                            {"name": "a-b"}]},
+     "matrix.cells 'a b' and 'a-b' have the same output name 'a-b'"),
 ]
 
 
@@ -753,7 +765,7 @@ def test_any_json_matrix_resolves_or_raises_config_error(obj):
     _parses_or_config_error(lambda o: _load("matrix", o), obj)
 
 
-@pytest.mark.parametrize("cfg", resolve_matrix_cells(table1_matrix()) + [
+@pytest.mark.parametrize("cfg", resolve_matrix_cells(shipped_matrix()) + [
     load_config(CONFIGS_DIR / name)
     for name in ("nominal_example.json", "real_loopback.json")] + [
     config_from_obj(_minimal(name="uniform-relay", agents={
