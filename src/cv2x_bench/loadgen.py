@@ -4,8 +4,8 @@ Each UE is a CBR source emitting fixed-size datagrams at exact integer
 nanosecond times: packet k of a flow at rate r arrives at
 floor(k * packet_bits * 1e9 / r), so the long-run offered rate matches the
 configured rate to within one packet regardless of tick size.  A source
-keeps no position in its stream: packet_time(k) and count_before(t) are
-pure functions, so the emulator takes a tick's arrivals by count.
+keeps no position in its stream: packet_time(k), count_before(t) and
+arrivals(t0, t1) are pure, and the emulator keeps each one's next packet.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ class CbrPacketSource:
     packet_time(k), and count_before(t) is the number of packets arriving
     before t, so the packets in [t0, t1) are those numbered
     count_before(t0) to count_before(t1) - 1.  arrivals(t0, t1) yields
-    their (time_ns, size_bits) pairs by walking the stream one packet at a
-    time, so its windows must come in increasing, non-overlapping order.
+    their (time_ns, size_bits) pairs, for any window in any order.
     """
 
     def __init__(self, flow_id: str, rate_bps: int,
@@ -81,7 +80,6 @@ class CbrPacketSource:
         self.packet_bits = packet_size_bytes * 8
         self.start_ns = start_ns
         self.stop_ns = stop_ns
-        self._k = 0  # the next packet arrivals() looks at
 
     def packet_time(self, k: int) -> int:
         return self.start_ns + (k * self.packet_bits * 1_000_000_000) // self.rate_bps
@@ -98,13 +96,8 @@ class CbrPacketSource:
         return -(-span * self.rate_bps // (self.packet_bits * 1_000_000_000))
 
     def arrivals(self, t0: int, t1: int):
-        while self.rate_bps:
-            t = self.packet_time(self._k)
-            if t >= t1 or (self.stop_ns is not None and t >= self.stop_ns):
-                return
-            self._k += 1
-            if t >= t0:
-                yield t, self.packet_bits
+        for k in range(self.count_before(t0), self.count_before(t1)):
+            yield self.packet_time(k), self.packet_bits
 
 
 def blast_udp(target: tuple[str, int], rate_bps: float, duration_s: float,

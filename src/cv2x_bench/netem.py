@@ -620,6 +620,9 @@ class SimWorld:
     Two worlds built from the same configuration and seeds produce
     identical deliveries and accounting.
 
+    Between ticks, _next[i] == cbr_sources[i].count_before(now_ns): the
+    world keeps each source's next packet, and every tick advances it.
+
     run_until skips a tick whose outcome is known: no heap event falls in
     it, no flow holds backlog at its start, and either no CBR source is
     live or every source's fullest tick fits (see _sources_block_until).
@@ -639,7 +642,7 @@ class SimWorld:
     """
 
     def __init__(self, link: LinkSimulator, base_delay_ns: int = 2_000_000,
-                 start_ns: int = 0) -> None:
+                 start_ns: int = 0, cbr_sources: Iterable = ()) -> None:
         self.link = link
         self.tick_ns = link.tick_ns
         self.base_delay_ns = base_delay_ns
@@ -648,13 +651,12 @@ class SimWorld:
         self.on_delivery: Callable[[Delivery], None] | None = None
         # objects with .flow_id, .start_ns, .packet_bits, .rate_bps,
         # .stop_ns, .packet_time(k) and .count_before(t), like
-        # loadgen.CbrPacketSource; in place before run_until is called
-        self.cbr_sources: list = []
+        # loadgen.CbrPacketSource, fixed for the world's life; source i
+        # feeds flow src.flow_id at rank i
+        self.cbr_sources = tuple(cbr_sources)
+        self._next = [src.count_before(start_ns) for src in self.cbr_sources]
         self._heap: list[tuple[int, int, Callable[[int], None]]] = []
         self._heap_seq = 0
-        # (end t of the last tick run or advanced, its sources, each one's
-        # count_before(t)): the next tick's first packets, if it starts at t
-        self._carry: tuple[int, list, list[int]] | None = None
         self.ticks_run = 0
         self.ticks_skipped = 0
 
@@ -664,33 +666,25 @@ class SimWorld:
         self._heap_seq += 1
         heapq.heappush(self._heap, (time_ns, self._heap_seq, callback))
 
-    def _counts_at(self, t: int) -> list[int]:
-        """Each CBR source's count_before(t).  A source's tick is counted
-        once: if the last tick run or advanced ended at t, with the same
-        sources, its end counts are returned."""
-        carry = self._carry
-        sources = self.cbr_sources
-        if carry and carry[0] == t and carry[1] == sources:
-            return carry[2]
-        return [src.count_before(t) for src in sources]
+    def _enqueue_arrivals(self, t: int) -> None:
+        """Enqueue each source's packets from _next[i] up to count_before(t),
+        as one run, and advance _next[i] to count_before(t)."""
+        nexts = self._next
+        for rank, src in enumerate(self.cbr_sources):
+            first = nexts[rank]
+            end = src.count_before(t)
+            if first < end:
+                self.link.enqueue_run(src, rank, first, end)
+                nexts[rank] = end
 
-    def _dispatch(self, tick_start: int, tick_end: int) -> None:
+    def _dispatch(self, tick_end: int) -> None:
         """Enqueue the tick's CBR arrivals and fire its timed events."""
         heap = self._heap
         link = self.link
-        sources = self.cbr_sources
-        if sources:
-            firsts = self._counts_at(tick_start)
-            counts = []
-            for rank, src in enumerate(sources):
-                first = firsts[rank]
-                end = src.count_before(tick_end)
-                counts.append(end)
-                if first < end:
-                    link.enqueue_run(src, rank, first, end)
-            self._carry = tick_end, sources[:], counts
+        if self.cbr_sources:
+            self._enqueue_arrivals(tick_end)
         pending_before = self._heap_seq
-        rank_after = len(sources)
+        rank_after = len(self.cbr_sources)
         while heap and heap[0][0] < tick_end:
             event_ns, seq, callback = heapq.heappop(heap)
             link.event_rank = -1 if seq <= pending_before else rank_after
@@ -701,7 +695,7 @@ class SimWorld:
     def run_tick(self) -> list[Delivery]:
         tick_start = self.now_ns
         tick_end = tick_start + self.tick_ns
-        self._dispatch(tick_start, tick_end)
+        self._dispatch(tick_end)
         deliveries = self.link.run_tick(tick_start)
         # every delivery is at the tick's end
         self.now_ns = tick_end
@@ -711,7 +705,7 @@ class SimWorld:
         self.ticks_run += 1
         return deliveries
 
-    def _sources_block_until(self, feeds: list[tuple[object, FlowQueue]]) -> float:
+    def _sources_block_until(self, feeds: list[tuple[int, object, FlowQueue]]) -> float:
         """A time from which on the CBR sources block no skip.
 
         It is -inf if the sources' fullest ticks fit: a tick holds at most
@@ -723,7 +717,7 @@ class SimWorld:
         arrival left."""
         flow_bits: dict[FlowQueue, int] = {}
         cell_bits: dict[tuple[int | None, Direction], int] = {}
-        for src, q in feeds:
+        for _, src, q in feeds:
             bits = src.packet_bits * (
                 self.tick_ns * src.rate_bps // (src.packet_bits * 1_000_000_000) + 1)
             flow_bits[q] = flow_bits.get(q, 0) + bits
@@ -736,7 +730,7 @@ class SimWorld:
                         for (_, direction), bits in cell_bits.items())):
             return -math.inf
         live_until = -math.inf
-        for src, _ in feeds:
+        for _, src, _ in feeds:
             if src.stop_ns is None:
                 return math.inf
             live_until = max(live_until, src.stop_ns)
@@ -750,24 +744,16 @@ class SimWorld:
         tick enqueues its arrivals as _dispatch does, serves each group's
         flows by _serve_waterfill and checks the invariants run_tick checks
         on the flows it touches."""
-        sources = self.cbr_sources
-        link = self.link
-        counts = list(self._counts_at(self.now_ns))
         touched = [q for _, bg in groups for q in bg]
         completed: list[Completion] = []  # a CBR run completes nothing
         t = self.now_ns
         for _ in range(n):
             t += self.tick_ns
-            for rank, src in enumerate(sources):
-                first = counts[rank]
-                end = counts[rank] = src.count_before(t)
-                if first < end:
-                    link.enqueue_run(src, rank, first, end)
+            self._enqueue_arrivals(t)
             for group, bg in groups:
                 served = _serve_waterfill(bg, group.budget, completed)
                 _check_group(group, served, bg)
             _check_flows(touched)
-        self._carry = t, sources[:], counts
         self.now_ns = t
         self.ticks_skipped += n
 
@@ -782,11 +768,11 @@ class SimWorld:
         link = self.link
         flows = link.flows
         # a source without a rate never arrives
-        feeds = [(src, flows[src.flow_id]) for src in self.cbr_sources
-                 if src.rate_bps > 0]
+        feeds = [(rank, src, flows[src.flow_id])
+                 for rank, src in enumerate(self.cbr_sources) if src.rate_bps > 0]
         blocked_until = self._sources_block_until(feeds)
         queues = flows.values()
-        fed = {q for _, q in feeds}
+        fed = {q for _, _, q in feeds}
         # spans need AP and fed flows that drop and are fixed to a cell (the
         # cell rule of _sources_block_until); every other flow must be empty
         span_groups = None
@@ -818,8 +804,10 @@ class SimWorld:
                     end = now + n * tick_ns
                     # each skipped tick serves its arrivals in full; an
                     # idle span has none
-                    for src, q in feeds:
-                        bits = (src.count_before(end) - src.count_before(now)) * src.packet_bits
+                    for rank, src, q in feeds:
+                        end_count = src.count_before(end)
+                        bits = (end_count - self._next[rank]) * src.packet_bits
+                        self._next[rank] = end_count
                         q.offered_bits += bits
                         q.served_bits += bits
                     self.now_ns = end

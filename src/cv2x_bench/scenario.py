@@ -423,7 +423,17 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
         link.set_mobility(*apply_handover(
             route, net.cells, hysteresis_m=net.handover.hysteresis_m,
             interruption_ns=net.handover.interruption_ns, sample_ns=link.tick_ns))
-    world = SimWorld(link, base_delay_ns=net.base_delay_ns, start_ns=start_ns)
+    # the background UEs' sources, each with its flow's direction
+    background = []
+    for attr, direction in (("ul", Direction.UPLINK), ("dl", Direction.DOWNLINK)):
+        load = parse_load(getattr(cfg.load, attr), direction,
+                          cfg.load.packet_size_bytes)
+        background += [(CbrPacketSource(f"bg-{attr}-{i}", load.per_ue_rate_bps,
+                                        load.packet_size_bytes, start_ns=start_ns,
+                                        stop_ns=start_ns + cfg.duration_ns),
+                        direction) for i in range(load.ue_count)]
+    world = SimWorld(link, base_delay_ns=net.base_delay_ns, start_ns=start_ns,
+                     cbr_sources=[src for src, _ in background])
 
     def clock_for(name: str) -> DriftingClock:
         p = getattr(cfg.agents, name).clock
@@ -455,18 +465,9 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
     # background flows in the link's flow order
     pipeline = SimPipeline(world, link, sensor, relay, vehicle,
                            sensor_cell=sensor_cell, ack_ratio=net.ack_ratio)
-
-    for attr, direction in (("ul", Direction.UPLINK), ("dl", Direction.DOWNLINK)):
-        load = parse_load(getattr(cfg.load, attr), direction,
-                          cfg.load.packet_size_bytes)
-        for i in range(load.ue_count):
-            flow_id = f"bg-{attr}-{i}"
-            link.add_flow(flow_id, direction, PriorityClass.BACKGROUND,
-                          sensor_cell, cfg.load.queue_cap_bytes)
-            world.cbr_sources.append(
-                CbrPacketSource(flow_id, load.per_ue_rate_bps,
-                                load.packet_size_bytes, start_ns=start_ns,
-                                stop_ns=start_ns + cfg.duration_ns))
+    for src, direction in background:
+        link.add_flow(src.flow_id, direction, PriorityClass.BACKGROUND,
+                      sensor_cell, cfg.load.queue_cap_bytes)
     return world, pipeline
 
 
@@ -588,6 +589,14 @@ class MatrixConfig:
                 raise ConfigError(f"cells {by_stem[stem]!r} and {name!r} "
                                   f"have the same output name {stem!r}")
             by_stem[stem] = name
+        # and the matrix's own files beside the cell directories
+        taken = {".", "..", "stats.csv", "cdf.svg"}
+        for s in by_stem:
+            taken.update((f"cdf_{s}.csv", f"per_packet_{s}.csv", f"per_packet_{s}.svg"))
+        for stem, name in by_stem.items():
+            if stem in taken:
+                raise ConfigError(f"cells {name!r} has the output name {stem!r}, "
+                                  f"which is not free for a cell directory")
 
 
 def matrix_from_obj(obj: dict) -> MatrixConfig:

@@ -33,9 +33,9 @@ def test_background_load_validation():
         BackgroundLoad(ue_count=1, per_ue_rate_bps=-5, direction=Direction.UPLINK)
 
 
-def test_cbr_arrivals_are_quantized_with_carry():
+def test_cbr_arrivals_are_quantized_and_roll_over():
     # 40 Mbps in 1400 B packets is 8.93 packets per 2.5 ms tick, so each
-    # tick carries 8 or 9 whole packets and the remainder rolls over
+    # tick holds 8 or 9 whole packets and the remainder rolls over
     src = CbrPacketSource("bg", 40_000_000, 1400)
     counts = []
     for tick in range(100):
@@ -43,6 +43,21 @@ def test_cbr_arrivals_are_quantized_with_carry():
         assert all(tick * TICK <= t < (tick + 1) * TICK for t, _ in arrivals)
         counts.append(len(arrivals))
     assert set(counts) == {8, 9}
+
+
+def test_cbr_arrivals_are_pure():
+    # a window yields the same packets when asked again, also after a
+    # later window
+    src = CbrPacketSource("bg", 40_000_000, 1400, start_ns=TICK // 3)
+    window = [(src.packet_time(k), 11_200)
+              for k in range(src.count_before(TICK), src.count_before(2 * TICK))]
+    assert window
+    assert list(src.arrivals(TICK, 2 * TICK)) == window
+    assert list(src.arrivals(TICK, 2 * TICK)) == window
+    later = list(src.arrivals(5 * TICK, 6 * TICK))
+    assert later
+    assert list(src.arrivals(TICK, 2 * TICK)) == window
+    assert list(src.arrivals(5 * TICK, 6 * TICK)) == later
 
 
 def test_cbr_long_run_rate_converges():

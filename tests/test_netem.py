@@ -104,6 +104,26 @@ def test_ap_background_residual_split_fairly():
     assert link.flows["bg1"].served_bits == 42_000
 
 
+@pytest.mark.parametrize("app_bits,backlogs,served", [
+    # 83,999 bits left: 27,999 to each flow, then the 2-bit remainder to
+    # the first flow in order
+    (16_001, (1_000_000, 1_000_000, 1_000_000), (28_001, 27_999, 27_999)),
+    # 84,000 bits left: the short flow empties on its 28,000-bit share, and
+    # the two others split what it left
+    (16_000, (1_000_000, 1_000_000, 10_000), (37_000, 37_000, 10_000)),
+], ids=["remainder-to-first", "short-flow-empties"])
+def test_ap_water_fill_splits_the_residual_max_min_fair(app_bits, backlogs, served):
+    link = _one_cell_link(SchedulerKind.AP)  # 100,000 bits a tick uplink
+    link.add_flow("app", UL, APP, 1)
+    for i, bits in enumerate(backlogs):
+        link.add_flow(f"bg{i}", UL, BG, 1, 10_000_000)
+        link.enqueue(f"bg{i}", bits, 0)
+    link.enqueue("app", app_bits, 0)
+    link.run_tick(0)
+    assert link.flows["app"].served_bits == app_bits
+    assert tuple(link.flows[f"bg{i}"].served_bits for i in range(3)) == served
+
+
 def test_bl_work_conserving_when_application_arrives_first():
     # the application packet is older than the backlog, so it drains fully
     # and the residual budget goes to the background queue
@@ -280,8 +300,7 @@ def _run_world_with_cbr(rate_bps: int, until_ns: int):
     link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL)
     link.add_flow("bg", UL, BG, 1, 10_000_000)
     link.add_flow("app", UL, APP, 1)
-    world = SimWorld(link)
-    world.cbr_sources.append(CbrPacketSource("bg", rate_bps, 1400))
+    world = SimWorld(link, cbr_sources=[CbrPacketSource("bg", rate_bps, 1400)])
     deliveries = []
     world.on_delivery = deliveries.append
     for k in range(50):

@@ -133,14 +133,15 @@ def _build(params: Params):
     link.add_flow("app-ul", Direction.UPLINK, PriorityClass.APPLICATION, 1)
     link.add_flow("app-dl", Direction.DOWNLINK, PriorityClass.APPLICATION, None)
     link.set_mobility(1, params.handovers)
-    world = SimWorld(link, base_delay_ns=BASE_DELAY, start_ns=params.start_ns)
     for src in params.sources:
         link.add_flow(src.flow_id, src.direction, PriorityClass.BACKGROUND,
                       src.cell_id, 4 * src.packet_bytes)
-        world.cbr_sources.append(CbrPacketSource(
-            src.flow_id, src.rate_bps, src.packet_bytes,
-            start_ns=params.start_ns + src.start,
-            stop_ns=None if src.stop is None else params.start_ns + src.stop))
+    world = SimWorld(link, base_delay_ns=BASE_DELAY, start_ns=params.start_ns,
+                     cbr_sources=[CbrPacketSource(
+                         src.flow_id, src.rate_bps, src.packet_bytes,
+                         start_ns=params.start_ns + src.start,
+                         stop_ns=None if src.stop is None else params.start_ns + src.stop)
+                         for src in params.sources])
     tags = itertools.count()
     deliveries = []
 
@@ -285,9 +286,8 @@ def _lone_source(rate_bps: int, cap_bytes: int = 1_000_000,
         link = LinkSimulator([Cell(1)])
         q = link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1,
                           cap_bytes)
-        world = SimWorld(link)
-        world.cbr_sources.append(CbrPacketSource("bg", rate_bps, 1000,
-                                                 start_ns=40 * TICK, stop_ns=stop_ns))
+        world = SimWorld(link, cbr_sources=[CbrPacketSource(
+            "bg", rate_bps, 1000, start_ns=40 * TICK, stop_ns=stop_ns)])
         if skip:
             world.run_until(until_ns)
         while world.now_ns < until_ns:
@@ -331,13 +331,14 @@ def _span_world(start_ns: int, sources, warm_ticks: int):
                          ul_capacity_bps=4_000_000, dl_capacity_bps=8_000_000)
     link.add_flow("app-ul", Direction.UPLINK, PriorityClass.APPLICATION, 1)
     link.add_flow("app-dl", Direction.DOWNLINK, PriorityClass.APPLICATION, None)
-    world = SimWorld(link, start_ns=start_ns)
+    cbr_sources = []
     for i, (rate, size, cap, start, stop, cell, direction) in enumerate(sources):
         link.add_flow(f"bg{i}", direction, PriorityClass.BACKGROUND, cell,
                       cap * size)
-        world.cbr_sources.append(CbrPacketSource(
+        cbr_sources.append(CbrPacketSource(
             f"bg{i}", rate, size, start_ns=start_ns + start,
             stop_ns=None if stop is None else start_ns + stop))
+    world = SimWorld(link, start_ns=start_ns, cbr_sources=cbr_sources)
     for _ in range(warm_ticks):
         world.run_tick()
     return world, link
@@ -349,9 +350,12 @@ def _queued_runs(link: LinkSimulator) -> dict[str, list[tuple]]:
             for flow_id, q in link.flows.items()}
 
 
-def _carried(world: SimWorld) -> tuple:
-    t, sources, counts = world._carry
-    return t, [src.flow_id for src in sources], counts
+def _carried(world: SimWorld) -> list[tuple[str, int]]:
+    """Each source's flow and next packet number, which must be its
+    count_before(now_ns)."""
+    assert world._next == [src.count_before(world.now_ns)
+                           for src in world.cbr_sources]
+    return [(src.flow_id, n) for src, n in zip(world.cbr_sources, world._next)]
 
 
 _SPAN_SOURCES = st.lists(st.tuples(

@@ -149,10 +149,9 @@ def _run(params: Params, world_cls) -> tuple[list, list, LinkSimulator, int]:
     link.enqueue_run = counted_enqueue_run
     for flow_id, direction in APP_FLOWS.items():
         link.add_flow(flow_id, direction, PriorityClass.APPLICATION, 1)
-    world = world_cls(link)
     for s in params.sources:
         link.add_flow(s.flow_id, s.direction, PriorityClass.BACKGROUND, 1, s.cap_bytes)
-        world.cbr_sources.append(s.build())
+    world = world_cls(link, cbr_sources=[s.build() for s in params.sources])
     tags = itertools.count()
 
     def app_enqueue(flow_id: str, bits: int, follow: int | None, now_ns: int) -> None:
@@ -216,10 +215,10 @@ def test_identical_sources_alternate_packet_by_packet():
     # first source first at each instant
     link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
                          ul_capacity_bps=4_000_000)
-    world = SimWorld(link)
     for i in range(2):
         link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1)
-        world.cbr_sources.append(CbrPacketSource(f"bg{i}", 8_000_000, 1000))
+    world = SimWorld(link, cbr_sources=[CbrPacketSource(f"bg{i}", 8_000_000, 1000)
+                                        for i in range(2)])
 
     def queued() -> list:
         return [[(e.first, e.count, e.remaining_bits)
@@ -236,9 +235,8 @@ def test_identical_sources_alternate_packet_by_packet():
 def test_single_source_tick_is_one_run():
     link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
                          ul_capacity_bps=400)
-    world = SimWorld(link)
+    world = SimWorld(link, cbr_sources=[CbrPacketSource("bg", 40_000_000, 1400)])
     link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1, 10_000)
-    world.cbr_sources.append(CbrPacketSource("bg", 40_000_000, 1400))
     world.run_tick()
     q = link.flows["bg"]
     # 9 arrivals, 7 fit the 80,000-bit cap, 1 bit was served
@@ -293,16 +291,16 @@ def test_arrivals_on_tick_edges_are_enqueued_once():
     # ticks, where an off-by-one window start would drop or repeat one
     link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
                          ul_capacity_bps=400)
-    world = SimWorld(link)
     starts = {"edge-end": TICK - 1, "edge-start": TICK}
     arrived = dict.fromkeys(starts, 0)
     references = []
     for flow_id, start_ns in starts.items():
         link.add_flow(flow_id, Direction.UPLINK, PriorityClass.BACKGROUND, 1)
-        world.cbr_sources.append(CbrPacketSource(flow_id, 8_000_000, 1250,
-                                                 start_ns=start_ns))
         references.append(CbrPacketSource(flow_id, 8_000_000, 1250,
                                           start_ns=start_ns))
+    world = SimWorld(link, cbr_sources=[
+        CbrPacketSource(flow_id, 8_000_000, 1250, start_ns=start_ns)
+        for flow_id, start_ns in starts.items()])
     for tick in range(8):
         world.run_tick()
         for ref in references:
@@ -359,12 +357,11 @@ def _world(world_cls, ul_capacity_bps: int, sources, cap_bytes: int = 1_000_000)
     link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
                          ul_capacity_bps=ul_capacity_bps)
     link.add_flow("app", Direction.UPLINK, PriorityClass.APPLICATION, 1)
-    world = world_cls(link)
-    for i, (rate_bps, packet_bytes, start_ns) in enumerate(sources):
+    for i in range(len(sources)):
         link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1, cap_bytes)
-        world.cbr_sources.append(CbrPacketSource(f"bg{i}", rate_bps, packet_bytes,
-                                                 start_ns=start_ns))
-    return world
+    return world_cls(link, cbr_sources=[
+        CbrPacketSource(f"bg{i}", rate_bps, packet_bytes, start_ns=start_ns)
+        for i, (rate_bps, packet_bytes, start_ns) in enumerate(sources)])
 
 
 def _step_both(build, ticks: int, passes: list[Pass] | None = None) -> SimWorld:
@@ -594,66 +591,41 @@ class CountingSource(CbrPacketSource):
 def test_consecutive_ticks_count_each_source_once():
     link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
                          ul_capacity_bps=4_000_000)
-    world = SimWorld(link)
     for i in range(2):
         link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1)
-        world.cbr_sources.append(CountingSource(f"bg{i}", 8_000_000, 1000))
+    world = SimWorld(link, cbr_sources=[CountingSource(f"bg{i}", 8_000_000, 1000)
+                                        for i in range(2)])
     for _ in range(10):
         world.run_tick()
-    # the first tick counts where it starts too; every later one starts
-    # where the one before ended
+    # each source is counted once where the world starts, then once at
+    # the end of each tick: a tick starts where the one before ended
     assert [src.counts for src in world.cbr_sources] == [11, 11]
     assert link.flows["bg0"].offered_bits == 25 * 8_000
 
 
-def test_carried_counts_follow_skips_and_source_changes():
+def test_next_counts_follow_skips_and_steps():
     # sources that fit every tick of a 40 Mbps uplink, so run_until skips
     link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL)
     for flow_id in ("a", "b"):
         link.add_flow(flow_id, Direction.UPLINK, PriorityClass.BACKGROUND, 1)
-    world = SimWorld(link)
     a = CbrPacketSource("a", 1_000_000, 100)
     b = CbrPacketSource("b", 3_000_000, 125, start_ns=700_000)
-    faster_a = CbrPacketSource("a", 2_000_000, 100)
-    offered = {"a": 0, "b": 0}
-    since = {}
-
-    def step(ticks: int = 1) -> None:
-        for _ in range(ticks):
-            world.run_tick()
+    world = SimWorld(link, cbr_sources=[b, a])
 
     def check() -> None:
-        for src in world.cbr_sources:
-            start_ns, before = since[src.flow_id]
-            offered[src.flow_id] = before + src.packet_bits * (
-                src.count_before(world.now_ns) - src.count_before(start_ns))
-        for flow_id, q in link.flows.items():
-            assert q.offered_bits == offered[flow_id], flow_id
+        for src in (a, b):
+            q = link.flows[src.flow_id]
+            assert q.offered_bits == src.packet_bits * src.count_before(world.now_ns)
             assert q.backlog_bits == 0
+        assert world._next == [b.count_before(world.now_ns),
+                               a.count_before(world.now_ns)]
 
-    def add(src, rank: int) -> None:
-        world.cbr_sources.insert(rank, src)
-        since[src.flow_id] = (world.now_ns, offered[src.flow_id])
-
-    add(a, 0)
-    step(2)
-    check()
-    world.run_until(40 * TICK)
-    assert world.ticks_skipped > 30
-    check()
-    step(2)
-    check()
-    add(b, 0)  # a moves to rank 1
-    step(3)
-    check()
-    world.cbr_sources = [b, a]  # a new list of the same sources
-    step(2)
-    check()
-    world.cbr_sources.remove(a)
-    world.cbr_sources.remove(b)
-    add(faster_a, 0)
-    step(3)
-    check()
-    world.run_until(80 * TICK)
-    check()
-    assert offered["a"] > 0 and offered["b"] > 0
+    # step some ticks, then skip to a later tick, four times over
+    for steps, until_ticks in ((2, 40), (2, 45), (3, 50), (2, 80)):
+        for _ in range(steps):
+            world.run_tick()
+        check()
+        world.run_until(until_ticks * TICK)
+        check()
+    assert (world.ticks_run, world.ticks_skipped) == (9, 71)
+    assert link.flows["a"].offered_bits > 0 and link.flows["b"].offered_bits > 0

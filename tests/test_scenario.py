@@ -667,6 +667,24 @@ MALFORMED = [
     ("matrix", {"master_seed": 1, "cells": [{"name": "a b"}, {"name": "c"},
                                             {"name": "a-b"}]},
      "matrix.cells 'a b' and 'a-b' have the same output name 'a-b'"),
+    # a cell directory outside the output directory, or on a file that
+    # run_matrix writes beside the cell directories
+    ("matrix", {"master_seed": 1, "cells": [{"name": "."}]},
+     "matrix.cells '.' has the output name '.', which is not free"),
+    ("matrix", {"master_seed": 1, "cells": [{"name": ".."}]},
+     "matrix.cells '..' has the output name '..', which is not free"),
+    ("matrix", {"master_seed": 1, "cells": [{"name": "stats.csv"}]},
+     "matrix.cells 'stats.csv' has the output name 'stats.csv', which is not free"),
+    ("matrix", {"master_seed": 1, "cells": [{"name": "a"}, {"name": "cdf.svg"}]},
+     "matrix.cells 'cdf.svg' has the output name 'cdf.svg', which is not free"),
+    ("matrix", {"master_seed": 1, "cells": [{"name": "cdf_x.csv"}, {"name": "x"}]},
+     "matrix.cells 'cdf_x.csv' has the output name 'cdf_x.csv', which is not free"),
+    ("matrix", {"master_seed": 1, "cells": [{"name": "x y"}, {"name": "per_packet_x-y.csv"}]},
+     "matrix.cells 'per_packet_x-y.csv' has the output name 'per_packet_x-y.csv', "
+     "which is not free"),
+    ("matrix", {"master_seed": 1, "cells": [{"name": "per_packet_x.svg"}, {"name": "x"}]},
+     "matrix.cells 'per_packet_x.svg' has the output name 'per_packet_x.svg', "
+     "which is not free"),
 ]
 
 
