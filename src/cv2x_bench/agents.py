@@ -10,15 +10,15 @@ provider at a reference instant the caller passes in.
 
 Two transports drive them.  In emulation mode a SimPipeline schedules them
 on the SimWorld event loop at simulated reference times and hands each
-message object from hop to hop; the link sees only its frame size, and
-nothing is encoded.  In real-socket mode run_real_sensor, run_real_relay
-and run_real_vehicle are blocking loops over a BrokerClient connection,
-wired sensor -> UPLINK_TOPIC -> relay -> DOWNLINK_TOPIC -> vehicle; they
-encode and decode at the socket, the relay dropping corrupt frames and
-the vehicle logging what it can salvage of them.  They give each agent an
-ideal clock and zero offset estimates and pass the host's epoch time as
-the reference instant.  The relay and the vehicle end cleanly when the
-broker closes their connection.
+message object from hop to hop; the link sees only its frame size, so a
+message carries no payload and nothing is encoded.  In real-socket mode
+run_real_sensor, run_real_relay and run_real_vehicle are blocking loops
+over a BrokerClient connection, wired sensor -> UPLINK_TOPIC -> relay ->
+DOWNLINK_TOPIC -> vehicle; they pad and encode, or decode, at the socket,
+the relay dropping corrupt frames and the vehicle logging what it can
+salvage of them.  They give each agent an ideal clock and zero offset
+estimates and pass the host's epoch time as the reference instant.  The
+relay and the vehicle end cleanly when the broker closes their connection.
 """
 
 from __future__ import annotations
@@ -89,12 +89,12 @@ def message_count(rate_hz: float, duration_ns: int) -> int:
 
 
 class SimSensor:
-    """Publishes fixed-size frames at a fixed rate; consumes nothing."""
+    """Publishes messages of a fixed frame size at a fixed rate, with no
+    payload (run_real_sensor pads them at the socket); consumes nothing."""
 
     def __init__(self, source_id: int, frame_size_bytes: int, rate_hz: float,
                  duration_ns: int, clock: DriftingClock,
-                 provider: Provider, payload_seed: int = 0,
-                 start_ns: int = 0) -> None:
+                 provider: Provider, start_ns: int = 0) -> None:
         if frame_size_bytes < protocol.FRAME_OVERHEAD:
             raise ValueError(
                 f"frame size {frame_size_bytes} below minimum {protocol.FRAME_OVERHEAD}")
@@ -105,7 +105,6 @@ class SimSensor:
         self.rate_hz = rate_hz
         self.clock = clock
         self.provider = provider
-        self.payload_seed = payload_seed
         self.start_ns = start_ns
         self.next_seq = 0
         self.n_messages = message_count(rate_hz, duration_ns)
@@ -114,16 +113,12 @@ class SimSensor:
         return self.start_ns + publish_offset_ns(k, self.rate_hz)
 
     def build_frame(self, reference_ns: int) -> protocol.V2XMessage:
-        """The next message, stamped with t1/e1; its frame is
-        protocol.encode(message), frame_size_bytes long."""
+        """The next message, stamped with t1/e1, with an empty payload."""
         seq = self.next_seq
         self.next_seq += 1
         e1 = self.provider.estimate_at(reference_ns)
-        return protocol.V2XMessage(
-            source_id=self.source_id, seq=seq,
-            t1=self.clock.local_now(reference_ns), e1=e1,
-            payload=protocol.make_padded_payload(self.frame_size_bytes,
-                                                 self.payload_seed, seq))
+        return protocol.V2XMessage(source_id=self.source_id, seq=seq,
+                                   t1=self.clock.local_now(reference_ns), e1=e1)
 
 
 class SimRelay:
@@ -281,11 +276,12 @@ def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
                     rate_hz: float, duration_s: float, source_id: int = 1,
                     payload_seed: int = 0) -> int:
     """Publish message_count(rate, duration) frames on the sim publish
-    schedule; returns the number sent.  A failed connect or publish is
+    schedule, each SimSensor's message padded to frame_size_bytes from
+    payload_seed; returns the number sent.  A failed connect or publish is
     retried on a new connection with backoff."""
     sensor = SimSensor(source_id, frame_size_bytes, rate_hz,
                        round(duration_s * 1_000_000_000), DriftingClock(),
-                       ZeroOffsetProvider(), payload_seed)
+                       ZeroOffsetProvider())
     client = None
     try:
         start = time.monotonic()
@@ -294,7 +290,10 @@ def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
                      - time.monotonic())
             if delay > 0:
                 time.sleep(delay)
-            frame = protocol.encode(sensor.build_frame(time.time_ns()))
+            msg = sensor.build_frame(time.time_ns())
+            msg.payload = protocol.make_padded_payload(frame_size_bytes,
+                                                       payload_seed, msg.seq)
+            frame = protocol.encode(msg)
             for attempt in range(_PUBLISH_RETRIES):
                 try:
                     if client is None:

@@ -8,6 +8,9 @@ The on-disk log is JSON lines, one object per delivered message:
 
 gt_ul / gt_dl carry the emulator's ground-truth one-way delays and are -1
 for records captured from real sockets.
+
+record_line writes each line from one format string: for fields of their
+types, the bytes of json.dumps(record.to_json_obj(), separators=(",", ":")).
 """
 
 from __future__ import annotations
@@ -80,6 +83,11 @@ class PacketRecord:
 _FIELD_NAMES = tuple(f.name for f in fields(PacketRecord))
 _RECORD_KEYS = tuple(_RENAMED.get(name, name) for name in _FIELD_NAMES)
 _field_values = attrgetter(*_FIELD_NAMES)
+# a line as json.dumps with separators (",", ":") writes a record; %s writes
+# an int as JSON does, where %d would truncate a float that ingest refuses
+_LINE_FORMAT = "{" + ",".join(f'"{key}":%s' for key in _RECORD_KEYS) + "}"
+_before_corrupt = attrgetter(*_FIELD_NAMES[:_FIELD_NAMES.index("corrupt")])
+_after_corrupt = attrgetter(*_FIELD_NAMES[_FIELD_NAMES.index("corrupt") + 1:])
 _key_values = itemgetter(*_RECORD_KEYS)
 _VALUE_TYPES = tuple(bool if key == "corrupt" else int for key in _RECORD_KEYS)
 # what may follow a record on its line: the newline, or nothing on the last
@@ -87,7 +95,8 @@ _LINE_ENDS = ("\n", "")
 
 
 def record_line(record: PacketRecord) -> str:
-    return json.dumps(record.to_json_obj(), separators=(",", ":"))
+    corrupt = "true" if record.corrupt else "false"
+    return _LINE_FORMAT % (*_before_corrupt(record), corrupt, *_after_corrupt(record))
 
 
 def write_records(path: str | Path, records: list[PacketRecord]) -> None:

@@ -126,17 +126,19 @@ def _cmd_sensor(args: argparse.Namespace) -> int:
 
 @contextlib.contextmanager
 def _stop_event(duration_s: float) -> Iterator[threading.Event]:
-    """An event set after duration_s seconds (0: never) or on SIGINT; the
-    previous SIGINT handler is back in place when the block ends."""
+    """An event set after duration_s seconds (0: never) or on SIGINT or
+    SIGTERM; the previous handlers are back in place when the block ends."""
     stop = threading.Event()
     timer = threading.Timer(duration_s, stop.set) if duration_s else None
-    previous = signal.signal(signal.SIGINT, lambda signum, frame: stop.set())
+    previous = {signum: signal.signal(signum, lambda signum, frame: stop.set())
+                for signum in (signal.SIGINT, signal.SIGTERM)}
     try:
         if timer:
             timer.start()
         yield stop
     finally:
-        signal.signal(signal.SIGINT, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
         if timer:
             timer.cancel()
 

@@ -319,13 +319,16 @@ def _serve_fifo(queues: list[FlowQueue], budget: int,
     packet, or as much of it as the budget leaves; a queue whose run
     empties goes on with its next entry, and the next packet of a source
     run is keyed by packet_time's formula, written inline for speed, so
-    the two must stay equal.  Once one queue is left, serve_bits drains it.
+    the two must stay equal.  serve_bits drains a lone busy queue.
 
     An application packet and a CBR-source packet of another queue must not
     share a time and a rank: their keys cannot order them, so serving one
     with the other next in key order, in this call or the next, raises
     ValueError."""
-    heap = [(*q.packets[0].key(), i) for i, q in enumerate(queues) if q.packets]
+    queues = [q for q in queues if q.packets]
+    if len(queues) == 1:
+        return queues[0].serve_bits(budget, completed)
+    heap = [(*q.packets[0].key(), i) for i, q in enumerate(queues)]
     heapq.heapify(heap)
     left = budget
     while left and heap:

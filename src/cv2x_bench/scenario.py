@@ -454,7 +454,6 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
                        rate_hz=cfg.message.rate_hz, duration_ns=cfg.duration_ns,
                        clock=sensor_clock,
                        provider=provider_for("sensor", sensor_clock),
-                       payload_seed=derive_seed(cfg.seed, "payload"),
                        start_ns=start_ns)
     relay = SimRelay(relay_clock, provider_for("relay", relay_clock),
                      processing=cfg.agents.relay.processing_delay,

@@ -272,8 +272,9 @@ def test_real_sensor_reconnects_to_a_restarted_broker():
 
 
 def test_real_and_sim_sensors_build_the_same_frames():
-    # the real driver stamps t1 from the wall clock; all else, the padding
-    # included, is the sim sensor's for the same seed
+    # the real driver stamps t1 from the wall clock and pads each message
+    # at the socket; all else is the sim sensor's, whose messages carry no
+    # payload
     with Broker() as broker, BrokerClient(broker.host, broker.port) as sub:
         sub.subscribe(UPLINK_TOPIC)
         _wait_for(lambda: broker.subscriber_count(UPLINK_TOPIC) == 1)
@@ -282,9 +283,12 @@ def test_real_and_sim_sensors_build_the_same_frames():
         real = [protocol.decode(sub.recv_message(timeout=5.0)[1])
                 for _ in range(sent)]
     sim = SimSensor(1, 10_000, 100.0, 50 * MS, DriftingClock(),
-                    ZeroOffsetProvider(), payload_seed=9)
+                    ZeroOffsetProvider())
     want = [sim.build_frame(0) for _ in range(sim.n_messages)]
     assert sent == len(want) == 5
+    for msg in want:
+        assert msg.payload == b""
+        msg.payload = protocol.make_padded_payload(10_000, 9, msg.seq)
     for msg in real:
         assert msg.t1 > 0
         msg.t1 = 0

@@ -7,7 +7,9 @@ import dataclasses
 import json
 import math
 import random
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,24 @@ def test_write_then_ingest_round_trips(tmp_path):
     path = tmp_path / "log.jsonl"
     write_records(path, records)
     assert ingest(path) == records
+
+
+_WIDE_INTS = st.integers(min_value=-2**63, max_value=2**64 - 1)
+_RECORDS = st.builds(PacketRecord, **{
+    f.name: st.booleans() if f.name == "corrupt" else _WIDE_INTS
+    for f in dataclasses.fields(PacketRecord)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_RECORDS, max_size=5))
+def test_a_log_line_is_the_records_compact_json(records):
+    for rec in records:
+        assert analysis.record_line(rec) == json.dumps(rec.to_json_obj(),
+                                                       separators=(",", ":"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        write_records(path, records)
+        assert ingest(path) == records
 
 
 def test_ingest_names_the_malformed_line(tmp_path):

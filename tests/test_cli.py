@@ -311,6 +311,69 @@ def test_broker_stops_on_sigint(capsys):
     assert signal.getsignal(signal.SIGINT) is before
 
 
+def test_stop_event_is_set_on_sigterm_and_restores_both_handlers():
+    signals = (signal.SIGINT, signal.SIGTERM)
+    before = [signal.getsignal(signum) for signum in signals]
+    with cli._stop_event(0) as stop:
+        # never deliver SIGTERM to a default handler, which would end the
+        # test runner
+        assert signal.getsignal(signal.SIGTERM) is not before[1]
+        os.kill(os.getpid(), signal.SIGTERM)
+        assert stop.wait(5.0)
+    assert [signal.getsignal(signum) for signum in signals] == before
+
+
+def test_sigterm_ends_the_vehicle_with_its_log_written(tmp_path):
+    log = tmp_path / "vehicle.jsonl"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with Broker() as broker:
+        vehicle = subprocess.Popen(
+            [sys.executable, "-m", "cv2x_bench.cli", "vehicle", "--connect",
+             f"{broker.host}:{broker.port}", "--log", str(log)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        try:
+            # the vehicle installs its handlers before it subscribes
+            _wait_for(lambda: broker.subscriber_count("DL") == 1)
+            with BrokerClient(broker.host, broker.port) as pub:
+                for seq in range(20):
+                    pub.publish("DL", _frame(seq))
+            _wait_for(lambda: broker.frames_relayed == 20)
+            time.sleep(1.0)  # for the vehicle to read what it was sent
+            vehicle.send_signal(signal.SIGTERM)
+            out, err = vehicle.communicate(timeout=10.0)
+        finally:
+            vehicle.kill()
+    assert vehicle.returncode == 0, err
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert out == f"vehicle logged {len(lines)} records to {log}\n"
+    assert len(lines) == 20
+
+
+def test_matrix_writes_stats_and_a_log_per_cell(tmp_path, capsys):
+    config = tmp_path / "matrix.json"
+    cells = [{"name": "bl-noload", "scheduler": "BL",
+              "load": {"ul": "none", "dl": "none"}},
+             {"name": "ap-loaded", "scheduler": "AP",
+              "load": {"ul": "1x5", "dl": "1x110"}}]
+    config.write_text(json.dumps({
+        "master_seed": 7, "cells": cells,
+        "defaults": {"duration_s": 0.5,
+                     "message": {"size_bytes": 1000, "rate_hz": 20.0}}}),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["matrix", "--config", str(config), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["bl-noload", "ap-loaded",
+                                                        "stats"]
+    rows = (out / "stats.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["bl-noload", "10"],
+                                                       ["ap-loaded", "10"]]
+    for cell in cells:
+        records = analysis.ingest(out / cell["name"] / f"{cell['name']}.jsonl")
+        assert [rec.seq for rec in records] == list(range(10))
+
+
 BAD_NUMBERS = [
     (["sensor", "--connect", "127.0.0.1:9", "--rate", "0"], "--rate"),
     (["sensor", "--connect", "127.0.0.1:9", "--size", "10"], "--size"),

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from cv2x_bench import netem
 from cv2x_bench.loadgen import CbrPacketSource
 from cv2x_bench.netem import (Cell, Direction, HandoverEvent,
                               InvariantViolation, LinkSimulator, MobilityRoute,
@@ -215,6 +216,58 @@ def test_invariant_checks_are_live():
     link.enqueue("app", 10_000, 0)
     link.flows["app"].backlog_bits += 1  # corrupt the accounting
     with pytest.raises(InvariantViolation):
+        link.run_tick(0)
+
+
+# each per-tick check of run_tick raises on state that breaks only it: the
+# other checks hold, so a run_tick without that check raises nothing
+
+def test_service_over_the_budget_raises(monkeypatch):
+    link = _one_cell_link(SchedulerKind.BL)
+    link.add_flow("app", UL, APP, 1)
+    link.enqueue("app", 10_000, 0)
+    serve_fifo = netem._serve_fifo
+
+    def over_reported(queues, budget, completed):
+        # a scheduler that reports a whole budget more than it served
+        return serve_fifo(queues, budget, completed) + budget
+
+    monkeypatch.setattr(netem, "_serve_fifo", over_reported)
+    with pytest.raises(InvariantViolation, match="over budget"):
+        link.run_tick(0)
+
+
+def test_unbalanced_flow_accounting_raises():
+    link = _one_cell_link(SchedulerKind.BL)
+    link.add_flow("app", UL, APP, 1)
+    link.enqueue("app", 10_000, 0)
+    link.flows["app"].offered_bits += 1  # one bit offered but never queued
+    with pytest.raises(InvariantViolation, match="conservation broken for flow app"):
+        link.run_tick(0)
+
+
+def test_a_backlog_over_the_queue_cap_raises():
+    link = _one_cell_link(SchedulerKind.BL)
+    link.add_flow("bg", UL, BG, 1, queue_cap_bytes=100_000)
+    budget = link.budgets[UL]
+    link.enqueue("bg", 3 * budget, 0)
+    link.flows["bg"].cap_bits = budget  # the two budgets left exceed it
+    with pytest.raises(InvariantViolation, match="queue cap exceeded for flow bg"):
+        link.run_tick(0)
+
+
+def test_background_served_past_a_waiting_application_raises():
+    link = _one_cell_link(SchedulerKind.AP)
+    link.add_flow("app", UL, APP, 1)
+    link.add_flow("bg", UL, BG, 1)
+    link.enqueue("app", 8_000, 0)
+    link.enqueue("bg", 2 * link.budgets[UL], 0)
+    # bits that no packet carries: the application queue seems to wait
+    # after its packet is served, and its accounting still balances
+    app = link.flows["app"]
+    app.offered_bits += 1
+    app.backlog_bits += 1
+    with pytest.raises(InvariantViolation, match="priority dominance broken"):
         link.run_tick(0)
 
 
