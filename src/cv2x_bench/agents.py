@@ -17,8 +17,9 @@ over a BrokerClient connection, wired sensor -> UPLINK_TOPIC -> relay ->
 DOWNLINK_TOPIC -> vehicle; they pad and encode, or decode, at the socket,
 the relay dropping corrupt frames and the vehicle logging what it can
 salvage of them.  They give each agent an ideal clock and zero offset
-estimates and pass the host's epoch time as the reference instant.  The
-relay and the vehicle end cleanly when the broker closes their connection.
+estimates and pass the host's epoch time as the reference instant.  Each
+ends cleanly when its stop event is set, the relay and the vehicle also
+when the broker closes their connection.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .broker import BrokerClient, ConnectionClosed
 from .clockmodel import DriftingClock, OffsetProvider, ZeroOffsetProvider
 
 if TYPE_CHECKING:
-    from .netem import Delivery, LinkSimulator, SimWorld
+    from .netem import Delivery, SimWorld
 
 
 UPLINK_TOPIC = "UL"
@@ -125,11 +126,10 @@ class SimRelay:
     """Receives on the uplink topic, stamps, delays, re-publishes downlink."""
 
     def __init__(self, clock: DriftingClock, provider: Provider,
-                 processing: ProcessingDelay | None = None,
-                 rng_seed: int = 0) -> None:
+                 processing: ProcessingDelay, rng_seed: int = 0) -> None:
         self.clock = clock
         self.provider = provider
-        self.processing = processing or ProcessingDelay()
+        self.processing = processing
         self.rng = random.Random(rng_seed)
         self.forwarded = 0
 
@@ -178,14 +178,15 @@ class SimPipeline:
     """Wires sensor -> uplink flow -> relay -> downlink flow -> vehicle onto
     a SimWorld, including the reverse-direction acknowledgment load.
 
-    It adds its own flows to the link: "app-ul" in the sensor's cell and
-    "app-dl" to the mobile vehicle, and with a positive ack_ratio the
-    acknowledgment flows "app-ul-ack" and "app-dl-ack" in the opposite
-    directions."""
+    It adds its own flows to the world's link: "app-ul" in the sensor's
+    cell and "app-dl" to the mobile vehicle, and with a positive ack_ratio
+    the acknowledgment flows "app-ul-ack" and "app-dl-ack" in the opposite
+    directions.  The per-hop base delay is the pipeline's: a frame reaches
+    its receiver base_delay_ns after the link delivers it."""
 
-    def __init__(self, world: SimWorld, link: LinkSimulator,
-                 sensor: SimSensor, relay: SimRelay, vehicle: SimVehicle, *,
-                 sensor_cell: int, ack_ratio: float) -> None:
+    def __init__(self, world: SimWorld, sensor: SimSensor, relay: SimRelay,
+                 vehicle: SimVehicle, *, sensor_cell: int, ack_ratio: float,
+                 base_delay_ns: int) -> None:
         # the emulator is imported only here, so the real agents never load it
         from .netem import Direction, PriorityClass
         # a flow with no cell follows the vehicle
@@ -194,10 +195,12 @@ class SimPipeline:
         if ack_ratio > 0:
             flows += [("app-ul-ack", Direction.DOWNLINK, sensor_cell),
                       ("app-dl-ack", Direction.UPLINK, None)]
+        link = world.link
         for flow_id, direction, cell_id in flows:
-            link.add_flow(flow_id, direction, PriorityClass.APPLICATION, cell_id)
+            link.add_flow(flow_id, direction, PriorityClass.APPLICATION, cell_id, None)
         self.world = world
         self.link = link
+        self.base_delay_ns = base_delay_ns
         self.sensor = sensor
         self.relay = relay
         self.vehicle = vehicle
@@ -228,7 +231,7 @@ class SimPipeline:
 
     def on_delivery(self, d: Delivery) -> None:
         kind = d.meta.get("kind") if d.meta else None
-        arrival = d.delivery_ns + self.world.base_delay_ns
+        arrival = d.delivery_ns + self.base_delay_ns
         if kind == "app-ul":
             self.world.schedule(arrival, partial(self._relay_receive, meta=d.meta))
         elif kind == "app-dl":
@@ -272,13 +275,14 @@ _PUBLISH_RETRIES = 5
 _POLL_S = 0.2
 
 
-def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
-                    rate_hz: float, duration_s: float, source_id: int = 1,
-                    payload_seed: int = 0) -> int:
+def run_real_sensor(host: str, port: int, *, stop: threading.Event,
+                    frame_size_bytes: int, rate_hz: float, duration_s: float,
+                    source_id: int = 1, payload_seed: int = 0) -> int:
     """Publish message_count(rate, duration) frames on the sim publish
     schedule, each SimSensor's message padded to frame_size_bytes from
-    payload_seed; returns the number sent.  A failed connect or publish is
-    retried on a new connection with backoff."""
+    payload_seed, until all are sent or stop is set; returns the number
+    sent.  A failed connect or publish is retried on a new connection with
+    backoff."""
     sensor = SimSensor(source_id, frame_size_bytes, rate_hz,
                        round(duration_s * 1_000_000_000), DriftingClock(),
                        ZeroOffsetProvider())
@@ -288,8 +292,8 @@ def run_real_sensor(host: str, port: int, *, frame_size_bytes: int,
         while sensor.next_seq < sensor.n_messages:
             delay = (start + sensor.publish_time(sensor.next_seq) / 1e9
                      - time.monotonic())
-            if delay > 0:
-                time.sleep(delay)
+            if stop.wait(delay):
+                break
             msg = sensor.build_frame(time.time_ns())
             msg.payload = protocol.make_padded_payload(frame_size_bytes,
                                                        payload_seed, msg.seq)
@@ -328,7 +332,7 @@ def _frames(client: BrokerClient, done: Callable[[], bool]) -> Iterator[bytes]:
 
 
 def run_real_relay(host: str, port: int, *, stop: threading.Event,
-                   processing: ProcessingDelay | None = None) -> tuple[int, int]:
+                   processing: ProcessingDelay) -> tuple[int, int]:
     """Forward uplink frames to the downlink topic until stopped or the
     broker goes; returns (forwarded, corrupt_drops)."""
     relay = SimRelay(DriftingClock(), ZeroOffsetProvider(), processing)

@@ -117,9 +117,10 @@ def _cmd_broker(args: argparse.Namespace) -> int:
 def _cmd_sensor(args: argparse.Namespace) -> int:
     from .agents import run_real_sensor
     host, port = args.address
-    sent = run_real_sensor(host, port, frame_size_bytes=args.size,
-                           rate_hz=args.rate, duration_s=args.duration,
-                           source_id=args.source_id)
+    with _stop_event(0) as stop:
+        sent = run_real_sensor(host, port, stop=stop, frame_size_bytes=args.size,
+                               rate_hz=args.rate, duration_s=args.duration,
+                               source_id=args.source_id)
     print(f"sensor sent {sent} frames")
     return 0
 

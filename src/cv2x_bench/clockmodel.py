@@ -87,7 +87,7 @@ class OffsetProvider:
     runs since drift between query and stamp would otherwise leak in).
     """
 
-    def __init__(self, clock: DriftingClock, period_ns: int = 10_000_000_000,
+    def __init__(self, clock: DriftingClock, *, period_ns: int,
                  noise_bound_ns: int = 0, rng_seed: int = 0) -> None:
         if period_ns < 0:
             raise ValueError("period must be nonnegative")

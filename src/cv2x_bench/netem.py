@@ -82,7 +82,7 @@ class HandoverEvent:
     time_ns: int
     from_cell: int
     to_cell: int
-    interruption_ns: int = 50_000_000
+    interruption_ns: int
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,9 @@ def _nearest(x: float, y: float,
 _SKIP_ALLOWANCE = 1e-9
 
 
-def apply_handover(route: MobilityRoute, cells: Sequence[Cell],
-                   hysteresis_m: float = 5.0,
-                   interruption_ns: int = 50_000_000,
-                   sample_ns: int = 2_500_000) -> tuple[int, list[HandoverEvent]]:
+def apply_handover(route: MobilityRoute, cells: Sequence[Cell], *,
+                   hysteresis_m: float, interruption_ns: int,
+                   sample_ns: int) -> tuple[int, list[HandoverEvent]]:
     """The id of the cell serving a vehicle at the route's start, and the
     handover events the vehicle triggers following the route.
 
@@ -243,14 +242,14 @@ class FlowQueue:
 
     def __init__(self, flow_id: str, direction: Direction,
                  priority_class: PriorityClass, cell_id: int | None,
-                 queue_cap_bytes: int) -> None:
+                 queue_cap_bytes: int | None) -> None:
         self.droppable = priority_class is PriorityClass.BACKGROUND
-        if self.droppable and queue_cap_bytes <= 0:
+        if self.droppable and (queue_cap_bytes is None or queue_cap_bytes <= 0):
             raise ValueError(f"flow {flow_id}: background flows need a positive queue cap")
         self.flow_id = flow_id
         self.direction = direction
         self.cell_id = cell_id
-        self.cap_bits = queue_cap_bytes * 8
+        self.cap_bits = queue_cap_bytes * 8 if self.droppable else None
         self.packets: deque[QueuedRun] = deque()
         self.backlog_bits = 0
         self.offered_bits = 0
@@ -437,10 +436,9 @@ def _check_flows(queues: Iterable[FlowQueue]) -> None:
 class LinkSimulator:
     """Cells, flows, queues, and the per-tick scheduler."""
 
-    def __init__(self, cells: Sequence[Cell], tick_ns: int = 2_500_000,
-                 scheduler: SchedulerKind = SchedulerKind.BL, *,
-                 ul_capacity_bps: int = 40_000_000,
-                 dl_capacity_bps: int = 130_000_000) -> None:
+    def __init__(self, cells: Sequence[Cell], *, tick_ns: int,
+                 scheduler: SchedulerKind, ul_capacity_bps: int,
+                 dl_capacity_bps: int) -> None:
         if not cells:
             raise ValueError("need at least one cell")
         self.tick_ns = tick_ns
@@ -465,9 +463,10 @@ class LinkSimulator:
 
     def add_flow(self, flow_id: str, direction: Direction,
                  priority_class: PriorityClass, cell_id: int | None,
-                 queue_cap_bytes: int = 1_000_000) -> FlowQueue:
+                 queue_cap_bytes: int | None) -> FlowQueue:
         """Add a flow served in cell `cell_id`, or with None one that follows
-        the mobile terminal (see the module docstring)."""
+        the mobile terminal (see the module docstring); an application flow
+        never drops, and its cap is None."""
         if flow_id in self.flows:
             raise ValueError(f"duplicate flow id {flow_id}")
         if cell_id is not None and cell_id not in self.cells:
@@ -605,7 +604,8 @@ class SimWorld:
     (`LinkSimulator.enqueue_run`), the tick's timed events fire in (time,
     scheduling) order, then queues are served and deliveries dispatched to
     the handler.  Only application packets (`LinkSimulator.enqueue`) are
-    delivered; a served run is counted in its queue's accounting.
+    delivered; a served run is counted in its queue's accounting.  The
+    base delay after a delivery is the handler's (SimPipeline's).
 
     Packets are served in the order of their keys (time, rank, number), not
     of their enqueue calls.  Packet n of cbr_sources[i] is keyed
@@ -644,11 +644,10 @@ class SimWorld:
     and the invariants are checked on every tick it advances.
     """
 
-    def __init__(self, link: LinkSimulator, base_delay_ns: int = 2_000_000,
-                 start_ns: int = 0, cbr_sources: Iterable = ()) -> None:
+    def __init__(self, link: LinkSimulator, start_ns: int = 0,
+                 cbr_sources: Iterable = ()) -> None:
         self.link = link
         self.tick_ns = link.tick_ns
-        self.base_delay_ns = base_delay_ns
         self.start_ns = start_ns
         self.now_ns = start_ns
         self.on_delivery: Callable[[Delivery], None] | None = None

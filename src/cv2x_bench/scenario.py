@@ -87,6 +87,10 @@ class NtpParams:
     period_s: float = _at_least(0, default=10.0)
     noise_bound_ns: int = _at_least(0, default=0)
 
+    @property
+    def period_ns(self) -> int:
+        return round(self.period_s * 1_000_000_000)
+
 
 @dataclass(frozen=True)
 class AgentParams:
@@ -414,7 +418,8 @@ class ScenarioResult:
 def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
     net = cfg.network
     start_ns = RUN_EPOCH_NS
-    link = LinkSimulator(net.cells, net.tick_ns, SchedulerKind(cfg.scheduler),
+    link = LinkSimulator(net.cells, tick_ns=net.tick_ns,
+                         scheduler=SchedulerKind(cfg.scheduler),
                          ul_capacity_bps=net.ul_capacity_bps,
                          dl_capacity_bps=net.dl_capacity_bps)
     if cfg.mobility is not None:
@@ -432,7 +437,7 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
                                         load.packet_size_bytes, start_ns=start_ns,
                                         stop_ns=start_ns + cfg.duration_ns),
                         direction) for i in range(load.ue_count)]
-    world = SimWorld(link, base_delay_ns=net.base_delay_ns, start_ns=start_ns,
+    world = SimWorld(link, start_ns=start_ns,
                      cbr_sources=[src for src, _ in background])
 
     def clock_for(name: str) -> DriftingClock:
@@ -443,7 +448,7 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
 
     def provider_for(name: str, clock: DriftingClock) -> OffsetProvider:
         p = getattr(cfg.agents, name).ntp
-        return OffsetProvider(clock, period_ns=round(p.period_s * 1e9),
+        return OffsetProvider(clock, period_ns=p.period_ns,
                               noise_bound_ns=p.noise_bound_ns,
                               rng_seed=derive_seed(cfg.seed, f"ntp-{name}"))
 
@@ -462,8 +467,9 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
     sensor_cell = net.cells[0].cell_id
     # the pipeline adds the application flows, so they come before the
     # background flows in the link's flow order
-    pipeline = SimPipeline(world, link, sensor, relay, vehicle,
-                           sensor_cell=sensor_cell, ack_ratio=net.ack_ratio)
+    pipeline = SimPipeline(world, sensor, relay, vehicle,
+                           sensor_cell=sensor_cell, ack_ratio=net.ack_ratio,
+                           base_delay_ns=net.base_delay_ns)
     for src, direction in background:
         link.add_flow(src.flow_id, direction, PriorityClass.BACKGROUND,
                       sensor_cell, cfg.load.queue_cap_bytes)
@@ -541,7 +547,7 @@ def _run_real(cfg: ScenarioConfig) -> ScenarioResult:
                     break
                 time.sleep(0.01)
             else:
-                sent = run_real_sensor(broker.host, broker.port,
+                sent = run_real_sensor(broker.host, broker.port, stop=stop,
                                        frame_size_bytes=cfg.message.size_bytes,
                                        rate_hz=cfg.message.rate_hz,
                                        duration_s=cfg.duration_s,

@@ -27,6 +27,7 @@ from cv2x_bench.clockmodel import (DriftingClock, OffsetProvider,
                                    corrected_latency_ul)
 from cv2x_bench.netem import HandoverEvent
 from cv2x_bench.scenario import config_from_obj, run_scenario
+from config_defaults import NTP_PERIOD_NS, PROCESSING
 
 MS = 1_000_000
 
@@ -50,7 +51,7 @@ def test_sensor_rate_times_duration_messages():
 
 def test_sensor_offered_load_arithmetic():
     clock = DriftingClock()
-    provider = OffsetProvider(clock)
+    provider = OffsetProvider(clock, period_ns=NTP_PERIOD_NS)
     sensor20 = SimSensor(1, 10_000, 20.0, 10_000_000_000, clock, provider)
     assert sensor20.n_messages == 200
 
@@ -58,7 +59,8 @@ def test_sensor_offered_load_arithmetic():
 def test_sensor_rejects_undersized_frames():
     clock = DriftingClock()
     with pytest.raises(ValueError):
-        SimSensor(1, 50, 10.0, 1_000_000_000, clock, OffsetProvider(clock))
+        SimSensor(1, 50, 10.0, 1_000_000_000, clock,
+                  OffsetProvider(clock, period_ns=NTP_PERIOD_NS))
 
 
 def test_stamps_follow_pipeline_order():
@@ -100,7 +102,8 @@ def test_relay_zero_processing_is_pure_proxy():
 def test_relay_recomputes_checksum_after_stamping():
     # the relay stamps the message in place; its frame is encoded afresh
     clock = DriftingClock()
-    relay = SimRelay(clock, OffsetProvider(clock))
+    relay = SimRelay(clock, OffsetProvider(clock, period_ns=NTP_PERIOD_NS),
+                     PROCESSING)
     msg = relay.forward(relay.receive(protocol.V2XMessage(seq=3, t1=9), 100), 200)
     assert (msg.t1, msg.t2, msg.t3) == (9, 100, 200)
     assert relay.forwarded == 1
@@ -195,7 +198,8 @@ def test_real_relay_drops_a_corrupt_frame():
     stop = threading.Event()
     with Broker() as broker:
         thread, result = _run_agent_thread(run_real_relay, host=broker.host,
-                                           port=broker.port, stop=stop)
+                                           port=broker.port, stop=stop,
+                                           processing=PROCESSING)
         try:
             _wait_for(lambda: broker.subscriber_count(UPLINK_TOPIC) == 1)
             with BrokerClient(broker.host, broker.port) as pub:
@@ -261,8 +265,8 @@ def test_real_sensor_reconnects_to_a_restarted_broker():
     with Broker() as broker:
         host, port = broker.host, broker.port
         thread, result = _run_agent_thread(
-            run_real_sensor, host=host, port=port, frame_size_bytes=1000,
-            rate_hz=100.0, duration_s=1.0)
+            run_real_sensor, host=host, port=port, stop=threading.Event(),
+            frame_size_bytes=1000, rate_hz=100.0, duration_s=1.0)
         time.sleep(0.3)
     time.sleep(0.3)
     with Broker(host, port):
@@ -278,8 +282,9 @@ def test_real_and_sim_sensors_build_the_same_frames():
     with Broker() as broker, BrokerClient(broker.host, broker.port) as sub:
         sub.subscribe(UPLINK_TOPIC)
         _wait_for(lambda: broker.subscriber_count(UPLINK_TOPIC) == 1)
-        sent = run_real_sensor(broker.host, broker.port, frame_size_bytes=10_000,
-                               rate_hz=100.0, duration_s=0.05, payload_seed=9)
+        sent = run_real_sensor(broker.host, broker.port, stop=threading.Event(),
+                               frame_size_bytes=10_000, rate_hz=100.0,
+                               duration_s=0.05, payload_seed=9)
         real = [protocol.decode(sub.recv_message(timeout=5.0)[1])
                 for _ in range(sent)]
     sim = SimSensor(1, 10_000, 100.0, 50 * MS, DriftingClock(),
@@ -339,7 +344,8 @@ def test_real_relay_raises_on_a_malformed_envelope():
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
         with pytest.raises(TransportError, match="not UTF-8"):
-            run_real_relay(*server.getsockname(), stop=threading.Event())
+            run_real_relay(*server.getsockname(), stop=threading.Event(),
+                           processing=PROCESSING)
         thread.join(timeout=5.0)
     assert not thread.is_alive()
 

@@ -350,6 +350,37 @@ def test_sigterm_ends_the_vehicle_with_its_log_written(tmp_path):
     assert len(lines) == 20
 
 
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                         ids=["SIGINT", "SIGTERM"])
+def test_a_signal_ends_the_sensor_with_the_count_it_sent(signum):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    received = 0
+    with Broker() as broker, BrokerClient(broker.host, broker.port) as sub:
+        sub.subscribe("UL")
+        _wait_for(lambda: broker.subscriber_count("UL") == 1)
+        # 1,000 frames over 10 s, unless a signal ends it
+        sensor = subprocess.Popen(
+            [sys.executable, "-m", "cv2x_bench.cli", "sensor", "--connect",
+             f"{broker.host}:{broker.port}", "--rate", "100", "--duration", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        try:
+            # the sensor installs its handlers before its first publish
+            while received < 20:
+                assert sub.recv_message(timeout=5.0) is not None
+                received += 1
+            sensor.send_signal(signum)
+            out, err = sensor.communicate(timeout=10.0)
+        finally:
+            sensor.kill()
+        # the frames it published before it ended
+        while sub.recv_message(timeout=1.0) is not None:
+            received += 1
+    assert sensor.returncode == 0, err
+    assert out == f"sensor sent {received} frames\n"
+    assert received < 1000
+
+
 def test_matrix_writes_stats_and_a_log_per_cell(tmp_path, capsys):
     config = tmp_path / "matrix.json"
     cells = [{"name": "bl-noload", "scheduler": "BL",

@@ -13,24 +13,26 @@ from cv2x_bench.netem import (Cell, Direction, HandoverEvent,
                               InvariantViolation, LinkSimulator, MobilityRoute,
                               PriorityClass, SchedulerKind, SimWorld,
                               apply_handover)
+from config_defaults import (HYSTERESIS_M, INTERRUPTION_NS, QUEUE_CAP_BYTES,
+                             TICK_NS, make_link)
 
 MS = 1_000_000
 UL, DL = Direction.UPLINK, Direction.DOWNLINK
 APP, BG = PriorityClass.APPLICATION, PriorityClass.BACKGROUND
 
 
-def test_tick_budget_defaults():
-    assert LinkSimulator([Cell(1)], 2_500_000).budgets == {UL: 100_000, DL: 325_000}
+def test_tick_budgets_of_the_config_defaults():
+    assert make_link([Cell(1)]).budgets == {UL: 100_000, DL: 325_000}
     with pytest.raises(ValueError, match="UL capacity gives 0 bits"):
-        LinkSimulator([Cell(1)], 0)
+        make_link([Cell(1)], tick_ns=0)
     # 400 bps fills one bit per 2.5 ms tick, 399 bps none
     with pytest.raises(ValueError, match="DL capacity gives 0 bits"):
-        LinkSimulator([Cell(1)], dl_capacity_bps=399)
-    assert LinkSimulator([Cell(1)], dl_capacity_bps=400).budgets[DL] == 1
+        make_link([Cell(1)], dl_capacity_bps=399)
+    assert make_link([Cell(1)], dl_capacity_bps=400).budgets[DL] == 1
 
 
 def _one_cell_link(scheduler: SchedulerKind) -> LinkSimulator:
-    return LinkSimulator([Cell(1)], scheduler=scheduler)
+    return make_link([Cell(1)], scheduler=scheduler)
 
 
 @pytest.mark.parametrize("rate_bps,first,flows", [
@@ -49,7 +51,7 @@ def test_an_application_packet_and_a_source_run_tied_on_time_and_rank(
         rate_bps, first, flows):
     link = _one_cell_link(SchedulerKind.BL)
     for flow_id in flows:
-        link.add_flow(flow_id, UL, APP if flow_id == "a" else BG, 1)
+        link.add_flow(flow_id, UL, APP if flow_id == "a" else BG, 1, QUEUE_CAP_BYTES)
     src = CbrPacketSource("bg", rate_bps, 100)
     link.event_rank = 0
     link.enqueue("a", 8000, 0)
@@ -80,7 +82,7 @@ def test_only_background_flows_need_a_positive_queue_cap():
 
 def test_ap_serves_application_first():
     link = _one_cell_link(SchedulerKind.AP)
-    link.add_flow("app", UL, APP, 1)
+    link.add_flow("app", UL, APP, 1, None)
     link.add_flow("bg", UL, BG, 1, 10_000_000)
     link.enqueue("bg", 1_000_000, 0)
     link.enqueue("app", 16_000, 0)
@@ -93,7 +95,7 @@ def test_ap_serves_application_first():
 
 def test_ap_background_residual_split_fairly():
     link = _one_cell_link(SchedulerKind.AP)
-    link.add_flow("app", UL, APP, 1)
+    link.add_flow("app", UL, APP, 1, None)
     link.add_flow("bg0", UL, BG, 1, 10_000_000)
     link.add_flow("bg1", UL, BG, 1, 10_000_000)
     link.enqueue("bg0", 1_000_000, 0)
@@ -115,7 +117,7 @@ def test_ap_background_residual_split_fairly():
 ], ids=["remainder-to-first", "short-flow-empties"])
 def test_ap_water_fill_splits_the_residual_max_min_fair(app_bits, backlogs, served):
     link = _one_cell_link(SchedulerKind.AP)  # 100,000 bits a tick uplink
-    link.add_flow("app", UL, APP, 1)
+    link.add_flow("app", UL, APP, 1, None)
     for i, bits in enumerate(backlogs):
         link.add_flow(f"bg{i}", UL, BG, 1, 10_000_000)
         link.enqueue(f"bg{i}", bits, 0)
@@ -129,7 +131,7 @@ def test_bl_work_conserving_when_application_arrives_first():
     # the application packet is older than the backlog, so it drains fully
     # and the residual budget goes to the background queue
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow("app", UL, APP, 1)
+    link.add_flow("app", UL, APP, 1, None)
     link.add_flow("bg", UL, BG, 1, 10_000_000)
     link.enqueue("app", 16_000, 0)
     link.enqueue("bg", 1_000_000, 0)
@@ -142,7 +144,7 @@ def test_bl_is_arrival_ordered_best_effort():
     # under BL there is no QoS differentiation: earlier background bytes
     # delay the application packet
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow("app", UL, APP, 1)
+    link.add_flow("app", UL, APP, 1, None)
     link.add_flow("bg", UL, BG, 1, 10_000_000)
     link.enqueue("bg", 150_000, 0)
     link.enqueue("app", 16_000, 0)
@@ -191,7 +193,7 @@ def test_droppable_tail_drop_on_enqueue_only():
 
 def test_reliable_flow_never_drops():
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow("app", UL, APP, 1)
+    link.add_flow("app", UL, APP, 1, None)
     for i in range(100):
         assert link.enqueue("app", 500_000, 0) is True
     assert link.flows["app"].dropped_bits == 0
@@ -199,7 +201,7 @@ def test_reliable_flow_never_drops():
 
 def test_conservation_counters_hold_across_ticks():
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow("app", UL, APP, 1)
+    link.add_flow("app", UL, APP, 1, None)
     link.add_flow("bg", UL, BG, 1, 50_000)
     for tick in range(50):
         t = tick * link.tick_ns
@@ -212,7 +214,7 @@ def test_conservation_counters_hold_across_ticks():
 
 def test_invariant_checks_are_live():
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow("app", UL, APP, 1)
+    link.add_flow("app", UL, APP, 1, None)
     link.enqueue("app", 10_000, 0)
     link.flows["app"].backlog_bits += 1  # corrupt the accounting
     with pytest.raises(InvariantViolation):
@@ -224,7 +226,7 @@ def test_invariant_checks_are_live():
 
 def test_service_over_the_budget_raises(monkeypatch):
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow("app", UL, APP, 1)
+    link.add_flow("app", UL, APP, 1, None)
     link.enqueue("app", 10_000, 0)
     serve_fifo = netem._serve_fifo
 
@@ -239,7 +241,7 @@ def test_service_over_the_budget_raises(monkeypatch):
 
 def test_unbalanced_flow_accounting_raises():
     link = _one_cell_link(SchedulerKind.BL)
-    link.add_flow("app", UL, APP, 1)
+    link.add_flow("app", UL, APP, 1, None)
     link.enqueue("app", 10_000, 0)
     link.flows["app"].offered_bits += 1  # one bit offered but never queued
     with pytest.raises(InvariantViolation, match="conservation broken for flow app"):
@@ -258,8 +260,8 @@ def test_a_backlog_over_the_queue_cap_raises():
 
 def test_background_served_past_a_waiting_application_raises():
     link = _one_cell_link(SchedulerKind.AP)
-    link.add_flow("app", UL, APP, 1)
-    link.add_flow("bg", UL, BG, 1)
+    link.add_flow("app", UL, APP, 1, None)
+    link.add_flow("bg", UL, BG, 1, QUEUE_CAP_BYTES)
     link.enqueue("app", 8_000, 0)
     link.enqueue("bg", 2 * link.budgets[UL], 0)
     # bits that no packet carries: the application queue seems to wait
@@ -278,7 +280,9 @@ TWO_CELLS = [Cell(1, (0.0, 0.0)), Cell(2, (200.0, 0.0))]
 
 def test_route_near_one_cell_yields_no_events():
     route = MobilityRoute(((0, 10.0, 0.0), (10_000_000_000, 20.0, 0.0)))
-    assert apply_handover(route, TWO_CELLS) == (1, [])
+    assert apply_handover(route, TWO_CELLS, hysteresis_m=HYSTERESIS_M,
+                          interruption_ns=INTERRUPTION_NS,
+                          sample_ns=TICK_NS) == (1, [])
 
 
 def test_straight_route_emits_one_event_at_hysteresis_crossing():
@@ -302,8 +306,8 @@ def test_empty_route_rejected():
 
 
 def test_no_service_to_suspended_terminal_inside_window():
-    link = LinkSimulator(TWO_CELLS, scheduler=SchedulerKind.BL)
-    link.add_flow("dl", DL, APP, None)
+    link = make_link(TWO_CELLS, scheduler=SchedulerKind.BL)
+    link.add_flow("dl", DL, APP, None, None)
     event = HandoverEvent(time_ns=10 * link.tick_ns, from_cell=2, to_cell=1,
                           interruption_ns=20 * link.tick_ns)
     link.set_mobility(2, [event])
@@ -321,9 +325,9 @@ def test_no_service_to_suspended_terminal_inside_window():
 def test_a_flow_with_a_cell_is_served_through_a_handover():
     # the vehicle leaves cell 2 at 0 and is out of service for 10 ticks;
     # the flow fixed to cell 2 is not, the one that follows the vehicle is
-    link = LinkSimulator(TWO_CELLS, scheduler=SchedulerKind.BL)
-    link.add_flow("ul", UL, APP, 2)
-    link.add_flow("dl", DL, APP, None)
+    link = make_link(TWO_CELLS, scheduler=SchedulerKind.BL)
+    link.add_flow("ul", UL, APP, 2, None)
+    link.add_flow("dl", DL, APP, None, None)
     link.set_mobility(2, [HandoverEvent(time_ns=0, from_cell=2, to_cell=1,
                                         interruption_ns=10 * link.tick_ns)])
     link.enqueue("ul", 8_000, 0)
@@ -334,8 +338,8 @@ def test_a_flow_with_a_cell_is_served_through_a_handover():
 def test_serving_cell_timeline():
     # a handover at tick 4 with no interruption: cell 2 serves the terminal
     # up to tick 3, and cell 1 from tick 4 on
-    link = LinkSimulator(TWO_CELLS)
-    link.add_flow("dl", DL, APP, None)
+    link = make_link(TWO_CELLS)
+    link.add_flow("dl", DL, APP, None, None)
     link.set_mobility(2, [HandoverEvent(time_ns=4 * link.tick_ns, from_cell=2,
                                         to_cell=1, interruption_ns=0)])
     cells = []
@@ -350,9 +354,9 @@ def test_serving_cell_timeline():
 def _run_world_with_cbr(rate_bps: int, until_ns: int):
     """Application packets sharing a BL uplink with CBR background load;
     returns the deliveries, each flow's accounting and the ticks run."""
-    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL)
+    link = make_link([Cell(1)], scheduler=SchedulerKind.BL)
     link.add_flow("bg", UL, BG, 1, 10_000_000)
-    link.add_flow("app", UL, APP, 1)
+    link.add_flow("app", UL, APP, 1, None)
     world = SimWorld(link, cbr_sources=[CbrPacketSource("bg", rate_bps, 1400)])
     deliveries = []
     world.on_delivery = deliveries.append
@@ -379,8 +383,8 @@ def test_same_config_produces_identical_deliveries():
 def test_idle_link_latency_is_alignment_plus_constant():
     # 1 kB frames at 10 Hz on an idle uplink: every packet is delivered at
     # the end of its arrival tick, i.e. within one tick of slot alignment
-    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL)
-    link.add_flow("app", UL, APP, 1)
+    link = make_link([Cell(1)], scheduler=SchedulerKind.BL)
+    link.add_flow("app", UL, APP, 1, None)
     world = SimWorld(link)
     delays = []
     world.on_delivery = lambda d: delays.append(d.delivery_ns - d.enqueue_ns)
@@ -397,7 +401,7 @@ def test_idle_link_latency_is_alignment_plus_constant():
 
 
 def test_schedule_in_the_past_rejected():
-    world = SimWorld(LinkSimulator([Cell(1)]))
+    world = SimWorld(make_link([Cell(1)]))
     world.run_tick()
     with pytest.raises(ValueError):
         world.schedule(0, lambda t: None)
@@ -405,15 +409,15 @@ def test_schedule_in_the_past_rejected():
 
 def test_an_event_schedules_nothing_before_itself():
     # both times fall in the first 2.5 ms tick, whose start stays at 0
-    world = SimWorld(LinkSimulator([Cell(1)]))
+    world = SimWorld(make_link([Cell(1)]))
     world.schedule(2 * MS, lambda t: world.schedule(1 * MS, lambda t: None))
     with pytest.raises(ValueError, match=f"at {1 * MS} before now {2 * MS}"):
         world.run_tick()
 
 
 def test_a_delivery_schedules_nothing_before_itself():
-    link = LinkSimulator([Cell(1)])
-    link.add_flow("app", UL, APP, 1)
+    link = make_link([Cell(1)])
+    link.add_flow("app", UL, APP, 1, None)
     world = SimWorld(link)
     world.on_delivery = lambda d: world.schedule(d.delivery_ns - 1, print)
     link.enqueue("app", 8_000, 0)
@@ -422,7 +426,7 @@ def test_a_delivery_schedules_nothing_before_itself():
 
 
 def test_an_event_may_schedule_at_its_own_time():
-    world = SimWorld(LinkSimulator([Cell(1)]))
+    world = SimWorld(make_link([Cell(1)]))
     fired: list[tuple[str, int]] = []
 
     def parent(t: int) -> None:

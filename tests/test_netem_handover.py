@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from cv2x_bench import netem, scenario
 from cv2x_bench.netem import (Cell, HandoverEvent, LinkSimulator,
                               MobilityRoute, apply_handover)
+from config_defaults import HYSTERESIS_M, INTERRUPTION_NS, TICK_NS, make_link
 from shipped_matrix import shipped_matrix
 
 
@@ -37,9 +38,9 @@ def position_at(route: MobilityRoute, time_ns: int) -> tuple[float, float]:
 
 
 def reference_apply_handover(route: MobilityRoute, cells: list[Cell],
-                             hysteresis_m: float = 5.0,
-                             interruption_ns: int = 50_000_000,
-                             sample_ns: int = 2_500_000) -> list[HandoverEvent]:
+                             hysteresis_m: float = HYSTERESIS_M,
+                             interruption_ns: int = INTERRUPTION_NS,
+                             sample_ns: int = TICK_NS) -> list[HandoverEvent]:
     if len(cells) < 2:
         raise ValueError("handover needs at least two cells")
     if sample_ns <= 0:
@@ -118,7 +119,8 @@ def test_switch_on_an_interior_waypoint(hysteresis):
     # at t = 10 the route is at its waypoint x = 60, 40 m from cell 2
     cells = [Cell(1, (0.0, 0.0)), Cell(2, (100.0, 0.0))]
     route = MobilityRoute(((0, 0.0, 0.0), (10, 60.0, 0.0), (20, 100.0, 0.0)))
-    _, events = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=5)
+    _, events = apply_handover(route, cells, hysteresis_m=hysteresis,
+                               interruption_ns=INTERRUPTION_NS, sample_ns=5)
     assert events == reference_apply_handover(route, cells, hysteresis_m=hysteresis,
                                               sample_ns=5)
     assert [(e.time_ns, e.from_cell, e.to_cell) for e in events] == [(10, 1, 2)]
@@ -131,7 +133,8 @@ def test_interior_waypoint_is_interpolated_not_copied():
     cells = [Cell(1, (0.9 - 0.6, 0.0)), Cell(2, (0.9 + 0.6, 0.0))]
     route = MobilityRoute(((0, 0.3, 0.0), (10, 0.9, 0.0), (20, 2.1, 0.0)))
     assert position_at(route, 10)[0] > 0.9
-    _, events = apply_handover(route, cells, hysteresis_m=0.0, sample_ns=5)
+    _, events = apply_handover(route, cells, hysteresis_m=0.0,
+                               interruption_ns=INTERRUPTION_NS, sample_ns=5)
     assert events == reference_apply_handover(route, cells, hysteresis_m=0.0,
                                               sample_ns=5)
     assert [e.time_ns for e in events] == [10]
@@ -142,14 +145,16 @@ def test_a_margin_equal_to_the_hysteresis_does_not_switch(hysteresis, switch_ns)
     # x = t exactly; at x = 64 + hysteresis / 2 the margin equals the hysteresis
     cells = [Cell(1, (0.0, 0.0)), Cell(2, (128.0, 0.0))]
     route = MobilityRoute(((0, 0.0, 0.0), (128, 128.0, 0.0)))
-    _, events = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=1)
+    _, events = apply_handover(route, cells, hysteresis_m=hysteresis,
+                               interruption_ns=INTERRUPTION_NS, sample_ns=1)
     assert [(e.time_ns, e.from_cell, e.to_cell) for e in events] == [(switch_ns, 1, 2)]
 
 
 def test_single_waypoint_route_has_no_events():
     cells = [Cell(1), Cell(2, (1.0, 0.0))]
     route = MobilityRoute(((5, 0.9, 0.0),))
-    assert apply_handover(route, cells, hysteresis_m=0.0, sample_ns=1) == (2, [])
+    assert apply_handover(route, cells, hysteresis_m=0.0,
+                          interruption_ns=INTERRUPTION_NS, sample_ns=1) == (2, [])
 
 
 def _counting_nearest(monkeypatch) -> list[int]:
@@ -271,7 +276,8 @@ def test_margins_that_reach_the_hysteresis_on_a_sample():
     rng = random.Random(14)
     for case in range(400):
         route, cells, hysteresis = _zero_margin_case(rng)
-        _, got = apply_handover(route, cells, hysteresis_m=hysteresis, sample_ns=1)
+        _, got = apply_handover(route, cells, hysteresis_m=hysteresis,
+                                interruption_ns=INTERRUPTION_NS, sample_ns=1)
         want = reference_apply_handover(route, cells, hysteresis_m=hysteresis,
                                         sample_ns=1)
         assert got == want, f"case {case}"
@@ -281,7 +287,8 @@ def test_stationary_segment_is_skipped_to_its_end(monkeypatch):
     cells = [Cell(1, (0.0, 0.0)), Cell(2, (100.0, 0.0)), Cell(3, (50.0, 80.0))]
     route = MobilityRoute(((0, 10.0, 0.0), (10_000, 10.0, 0.0), (10_100, 90.0, 0.0)))
     calls = _counting_nearest(monkeypatch)
-    _, events = apply_handover(route, cells, hysteresis_m=5.0, sample_ns=1)
+    _, events = apply_handover(route, cells, hysteresis_m=5.0,
+                               interruption_ns=INTERRUPTION_NS, sample_ns=1)
     assert events == reference_apply_handover(route, cells, hysteresis_m=5.0,
                                               sample_ns=1)
     assert [(e.time_ns, e.from_cell, e.to_cell) for e in events] == [(10_054, 1, 2)]
@@ -351,10 +358,10 @@ def test_segment_state_matches_the_per_tick_lookups(steps, phase, rng, data):
     # ticks of 10 ns from phase on; events on tick edges or anywhere, or
     # back to back, with interruptions of none, under a tick or several
     tick = 10
-    link = LinkSimulator([Cell(1), Cell(2)], tick_ns=tick,
-                         ul_capacity_bps=10**9, dl_capacity_bps=10**9)
+    link = make_link([Cell(1), Cell(2)], tick_ns=tick,
+                     ul_capacity_bps=10**9, dl_capacity_bps=10**9)
     link.add_flow("dl", netem.Direction.DOWNLINK, netem.PriorityClass.APPLICATION,
-                  None)
+                  None, None)
     events, t, end, cell = [], phase, phase, 2
     for kind, gap, interruption in steps:
         if kind == "edge":
@@ -377,6 +384,6 @@ def test_segment_state_matches_the_per_tick_lookups(steps, phase, rng, data):
 
 
 def test_negative_interruption_is_refused():
-    link = LinkSimulator([Cell(1), Cell(2)])
+    link = make_link([Cell(1), Cell(2)])
     with pytest.raises(ValueError, match="negative"):
         link.set_mobility(1, [HandoverEvent(10, 1, 2, -1)])

@@ -24,15 +24,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cv2x_bench import netem
 from cv2x_bench.loadgen import CbrPacketSource
 from cv2x_bench.netem import (Cell, Direction, HandoverEvent,
-                              LinkSimulator, PriorityClass, SchedulerKind,
-                              SimWorld)
+                              InvariantViolation, LinkSimulator, PriorityClass,
+                              SchedulerKind, SimWorld)
+from config_defaults import BASE_DELAY_NS, QUEUE_CAP_BYTES, TICK_NS, make_link
 from per_packet import accounting
 
-TICK = 2_500_000
+TICK = TICK_NS
 TICKS = 400
-BASE_DELAY = 2_000_000
 
 
 class Source(NamedTuple):
@@ -127,16 +128,16 @@ def _random_params(scheduler: SchedulerKind, seed: int) -> Params:
 
 
 def _build(params: Params):
-    link = LinkSimulator([Cell(1), Cell(2)], scheduler=params.scheduler,
-                         ul_capacity_bps=params.ul_capacity_bps,
-                         dl_capacity_bps=params.dl_capacity_bps)
-    link.add_flow("app-ul", Direction.UPLINK, PriorityClass.APPLICATION, 1)
-    link.add_flow("app-dl", Direction.DOWNLINK, PriorityClass.APPLICATION, None)
+    link = make_link([Cell(1), Cell(2)], scheduler=params.scheduler,
+                     ul_capacity_bps=params.ul_capacity_bps,
+                     dl_capacity_bps=params.dl_capacity_bps)
+    link.add_flow("app-ul", Direction.UPLINK, PriorityClass.APPLICATION, 1, None)
+    link.add_flow("app-dl", Direction.DOWNLINK, PriorityClass.APPLICATION, None, None)
     link.set_mobility(1, params.handovers)
     for src in params.sources:
         link.add_flow(src.flow_id, src.direction, PriorityClass.BACKGROUND,
                       src.cell_id, 4 * src.packet_bytes)
-    world = SimWorld(link, base_delay_ns=BASE_DELAY, start_ns=params.start_ns,
+    world = SimWorld(link, start_ns=params.start_ns,
                      cbr_sources=[CbrPacketSource(
                          src.flow_id, src.rate_bps, src.packet_bytes,
                          start_ns=params.start_ns + src.start,
@@ -154,7 +155,7 @@ def _build(params: Params):
         deliveries.append(d)
         # an uplink delivery is answered on the downlink one hop later
         if d.flow_id == "app-ul":
-            world.schedule(d.delivery_ns + BASE_DELAY,
+            world.schedule(d.delivery_ns + BASE_DELAY_NS,
                            partial(app_enqueue, "app-dl", d.size_bits, None))
 
     for offset, flow_id, bits, follow in params.app_events:
@@ -261,8 +262,8 @@ def test_a_background_flow_that_follows_the_terminal_blocks_skipping(scheduler):
 
 
 def test_skip_lands_on_the_tick_of_the_next_event():
-    link = LinkSimulator([Cell(1)])
-    link.add_flow("app", Direction.UPLINK, PriorityClass.APPLICATION, 1)
+    link = make_link([Cell(1)])
+    link.add_flow("app", Direction.UPLINK, PriorityClass.APPLICATION, 1, None)
     world = SimWorld(link, start_ns=7)
     seen = []
     world.on_delivery = seen.append
@@ -275,7 +276,7 @@ def test_skip_lands_on_the_tick_of_the_next_event():
     assert (world.ticks_run, world.ticks_skipped) == (1, 20)
 
 
-def _lone_source(rate_bps: int, cap_bytes: int = 1_000_000,
+def _lone_source(rate_bps: int, cap_bytes: int = QUEUE_CAP_BYTES,
                  stop_ns: int | None = 60 * TICK, until_ns: int = 100 * TICK):
     """One source of 1000-byte packets on a 40 Mbps uplink (100,000 bits a
     tick), its first packet after 40 ticks, run to until_ns through
@@ -283,7 +284,7 @@ def _lone_source(rate_bps: int, cap_bytes: int = 1_000_000,
     flow's (offered, served, dropped, backlog) bits."""
     runs = []
     for skip in (True, False):
-        link = LinkSimulator([Cell(1)])
+        link = make_link([Cell(1)])
         q = link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1,
                           cap_bytes)
         world = SimWorld(link, cbr_sources=[CbrPacketSource(
@@ -327,10 +328,10 @@ def _span_world(start_ns: int, sources, warm_ticks: int):
     (rate_bps, packet_bytes, cap_packets, start offset, stop offset or None,
     cell, direction) feeding its own background flow, stepped `warm_ticks`
     ticks."""
-    link = LinkSimulator([Cell(1), Cell(2)], scheduler=SchedulerKind.AP,
-                         ul_capacity_bps=4_000_000, dl_capacity_bps=8_000_000)
-    link.add_flow("app-ul", Direction.UPLINK, PriorityClass.APPLICATION, 1)
-    link.add_flow("app-dl", Direction.DOWNLINK, PriorityClass.APPLICATION, None)
+    link = make_link([Cell(1), Cell(2)], scheduler=SchedulerKind.AP,
+                     ul_capacity_bps=4_000_000, dl_capacity_bps=8_000_000)
+    link.add_flow("app-ul", Direction.UPLINK, PriorityClass.APPLICATION, 1, None)
+    link.add_flow("app-dl", Direction.DOWNLINK, PriorityClass.APPLICATION, None, None)
     cbr_sources = []
     for i, (rate, size, cap, start, stop, cell, direction) in enumerate(sources):
         link.add_flow(f"bg{i}", direction, PriorityClass.BACKGROUND, cell,
@@ -394,3 +395,60 @@ def test_an_ap_span_matches_stepping_tick_by_tick(start_ns, sources, warm_ticks,
     assert _queued_runs(link) == _queued_runs(want_link)
     assert _carried(world) == _carried(want_world)
     assert world.now_ns == want_world.now_ns
+
+
+# each per-tick check of _advance_span raises on state that breaks only it,
+# from inside a span: the other checks hold, so a span without that check
+# raises nothing, and no tick of these worlds is run another way
+
+def _overloaded_span():
+    """An AP world whose one source offers twice the uplink's 10,000 bits a
+    tick, stepped until its queue holds backlog and then advanced as a span;
+    returns the world and the source's flow."""
+    world, link = _span_world(0, [(8_000_000, 1000, 12, 0, None, 1,
+                                   Direction.UPLINK)], warm_ticks=4)
+    world.run_until(world.now_ns + 4 * TICK)
+    assert (world.ticks_run, world.ticks_skipped) == (4, 4)
+    return world, link.flows["bg0"]
+
+
+def _raises_in_a_span(world: SimWorld, match: str) -> None:
+    ticks = (world.ticks_run, world.ticks_skipped)
+    with pytest.raises(InvariantViolation, match=match) as excinfo:
+        world.run_until(world.now_ns + 4 * TICK)
+    assert (world.ticks_run, world.ticks_skipped) == ticks
+    assert "_advance_span" in [entry.name for entry in excinfo.traceback]
+
+
+def test_a_span_serving_over_the_budget_raises(monkeypatch):
+    world, _ = _overloaded_span()
+    serve = netem._serve_waterfill
+
+    def over_reported(queues, budget, completed):
+        return serve(queues, budget, completed) + budget
+
+    monkeypatch.setattr(netem, "_serve_waterfill", over_reported)
+    _raises_in_a_span(world, "over budget")
+
+
+def test_a_span_leaving_budget_unserved_raises(monkeypatch):
+    world, _ = _overloaded_span()
+    serve = netem._serve_waterfill
+
+    def one_bit_short(queues, budget, completed):
+        return serve(queues, budget - 1, completed)
+
+    monkeypatch.setattr(netem, "_serve_waterfill", one_bit_short)
+    _raises_in_a_span(world, "work conservation broken")
+
+
+def test_unbalanced_accounting_in_a_span_raises():
+    world, q = _overloaded_span()
+    q.offered_bits += 1  # one bit offered but never queued
+    _raises_in_a_span(world, "conservation broken for flow bg0")
+
+
+def test_a_backlog_over_the_cap_in_a_span_raises():
+    world, q = _overloaded_span()
+    q.cap_bits = world.link.budgets[Direction.UPLINK]  # below the backlog left
+    _raises_in_a_span(world, "queue cap exceeded for flow bg0")

@@ -26,9 +26,10 @@ from cv2x_bench.netem import (Cell, Delivery, Direction,
                               LinkSimulator, PriorityClass, SchedulerKind,
                               SimWorld)
 
+from config_defaults import QUEUE_CAP_BYTES, TICK_NS, make_link
 from per_packet import PerPacketWorld, accounting
 
-TICK = 2_500_000
+TICK = TICK_NS
 TICKS = 120
 APP_FLOWS = {"app-ul": Direction.UPLINK, "app-dl": Direction.DOWNLINK}
 
@@ -135,9 +136,9 @@ def _app_events(rng: random.Random,
 def _run(params: Params, world_cls) -> tuple[list, list, LinkSimulator, int]:
     """Per-tick accounting, per-tick application deliveries, the link, and
     the number of enqueue_run calls."""
-    link = LinkSimulator([Cell(1)], scheduler=params.scheduler,
-                         ul_capacity_bps=params.ul_capacity_bps,
-                         dl_capacity_bps=params.dl_capacity_bps)
+    link = make_link([Cell(1)], scheduler=params.scheduler,
+                     ul_capacity_bps=params.ul_capacity_bps,
+                     dl_capacity_bps=params.dl_capacity_bps)
     runs = 0
     enqueue_run = link.enqueue_run
 
@@ -148,7 +149,7 @@ def _run(params: Params, world_cls) -> tuple[list, list, LinkSimulator, int]:
 
     link.enqueue_run = counted_enqueue_run
     for flow_id, direction in APP_FLOWS.items():
-        link.add_flow(flow_id, direction, PriorityClass.APPLICATION, 1)
+        link.add_flow(flow_id, direction, PriorityClass.APPLICATION, 1, None)
     for s in params.sources:
         link.add_flow(s.flow_id, s.direction, PriorityClass.BACKGROUND, 1, s.cap_bytes)
     world = world_cls(link, cbr_sources=[s.build() for s in params.sources])
@@ -213,10 +214,11 @@ def test_identical_sources_alternate_packet_by_packet():
     # two sources at one rate arrive at the same instants; each source's
     # arrivals of a tick are one run, and BL serves the two in turn, the
     # first source first at each instant
-    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
-                         ul_capacity_bps=4_000_000)
+    link = make_link([Cell(1)], scheduler=SchedulerKind.BL,
+                     ul_capacity_bps=4_000_000)
     for i in range(2):
-        link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1)
+        link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1,
+                      QUEUE_CAP_BYTES)
     world = SimWorld(link, cbr_sources=[CbrPacketSource(f"bg{i}", 8_000_000, 1000)
                                         for i in range(2)])
 
@@ -233,8 +235,8 @@ def test_identical_sources_alternate_packet_by_packet():
 
 
 def test_single_source_tick_is_one_run():
-    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
-                         ul_capacity_bps=400)
+    link = make_link([Cell(1)], scheduler=SchedulerKind.BL,
+                     ul_capacity_bps=400)
     world = SimWorld(link, cbr_sources=[CbrPacketSource("bg", 40_000_000, 1400)])
     link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1, 10_000)
     world.run_tick()
@@ -250,9 +252,9 @@ def test_application_packets_and_runs_never_merge():
     # size are numbered 2 to 4, so by packet numbers alone the run would
     # extend it; neither a run nor a packet merges into an application
     # packet, and a packet never merges into a run
-    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
-                         ul_capacity_bps=1_000_000)
-    link.add_flow("ue", Direction.UPLINK, PriorityClass.APPLICATION, 1)
+    link = make_link([Cell(1)], scheduler=SchedulerKind.BL,
+                     ul_capacity_bps=1_000_000)
+    link.add_flow("ue", Direction.UPLINK, PriorityClass.APPLICATION, 1, None)
     src = CbrPacketSource("ue", 800_000, 100)  # 800-bit packets
     assert link.enqueue("ue", 800, 5, meta={"tag": "first"}) is True
     assert link.enqueue_run(src, 0, 2, 5) == 3
@@ -273,8 +275,8 @@ def test_application_packets_and_runs_never_merge():
 def test_tail_drop_at_the_cap_boundary():
     # an 80,000-bit cap: a packet or run that fills it exactly is kept, one
     # bit more is dropped, for single packets and for runs alike
-    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
-                         ul_capacity_bps=400)
+    link = make_link([Cell(1)], scheduler=SchedulerKind.BL,
+                     ul_capacity_bps=400)
     link.add_flow("bg", Direction.UPLINK, PriorityClass.BACKGROUND, 1, 10_000)
     assert link.enqueue("bg", 40_000, 0) is True
     assert link.enqueue("bg", 40_001, 0) is False
@@ -289,13 +291,14 @@ def test_tail_drop_at_the_cap_boundary():
 def test_arrivals_on_tick_edges_are_enqueued_once():
     # the sources' packets fall on the first and on the last instant of
     # ticks, where an off-by-one window start would drop or repeat one
-    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
-                         ul_capacity_bps=400)
+    link = make_link([Cell(1)], scheduler=SchedulerKind.BL,
+                     ul_capacity_bps=400)
     starts = {"edge-end": TICK - 1, "edge-start": TICK}
     arrived = dict.fromkeys(starts, 0)
     references = []
     for flow_id, start_ns in starts.items():
-        link.add_flow(flow_id, Direction.UPLINK, PriorityClass.BACKGROUND, 1)
+        link.add_flow(flow_id, Direction.UPLINK, PriorityClass.BACKGROUND, 1,
+                      QUEUE_CAP_BYTES)
         references.append(CbrPacketSource(flow_id, 8_000_000, 1250,
                                           start_ns=start_ns))
     world = SimWorld(link, cbr_sources=[
@@ -351,12 +354,13 @@ def passes(monkeypatch) -> list[Pass]:
     return calls
 
 
-def _world(world_cls, ul_capacity_bps: int, sources, cap_bytes: int = 1_000_000):
+def _world(world_cls, ul_capacity_bps: int, sources,
+           cap_bytes: int = QUEUE_CAP_BYTES):
     """A BL uplink with an application flow "app" and one background flow
     per (rate_bps, packet_bytes, start_ns) source, flow "bg<i>"."""
-    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
-                         ul_capacity_bps=ul_capacity_bps)
-    link.add_flow("app", Direction.UPLINK, PriorityClass.APPLICATION, 1)
+    link = make_link([Cell(1)], scheduler=SchedulerKind.BL,
+                     ul_capacity_bps=ul_capacity_bps)
+    link.add_flow("app", Direction.UPLINK, PriorityClass.APPLICATION, 1, None)
     for i in range(len(sources)):
         link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1, cap_bytes)
     return world_cls(link, cbr_sources=[
@@ -544,10 +548,10 @@ def test_bl_serves_every_queued_packet_in_key_order(budget, sources, apps):
     # three rounds of arrivals, the first two served in a tick each: a full
     # queue tail-drops, so the next round starts a run of its own, and a
     # budget that ends inside a packet leaves a partly served head
-    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
-                         ul_capacity_bps=budget * 400)
+    link = make_link([Cell(1)], scheduler=SchedulerKind.BL,
+                     ul_capacity_bps=budget * 400)
     for flow_id in ("app0", "app1"):
-        link.add_flow(flow_id, Direction.UPLINK, PriorityClass.APPLICATION, 1)
+        link.add_flow(flow_id, Direction.UPLINK, PriorityClass.APPLICATION, 1, None)
     feeds = []
     for k, ((size, rate_bps), start_ns, rank, cap, arrivals) in enumerate(sources):
         link.add_flow(f"bg{k}", Direction.UPLINK, PriorityClass.BACKGROUND, 1,
@@ -589,10 +593,11 @@ class CountingSource(CbrPacketSource):
 
 
 def test_consecutive_ticks_count_each_source_once():
-    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL,
-                         ul_capacity_bps=4_000_000)
+    link = make_link([Cell(1)], scheduler=SchedulerKind.BL,
+                     ul_capacity_bps=4_000_000)
     for i in range(2):
-        link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1)
+        link.add_flow(f"bg{i}", Direction.UPLINK, PriorityClass.BACKGROUND, 1,
+                      QUEUE_CAP_BYTES)
     world = SimWorld(link, cbr_sources=[CountingSource(f"bg{i}", 8_000_000, 1000)
                                         for i in range(2)])
     for _ in range(10):
@@ -605,9 +610,10 @@ def test_consecutive_ticks_count_each_source_once():
 
 def test_next_counts_follow_skips_and_steps():
     # sources that fit every tick of a 40 Mbps uplink, so run_until skips
-    link = LinkSimulator([Cell(1)], scheduler=SchedulerKind.BL)
+    link = make_link([Cell(1)], scheduler=SchedulerKind.BL)
     for flow_id in ("a", "b"):
-        link.add_flow(flow_id, Direction.UPLINK, PriorityClass.BACKGROUND, 1)
+        link.add_flow(flow_id, Direction.UPLINK, PriorityClass.BACKGROUND, 1,
+                      QUEUE_CAP_BYTES)
     a = CbrPacketSource("a", 1_000_000, 100)
     b = CbrPacketSource("b", 3_000_000, 125, start_ns=700_000)
     world = SimWorld(link, cbr_sources=[b, a])

@@ -145,9 +145,10 @@ def test_encode_matches_the_reference_frame():
 def test_flags_are_zero_on_freshly_built_frames():
     from cv2x_bench.agents import SimSensor
     from cv2x_bench.clockmodel import DriftingClock, OffsetProvider
+    from config_defaults import NTP_PERIOD_NS
     clock = DriftingClock()
     sensor = SimSensor(1, 200, 10.0, 1_000_000_000, clock,
-                       OffsetProvider(clock))
+                       OffsetProvider(clock, period_ns=NTP_PERIOD_NS))
     msg = sensor.build_frame(1_000)
     assert msg.flags == 0
     assert decode(encode(msg)).flags == 0

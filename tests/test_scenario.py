@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import gc
+import inspect
 import json
 import re
 import time
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cv2x_bench import analysis, netem, protocol, scenario
+from cv2x_bench import agents, analysis, clockmodel, netem, protocol, scenario
 from cv2x_bench.agents import UPLINK_TOPIC
 from cv2x_bench.broker import BrokerClient
 from cv2x_bench.loadgen import CbrPacketSource
@@ -23,6 +24,7 @@ from cv2x_bench.netem import Direction, PriorityClass, SimWorld
 from cv2x_bench.scenario import (ConfigError, config_from_obj, derive_seed,
                                  load_config, load_matrix_config,
                                  resolve_matrix_cells, run_matrix, run_scenario)
+from config_defaults import QUEUE_CAP_BYTES
 from handover import detect_handover_affected
 from per_packet import PerPacketWorld, accounting
 from shipped_matrix import MATRIX_CONFIG, shipped_matrix
@@ -325,6 +327,31 @@ def test_zero_per_tick_budget_names_the_field():
                                           "dl_capacity_bps": 199_999_999}))
 
 
+def test_the_library_declares_no_value_the_config_sets():
+    # _build_sim passes each of these from the resolved config, and the
+    # tests take them from config_defaults: a default here would be a
+    # second declaration, read only where the config is not
+    config_set = [
+        (netem.LinkSimulator, ("tick_ns", "scheduler", "ul_capacity_bps",
+                               "dl_capacity_bps")),
+        (netem.LinkSimulator.add_flow, ("queue_cap_bytes",)),
+        (netem.apply_handover, ("hysteresis_m", "interruption_ns", "sample_ns")),
+        (netem.HandoverEvent, ("interruption_ns",)),
+        (agents.SimPipeline, ("base_delay_ns",)),
+        (clockmodel.OffsetProvider, ("period_ns",)),
+        (agents.SimRelay, ("processing",)),
+        (agents.run_real_relay, ("processing",)),
+    ]
+    defaulted = [f"{target.__qualname__}({name})" for target, names in config_set
+                 for name in names
+                 if inspect.signature(target).parameters[name].default
+                 is not inspect.Parameter.empty]
+    assert defaulted == []
+    # the base delay is the pipeline's alone, and the pipeline's link the world's
+    assert "base_delay_ns" not in inspect.signature(netem.SimWorld).parameters
+    assert "link" not in inspect.signature(agents.SimPipeline).parameters
+
+
 def test_every_cell_is_served_with_the_networks_budget():
     # a "DU" pattern of 1 ms slots is a 2 ms tick
     cfg = config_from_obj(_minimal(network={
@@ -337,7 +364,8 @@ def test_every_cell_is_served_with_the_networks_budget():
     for cell in (1, 2):
         for direction in Direction:
             flow_id = f"x-{direction.value}-{cell}"
-            link.add_flow(flow_id, direction, PriorityClass.BACKGROUND, cell)
+            link.add_flow(flow_id, direction, PriorityClass.BACKGROUND, cell,
+                          QUEUE_CAP_BYTES)
             # ten 8,000-bit packets
             link.enqueue_run(CbrPacketSource(flow_id, 8_000_000, 1000), 0, 0, 10)
     link.run_tick(world.start_ns)
