@@ -282,7 +282,7 @@ def run_real_sensor(host: str, port: int, *, stop: threading.Event,
     schedule, each SimSensor's message padded to frame_size_bytes from
     payload_seed, until all are sent or stop is set; returns the number
     sent.  A failed connect or publish is retried on a new connection with
-    backoff."""
+    backoff, which stop also ends."""
     sensor = SimSensor(source_id, frame_size_bytes, rate_hz,
                        round(duration_s * 1_000_000_000), DriftingClock(),
                        ZeroOffsetProvider())
@@ -308,7 +308,8 @@ def run_real_sensor(host: str, port: int, *, stop: threading.Event,
                     if client is not None:
                         client.close()
                         client = None
-                    time.sleep(0.05 * (2 ** attempt))
+                    if stop.wait(0.05 * (2 ** attempt)):
+                        return sensor.next_seq - 1  # this frame was not sent
             else:
                 raise ConnectionError(
                     f"publish failed after {_PUBLISH_RETRIES} retries")
@@ -334,7 +335,8 @@ def _frames(client: BrokerClient, done: Callable[[], bool]) -> Iterator[bytes]:
 def run_real_relay(host: str, port: int, *, stop: threading.Event,
                    processing: ProcessingDelay) -> tuple[int, int]:
     """Forward uplink frames to the downlink topic until stopped or the
-    broker goes; returns (forwarded, corrupt_drops)."""
+    broker goes; returns (forwarded, corrupt_drops).  A stop during a
+    frame's processing delay ends the relay without forwarding it."""
     relay = SimRelay(DriftingClock(), ZeroOffsetProvider(), processing)
     corrupt_drops = 0
     with BrokerClient(host, port) as client:
@@ -348,8 +350,8 @@ def run_real_relay(host: str, port: int, *, stop: threading.Event,
                 continue
             relay.receive(msg, now_ns)
             delay_ns = relay.processing.sample(relay.rng)
-            if delay_ns > 0:
-                time.sleep(delay_ns / 1e9)
+            if delay_ns > 0 and stop.wait(delay_ns / 1e9):
+                break
             client.publish(DOWNLINK_TOPIC,
                            protocol.encode(relay.forward(msg, time.time_ns())))
     return relay.forwarded, corrupt_drops

@@ -19,8 +19,8 @@ Two scheduler disciplines are provided:
   BL  best-effort baseline: all flows in a direction share one logical
       pipe, served strictly in arrival (key) order (no QoS
       differentiation), so overload traffic queues ahead of application
-      packets.  The pipe is one k-way merge of its queues' heads, packet
-      by packet, until one queue is left to drain.
+      packets.  The pipe is one k-way merge of its queues' heads in key
+      order (see _serve_fifo), until one queue is left to drain.
   AP  absolute priority: application-class queues are drained first, and
       whatever budget remains is split max-min fair across background
       flows.
@@ -311,14 +311,20 @@ class FlowQueue:
 
 
 def _serve_fifo(queues: list[FlowQueue], budget: int,
-                completed: list[Completion]) -> int:
-    """Serve queues as one best-effort pipe, packet by packet in key order:
+                completed: list[Completion], bulk: bool) -> int:
+    """Serve queues as one best-effort pipe, in key order by packet:
     a k-way merge of the queues' heads (Knuth, TAOCP vol. 3, 5.4.1) through
     a heap of (time, rank, number, queue index).  Each pop serves one
     packet, or as much of it as the budget leaves; a queue whose run
     empties goes on with its next entry, and the next packet of a source
     run is keyed by packet_time's formula, written inline for speed, so
     the two must stay equal.  serve_bits drains a lone busy queue.
+
+    With `bulk`, a pop of a source run also serves, in the same step, the
+    run's packets after its head that fit the budget whole and are keyed
+    before the runner-up's head (t2, r2): packet_time < t2, or == t2 at a
+    rank below r2 (count_before's formula, inline).  Each would be the next
+    pop, so the step is exact; the tie check then runs on its last packet.
 
     An application packet and a CBR-source packet of another queue must not
     share a time and a rank: their keys cannot order them, so serving one
@@ -342,10 +348,21 @@ def _serve_fifo(queues: list[FlowQueue], budget: int,
         if bits > left:
             left -= q.serve_bits(left, completed)
             break
+        src = run.src
+        if bulk and src is not None:
+            t2, r2 = min(heap[1:3])[:2]
+            size, per_s = src.packet_bits, src.packet_bits * 1_000_000_000
+            k = min(((t2 - src.start_ns + (rank < r2)) * src.rate_bps - 1)
+                    // per_s + 1 - n, run.count, (left - bits) // size + 1)
+            if k > 1:
+                # packets n .. n + k - 2 are served here, the last one below
+                n += k - 1
+                run.count -= k - 1
+                bits += (k - 1) * size
+                time_ns = src.start_ns + n * per_s // src.rate_bps
         left -= bits
         q.backlog_bits -= bits
         q.served_bits += bits
-        src = run.src
         if run.count > 1:
             n += 1
             run.first = n
@@ -373,9 +390,13 @@ def _serve_fifo(queues: list[FlowQueue], budget: int,
 
 def _serve_waterfill(queues: list[FlowQueue], budget: int,
                      completed: list[Completion]) -> int:
-    """Max-min fair (byte-fair round-robin) split of a budget across flows."""
-    served_total = 0
+    """Max-min fair (byte-fair round-robin) split of a budget across flows.
+    A lone active flow is served min(budget, backlog) in one call, as the
+    first round would, and no later round serves anything."""
     active = [q for q in queues if q.backlog_bits > 0]
+    if len(active) == 1:
+        return active[0].serve_bits(min(budget, active[0].backlog_bits), completed)
+    served_total = 0
     while budget > 0 and active:
         share = budget // len(active)
         if share == 0:
@@ -399,13 +420,14 @@ class _FlowGroup:
     """One direction of one cell: its per-tick bit budget and the flows it
     may serve.  `views[serving == cell_id and not suspended]` holds, in
     flow order, the flows eligible in a tick, as (all, application class,
-    background class): index 0 only the flows fixed to this cell, index 1
-    also those that follow the mobile terminal."""
+    background class, whether _serve_fifo steps in bulk: at most one is
+    background): index 0 only the flows fixed to this cell, index 1 also
+    those that follow the mobile terminal."""
 
     cell_id: int
     direction: Direction
     budget: int
-    views: list[tuple[list[FlowQueue], list[FlowQueue], list[FlowQueue]]]
+    views: list[tuple[list[FlowQueue], list[FlowQueue], list[FlowQueue], bool]]
 
 
 def _check_group(group: _FlowGroup, served: int,
@@ -555,7 +577,8 @@ class LinkSimulator:
                     fixed = [q for q in flows if q.cell_id is not None]
                     # only background flows are droppable
                     views = [(eligible, [q for q in eligible if not q.droppable],
-                              [q for q in eligible if q.droppable])
+                              bg := [q for q in eligible if q.droppable],
+                              len(bg) <= 1)
                              for eligible in (fixed, flows)]
                     self._groups.append(_FlowGroup(cell_id, direction, budget, views))
         return self._groups
@@ -568,7 +591,7 @@ class LinkSimulator:
         deliveries: list[Delivery] = []
         for group in self._flow_groups():
             cell_id, budget = group.cell_id, group.budget
-            eligible, app, bg = group.views[serving == cell_id and not suspended]
+            eligible, app, bg, bulk = group.views[serving == cell_id and not suspended]
             for q in eligible:
                 if q.backlog_bits:
                     break
@@ -576,7 +599,7 @@ class LinkSimulator:
                 continue  # nothing to serve, so every per-group check holds
             completed: list[Completion] = []
             if self.scheduler is SchedulerKind.AP:
-                served = _serve_fifo(app, budget, completed)
+                served = _serve_fifo(app, budget, completed, True)
                 bg_served = _serve_waterfill(bg, budget - served, completed)
                 served += bg_served
                 if bg_served > 0 and any(q.backlog_bits for q in app):
@@ -584,7 +607,7 @@ class LinkSimulator:
                         f"priority dominance broken in cell {cell_id} "
                         f"{group.direction.value}")
             else:
-                served = _serve_fifo(eligible, budget, completed)
+                served = _serve_fifo(eligible, budget, completed, bulk)
             _check_group(group, served, eligible)
             for q, packet in completed:
                 deliveries.append(Delivery(flow_id=q.flow_id,

@@ -7,6 +7,7 @@ from __future__ import annotations
 import os
 import random
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -273,6 +274,51 @@ def test_real_sensor_reconnects_to_a_restarted_broker():
         thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert result == [100]
+
+
+def test_a_stop_ends_the_sensors_retries_with_the_count_it_sent():
+    # a broker that takes 20 frames of a 20 Hz, 10 s run, then resets the
+    # connection and stops listening, so the sensor's next publish fails
+    # and it retries with backoff; the stop comes 0.15 s later
+    stop = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        host, port = server.getsockname()
+        thread, result = _run_agent_thread(
+            run_real_sensor, host=host, port=port, stop=stop,
+            frame_size_bytes=1000, rate_hz=20.0, duration_s=10.0)
+        conn, _ = server.accept()
+        with conn:
+            for _ in range(20):
+                assert recv_envelope(conn)[0] == f"PUB {UPLINK_TOPIC}"
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+    time.sleep(0.15)
+    stop.set()
+    stopped = time.monotonic()
+    thread.join(timeout=5.0)
+    assert time.monotonic() - stopped < 0.5
+    assert not thread.is_alive()
+    assert result == [20]
+
+
+def test_a_stop_ends_the_relays_processing_delay():
+    stop = threading.Event()
+    with Broker() as broker:
+        thread, result = _run_agent_thread(
+            run_real_relay, host=broker.host, port=broker.port, stop=stop,
+            processing=ProcessingDelay(constant_ns=10_000 * MS))
+        _wait_for(lambda: broker.subscriber_count(UPLINK_TOPIC) == 1)
+        with BrokerClient(broker.host, broker.port) as pub:
+            pub.publish(UPLINK_TOPIC, _frame(0))
+        _wait_for(lambda: broker.frames_relayed == 1)
+        time.sleep(0.2)  # the relay has taken the frame and waits
+        stop.set()
+        stopped = time.monotonic()
+        thread.join(timeout=15.0)
+        assert time.monotonic() - stopped < 0.5
+    assert not thread.is_alive()
+    # the frame whose delay the stop cut short is not forwarded
+    assert result == [(0, 0)]
 
 
 def test_real_and_sim_sensors_build_the_same_frames():

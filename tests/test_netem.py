@@ -230,9 +230,9 @@ def test_service_over_the_budget_raises(monkeypatch):
     link.enqueue("app", 10_000, 0)
     serve_fifo = netem._serve_fifo
 
-    def over_reported(queues, budget, completed):
+    def over_reported(queues, budget, completed, bulk):
         # a scheduler that reports a whole budget more than it served
-        return serve_fifo(queues, budget, completed) + budget
+        return serve_fifo(queues, budget, completed, bulk) + budget
 
     monkeypatch.setattr(netem, "_serve_fifo", over_reported)
     with pytest.raises(InvariantViolation, match="over budget"):

@@ -340,10 +340,10 @@ def passes(monkeypatch) -> list[Pass]:
     calls = []
     serve_fifo = netem._serve_fifo
 
-    def recorded(queues, budget, completed):
+    def recorded(queues, budget, completed, bulk):
         before = _queued(queues)
         done = len(completed)
-        served = serve_fifo(queues, budget, completed)
+        served = serve_fifo(queues, budget, completed, bulk)
         calls.append(Pass(queues, budget, served,
                           [(q.flow_id, e.enqueue_ns, e.rank)
                            for q, e in completed[done:]],
@@ -635,3 +635,94 @@ def test_next_counts_follow_skips_and_steps():
         check()
     assert (world.ticks_run, world.ticks_skipped) == (9, 71)
     assert link.flows["a"].offered_bits > 0 and link.flows["b"].offered_bits > 0
+
+
+# -- BL bulk step of a source run against packet-by-packet pops ---------------
+
+def _queue_state(specs, heads):
+    """Queues "q<k>" on one BL uplink, one per spec: ("cbr", (packet_bytes,
+    rate_bps), start_ns, rank, runs) holds the runs of one source, each
+    (gap before it, count), numbered on from the run before; ("app",
+    packets) holds application packets (time_ns, rank, bits), enqueued in
+    key order.  heads[k] bits of queue k's head are then served, which
+    leaves it partly served."""
+    link = make_link([Cell(1)], scheduler=SchedulerKind.BL)
+    for k, spec in enumerate(specs):
+        flow_id = f"q{k}"
+        if spec[0] == "app":
+            link.add_flow(flow_id, Direction.UPLINK, PriorityClass.APPLICATION, 1, None)
+            for tag, (time_ns, rank, bits) in enumerate(sorted(spec[1])):
+                link.event_rank = rank
+                link.enqueue(flow_id, bits, time_ns, meta={"tag": (k, tag)})
+        else:
+            _, (size, rate_bps), start_ns, rank, runs = spec
+            link.add_flow(flow_id, Direction.UPLINK, PriorityClass.BACKGROUND, 1,
+                          QUEUE_CAP_BYTES)
+            src = CbrPacketSource(flow_id, rate_bps, size, start_ns=start_ns)
+            first = 0
+            for gap, count in runs:
+                first += gap
+                link.enqueue_run(src, rank, first, first + count)
+                first += count
+    queues = list(link.flows.values())
+    for q, head in zip(queues, heads):
+        q.serve_bits(min(head, q.packets[0].remaining_bits - 1), [])
+    return queues
+
+
+def _packet_bits_in_key_order(queues) -> list[int]:
+    """Each queued packet's bits, in the order of the keys (time, rank,
+    number, queue index); each queue is sorted, so this is the merge's."""
+    packets = []
+    for index, q in enumerate(queues):
+        for run in q.packets:
+            for n in range(run.first, run.first + run.count):
+                time_ns = run.enqueue_ns if run.src is None else run.src.packet_time(n)
+                bits = run.remaining_bits if n == run.first else run.size_bits
+                packets.append(((time_ns, run.rank, n, index), bits))
+    return [bits for _, bits in sorted(packets)]
+
+
+def _serve_once(queues, budget: int, bulk: bool):
+    """What one _serve_fifo call does to the queues: its result or the
+    ValueError it raised, each queue's served bits, the application packets
+    it completed, in order, and each queue's runs left."""
+    completed = []
+    try:
+        outcome = netem._serve_fifo(queues, budget, completed, bulk)
+    except ValueError as exc:
+        outcome = str(exc)
+    return (outcome, [q.served_bits for q in queues],
+            [(q.flow_id, run.meta["tag"]) for q, run in completed],
+            [[(e.first, e.count, e.remaining_bits) for e in q.packets]
+             for q in queues])
+
+
+_CBR_QUEUE = st.tuples(
+    st.just("cbr"),
+    st.sampled_from(GRID_SOURCES),  # equal or unequal packet sizes
+    st.sampled_from([0, 100_000, 300_000]),  # start_ns
+    st.integers(0, 2),  # rank, which other queues may share
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 6)),  # (gap, count)
+             min_size=1, max_size=3))
+_APP_QUEUE = st.tuples(
+    st.just("app"),
+    st.lists(st.tuples(
+        st.integers(0, 12).map(lambda k: k * 100_000),  # on the sources' grid
+        st.integers(-1, 3),  # below, equal to or above a source's rank
+        st.integers(1, 3_000)), min_size=1, max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(specs=st.lists(st.one_of(_CBR_QUEUE, _APP_QUEUE), min_size=1, max_size=4)
+       .filter(lambda specs: sum(s[0] == "cbr" for s in specs) <= 3),
+       heads=st.lists(st.integers(0, 1_500), min_size=4, max_size=4),
+       budget=st.integers(1, 30_000), on_a_boundary=st.booleans())
+def test_bulk_step_serves_what_packet_by_packet_pops_serve(specs, heads, budget,
+                                                           on_a_boundary):
+    if on_a_boundary:
+        # the budget ends right after a packet, none of it partly served
+        bits = _packet_bits_in_key_order(_queue_state(specs, heads))
+        budget = sum(bits[:budget % len(bits) + 1])
+    assert (_serve_once(_queue_state(specs, heads), budget, True)
+            == _serve_once(_queue_state(specs, heads), budget, False))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import gc
+import heapq
 import inspect
 import json
 import re
@@ -510,11 +511,11 @@ def test_overload_cells_match_the_per_packet_reference(seed, monkeypatch):
         worlds[cfg.name] = world
         return world, pipeline
 
-    def counted(queues, budget, completed):
+    def counted(queues, budget, completed, bulk):
         # the reference is stepped above, so only SimWorld's calls count
         nonlocal merges
         merges += sum(1 for q in queues if q.packets) >= 2
-        return serve_fifo(queues, budget, completed)
+        return serve_fifo(queues, budget, completed, bulk)
 
     monkeypatch.setattr(scenario, "_build_sim", keep_world)
     monkeypatch.setattr(netem, "_serve_fifo", counted)
@@ -529,6 +530,40 @@ def test_overload_cells_match_the_per_packet_reference(seed, monkeypatch):
     bl = worlds["overload-bl-2x40-10k-20hz"].link.flows
     assert bl["bg-ul-0"].dropped_bits > 0 and bl["bg-ul-1"].dropped_bits > 0
     assert merges > 1000
+
+
+def test_bl_overload_heap_work(monkeypatch):
+    # heapq.heapreplace calls at a 3 s duration: 1x40's lone source run is
+    # served in bulk steps, at most a fifth of the calls of per-packet pops;
+    # 2x40's two equal-rate sources alternate packet by packet, so its view
+    # keeps the per-packet loop and makes the count pinned before bulk steps
+    cells = {c.name: c for c in resolve_matrix_cells(shipped_matrix(duration_s=3.0))}
+    calls = 0
+    heapreplace = heapq.heapreplace
+
+    def counted(heap, item):
+        nonlocal calls
+        calls += 1
+        return heapreplace(heap, item)
+
+    def count() -> dict[str, int]:
+        nonlocal calls
+        counts = {}
+        for load in ("1x40", "2x40"):
+            calls = 0
+            run_scenario(cells[f"overload-bl-{load}-10k-20hz"])
+            counts[load] = calls
+        return counts
+
+    monkeypatch.setattr(heapq, "heapreplace", counted)
+    steps = count()
+    serve_fifo = netem._serve_fifo
+    monkeypatch.setattr(netem, "_serve_fifo",
+                        lambda queues, budget, completed, bulk:
+                        serve_fifo(queues, budget, completed, False))
+    per_packet = count()
+    assert 5 * steps["1x40"] <= per_packet["1x40"]
+    assert steps["2x40"] == per_packet["2x40"] == 11_705
 
 
 def test_only_the_handovers_a_run_reaches_are_reported():
