@@ -64,7 +64,11 @@ def _print_stats(name: str, stats: analysis.LatencyStats) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import scenario
     cfg = scenario.load_config(args.config)
-    result = scenario.run_scenario(cfg, out_dir=args.out)
+    try:
+        result = scenario.run_scenario(cfg, out_dir=args.out)
+    except RuntimeError as exc:  # it did not drain, or broke an invariant
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"scenario {result.name}: sent={result.sensor_sent} "
           f"records={len(result.records)}")
     if result.records:

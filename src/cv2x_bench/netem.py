@@ -211,10 +211,6 @@ class QueuedRun:
     enqueue_ns: int | None = None
     meta: dict | None = None
 
-    @property
-    def left_bits(self) -> int:
-        return self.remaining_bits + (self.count - 1) * self.size_bits
-
     def key(self) -> tuple[int, int, int]:
         """The head packet's order key."""
         if self.src is None:
@@ -256,12 +252,14 @@ class FlowQueue:
         self.served_bits = 0
         self.dropped_bits = 0
 
-    def enqueue(self, run: QueuedRun) -> int:
-        """Enqueue a run's packets; returns how many were accepted.  Tail
-        drop keeps a prefix: once one packet of equal size overflows the
-        cap, every later one does too.  A run merges into the tail when its
-        packet numbers continue the tail's, from the same source."""
-        count, size_bits = run.count, run.size_bits
+    def admit(self, first: int, count: int, size_bits: int, rank: int,
+              src: object | None = None, enqueue_ns: int | None = None,
+              meta: dict | None = None) -> int:
+        """Admit `count` packets of `size_bits` from number `first` at `rank`,
+        of CBR source `src` or one application packet; returns how many were
+        accepted.  Tail drop keeps a prefix: once one packet of equal size
+        overflows the cap, every later one does too.  Packets continuing the
+        tail run's numbers, from its source, extend it; others form a run."""
         bits = count * size_bits
         self.offered_bits += bits
         if self.droppable:
@@ -271,15 +269,16 @@ class FlowQueue:
                 self.dropped_bits += bits - count * size_bits
                 if not count:
                     return 0
-                run.count, bits = count, count * size_bits
+                bits = count * size_bits
         self.backlog_bits += bits
         packets = self.packets
-        if run.src is not None and packets:
+        if src is not None and packets:
             tail = packets[-1]
-            if tail.src is run.src and tail.first + tail.count == run.first:
+            if tail.src is src and tail.first + tail.count == first:
                 tail.count += count
                 return count
-        packets.append(run)
+        packets.append(QueuedRun(first, count, size_bits, size_bits, rank, src,
+                                 enqueue_ns, meta))
         return count
 
     def serve_bits(self, bits: int, completed: list[Completion]) -> int:
@@ -290,7 +289,7 @@ class FlowQueue:
         packets = self.packets
         while bits > 0 and packets:
             head = packets[0]
-            left = head.left_bits
+            left = head.remaining_bits + (head.count - 1) * head.size_bits
             if bits < left:
                 # keep the run's last `count` packets, the first partly served
                 left -= bits
@@ -496,6 +495,7 @@ class LinkSimulator:
         q = FlowQueue(flow_id, direction, priority_class, cell_id, queue_cap_bytes)
         self.flows[flow_id] = q
         self._groups = None
+        self._eligible = (math.inf, -math.inf, [])
         return q
 
     def set_mobility(self, initial_cell: int,
@@ -517,9 +517,10 @@ class LinkSimulator:
         cells = [initial_cell] + [ev.to_cell for ev in self.handovers]
         self._states = [(cells[n := bisect_right(starts, t)], n > bisect_right(ends, t))
                         for t in [-math.inf] + self._bounds]
-        # (lo, hi, serving, suspended): the state of every tick in [lo, hi);
-        # none yet
+        # (lo, hi, serving, suspended): the state of every tick in [lo, hi),
+        # and (lo, hi, the groups with flows eligible in it); none yet
         self._segment = (math.inf, -math.inf, initial_cell, False)
+        self._eligible = (math.inf, -math.inf, [])
 
     def interrupted(self, start_ns: int, end_ns: int) -> bool:
         """Whether a handover interruption overlaps [start_ns, end_ns)."""
@@ -550,9 +551,8 @@ class LinkSimulator:
         if size_bits <= 0:
             raise ValueError("packet size must be positive")
         self._app_packets += 1
-        run = QueuedRun(self._app_packets, 1, size_bits, size_bits,
-                        self.event_rank, None, time_ns, meta)
-        return self.flows[flow_id].enqueue(run) == 1
+        return self.flows[flow_id].admit(self._app_packets, 1, size_bits,
+                                         self.event_rank, None, time_ns, meta) == 1
 
     def enqueue_run(self, src, rank: int, first: int, end: int) -> int:
         """Enqueue packets `first` .. `end - 1` of CBR source `src` into its
@@ -560,9 +560,8 @@ class LinkSimulator:
         were accepted.  Served, they yield no Delivery."""
         if first >= end or src.packet_bits <= 0:
             raise ValueError("run needs a positive count and packet size")
-        run = QueuedRun(first, end - first, src.packet_bits, src.packet_bits,
-                        rank, src)
-        return self.flows[src.flow_id].enqueue(run)
+        return self.flows[src.flow_id].admit(first, end - first, src.packet_bits,
+                                             rank, src)
 
     def _flow_groups(self) -> list[_FlowGroup]:
         if self._groups is None:
@@ -585,13 +584,15 @@ class LinkSimulator:
 
     def run_tick(self, tick_start: int) -> list[Delivery]:
         tick_end = tick_start + self.tick_ns
-        lo, hi, serving, suspended = self._segment
+        lo, hi, groups = self._eligible
         if tick_start < lo or tick_end > hi:
+            # the segment's groups with eligible flows, each with its view
             lo, hi, serving, suspended = self._segment = self._locate(tick_start, tick_end)
+            groups = [(group, *view) for group in self._flow_groups()
+                      if (view := group.views[serving == group.cell_id and not suspended])[0]]
+            self._eligible = (lo, hi, groups)
         deliveries: list[Delivery] = []
-        for group in self._flow_groups():
-            cell_id, budget = group.cell_id, group.budget
-            eligible, app, bg, bulk = group.views[serving == cell_id and not suspended]
+        for group, eligible, app, bg, bulk in groups:
             for q in eligible:
                 if q.backlog_bits:
                     break
@@ -599,22 +600,20 @@ class LinkSimulator:
                 continue  # nothing to serve, so every per-group check holds
             completed: list[Completion] = []
             if self.scheduler is SchedulerKind.AP:
-                served = _serve_fifo(app, budget, completed, True)
-                bg_served = _serve_waterfill(bg, budget - served, completed)
+                served = _serve_fifo(app, group.budget, completed, True)
+                bg_served = _serve_waterfill(bg, group.budget - served, completed)
                 served += bg_served
                 if bg_served > 0 and any(q.backlog_bits for q in app):
                     raise InvariantViolation(
-                        f"priority dominance broken in cell {cell_id} "
+                        f"priority dominance broken in cell {group.cell_id} "
                         f"{group.direction.value}")
             else:
-                served = _serve_fifo(eligible, budget, completed, bulk)
+                served = _serve_fifo(eligible, group.budget, completed, bulk)
             _check_group(group, served, eligible)
             for q, packet in completed:
-                deliveries.append(Delivery(flow_id=q.flow_id,
-                                           size_bits=packet.size_bits,
-                                           enqueue_ns=packet.enqueue_ns,
-                                           delivery_ns=tick_end,
-                                           cell_id=cell_id, meta=packet.meta))
+                deliveries.append(Delivery(q.flow_id, packet.size_bits,
+                                           packet.enqueue_ns, tick_end,
+                                           group.cell_id, packet.meta))
         _check_flows(self.flows.values())
         return deliveries
 
@@ -623,12 +622,13 @@ class SimWorld:
     """Single-threaded deterministic event loop around a LinkSimulator.
 
     Time advances tick by tick.  Each tick, each constant-bitrate source's
-    arrivals in the tick enter its queue as one run
-    (`LinkSimulator.enqueue_run`), the tick's timed events fire in (time,
-    scheduling) order, then queues are served and deliveries dispatched to
-    the handler.  Only application packets (`LinkSimulator.enqueue`) are
-    delivered; a served run is counted in its queue's accounting.  The
-    base delay after a delivery is the handler's (SimPipeline's).
+    arrivals in the tick are admitted to its queue at once (`FlowQueue.admit`
+    extends the tail run they continue), the tick's timed events fire in
+    (time, scheduling) order, then queues are served and deliveries
+    dispatched to the handler.  Only application packets
+    (`LinkSimulator.enqueue`) are delivered; a served run is counted in its
+    queue's accounting.  The base delay after a delivery is the handler's
+    (SimPipeline's).
 
     Packets are served in the order of their keys (time, rank, number), not
     of their enqueue calls.  Packet n of cbr_sources[i] is keyed
@@ -680,6 +680,9 @@ class SimWorld:
         # feeds flow src.flow_id at rank i
         self.cbr_sources = tuple(cbr_sources)
         self._next = [src.count_before(start_ns) for src in self.cbr_sources]
+        # (rank, source, packet bits, its queue's admit) per source, bound
+        # at the first arrivals: the flows may be added after the world
+        self._feeds: list[tuple] | None = None
         self._heap: list[tuple[int, int, Callable[[int], None]]] = []
         self._heap_seq = 0
         self.ticks_run = 0
@@ -692,36 +695,39 @@ class SimWorld:
         heapq.heappush(self._heap, (time_ns, self._heap_seq, callback))
 
     def _enqueue_arrivals(self, t: int) -> None:
-        """Enqueue each source's packets from _next[i] up to count_before(t),
-        as one run, and advance _next[i] to count_before(t)."""
+        """Admit each source's packets from _next[i] up to count_before(t)
+        into its queue, and advance _next[i] to count_before(t)."""
         nexts = self._next
-        for rank, src in enumerate(self.cbr_sources):
+        feeds = self._feeds
+        if feeds is None:
+            flows = self.link.flows
+            feeds = self._feeds = [(rank, src, src.packet_bits,
+                                    flows[src.flow_id].admit)
+                                   for rank, src in enumerate(self.cbr_sources)]
+        for rank, src, size_bits, admit in feeds:
             first = nexts[rank]
             end = src.count_before(t)
             if first < end:
-                self.link.enqueue_run(src, rank, first, end)
+                admit(first, end - first, size_bits, rank, src)
                 nexts[rank] = end
-
-    def _dispatch(self, tick_end: int) -> None:
-        """Enqueue the tick's CBR arrivals and fire its timed events."""
-        heap = self._heap
-        link = self.link
-        if self.cbr_sources:
-            self._enqueue_arrivals(tick_end)
-        pending_before = self._heap_seq
-        rank_after = len(self.cbr_sources)
-        while heap and heap[0][0] < tick_end:
-            event_ns, seq, callback = heapq.heappop(heap)
-            link.event_rank = -1 if seq <= pending_before else rank_after
-            self.now_ns = event_ns
-            callback(event_ns)
-        link.event_rank = -1
 
     def run_tick(self) -> list[Delivery]:
         tick_start = self.now_ns
         tick_end = tick_start + self.tick_ns
-        self._dispatch(tick_end)
-        deliveries = self.link.run_tick(tick_start)
+        link = self.link
+        if self.cbr_sources:
+            self._enqueue_arrivals(tick_end)
+        heap = self._heap
+        if heap and heap[0][0] < tick_end:
+            pending_before = self._heap_seq
+            rank_after = len(self.cbr_sources)
+            while heap and heap[0][0] < tick_end:
+                event_ns, seq, callback = heapq.heappop(heap)
+                link.event_rank = -1 if seq <= pending_before else rank_after
+                self.now_ns = event_ns
+                callback(event_ns)
+            link.event_rank = -1
+        deliveries = link.run_tick(tick_start)
         # every delivery is at the tick's end
         self.now_ns = tick_end
         if self.on_delivery is not None:
@@ -766,7 +772,7 @@ class SimWorld:
         """Advance n AP ticks in which only the CBR-fed background flows
         of `groups`, each cell direction with its background flows fixed to
         the cell, hold packets (see run_until), as running them would: each
-        tick enqueues its arrivals as _dispatch does, serves each group's
+        tick enqueues its arrivals as run_tick does, serves each group's
         flows by _serve_waterfill and checks the invariants run_tick checks
         on the flows it touches."""
         touched = [q for _, bg in groups for q in bg]

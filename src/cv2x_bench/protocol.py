@@ -7,12 +7,13 @@ Frame layout (all multi-byte fields big-endian):
   | 4 B   | 1 B     | 1 B   | 2 B       | 8 B | 4 x 8 B   | 4 x 8 B   | 4 B         | n B     | 4 B      |
   +-------+---------+-------+-----------+-----+-----------+-----------+-------------+---------+----------+
 
-Header is 84 bytes; the CRC-32 trailer covers everything before it, so the
-fixed per-frame overhead is 88 bytes.  Timestamps t1..t4 are nanoseconds
-since the Unix epoch with 0 meaning "not yet stamped"; e1..e4 are the
-sender-side clock offset estimates (value to ADD to the matching local
-timestamp to map it onto reference time).  Offsets are always carried on
-the wire and are meaningful only where the matching timestamp is nonzero.
+Header is 84 bytes; the CRC-32 trailer (zlib.crc32's, of IEEE 802.3)
+covers everything before it, so the fixed per-frame overhead is 88 bytes.
+Timestamps t1..t4 are nanoseconds since the Unix epoch with 0 meaning "not
+yet stamped"; e1..e4 are the sender-side clock offset estimates (value to
+ADD to the matching local timestamp to map it onto reference time).
+Offsets are always carried on the wire and are meaningful only where the
+matching timestamp is nonzero.
 
 Agents stamp V2XMessage objects; the codec runs only where a frame meets
 a socket, and each encode or decode reads every byte before the trailer
@@ -73,11 +74,6 @@ class V2XMessage:
     e4: int = 0
     payload: bytes = b""
     flags: int = 0
-
-
-def compute_checksum(data: bytes) -> int:
-    """CRC-32 (IEEE 802.3 polynomial, reflected, init/xorout all-ones)."""
-    return zlib.crc32(data) & 0xFFFFFFFF
 
 
 def encode(msg: V2XMessage) -> bytes:

@@ -56,6 +56,9 @@ MAX_BACKGROUND_UES = 1_000
 MAX_DURATION_S = 86_400
 MAX_MESSAGES = 10_000_000
 
+# how long a sim run goes on after its duration for its last message
+_DRAIN_GRACE_NS = 120_000_000_000
+
 
 class ConfigError(ValueError):
     """Configuration failed validation; the message names the field.
@@ -185,6 +188,10 @@ class NetworkConfig:
                     f"{key} gives a per-tick budget of 0 bits at the "
                     f"{self.tick_ns} ns tick; it must be >= "
                     f"{-(-1_000_000_000 // self.tick_ns)}")
+        # a message crosses two hops of the base delay
+        if self.base_delay_ms * 2_000_000 > _DRAIN_GRACE_NS:
+            raise ConfigError(f"base_delay_ms must be <= {_DRAIN_GRACE_NS // 2_000_000}"
+                              f" to drain, got {self.base_delay_ms}")
 
     @property
     def base_delay_ns(self) -> int:
@@ -230,6 +237,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"message.rate_hz sends more than {MAX_MESSAGES} messages "
                 f"in duration_s {self.duration_s}")
+        # an acknowledgment is round(size_bytes * ack_ratio) bytes; the
+        # first test also keeps round() from an infinite product
+        ack_bytes = self.message.size_bytes * self.network.ack_ratio
+        if ack_bytes >= MAX_FRAME_SIZE + 1 or round(ack_bytes) > MAX_FRAME_SIZE:
+            raise ConfigError(f"network.ack_ratio {self.network.ack_ratio} makes an "
+                              f"acknowledgment over {MAX_FRAME_SIZE} bytes")
         if self.mobility is not None and len(self.network.cells) < 2:
             raise ConfigError("mobility needs at least two cells in network.cells")
         if self.mode == "real":
@@ -474,9 +487,6 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
         link.add_flow(src.flow_id, direction, PriorityClass.BACKGROUND,
                       sensor_cell, cfg.load.queue_cap_bytes)
     return world, pipeline
-
-
-_DRAIN_GRACE_NS = 120_000_000_000
 
 
 def run_scenario(cfg: ScenarioConfig,

@@ -137,6 +137,20 @@ def test_malformed_matrix_config_exits_2_naming_the_field(tmp_path, capsys):
     assert capsys.readouterr().err == "error: matrix.cells must be a list\n"
 
 
+def test_a_run_that_does_not_drain_exits_1_with_the_cause(tmp_path, capsys):
+    # a 1 GB background packet holds the uplink for 200 s, longer than the
+    # run's drain grace, so 1 of the 10 messages is logged
+    config = tmp_path / "slow.json"
+    config.write_text(json.dumps({
+        "name": "slow", "scheduler": "BL", "seed": 1, "duration_s": 1.0,
+        "load": {"ul": "1x5", "packet_size_bytes": 1_000_000_000,
+                 "queue_cap_bytes": 1_000_000_000}}), encoding="utf-8")
+    assert cli.main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "error: scenario slow: pipeline did not drain (1/10 records after "
+        "grace period)\n")
+
+
 def test_analyze_of_an_empty_log_exits_1(tmp_path, capsys):
     log = tmp_path / "empty.jsonl"
     log.write_text("", encoding="utf-8")

@@ -9,6 +9,7 @@ application deliveries."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
@@ -135,23 +136,26 @@ def _app_events(rng: random.Random,
 
 def _run(params: Params, world_cls) -> tuple[list, list, LinkSimulator, int]:
     """Per-tick accounting, per-tick application deliveries, the link, and
-    the number of enqueue_run calls."""
+    the number of FlowQueue.admit calls on the background queues: the CBR
+    sources' admissions (the reference admits packet by packet)."""
     link = make_link([Cell(1)], scheduler=params.scheduler,
                      ul_capacity_bps=params.ul_capacity_bps,
                      dl_capacity_bps=params.dl_capacity_bps)
     runs = 0
-    enqueue_run = link.enqueue_run
 
-    def counted_enqueue_run(*args) -> int:
-        nonlocal runs
-        runs += 1
-        return enqueue_run(*args)
+    def counted(admit):
+        def counted_admit(*args) -> int:
+            nonlocal runs
+            runs += 1
+            return admit(*args)
+        return counted_admit
 
-    link.enqueue_run = counted_enqueue_run
     for flow_id, direction in APP_FLOWS.items():
         link.add_flow(flow_id, direction, PriorityClass.APPLICATION, 1, None)
     for s in params.sources:
-        link.add_flow(s.flow_id, s.direction, PriorityClass.BACKGROUND, 1, s.cap_bytes)
+        q = link.add_flow(s.flow_id, s.direction, PriorityClass.BACKGROUND, 1,
+                          s.cap_bytes)
+        q.admit = counted(q.admit)
     world = world_cls(link, cbr_sources=[s.build() for s in params.sources])
     tags = itertools.count()
 
@@ -185,8 +189,12 @@ def _check_against_reference(params: Params) -> None:
         assert got == want, f"tick {tick}"
     for tick, (got, want) in enumerate(zip(got_deliveries, want_deliveries)):
         assert got == want, f"tick {tick}"
-    # at most one run per source and tick, however the sources interleave
-    assert runs <= len(params.sources) * TICKS
+    # one admission per source and tick with arrivals, however the sources
+    # interleave, and some while the sources are live
+    arriving = sum(src.count_before(tick * TICK) < src.count_before((tick + 1) * TICK)
+                   for src in map(Source.build, params.sources)
+                   for tick in range(TICKS))
+    assert 0 < runs == arriving
     # the cases exercise what the batching must get right
     assert any(d for d in want_deliveries)
     assert any(q.dropped_bits for q in link.flows.values())
@@ -726,3 +734,99 @@ def test_bulk_step_serves_what_packet_by_packet_pops_serve(specs, heads, budget,
         budget = sum(bits[:budget % len(bits) + 1])
     assert (_serve_once(_queue_state(specs, heads), budget, True)
             == _serve_once(_queue_state(specs, heads), budget, False))
+
+
+# -- in-place admission against a per-packet model ----------------------------
+
+class _ModelQueue:
+    """A flow's queue as a list of packets [number, remaining bits, source,
+    size, enqueue_ns, meta], each dropped or queued on its own: one that
+    would overflow the cap is tail-dropped."""
+
+    def __init__(self, cap_bits: int | None) -> None:
+        self.cap_bits = cap_bits
+        self.packets: list[list] = []
+        self.offered = self.served = self.dropped = self.backlog = 0
+
+    def admit(self, numbers, size: int, src, enqueue_ns=None, meta=None) -> int:
+        accepted = 0
+        for n in numbers:
+            self.offered += size
+            if self.cap_bits is not None and self.backlog + size > self.cap_bits:
+                self.dropped += size
+                continue
+            self.packets.append([n, size, src, size, enqueue_ns, meta])
+            self.backlog += size
+            accepted += 1
+        return accepted
+
+    def serve(self, bits: int) -> list:
+        completed = []
+        while bits and self.packets:
+            head = self.packets[0]
+            take = min(bits, head[1])
+            head[1] -= take
+            bits -= take
+            self.served += take
+            self.backlog -= take
+            if not head[1]:
+                self.packets.pop(0)
+                if head[2] is None:
+                    completed.append(head[5])
+        return completed
+
+    def runs(self, rank: int, app_rank: int) -> list[tuple]:
+        """The QueuedRun fields the queue must hold: a source's packets with
+        consecutive numbers, next to each other, form one run; an
+        application packet is a run of one."""
+        runs: list[list] = []
+        for n, left, src, size, enqueue_ns, meta in self.packets:
+            tail = runs[-1] if runs else None
+            if (src is not None and tail is not None and tail[5] is src
+                    and tail[0] + tail[1] == n):
+                tail[1] += 1
+            else:
+                runs.append([n, 1, size, left, rank if src else app_rank, src,
+                             enqueue_ns, meta])
+        return [tuple(run) for run in runs]
+
+
+_TICK_OF_ARRIVALS = st.tuples(
+    st.integers(0, 2),  # packet numbers skipped before the tick's first
+    st.integers(0, 6),  # arrivals, none for a tick without any
+    st.integers(0, 4_000),  # bits served after them
+    st.one_of(st.none(), st.integers(1, 3_000)))  # an application packet
+
+
+@settings(max_examples=400, deadline=None)
+@given(packet_bytes=st.integers(1, 250), cap_packets=st.one_of(
+           st.none(), st.floats(0.5, 12.0)),  # None: an application flow
+       ticks=st.lists(_TICK_OF_ARRIVALS, min_size=1, max_size=12))
+def test_admission_matches_a_per_packet_queue(packet_bytes, cap_packets, ticks):
+    # a cap of a fractional number of packets leaves room for part of one,
+    # which tail drop must not take; the numbers of the packets it drops
+    # stay a gap that no later tick's run may merge across
+    size = packet_bytes * 8
+    cap_bytes = None if cap_packets is None else max(1, round(cap_packets * packet_bytes))
+    klass = PriorityClass.APPLICATION if cap_bytes is None else PriorityClass.BACKGROUND
+    q = netem.FlowQueue("q", Direction.UPLINK, klass, 1, cap_bytes)
+    model = _ModelQueue(None if cap_bytes is None else cap_bytes * 8)
+    src = CbrPacketSource("q", 1_000_000, packet_bytes)
+    rank, app_rank, nxt = 2, -1, 0
+    for tick, (gap, count, serve, app_bits) in enumerate(ticks):
+        first = nxt + gap
+        if count:
+            assert (q.admit(first, count, size, rank, src)
+                    == model.admit(range(first, first + count), size, src))
+            nxt = first + count
+        if app_bits is not None:
+            meta = {"tag": tick}
+            assert (q.admit(1_000 + tick, 1, app_bits, app_rank, None, tick, meta)
+                    == model.admit([1_000 + tick], app_bits, None, tick, meta))
+        completed: list = []
+        assert q.serve_bits(serve, completed) == min(serve, model.backlog)
+        assert [run.meta for _, run in completed] == model.serve(serve)
+        assert [tuple(getattr(run, f.name) for f in dataclasses.fields(run))
+                for run in q.packets] == model.runs(rank, app_rank), tick
+        assert ((q.offered_bits, q.served_bits, q.dropped_bits, q.backlog_bits)
+                == (model.offered, model.served, model.dropped, model.backlog)), tick

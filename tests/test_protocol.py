@@ -16,9 +16,14 @@ from hypothesis import strategies as st
 
 from cv2x_bench import protocol
 from cv2x_bench.protocol import (ChecksumError, FrameSizeError,
-                                 MalformedFrameError, V2XMessage,
-                                 compute_checksum, decode, decode_unchecked,
-                                 encode, make_padded_payload)
+                                 MalformedFrameError, V2XMessage, decode,
+                                 decode_unchecked, encode, make_padded_payload)
+
+
+def compute_checksum(data: bytes) -> int:
+    """The CRC-32 the codec computes for its trailer (IEEE 802.3
+    polynomial, reflected, init/xorout all-ones)."""
+    return zlib.crc32(data)
 
 
 def _crc32_bitwise(data: bytes) -> int:
@@ -158,6 +163,7 @@ def test_decoded_checksum_matches_frame():
     msg = V2XMessage(source_id=9, seq=1, payload=b"hello")
     frame = encode(msg)
     assert int.from_bytes(frame[-4:], "big") == compute_checksum(frame[:-4])
+    assert int.from_bytes(frame[-4:], "big") == _crc32_bitwise(frame[:-4])
     assert decode(frame) == msg
 
 

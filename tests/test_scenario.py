@@ -566,6 +566,26 @@ def test_bl_overload_heap_work(monkeypatch):
     assert steps["2x40"] == per_packet["2x40"] == 11_705
 
 
+def test_ap_overload_builds_a_run_only_where_arrivals_start_one(monkeypatch):
+    # QueuedRun objects built at a 3 s duration: one per application packet
+    # (each message's uplink and downlink packet and their two acks) and
+    # one for the source, whose queue never drops, so each later tick's
+    # arrivals extend its tail run in place; one per admission was 1,440
+    [cell] = [c for c in resolve_matrix_cells(shipped_matrix(duration_s=3.0))
+              if c.name == "overload-ap-1x40-10k-20hz"]
+    built = 0
+    queued_run = netem.QueuedRun
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return queued_run(*args)
+
+    monkeypatch.setattr(netem, "QueuedRun", counted)
+    result = run_scenario(cell)
+    assert built == 4 * len(result.records) + 1 == 241
+
+
 def test_only_the_handovers_a_run_reaches_are_reported():
     # the vehicle reaches the first cell 1 s in and turns back at 10 s, long
     # after the 2 s run has drained
@@ -632,6 +652,26 @@ def test_duration_is_bounded():
     assert config_from_obj(_minimal(duration_s=86_400)).duration_s == 86_400
 
 
+def test_ack_size_and_base_delay_are_bounded():
+    # an acknowledgment of round(size_bytes * ack_ratio) bytes fits a frame
+    # up to the largest; two hops of base delay fit the 120 s drain grace;
+    # the largest finite values overflow the products to infinity
+    largest = protocol.MAX_FRAME_SIZE
+    for ratio, ok in ((largest / 1000, True), ((largest + 0.5) / 1000, True),
+                      ((largest + 0.51) / 1000, False), (1.7e308, False)):
+        obj = _minimal(network={"ack_ratio": ratio})
+        if ok:
+            assert config_from_obj(obj).network.ack_ratio == ratio
+        else:
+            with pytest.raises(ConfigError, match="config.network.ack_ratio"):
+                config_from_obj(obj)
+    assert config_from_obj(_minimal(network={"base_delay_ms": 60_000})
+                           ).network.base_delay_ns == scenario._DRAIN_GRACE_NS // 2
+    for delay in (60_000.001, 1.7e308):
+        with pytest.raises(ConfigError, match="config.network.base_delay_ms must be <= 60000"):
+            config_from_obj(_minimal(network={"base_delay_ms": delay}))
+
+
 def test_message_count_is_bounded():
     # 10 kHz for 1000 s publishes exactly 10,000,000 messages
     assert scenario.message_count(10_000.0, 1000 * 10**9) == 10_000_000
@@ -676,6 +716,12 @@ MALFORMED = [
     ("config", _minimal(network={"pattern": ""}),
      "config.network.pattern must be a non-empty string of D, U and S slots, "
      "got ''"),
+    # an acknowledgment over the largest frame, and a base delay whose two
+    # hops outlast the drain grace, would leave the run undrained
+    ("config", _minimal(network={"ack_ratio": 1e300}),
+     "config.network.ack_ratio 1e+300 makes an acknowledgment over 10000088 bytes"),
+    ("config", _minimal(network={"base_delay_ms": 1e300}),
+     "config.network.base_delay_ms must be <= 60000 to drain, got 1e+300"),
     ("config", _minimal(network={"handover": 5}),
      "config.network.handover must be an object"),
     ("config", _minimal(network={"cells": 5}), "config.network.cells must be a list"),
