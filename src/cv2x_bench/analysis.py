@@ -11,6 +11,9 @@ for records captured from real sockets.
 
 record_line writes each line from one format string: for fields of their
 types, the bytes of json.dumps(record.to_json_obj(), separators=(",", ":")).
+ingest reads a line that is exactly such a line with one regular
+expression; every other line is parsed by json.loads and checked field by
+field, so it is accepted or refused, and named in the error, as before.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
@@ -37,7 +41,7 @@ class IngestError(ValueError):
     """A packet log line failed to parse; the message names the line."""
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketRecord:
     """One delivered (or corrupt) message as logged by the vehicle."""
 
@@ -89,9 +93,13 @@ _LINE_FORMAT = "{" + ",".join(f'"{key}":%s' for key in _RECORD_KEYS) + "}"
 _before_corrupt = attrgetter(*_FIELD_NAMES[:_FIELD_NAMES.index("corrupt")])
 _after_corrupt = attrgetter(*_FIELD_NAMES[_FIELD_NAMES.index("corrupt") + 1:])
 _key_values = itemgetter(*_RECORD_KEYS)
-_VALUE_TYPES = tuple(bool if key == "corrupt" else int for key in _RECORD_KEYS)
-# what may follow a record on its line: the newline, or nothing on the last
-_LINE_ENDS = ("\n", "")
+# a line exactly as record_line writes it, then its newline if any: each
+# integer as JSON writes one, in ASCII digits with no leading zero and at
+# most the 20 of 2**64 - 1, so that int() reads no form JSON refuses and no
+# over-long digit string
+_WRITTEN_LINE = re.compile(r"\{" + ",".join(
+    f'"{key}":' + ("(true|false)" if key == "corrupt" else r"(-?(?:0|[1-9][0-9]{0,19}))")
+    for key in _RECORD_KEYS) + r"\}\n?")
 
 
 def record_line(record: PacketRecord) -> str:
@@ -124,21 +132,18 @@ class RecordWriter:
 def ingest(path: str | Path) -> list[PacketRecord]:
     """Load a packet log; parse problems raise IngestError naming the line."""
     records: list[PacketRecord] = []
-    scan = json.JSONDecoder().scan_once
+    written = _WRITTEN_LINE.fullmatch
     with open(path, "r", encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
-            # a record as written: one object alone on its line, its keys in
-            # field order, its values of the exact types
-            try:
-                obj, end = scan(line, 0)
-            except (StopIteration, ValueError):
-                obj, end = None, 0
-            if (type(obj) is dict and line[end:] in _LINE_ENDS
-                    and tuple(obj) == _RECORD_KEYS):
-                values = tuple(obj.values())
-                if tuple(map(type, values)) == _VALUE_TYPES:
-                    records.append(PacketRecord(*values))
-                    continue
+            match = written(line)
+            if match:  # the values of a line as written, in field order
+                (src, seq, t1, t2, t3, t4, e1, e2, e3, e4, size, cell, corrupt,
+                 gt_ul, gt_dl) = match.groups()
+                records.append(PacketRecord(
+                    int(src), int(seq), int(t1), int(t2), int(t3), int(t4),
+                    int(e1), int(e2), int(e3), int(e4), int(size), int(cell),
+                    corrupt == "true", int(gt_ul), int(gt_dl)))
+                continue
             # any other line: parsed and checked field by field
             if not line.strip():
                 continue
@@ -155,16 +160,21 @@ def percentile(samples: list[int], q: float) -> int:
         raise ValueError("percentile of empty sample set")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"quantile {q} outside (0, 1]")
-    ordered = sorted(samples)
-    rank = math.ceil(q * len(ordered))
-    return ordered[rank - 1]
+    return _nearest_rank(sorted(samples), q)
+
+
+def _nearest_rank(ordered: list[int], q: float) -> int:
+    return ordered[math.ceil(q * len(ordered)) - 1]
 
 
 def cdf(samples: list[int]) -> list[tuple[int, float]]:
     """Empirical CDF: sorted unique values with cumulative fractions."""
     if not samples:
         raise ValueError("cdf of empty sample set")
-    ordered = sorted(samples)
+    return _ordered_cdf(sorted(samples))
+
+
+def _ordered_cdf(ordered: list[int]) -> list[tuple[int, float]]:
     n = len(ordered)
     # each value, in order, with the rank of its last occurrence
     last_rank = dict(zip(ordered, range(1, n + 1)))
@@ -185,15 +195,14 @@ class LatencyStats:
     def from_samples(cls, samples: list[int]) -> "LatencyStats":
         if not samples:
             raise ValueError("no latency samples")
-        # percentile and cdf sort again, in linear time on sorted input
         ordered = sorted(samples)
         return cls(n=len(ordered),
                    mean_ns=sum(ordered) / len(ordered),
-                   p95_ns=percentile(ordered, 0.95),
-                   p99_ns=percentile(ordered, 0.99),
+                   p95_ns=_nearest_rank(ordered, 0.95),
+                   p99_ns=_nearest_rank(ordered, 0.99),
                    min_ns=ordered[0],
                    max_ns=ordered[-1],
-                   cdf=cdf(ordered))
+                   cdf=_ordered_cdf(ordered))
 
 
 _LATENCY = {"ul": corrected_latency_ul, "dl": corrected_latency_dl,
@@ -251,6 +260,9 @@ def write_cdf_csv(stats: LatencyStats, path: str | Path) -> None:
 
 def write_per_packet_csv(records: list[PacketRecord], path: str | Path,
                          affected_seqs: set[int] | None = None) -> None:
+    """One row per record, in one pass: its corrected uplink, downlink and
+    end-to-end latencies (clockmodel's formulas), left blank for a corrupt
+    record, and the hops for one without relay stamps."""
     affected_seqs = affected_seqs or set()
     lines = ["seq,ul_ns,dl_ns,e2e_ns,cell,corrupt,affected"]
     for rec in records:
@@ -259,11 +271,24 @@ def write_per_packet_csv(records: list[PacketRecord], path: str | Path,
             lines.append(f"{seq},,,,{rec.serving_cell},1,0")
             continue
         # a frame sent straight to the vehicle has no relay stamps
-        hops = (f"{corrected_latency_ul(rec)},{corrected_latency_dl(rec)}"
-                if rec.t2 and rec.t3 else ",")
-        lines.append(f"{seq},{hops},{corrected_latency_e2e(rec)},{rec.serving_cell},"
+        relayed = rec.t2 and rec.t3
+        if not (rec.t1 and rec.t4):
+            _raise_missing_stamp(rec, relayed)
+        sent, received = rec.t1 + rec.e1, rec.t4 + rec.e4
+        hops = (f"{rec.t2 + rec.e2 - sent},{received - (rec.t3 + rec.e3)}"
+                if relayed else ",")
+        lines.append(f"{seq},{hops},{received - sent},{rec.serving_cell},"
                      f"0,{1 if seq in affected_seqs else 0}")
     _write_csv_lines(path, lines)
+
+
+def _raise_missing_stamp(rec: PacketRecord, relayed: bool) -> None:
+    """Raise the MissingStampError of the first of the record's latencies,
+    in column order, that lacks a stamp."""
+    if relayed:
+        corrected_latency_ul(rec)
+        corrected_latency_dl(rec)
+    corrected_latency_e2e(rec)
 
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -279,10 +304,15 @@ def m4(points: list[tuple[float, float]], x_min: float, x_span: float,
     first, the last, the lowest and the highest (the first of equals),
     returned in x order.  A line through them draws the same pixels as a
     line through every point when each column is one pixel wide."""
-    if not points:
-        return []
     ordered = sorted(points, key=_X)
     xs, ys = list(map(_X, ordered)), list(map(_Y, ordered))
+    return [ordered[i] for i in _m4_kept(xs, ys, x_min, x_span, columns)]
+
+
+def _m4_kept(xs: list[float], ys: list[float], x_min: float, x_span: float,
+             columns: int) -> list[int]:
+    """The indices, in order, of the points m4 keeps, of points given as
+    their x and y lists in x order."""
     bounds = [x_min + c * x_span / columns for c in range(1, columns)]
     kept: list[int] = []
     lo, n = 0, len(xs)
@@ -293,30 +323,39 @@ def m4(points: list[tuple[float, float]], x_min: float, x_span: float,
         kept += sorted({lo, hi - 1, lo + part.index(min(part)),
                         lo + part.index(max(part))})
         lo = hi
-    return [ordered[i] for i in kept]
+    return kept
 
 
-def svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str,
+def svg_line_chart(series: dict[str, tuple[list[float], list[float]]], title: str,
                    x_label: str, y_label: str) -> str:
-    """Minimal dependency-free line chart: one polyline per series, through
-    its points in x order.  Each series is drawn at plot resolution, through
-    the points `m4` keeps with one column per pixel, so its size does not
-    grow with its points.  A series whose points all fall on one pixel is
-    drawn as a one-pixel dash, so that every series with a point shows."""
+    """Minimal dependency-free line chart: one polyline per series, given as
+    the x and y lists of its points in x order.  Each series is drawn at
+    plot resolution, through the points `m4` keeps with one column per
+    pixel, so its size does not grow with its points.  A series whose points
+    all fall on one pixel is drawn as a one-pixel dash, so that every series
+    with a point shows."""
     margin, width, height = 70, 900, 520
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
-    points = list(chain.from_iterable(series.values()))
-    if points:
-        x_min, x_max = min(map(_X, points)), max(map(_X, points))
-        y_min, y_max = min(map(_Y, points)), max(map(_Y, points))
+    drawn = [xs for xs, _ in series.values() if xs]
+    if drawn:
+        x_min, x_max = min(xs[0] for xs in drawn), max(xs[-1] for xs in drawn)
     else:
-        x_min = y_min = 0.0
-        x_max = y_max = 1.0
+        x_min = x_max = 0.0
     if x_max == x_min:
         x_max = x_min + 1.0
+    x_span = x_max - x_min
+    kept = {name: [(xs[i], ys[i]) for i in _m4_kept(xs, ys, x_min, x_span, plot_w)]
+            for name, (xs, ys) in series.items()}
+    # each column's lowest and highest point is kept, so the kept points
+    # span every point's y
+    points = list(chain.from_iterable(kept.values()))
+    if points:
+        y_min, y_max = min(map(_Y, points)), max(map(_Y, points))
+    else:
+        y_min, y_max = 0.0, 1.0
     if y_max == y_min:
         y_max = y_min + 1.0
-    x_span, y_span = x_max - x_min, y_max - y_min
+    y_span = y_max - y_min
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -339,13 +378,13 @@ def svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str,
         f'<text x="{margin - 6}" y="{margin + 4}" font-size="10" '
         f'text-anchor="end">{y_max:.3g}</text>',
     ]
-    for i, (name, pts) in enumerate(series.items()):
+    for i, (name, pts) in enumerate(kept.items()):
         if not pts:
             continue
         color = _PALETTE[i % len(_PALETTE)]
         pixels = [(margin + (x - x_min) / x_span * plot_w,
                    height - margin - (y - y_min) / y_span * plot_h)
-                  for x, y in m4(pts, x_min, x_span, plot_w)]
+                  for x, y in pts]
         coords = [f"{px:.2f},{py:.2f}" for px, py in pixels]
         if len(set(coords)) == 1:
             px, py = pixels[0]
@@ -358,16 +397,17 @@ def svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str,
     return "\n".join(parts)
 
 
-def _cdf_steps_ms(cdf: list[tuple[int, float]]) -> list[tuple[float, float]]:
-    """The vertices of an empirical CDF drawn as a step function, values in
-    ms: up from the fraction below each value to the fraction at it, so a
-    point mass is a vertical segment."""
-    steps: list[tuple[float, float]] = []
-    below = 0.0
-    for value, fraction in cdf:
-        steps += ((value / 1e6, below), (value / 1e6, fraction))
-        below = fraction
-    return steps
+def _cdf_steps_ms(cdf: list[tuple[int, float]]) -> tuple[list[float], list[float]]:
+    """The vertices of an empirical CDF drawn as a step function, as x and
+    y lists, values in ms: up from the fraction below each value to the
+    fraction at it, so a point mass is a vertical segment."""
+    values_ms = [value / 1e6 for value, _ in cdf]
+    fractions = list(map(_Y, cdf))
+    xs, ys = [0.0] * (2 * len(cdf)), [0.0] * (2 * len(cdf))
+    xs[0::2] = xs[1::2] = values_ms
+    ys[1::2] = fractions
+    ys[2::2] = fractions[:-1]
+    return xs, ys
 
 
 def emit_report(stats_by_scenario: dict[str, LatencyStats],
@@ -382,7 +422,7 @@ def emit_report(stats_by_scenario: dict[str, LatencyStats],
     stats_path = out / "stats.csv"
     write_stats_csv(stats_by_scenario, stats_path)
     written.append(stats_path)
-    series: dict[str, list[tuple[float, float]]] = {}
+    series: dict[str, tuple[list[float], list[float]]] = {}
     for name, stats in stats_by_scenario.items():
         cdf_path = out / f"cdf_{safe_name(name)}.csv"
         write_cdf_csv(stats, cdf_path)
@@ -399,11 +439,12 @@ def emit_report(stats_by_scenario: dict[str, LatencyStats],
 
 def emit_per_packet_chart(name: str, records: list[PacketRecord],
                           out_dir: str | Path) -> Path:
-    pts = [(rec.seq, corrected_latency_e2e(rec) / 1e6)
-           for rec in records if not rec.corrupt]
+    pts = sorted(((rec.seq, corrected_latency_e2e(rec) / 1e6)
+                  for rec in records if not rec.corrupt), key=_X)
     path = Path(out_dir) / f"per_packet_{safe_name(name)}.svg"
     path.write_text(
-        svg_line_chart({name: pts}, f"Per-packet latency: {name}",
+        svg_line_chart({name: (list(map(_X, pts)), list(map(_Y, pts)))},
+                       f"Per-packet latency: {name}",
                        "packet seq", "end-to-end latency [ms]"),
         encoding="utf-8")
     return path

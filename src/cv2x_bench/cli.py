@@ -93,19 +93,20 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     records = analysis.ingest(args.log)
+    name = Path(args.log).stem
     try:
         stats = analysis.summarize(records, args.metric)
+        _print_stats(f"{name} [{args.metric}]", stats)
+        if args.out:
+            analysis.emit_report({name: stats}, args.out)
+            # its rows need every hop's stamps, not only the metric's
+            analysis.write_per_packet_csv(
+                records, Path(args.out) / f"per_packet_{analysis.safe_name(name)}.csv")
+            analysis.emit_per_packet_chart(name, records, args.out)
+            print(f"report written to {args.out}")
     except ValueError as exc:  # no uncorrupted record, or one missing a stamp
         print(f"error: {args.log}: {exc}", file=sys.stderr)
         return 1
-    name = Path(args.log).stem
-    _print_stats(f"{name} [{args.metric}]", stats)
-    if args.out:
-        analysis.emit_report({name: stats}, args.out)
-        analysis.write_per_packet_csv(
-            records, Path(args.out) / f"per_packet_{analysis.safe_name(name)}.csv")
-        analysis.emit_per_packet_chart(name, records, args.out)
-        print(f"report written to {args.out}")
     return 0
 
 

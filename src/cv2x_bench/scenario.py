@@ -243,6 +243,15 @@ class ScenarioConfig:
         if ack_bytes >= MAX_FRAME_SIZE + 1 or round(ack_bytes) > MAX_FRAME_SIZE:
             raise ConfigError(f"network.ack_ratio {self.network.ack_ratio} makes an "
                               f"acknowledgment over {MAX_FRAME_SIZE} bytes")
+        # a message crosses two hops of the base delay and the relay
+        processing = self.agents.relay.processing_delay
+        longest = (processing.constant_ns if processing.uniform_ns is None
+                   else processing.uniform_ns[1])
+        limit = _DRAIN_GRACE_NS - 2 * self.network.base_delay_ns
+        if longest > limit:
+            raise ConfigError(
+                f"agents.relay.processing_delay must be <= {limit} ns, with two "
+                f"hops of network.base_delay_ms, to drain, got {longest}")
         if self.mobility is not None and len(self.network.cells) < 2:
             raise ConfigError("mobility needs at least two cells in network.cells")
         if self.mode == "real":

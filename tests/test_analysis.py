@@ -187,6 +187,11 @@ def _with(obj: dict, **changes) -> str:
     return json.dumps({**obj, **changes}, separators=(",", ":"))
 
 
+def _raw(obj: dict, key: str, text: str) -> str:
+    """The line as written, with the text of `key`'s value replaced."""
+    return _with(obj, **{key: 0}).replace(f'"{key}":0', f'"{key}":{text}')
+
+
 # each turns a record's JSON object into the text of its line
 _PERTURBATIONS = {
     "as-written": lambda obj: _with(obj),
@@ -202,6 +207,16 @@ _PERTURBATIONS = {
     "duplicate-key-last": lambda obj: _with(obj)[:-1] + ',"seq":5}',
     "duplicate-key-first": lambda obj: '{"seq":5,' + _with(obj)[1:],
     "spaced": lambda obj: json.dumps(obj),
+    # integers JSON reads as int() does, or refuses although int() reads them
+    "minus-zero": lambda obj: _raw(obj, "seq", "-0"),
+    "leading-zero": lambda obj: _raw(obj, "seq", "01"),
+    "non-ascii-digit": lambda obj: _raw(obj, "seq", "\u0663"),
+    "non-ascii-second-digit": lambda obj: _raw(obj, "seq", "1\u0663"),
+    "25-digits": lambda obj: _raw(obj, "t1", "1" * 25),
+    "over-int-max-str-digits": lambda obj: _raw(obj, "t2", "9" * 5_000),
+    "exponent": lambda obj: _raw(obj, "t3", "1e3"),
+    "int-in-corrupt": lambda obj: _with(obj, corrupt=0),
+    "null-in-corrupt": lambda obj: _with(obj, corrupt=None),
     "blank": lambda obj: "",
     "whitespace": lambda obj: " \t ",
 }
@@ -294,9 +309,8 @@ def test_summarize_invariant_to_constant_offset_with_perfect_estimates():
     shifted = []
     for rec in base:
         # receiver clock 25 ms fast at t2, perfectly estimated
-        shifted.append(PacketRecord(**{**rec.__dict__,
-                                       "t2": rec.t2 + 25 * MS,
-                                       "e2": rec.e2 - 25 * MS}))
+        shifted.append(dataclasses.replace(rec, t2=rec.t2 + 25 * MS,
+                                           e2=rec.e2 - 25 * MS))
     a, b = summarize(base, "ul"), summarize(shifted, "ul")
     assert (a.mean_ns, a.p95_ns, a.p99_ns) == (b.mean_ns, b.p95_ns, b.p99_ns)
 

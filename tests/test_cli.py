@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -190,6 +191,63 @@ def test_analyze_of_a_leg_without_its_stamps_exits_1(tmp_path, capsys):
     assert "dl-direct [e2e]: n=4 mean=3.000 ms " in capsys.readouterr().out
     rows = (report / "per_packet_dl-direct.csv").read_text().splitlines()
     assert rows[1:] == [f"{seq},,,3000000,-1,0,0" for seq in range(4)]
+
+
+def test_analyze_out_of_a_record_without_t4_exits_1(tmp_path, capsys):
+    # the uplink figure needs only t1 and t2, the per-packet rows t4 too
+    log = tmp_path / "no-t4.jsonl"
+    analysis.write_records(log, [analysis.PacketRecord(
+        source_id=1, seq=5, t1=100, t2=200, t3=300, t4=0)])
+    assert cli.main(["analyze", "--log", str(log), "--metric", "ul"]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", "--log", str(log), "--metric", "ul",
+                     "--out", str(tmp_path / "report")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {log}: downlink latency needs t3 and t4 (seq 5: t3=300, t4=0)\n")
+
+
+def _loopback_log(path: Path) -> None:
+    """2,000 records shaped like a real-socket vehicle's log, from integer
+    arithmetic alone: epoch-scale stamps of 19 digits, zero offsets, no
+    ground truth and no cell; record 600 is corrupt and record 1400 has no
+    relay stamps."""
+    epoch = 1_761_000_000_123_456_789
+    records = []
+    for seq in range(2000):
+        t1 = epoch + seq * 500_000 + (seq * 7_919) % 20_011
+        t2 = t1 + 80_000 + (seq * 104_729) % 310_007
+        t3 = t2 + 15_000 + (seq * 1_299_709) % 90_001
+        t4 = t3 + 70_000 + (seq * 15_485_863) % 290_011
+        records.append(analysis.PacketRecord(
+            source_id=1, seq=seq, t1=t1, t2=t2, t3=t3, t4=t4, frame_size=1000))
+    records[600].corrupt = True
+    records[1400].t2 = records[1400].t3 = 0
+    analysis.write_records(path, records)
+
+
+# SHA-256 of each file `analyze --out` writes for _loopback_log, both charts
+# included
+_LOOPBACK_REPORT = {
+    "cdf.svg": "b573c016b65df04738cb3f79bf1ed60228a18fad2b327999893e3d1e6d510edc",
+    "cdf_loopback.csv": "7ae231732b5a0722e4ec1832e48e567e09631a758622d1f976b01c01d1663e2b",
+    "per_packet_loopback.csv":
+        "b0dbf514fe5501c4043e3fac68a8c909f0f4d745dc0440508d2a9d8e827d2d77",
+    "per_packet_loopback.svg":
+        "2673941b9be53798b0b8470d27a0dfe8178a55787a97bd33d47cd17b39adc091",
+    "stats.csv": "f8e9b1e24a49f1c172ec86578ff5a1fc235e952282f236b6c8168609b67836b1",
+}
+
+
+def test_analyze_out_writes_the_pinned_report_of_a_loopback_log(tmp_path, capsys):
+    log = tmp_path / "loopback.jsonl"
+    _loopback_log(log)
+    report = tmp_path / "report"
+    assert cli.main(["analyze", "--log", str(log), "--out", str(report)]) == 0
+    assert "loopback [e2e]: n=1999 mean=0.510 ms " in capsys.readouterr().out
+    rows = (report / "per_packet_loopback.csv").read_text().splitlines()
+    assert rows[601] == "600,,,,-1,1,0" and rows[1401].startswith("1400,,,")
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in report.iterdir()} == _LOOPBACK_REPORT
 
 
 def _closed_port() -> int:

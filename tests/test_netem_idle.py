@@ -397,6 +397,36 @@ def test_an_ap_span_matches_stepping_tick_by_tick(start_ns, sources, warm_ticks,
     assert world.now_ns == want_world.now_ns
 
 
+def _fed_queue_with_an_application_packet():
+    """An AP world whose source overloads its uplink flow, stepped until the
+    queue holds backlog, with one application packet then enqueued into that
+    CBR-fed flow; returns the world, its link and its deliveries."""
+    world, link = _span_world(0, [(8_000_000, 1000, 12, 0, None, 1,
+                                   Direction.UPLINK)], warm_ticks=4)
+    deliveries = []
+    world.on_delivery = deliveries.append
+    assert link.flows["bg0"].backlog_bits
+    assert link.enqueue("bg0", 4_000, world.now_ns, meta={"tag": "app"})
+    return world, link, deliveries
+
+
+def test_an_application_packet_in_a_fed_queue_is_delivered_as_when_stepping():
+    # a span serves only background runs, so an application packet in a fed
+    # queue rules it out: the packet's tick must run and deliver it
+    world, link, got = _fed_queue_with_an_application_packet()
+    want_world, want_link, want = _fed_queue_with_an_application_packet()
+    world.run_until(world.now_ns + 30 * TICK)
+    for _ in range(30):
+        want_world.run_tick()
+    assert [d.meta for d in want] == [{"tag": "app"}]
+    assert got == want
+    assert accounting(link) == accounting(want_link)
+    assert _queued_runs(link) == _queued_runs(want_link)
+    assert world.now_ns == want_world.now_ns
+    # the ticks after the delivery are a span again
+    assert world.ticks_skipped > 0
+
+
 # each per-tick check of _advance_span raises on state that breaks only it,
 # from inside a span: the other checks hold, so a span without that check
 # raises nothing, and no tick of these worlds is run another way

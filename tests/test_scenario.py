@@ -672,6 +672,24 @@ def test_ack_size_and_base_delay_are_bounded():
             config_from_obj(_minimal(network={"base_delay_ms": delay}))
 
 
+def test_processing_delay_is_bounded():
+    # the longest processing delay and two hops of base delay fit the 120 s
+    # drain grace
+    for base_delay_ms in (2.0, 0.0, 60_000):
+        largest = scenario._DRAIN_GRACE_NS - 2 * round(base_delay_ms * 1_000_000)
+        for delay in ({"constant_ns": largest}, {"uniform_ns": [0, largest]},
+                      {"uniform_ns": [largest, largest]}):
+            obj = _minimal(network={"base_delay_ms": base_delay_ms},
+                           agents={"relay": {"processing_delay": delay}})
+            config_from_obj(obj)
+            over = {key: value + 1 if key == "constant_ns" else [value[0], value[1] + 1]
+                    for key, value in delay.items()}
+            obj["agents"]["relay"]["processing_delay"] = over
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"config.agents.relay.processing_delay must be <= {largest} ns")):
+                config_from_obj(obj)
+
+
 def test_message_count_is_bounded():
     # 10 kHz for 1000 s publishes exactly 10,000,000 messages
     assert scenario.message_count(10_000.0, 1000 * 10**9) == 10_000_000
@@ -755,6 +773,15 @@ MALFORMED = [
     ("config", _minimal(agents={"relay": {"processing_delay": {
         "uniform_ns": [5, 2]}}}),
      "config.agents.relay.processing_delay: uniform range"),
+    # a relay that holds a message past the drain grace, constant or at the
+    # top of its range
+    ("config", _minimal(agents={"relay": {"processing_delay": {
+        "constant_ns": 10**15}}}),
+     "config.agents.relay.processing_delay must be <= 119996000000 ns, with two "
+     "hops of network.base_delay_ms, to drain, got 1000000000000000"),
+    ("config", _minimal(agents={"relay": {"processing_delay": {
+        "uniform_ns": [0, 10**15]}}}),
+     "config.agents.relay.processing_delay must be <= 119996000000 ns"),
     ("config", _minimal(mobility=5), "config.mobility must be an object"),
     ("config", _minimal(mobility={}), "config.mobility.waypoints is required"),
     ("config", _minimal(mobility={"waypoints": 5}),
