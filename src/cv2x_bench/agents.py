@@ -96,11 +96,6 @@ class SimSensor:
     def __init__(self, source_id: int, frame_size_bytes: int, rate_hz: float,
                  duration_ns: int, clock: DriftingClock,
                  provider: Provider, start_ns: int = 0) -> None:
-        if frame_size_bytes < protocol.FRAME_OVERHEAD:
-            raise ValueError(
-                f"frame size {frame_size_bytes} below minimum {protocol.FRAME_OVERHEAD}")
-        if rate_hz <= 0:
-            raise ValueError("rate must be positive")
         self.source_id = source_id
         self.frame_size_bytes = frame_size_bytes
         self.rate_hz = rate_hz

@@ -98,10 +98,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         stats = analysis.summarize(records, args.metric)
         _print_stats(f"{name} [{args.metric}]", stats)
         if args.out:
-            analysis.emit_report({name: stats}, args.out)
-            # its rows need every hop's stamps, not only the metric's
+            # its rows need every hop's stamps, not only the metric's, so
+            # they are built, or refused, before the rest of the report
+            Path(args.out).mkdir(parents=True, exist_ok=True)
             analysis.write_per_packet_csv(
                 records, Path(args.out) / f"per_packet_{analysis.safe_name(name)}.csv")
+            analysis.emit_report({name: stats}, args.out)
             analysis.emit_per_packet_chart(name, records, args.out)
             print(f"report written to {args.out}")
     except ValueError as exc:  # no uncorrupted record, or one missing a stamp

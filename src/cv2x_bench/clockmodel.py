@@ -89,8 +89,6 @@ class OffsetProvider:
 
     def __init__(self, clock: DriftingClock, *, period_ns: int,
                  noise_bound_ns: int = 0, rng_seed: int = 0) -> None:
-        if period_ns < 0:
-            raise ValueError("period must be nonnegative")
         self.clock = clock
         self.period_ns = period_ns
         self.noise_bound_ns = noise_bound_ns

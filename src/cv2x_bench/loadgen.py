@@ -34,8 +34,6 @@ class BackgroundLoad:
             raise ValueError("ue_count must be nonnegative")
         if self.per_ue_rate_bps < 0:
             raise ValueError("rate must be nonnegative")
-        if self.packet_size_bytes <= 0:
-            raise ValueError("packet size must be positive")
 
 
 def parse_load(text: str, direction: Direction,
@@ -73,8 +71,6 @@ class CbrPacketSource:
     def __init__(self, flow_id: str, rate_bps: int,
                  packet_size_bytes: int = DEFAULT_PACKET_BYTES,
                  start_ns: int = 0, stop_ns: int | None = None) -> None:
-        if rate_bps < 0:
-            raise ValueError("rate must be nonnegative")
         self.flow_id = flow_id
         self.rate_bps = rate_bps
         self.packet_bits = packet_size_bytes * 8
@@ -104,8 +100,6 @@ def blast_udp(target: tuple[str, int], rate_bps: float, duration_s: float,
               packet_size_bytes: int = DEFAULT_PACKET_BYTES) -> int:
     """Real-socket CBR UDP blaster for loopback/lab use; returns packets sent.
     It sends until duration_s has passed, and never sleeps past that."""
-    if rate_bps <= 0:
-        raise ValueError("rate must be positive")
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     payload = b"\x00" * packet_size_bytes
     interval = packet_size_bytes * 8 / rate_bps

@@ -37,6 +37,9 @@ are asserted on every tick that runs and raise InvariantViolation when
 broken; SimWorld.run_until skips only ticks whose outcome is known, which
 leave every queue empty as they found it, and checks them on every tick of
 an AP span it advances in one call.
+
+The emulator takes the values the scenario config has checked (cells,
+budgets, caps, interruptions) and does not check them again.
 """
 
 from __future__ import annotations
@@ -149,10 +152,6 @@ def apply_handover(route: MobilityRoute, cells: Sequence[Cell], *,
     (1 m + the largest coordinate + the hysteresis), covers rounding, so
     the events equal those of evaluating every sample.
     """
-    if len(cells) < 2:
-        raise ValueError("handover needs at least two cells")
-    if sample_ns <= 0:
-        raise ValueError("sample interval must be positive")
     pts = route.waypoints
     end = route.end_ns
     ids = [cell.cell_id for cell in cells]
@@ -240,8 +239,6 @@ class FlowQueue:
                  priority_class: PriorityClass, cell_id: int | None,
                  queue_cap_bytes: int | None) -> None:
         self.droppable = priority_class is PriorityClass.BACKGROUND
-        if self.droppable and (queue_cap_bytes is None or queue_cap_bytes <= 0):
-            raise ValueError(f"flow {flow_id}: background flows need a positive queue cap")
         self.flow_id = flow_id
         self.direction = direction
         self.cell_id = cell_id
@@ -460,20 +457,12 @@ class LinkSimulator:
     def __init__(self, cells: Sequence[Cell], *, tick_ns: int,
                  scheduler: SchedulerKind, ul_capacity_bps: int,
                  dl_capacity_bps: int) -> None:
-        if not cells:
-            raise ValueError("need at least one cell")
         self.tick_ns = tick_ns
         self.scheduler = scheduler
         # every cell serves each direction with the same per-tick budget
         self.budgets = {Direction.UPLINK: ul_capacity_bps * tick_ns // 1_000_000_000,
                         Direction.DOWNLINK: dl_capacity_bps * tick_ns // 1_000_000_000}
-        for direction, budget in self.budgets.items():
-            if budget <= 0:
-                raise ValueError(f"{direction.value} capacity gives {budget} "
-                                 f"bits per tick, which never drain a queue")
         self.cells: dict[int, Cell] = {c.cell_id: c for c in cells}
-        if len(self.cells) != len(cells):
-            raise ValueError("cell ids must be unique")
         self.flows: dict[str, FlowQueue] = {}
         self._groups: list[_FlowGroup] | None = None
         # application packets enqueued so far: the last part of their keys
@@ -504,8 +493,6 @@ class LinkSimulator:
         handovers that switch it, each interrupting its service."""
         # the mobile terminal's handovers, sorted by time
         self.handovers = sorted(events, key=attrgetter("time_ns"))
-        if any(ev.interruption_ns < 0 for ev in self.handovers):
-            raise ValueError("a handover interruption cannot be negative")
         starts = [ev.time_ns for ev in self.handovers]
         ends = sorted(t + ev.interruption_ns for t, ev in zip(starts, self.handovers))
         # the sorted times at which a handover or an interruption's end
@@ -517,9 +504,8 @@ class LinkSimulator:
         cells = [initial_cell] + [ev.to_cell for ev in self.handovers]
         self._states = [(cells[n := bisect_right(starts, t)], n > bisect_right(ends, t))
                         for t in [-math.inf] + self._bounds]
-        # (lo, hi, serving, suspended): the state of every tick in [lo, hi),
-        # and (lo, hi, the groups with flows eligible in it); none yet
-        self._segment = (math.inf, -math.inf, initial_cell, False)
+        # (lo, hi, the groups with flows eligible in every tick of [lo,
+        # hi)); none yet
         self._eligible = (math.inf, -math.inf, [])
 
     def interrupted(self, start_ns: int, end_ns: int) -> bool:
@@ -548,20 +534,9 @@ class LinkSimulator:
         against a CBR-source packet of another queue with the same time and
         rank, so serving the two next to each other raises ValueError (see
         _serve_fifo); SimWorld's ranks never give such a pair."""
-        if size_bits <= 0:
-            raise ValueError("packet size must be positive")
         self._app_packets += 1
         return self.flows[flow_id].admit(self._app_packets, 1, size_bits,
                                          self.event_rank, None, time_ns, meta) == 1
-
-    def enqueue_run(self, src, rank: int, first: int, end: int) -> int:
-        """Enqueue packets `first` .. `end - 1` of CBR source `src` into its
-        flow, packet n keyed (src.packet_time(n), rank, n); returns how many
-        were accepted.  Served, they yield no Delivery."""
-        if first >= end or src.packet_bits <= 0:
-            raise ValueError("run needs a positive count and packet size")
-        return self.flows[src.flow_id].admit(first, end - first, src.packet_bits,
-                                             rank, src)
 
     def _flow_groups(self) -> list[_FlowGroup]:
         if self._groups is None:
@@ -587,7 +562,7 @@ class LinkSimulator:
         lo, hi, groups = self._eligible
         if tick_start < lo or tick_end > hi:
             # the segment's groups with eligible flows, each with its view
-            lo, hi, serving, suspended = self._segment = self._locate(tick_start, tick_end)
+            lo, hi, serving, suspended = self._locate(tick_start, tick_end)
             groups = [(group, *view) for group in self._flow_groups()
                       if (view := group.views[serving == group.cell_id and not suspended])[0]]
             self._eligible = (lo, hi, groups)

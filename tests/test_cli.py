@@ -200,10 +200,13 @@ def test_analyze_out_of_a_record_without_t4_exits_1(tmp_path, capsys):
         source_id=1, seq=5, t1=100, t2=200, t3=300, t4=0)])
     assert cli.main(["analyze", "--log", str(log), "--metric", "ul"]) == 0
     capsys.readouterr()
+    report = tmp_path / "report"
     assert cli.main(["analyze", "--log", str(log), "--metric", "ul",
-                     "--out", str(tmp_path / "report")]) == 1
+                     "--out", str(report)]) == 1
     assert capsys.readouterr().err == (
         f"error: {log}: downlink latency needs t3 and t4 (seq 5: t3=300, t4=0)\n")
+    # refused before the first file of the report was written
+    assert list(report.glob("*")) == []
 
 
 def _loopback_log(path: Path) -> None:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
+from cv2x_bench import scenario
 from cv2x_bench.clockmodel import (DriftingClock, MissingStampError,
                                    OffsetProvider, corrected_latency_dl,
                                    corrected_latency_e2e, corrected_latency_ul,
@@ -150,3 +152,27 @@ def test_uncorrected_latency_shows_offset_error():
     t1 = t_send
     t2 = receiver.local_now(t_send + delay)
     assert (t2 - t1) - delay == 2 * MS
+
+
+def test_shipped_drifting_clocks_config_corrects_within_its_bound(monkeypatch):
+    """configs/drifting_clocks.json: every message is logged, and each
+    corrected hop is off its ground truth by more than 0 and at most what
+    the config allows.  An endpoint's estimate is its offset at the start
+    of the NTP period, so drift adds |drift| x period; each estimate adds
+    its noise bound, and each reading up to 6 sigma of jitter."""
+    monkeypatch.delenv(scenario.SEED_ENV_VAR, raising=False)
+    cfg = scenario.load_config(
+        Path(__file__).resolve().parents[1] / "configs" / "drifting_clocks.json")
+    result = scenario.run_scenario(cfg)
+    assert len(result.records) == result.sensor_sent == 1200
+
+    def bound(a: str, b: str) -> float:
+        ends = [getattr(cfg.agents, name) for name in (a, b)]
+        return (sum(abs(p.clock.drift_ppm) * 1e-6 * p.ntp.period_ns
+                    + p.ntp.noise_bound_ns + 6 * p.clock.jitter_ns for p in ends)
+                + 4)  # integer rounding of the offsets and readings
+
+    for formula, truth, ends in ((corrected_latency_ul, "gt_ul", ("sensor", "relay")),
+                                 (corrected_latency_dl, "gt_dl", ("relay", "vehicle"))):
+        worst = max(abs(formula(rec) - getattr(rec, truth)) for rec in result.records)
+        assert 0 < worst <= bound(*ends), (truth, worst, bound(*ends))

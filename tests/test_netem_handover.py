@@ -323,7 +323,7 @@ def _check_ticks(link: LinkSimulator, initial_cell: int,
         link.run_tick(t)
         want = (_serving_scan(link, initial_cell, t),
                 _interrupted_scan(link, t, t + link.tick_ns))
-        assert link._segment[2:] == want, t
+        assert link._locate(t, t + link.tick_ns)[2:] == want, t
         assert link.interrupted(t, t + link.tick_ns) == want[1], t
         served.add(want[0])
         suspended += want[1]
@@ -381,9 +381,3 @@ def test_segment_state_matches_the_per_tick_lookups(steps, phase, rng, data):
         a = data.draw(st.integers(phase - 20, last + 20))
         b = data.draw(st.integers(a - 5, last + 30))
         assert link.interrupted(a, b) == (a < b and _interrupted_scan(link, a, b))
-
-
-def test_negative_interruption_is_refused():
-    link = make_link([Cell(1), Cell(2)])
-    with pytest.raises(ValueError, match="negative"):
-        link.set_mobility(1, [HandoverEvent(10, 1, 2, -1)])

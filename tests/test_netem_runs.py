@@ -265,7 +265,7 @@ def test_application_packets_and_runs_never_merge():
     link.add_flow("ue", Direction.UPLINK, PriorityClass.APPLICATION, 1, None)
     src = CbrPacketSource("ue", 800_000, 100)  # 800-bit packets
     assert link.enqueue("ue", 800, 5, meta={"tag": "first"}) is True
-    assert link.enqueue_run(src, 0, 2, 5) == 3
+    assert link.flows["ue"].admit(2, 3, src.packet_bits, 0, src) == 3
     assert link.enqueue("ue", 800, 6, meta={"tag": "second"}) is True
     q = link.flows["ue"]
     assert [(e.first, e.count, e.enqueue_ns) for e in q.packets] == [
@@ -289,9 +289,11 @@ def test_tail_drop_at_the_cap_boundary():
     assert link.enqueue("bg", 40_000, 0) is True
     assert link.enqueue("bg", 40_001, 0) is False
     # 13,336-bit packets: two fill 26,672 of the 40,000 bits left
-    assert link.enqueue_run(CbrPacketSource("bg", 1_000_000, 1667), 0, 0, 3) == 2
+    src = CbrPacketSource("bg", 1_000_000, 1667)
+    assert link.flows["bg"].admit(0, 3, src.packet_bits, 0, src) == 2
     assert link.enqueue("bg", 13_328, 0) is True
-    assert link.enqueue_run(CbrPacketSource("bg", 1_000_000, 1), 1, 0, 1) == 0
+    src = CbrPacketSource("bg", 1_000_000, 1)
+    assert link.flows["bg"].admit(0, 1, src.packet_bits, 1, src) == 0
     q = link.flows["bg"]
     assert (q.backlog_bits, q.dropped_bits) == (80_000, 40_001 + 13_336 + 8)
 
@@ -571,7 +573,8 @@ def test_bl_serves_every_queued_packet_in_key_order(budget, sources, apps):
     for tick in range(3):
         for src, rank, arrivals in feeds:
             first = sum(arrivals[:tick])
-            link.enqueue_run(src, rank, first, first + arrivals[tick])
+            link.flows[src.flow_id].admit(first, arrivals[tick], src.packet_bits,
+                                          rank, src)
         for tag in range(len(apps) * tick // 3, len(apps) * (tick + 1) // 3):
             time_ns, rank, bits, flow_id = apps[tag]
             link.event_rank = rank
@@ -670,7 +673,7 @@ def _queue_state(specs, heads):
             first = 0
             for gap, count in runs:
                 first += gap
-                link.enqueue_run(src, rank, first, first + count)
+                link.flows[flow_id].admit(first, count, src.packet_bits, rank, src)
                 first += count
     queues = list(link.flows.values())
     for q, head in zip(queues, heads):

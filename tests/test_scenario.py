@@ -14,7 +14,7 @@ import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from cv2x_bench import agents, analysis, clockmodel, netem, protocol, scenario
@@ -368,7 +368,8 @@ def test_every_cell_is_served_with_the_networks_budget():
             link.add_flow(flow_id, direction, PriorityClass.BACKGROUND, cell,
                           QUEUE_CAP_BYTES)
             # ten 8,000-bit packets
-            link.enqueue_run(CbrPacketSource(flow_id, 8_000_000, 1000), 0, 0, 10)
+            src = CbrPacketSource(flow_id, 8_000_000, 1000)
+            link.flows[flow_id].admit(0, 10, src.packet_bits, 0, src)
     link.run_tick(world.start_ns)
     assert {flow_id: q.served_bits for flow_id, q in link.flows.items()
             if flow_id.startswith("x-")} == {
@@ -755,6 +756,19 @@ MALFORMED = [
      "config.network.cells[0].position[0] must be finite"),
     ("config", _minimal(network=_cells({"cell_id": 1}, {"cell_id": 1})),
      "config.network.cells must have distinct cell_id values"),
+    # bounds the emulator and the agents take as checked
+    ("config", _minimal(load={"queue_cap_bytes": 0}),
+     "config.load.queue_cap_bytes must be >= 1"),
+    ("config", _minimal(load={"packet_size_bytes": 0}),
+     "config.load.packet_size_bytes must be >= 1"),
+    ("config", _minimal(load={"ul": "-1x5"}), "config.load.ul: ue_count must be nonnegative"),
+    ("config", _minimal(load={"ul": "1x-5"}), "config.load.ul: rate must be nonnegative"),
+    ("config", _minimal(message={"rate_hz": 0}), "config.message.rate_hz must be positive"),
+    ("config", _minimal(network=_cells()), "config.network.cells must not be empty"),
+    ("config", _minimal(network={"handover": {"interruption_ms": -1}}),
+     "config.network.handover.interruption_ms must be >= 0"),
+    ("config", _minimal(agents={"sensor": {"ntp": {"period_s": -1}}}),
+     "config.agents.sensor.ntp.period_s must be >= 0"),
     ("config", _minimal(agents=[]), "config.agents must be an object"),
     ("config", _minimal(agents={"relay": {"clock": 5}}),
      "config.agents.relay.clock must be an object"),
@@ -919,9 +933,100 @@ def test_any_json_matrix_resolves_or_raises_config_error(obj):
     _parses_or_config_error(lambda o: _load("matrix", o), obj)
 
 
+# (path, values just past the bound, values at and inside it) of each field
+# whose bound the emulator and the agents take as checked
+_BOUNDED = [
+    (("duration_s",), [0.0], [1e-9, 1.0]),
+    (("message", "size_bytes"), [protocol.FRAME_OVERHEAD - 1],
+     [protocol.FRAME_OVERHEAD, protocol.FRAME_OVERHEAD + 1, 1000]),
+    (("message", "rate_hz"), [0.0], [1e-300, 10.0]),
+    (("load", "ul"), ["-1x5", "1x-5"], ["none", "0x5", "1x0", "2x40"]),
+    (("load", "dl"), ["-1x5", "1x-5"], ["none", "0x5", "1x0", "2x40"]),
+    (("load", "packet_size_bytes"), [0], [1, 2, 1400]),
+    (("network", "pattern"), [""], ["D", "DDDSU"]),
+    (("network", "slot_duration_ns"), [0], [1, 2, 500_000]),
+    (("network", "ack_ratio"), [-0.01], [0.0, 0.001, 0.05]),
+    (("network", "handover", "interruption_ms"), [-1e-6], [0.0, 1e-6, 50.0]),
+    # cell ids, one to three of them
+    (("network", "cells"), [[], [1, 1], [1, 2, 2]], [[1], [1, 2], [1, 2, 3]]),
+] + [(("agents", agent, "ntp", "period_s"), [-1e-9], [0.0, 1e-10, 1e-9, 10.0])
+     for agent in ("sensor", "relay", "vehicle")]
+# fields whose bound depends on another field's drawn value
+_RELATIVE = [("load", "queue_cap_bytes"), ("network", "ul_capacity_bps"),
+             ("network", "dl_capacity_bps")]
+
+
+@st.composite
+def _near_bounds(draw) -> tuple[dict, tuple | None]:
+    """A sim config with each bounded field at or next to its bound, and
+    the path of the one field drawn just past it, or None.  The relative
+    bounds: a queue cap of at least the packet size, and capacities that
+    give a per-tick budget of at least 1 bit.  The cells sit 200 m apart,
+    and a two-waypoint route is optional."""
+    past = draw(st.none() | st.sampled_from([path for path, *_ in _BOUNDED] + _RELATIVE))
+    obj = {"mode": "sim", "seed": 1, "scheduler": draw(st.sampled_from(["BL", "AP"]))}
+
+    def put(path, outside, inside) -> None:
+        node = obj
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = draw(st.sampled_from(outside if path == past else inside))
+
+    for path, outside, inside in _BOUNDED:
+        put(path, outside, inside)
+    size = obj["load"]["packet_size_bytes"]
+    put(_RELATIVE[0], [0], [size, size + 1, 1_000_000])
+    network = obj["network"]
+    tick_ns = len(network["pattern"]) * network["slot_duration_ns"]
+    least = -(-1_000_000_000 // tick_ns) if tick_ns else 1
+    for path in _RELATIVE[1:]:
+        put(path, [least - 1], [least, least + 1, max(least, 40_000_000)])
+    network["cells"] = [{"cell_id": cell_id, "position": [200.0 * i, 0.0]}
+                        for i, cell_id in enumerate(network["cells"])]
+    if draw(st.booleans()):
+        obj["mobility"] = {"waypoints": [
+            [0, draw(st.sampled_from([0.0, 100.0])), 0.0],
+            [draw(st.sampled_from([1, 10**9])), draw(st.sampled_from([0.0, 300.0])), 0.0]]}
+    return obj, past
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_near_bounds())
+def test_what_the_config_accepts_the_emulator_can_take(drawn):
+    """The config refuses a value just past its bound, and what it accepts
+    meets every bound the emulator and the agents take unchecked."""
+    obj, past = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(scenario.SEED_ENV_VAR, raising=False)
+        try:
+            cfg = config_from_obj(obj)
+        except ConfigError:
+            event("refused")
+            return
+    assert past is None, f"{'.'.join(past)} past its bound was accepted"
+    world, pipeline = scenario._build_sim(cfg)
+    link = world.link
+    event(f"built, load: {bool(world.cbr_sources)}, "
+          f"mobility: {cfg.mobility is not None}")
+    assert min(link.budgets.values()) >= 1
+    assert link.tick_ns >= 1  # apply_handover's sample interval
+    assert 1 <= len(link.cells) == len(cfg.network.cells)
+    assert all(q.cap_bits > 0 for q in link.flows.values() if q.droppable)
+    assert all(ev.interruption_ns >= 0 for ev in link.handovers)
+    assert cfg.mobility is None or len(link.cells) >= 2
+    sensor = pipeline.sensor
+    assert sensor.frame_size_bytes >= protocol.FRAME_OVERHEAD and sensor.rate_hz > 0
+    # every frame the pipeline enqueues, and every acknowledgment it sends
+    assert pipeline.frame_bits > 0 and pipeline.ack_bits >= 0
+    providers = (sensor.provider, pipeline.relay.provider, pipeline.vehicle.provider)
+    assert all(p.period_ns >= 0 for p in providers)
+    assert all(src.rate_bps >= 0 and src.packet_bits > 0 for src in world.cbr_sources)
+
+
 @pytest.mark.parametrize("cfg", resolve_matrix_cells(shipped_matrix()) + [
     load_config(CONFIGS_DIR / name)
-    for name in ("nominal_example.json", "real_loopback.json")] + [
+    for name in ("nominal_example.json", "real_loopback.json",
+                 "drifting_clocks.json")] + [
     config_from_obj(_minimal(name="uniform-relay", agents={
         "relay": {"processing_delay": {"uniform_ns": [1, 2]}}}))],
     ids=lambda cfg: cfg.name)
