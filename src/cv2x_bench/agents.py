@@ -63,6 +63,10 @@ class ProcessingDelay:
         elif self.constant_ns < 0:
             raise ValueError("constant delay must be nonnegative")
 
+    @property
+    def longest_ns(self) -> int:
+        return self.constant_ns if self.uniform_ns is None else self.uniform_ns[1]
+
     def sample(self, rng: random.Random) -> int:
         if self.uniform_ns is not None:
             return rng.randint(self.uniform_ns[0], self.uniform_ns[1])

@@ -14,7 +14,7 @@ from typing import Iterator
 
 # the emulator, the broker and the agents are imported by the subcommands
 # that use them, so that `analyze` loads only what it runs
-from . import analysis
+from . import MAX_DURATION_S, analysis
 from .protocol import FRAME_OVERHEAD, MAX_FRAME_SIZE
 
 
@@ -35,7 +35,7 @@ def _bounded(kind: type, low: float, high: float = math.inf, *,
 
 
 _POSITIVE = _bounded(float, 0, above=True)
-_NONNEGATIVE = _bounded(float, 0)
+_DURATION = _bounded(float, 0, MAX_DURATION_S)
 _PORT = _bounded(int, 0, 65535)
 
 
@@ -66,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = scenario.load_config(args.config)
     try:
         result = scenario.run_scenario(cfg, out_dir=args.out)
-    except RuntimeError as exc:  # it did not drain, or broke an invariant
+    except RuntimeError as exc:  # an invariant broke, or messages went missing
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"scenario {result.name}: sent={result.sensor_sent} "
@@ -212,28 +212,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_bounded(int, FRAME_OVERHEAD, MAX_FRAME_SIZE),
                    default=1000, help="frame size in bytes")
     p.add_argument("--rate", type=_POSITIVE, default=10.0, help="messages per second")
-    p.add_argument("--duration", type=_NONNEGATIVE, default=10.0, help="seconds")
+    p.add_argument("--duration", type=_DURATION, default=10.0, help="seconds")
     p.add_argument("--source-id", type=_bounded(int, 0, 0xFFFF), default=1)
     p.set_defaults(func=_cmd_sensor)
 
     p = sub.add_parser("relay", help="real-socket edge relay agent")
     _address(p, "--connect", required=True)
-    p.add_argument("--proc-ms", type=_NONNEGATIVE, default=0.0)
-    p.add_argument("--duration", type=_NONNEGATIVE, default=0.0,
+    p.add_argument("--proc-ms", type=_bounded(float, 0, MAX_DURATION_S * 1000),
+                   default=0.0)
+    p.add_argument("--duration", type=_DURATION, default=0.0,
                    help="stop after this many seconds (0 = run until ^C)")
     p.set_defaults(func=_cmd_relay)
 
     p = sub.add_parser("vehicle", help="real-socket vehicle agent")
     _address(p, "--connect", required=True)
     p.add_argument("--log", required=True)
-    p.add_argument("--duration", type=_NONNEGATIVE, default=0.0)
+    p.add_argument("--duration", type=_DURATION, default=0.0)
     p.add_argument("--expected", type=_bounded(int, 1), default=None)
     p.set_defaults(func=_cmd_vehicle)
 
     p = sub.add_parser("loadgen", help="real-socket UDP background load")
     _address(p, "--target", required=True)
     p.add_argument("--rate-mbps", type=_POSITIVE, required=True)
-    p.add_argument("--duration", type=_NONNEGATIVE, default=10.0)
+    p.add_argument("--duration", type=_DURATION, default=10.0)
     p.add_argument("--size", type=_bounded(int, 1, 65507), default=1400,
                    help="datagram size in bytes")
     p.set_defaults(func=_cmd_loadgen)

@@ -639,7 +639,8 @@ class SimWorld:
     backlog, none of them an application packet, and each is a background
     flow fixed to a cell.  Such a span admits and serves CBR runs only, by
     the rules stepping uses: it delivers nothing, so done() cannot change,
-    and the invariants are checked on every tick it advances.
+    and the invariants are checked on every tick it advances.  A span ends
+    at the first tick that leaves the world idle, which is then skipped.
     """
 
     def __init__(self, link: LinkSimulator, start_ns: int = 0,
@@ -743,25 +744,29 @@ class SimWorld:
         return live_until
 
     def _advance_span(self, n: int,
-                      groups: list[tuple[_FlowGroup, list[FlowQueue]]]) -> None:
+                      groups: list[tuple[_FlowGroup, list[FlowQueue]]],
+                      blocked_until: float) -> None:
         """Advance n AP ticks in which only the CBR-fed background flows
         of `groups`, each cell direction with its background flows fixed to
         the cell, hold packets (see run_until), as running them would: each
         tick enqueues its arrivals as run_tick does, serves each group's
         flows by _serve_waterfill and checks the invariants run_tick checks
-        on the flows it touches."""
+        on the flows it touches.  It stops early after a tick that ends
+        idle: at or after blocked_until, with every flow it touches empty."""
         touched = [q for _, bg in groups for q in bg]
         completed: list[Completion] = []  # a CBR run completes nothing
         t = self.now_ns
-        for _ in range(n):
+        for k in range(1, n + 1):
             t += self.tick_ns
             self._enqueue_arrivals(t)
             for group, bg in groups:
                 served = _serve_waterfill(bg, group.budget, completed)
                 _check_group(group, served, bg)
             _check_flows(touched)
+            if t >= blocked_until and not any(q.backlog_bits for q in touched):
+                break
         self.now_ns = t
-        self.ticks_skipped += n
+        self.ticks_skipped += k
 
     def run_until(self, until_ns: int,
                   done: Callable[[], bool] | None = None) -> None:
@@ -805,7 +810,7 @@ class SimWorld:
                     if heap:
                         n = min(n, (heap[0][0] - now) // tick_ns)
                     if not idle:
-                        self._advance_span(n, span_groups)
+                        self._advance_span(n, span_groups, blocked_until)
                         continue
                     end = now + n * tick_ns
                     # each skipped tick serves its arrivals in full; an

@@ -22,7 +22,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from . import analysis
+from . import MAX_DURATION_S, analysis
 from .agents import (DOWNLINK_TOPIC, UPLINK_TOPIC, ProcessingDelay,
                      SimPipeline, SimRelay, SimSensor, SimVehicle,
                      message_count, run_real_relay, run_real_sensor,
@@ -50,14 +50,10 @@ MESSAGE_PRESETS: dict[str, dict] = {
 }
 
 # Upper bounds on values that parse but would exhaust memory or time: the
-# emulator builds one flow and one CBR source per background UE, advances
-# the run in 2.5 ms ticks, and keeps one record per message.
+# emulator builds one flow and one CBR source per background UE, and keeps
+# one record per message.  MAX_DURATION_S bounds the time fields.
 MAX_BACKGROUND_UES = 1_000
-MAX_DURATION_S = 86_400
 MAX_MESSAGES = 10_000_000
-
-# how long a sim run goes on after its duration for its last message
-_DRAIN_GRACE_NS = 120_000_000_000
 
 
 class ConfigError(ValueError):
@@ -68,26 +64,27 @@ class ConfigError(ValueError):
     """
 
 
-def _at_least(minimum, *, default=MISSING):
-    """A config field whose parsed value must be >= minimum."""
-    return field(default=default, metadata={"minimum": minimum})
+def _at_least(minimum, *, maximum=None, default=MISSING):
+    """A config field whose parsed value must be >= minimum (and <= maximum)."""
+    return field(default=default, metadata={"minimum": minimum, "maximum": maximum})
 
 
 # --------------------------------------------------------------------------
 # Config schema: each field declaration is the only place its default and
-# lower bound are written.
+# bounds are written.
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ClockParams:
     offset0_ns: int = 0
-    drift_ppm: float = 0.0
+    # a clock that never runs backwards, nor at over twice the reference rate
+    drift_ppm: float = _at_least(-1_000_000, maximum=1_000_000, default=0.0)
     jitter_ns: int = _at_least(0, default=0)
 
 
 @dataclass(frozen=True)
 class NtpParams:
-    period_s: float = _at_least(0, default=10.0)
+    period_s: float = _at_least(0, maximum=MAX_DURATION_S, default=10.0)
     noise_bound_ns: int = _at_least(0, default=0)
 
     @property
@@ -153,7 +150,8 @@ class LoadConfig:
 
 @dataclass(frozen=True)
 class HandoverConfig:
-    interruption_ms: float = _at_least(0, default=50.0)
+    interruption_ms: float = _at_least(0, maximum=MAX_DURATION_S * 1000,
+                                       default=50.0)
     hysteresis_m: float = _at_least(0, default=5.0)
 
     @property
@@ -167,7 +165,8 @@ class NetworkConfig:
     slot_duration_ns: int = _at_least(1, default=500_000)
     ul_capacity_bps: int = _at_least(1, default=40_000_000)
     dl_capacity_bps: int = _at_least(1, default=130_000_000)
-    base_delay_ms: float = _at_least(0, default=2.0)
+    base_delay_ms: float = _at_least(0, maximum=MAX_DURATION_S * 1000,
+                                     default=2.0)
     ack_ratio: float = _at_least(0, default=0.05)
     handover: HandoverConfig = HandoverConfig()
     cells: tuple[Cell, ...] = (Cell(1), Cell(2, (200.0, 0.0)))
@@ -188,10 +187,6 @@ class NetworkConfig:
                     f"{key} gives a per-tick budget of 0 bits at the "
                     f"{self.tick_ns} ns tick; it must be >= "
                     f"{-(-1_000_000_000 // self.tick_ns)}")
-        # a message crosses two hops of the base delay
-        if self.base_delay_ms * 2_000_000 > _DRAIN_GRACE_NS:
-            raise ConfigError(f"base_delay_ms must be <= {_DRAIN_GRACE_NS // 2_000_000}"
-                              f" to drain, got {self.base_delay_ms}")
 
     @property
     def base_delay_ns(self) -> int:
@@ -243,15 +238,10 @@ class ScenarioConfig:
         if ack_bytes >= MAX_FRAME_SIZE + 1 or round(ack_bytes) > MAX_FRAME_SIZE:
             raise ConfigError(f"network.ack_ratio {self.network.ack_ratio} makes an "
                               f"acknowledgment over {MAX_FRAME_SIZE} bytes")
-        # a message crosses two hops of the base delay and the relay
-        processing = self.agents.relay.processing_delay
-        longest = (processing.constant_ns if processing.uniform_ns is None
-                   else processing.uniform_ns[1])
-        limit = _DRAIN_GRACE_NS - 2 * self.network.base_delay_ns
-        if longest > limit:
-            raise ConfigError(
-                f"agents.relay.processing_delay must be <= {limit} ns, with two "
-                f"hops of network.base_delay_ms, to drain, got {longest}")
+        longest = self.agents.relay.processing_delay.longest_ns
+        if longest > MAX_DURATION_S * 1_000_000_000:
+            raise ConfigError(f"agents.relay.processing_delay must be <= "
+                              f"{MAX_DURATION_S * 1_000_000_000} ns, got {longest}")
         if self.mobility is not None and len(self.network.cells) < 2:
             raise ConfigError("mobility needs at least two cells in network.cells")
         if self.mode == "real":
@@ -289,7 +279,7 @@ def _check_keys(obj: dict, allowed, path: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {path}")
 
 
-def _num(value, path: str, *, integer: bool = False, minimum=None):
+def _num(value, path: str, *, integer: bool = False, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
     # NaN fails this test too, and so does an int too large for a float
@@ -303,20 +293,22 @@ def _num(value, path: str, *, integer: bool = False, minimum=None):
         value = float(value)
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path} must be <= {maximum}")
     return value
 
 
 @functools.cache
-def _schema(cls: type) -> tuple[tuple[str, object, object, bool], ...]:
-    """(name, type, minimum, required) of each field of a config class,
-    with its type hints resolved once."""
+def _schema(cls: type) -> tuple[tuple[str, object, typing.Mapping, bool], ...]:
+    """(name, type, bounds, required) of each field of a config class, with
+    its type hints resolved once."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name], f.metadata.get("minimum"),
+    return tuple((f.name, hints[f.name], f.metadata,
                   f.default is MISSING and f.default_factory is MISSING)
                  for f in fields(cls))
 
 
-def _parse(tp, value, path: str, minimum=None):
+def _parse(tp, value, path: str, bounds: typing.Mapping | None = None):
     """Read a JSON value as type tp, which is a config dataclass,
     `X | None`, a tuple, dict (any JSON object), str, int or float.  Every
     error is a ConfigError naming the field's path."""
@@ -328,9 +320,9 @@ def _parse(tp, value, path: str, minimum=None):
         schema = _schema(tp)
         _check_keys(value, [name for name, *_ in schema], path)
         kwargs = {}
-        for name, ftype, fmin, required in schema:
+        for name, ftype, fbounds, required in schema:
             if name in value:
-                kwargs[name] = _parse(ftype, value[name], f"{path}.{name}", fmin)
+                kwargs[name] = _parse(ftype, value[name], f"{path}.{name}", fbounds)
             elif required:
                 raise ConfigError(f"{path}.{name} is required")
         try:
@@ -344,7 +336,7 @@ def _parse(tp, value, path: str, minimum=None):
         if value is None:
             return None
         (inner,) = (arg for arg in args if arg is not type(None))
-        return _parse(inner, value, path, minimum)
+        return _parse(inner, value, path, bounds)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path} must be a list")
@@ -358,7 +350,7 @@ def _parse(tp, value, path: str, minimum=None):
         if not isinstance(value, str):
             raise ConfigError(f"{path} must be a string")
         return value
-    return _num(value, path, integer=tp is int, minimum=minimum)
+    return _num(value, path, integer=tp is int, **(bounds or {}))
 
 
 def config_to_obj(value):
@@ -498,23 +490,54 @@ def _build_sim(cfg: ScenarioConfig) -> tuple[SimWorld, SimPipeline]:
     return world, pipeline
 
 
+def _drain_horizon_ns(cfg: ScenarioConfig, link: LinkSimulator) -> int:
+    """A time from the run's start by which every message has reached the
+    vehicle, in a crude finite form of network calculus' horizontal
+    deviation (Cruz, IEEE Trans. Inf. Theory 37(1), 1991).  The last
+    message, sent before the end, waits per hop for every frame and ack of
+    the run and a full queue of each background flow, plus a tick to align;
+    it crosses two base delays, the longest relay delay and each handover
+    with a tick at each edge, and arrives in one more tick.  A drain over
+    MAX_DURATION_S raises a ConfigError naming the largest term's field."""
+    net, tick = cfg.network, link.tick_ns
+    size = cfg.message.size_bytes
+    app_bits = (message_count(cfg.message.rate_hz, cfg.duration_ns) * 8
+                * (size + round(size * net.ack_ratio)))
+    terms = {"network.slot_duration_ns": 3 * tick,
+             "network.base_delay_ms": 2 * net.base_delay_ns,
+             "agents.relay.processing_delay": cfg.agents.relay.processing_delay.longest_ns,
+             "network.handover.interruption_ms":
+                 sum(ev.interruption_ns + 2 * tick for ev in link.handovers)}
+    for key, direction in (("ul", Direction.UPLINK), ("dl", Direction.DOWNLINK)):
+        bits = app_bits + sum(q.cap_bits for q in link.flows.values()
+                              if q.droppable and q.direction is direction)
+        terms[f"network.{key}_capacity_bps"] = -(-bits // link.budgets[direction]) * tick
+    drain_ns = sum(terms.values())
+    if drain_ns > MAX_DURATION_S * 1_000_000_000:
+        raise ConfigError(f"config.{max(terms, key=terms.get)} makes the run "
+                          f"drain for more than {MAX_DURATION_S} s after its end")
+    return cfg.duration_ns + drain_ns
+
+
 def run_scenario(cfg: ScenarioConfig,
                  out_dir: str | Path | None = None) -> ScenarioResult:
     """Execute one scenario and (optionally) persist its packet log plus the
-    resolved config echo under out_dir."""
+    resolved config echo under out_dir.  A sim run goes on after its end
+    until every message is logged, up to its drain horizon."""
     if cfg.mode == "real":
         result = _run_real(cfg)
     else:
         world, pipeline = _build_sim(cfg)
+        horizon_ns = _drain_horizon_ns(cfg, world.link)
         pipeline.start()
         world.run_until(world.start_ns + cfg.duration_ns)
-        world.run_until(world.start_ns + cfg.duration_ns + _DRAIN_GRACE_NS,
-                        done=lambda: pipeline.complete)
+        world.run_until(world.start_ns + horizon_ns, done=lambda: pipeline.complete)
+        # a safety net: the horizon bounds every message's delivery
         if not pipeline.complete:
             raise RuntimeError(
                 f"scenario {cfg.name}: pipeline did not drain "
                 f"({len(pipeline.vehicle.records)}/{pipeline.sensor.n_messages} "
-                f"records after grace period)")
+                f"records by its drain horizon)")
         result = ScenarioResult(
             name=cfg.name, config=cfg, records=pipeline.vehicle.records,
             # a route may run on past the end; its later handovers touch
@@ -543,7 +566,9 @@ def run_scenario(cfg: ScenarioConfig,
 
 def _run_real(cfg: ScenarioConfig) -> ScenarioResult:
     """Loopback real-socket run: a broker, the relay and the vehicle on a
-    two-thread pool, and a blocking sensor."""
+    two-thread pool, and a blocking sensor.  It waits for the vehicle as
+    long as the relay, which holds one frame at a time, may take, and a
+    vehicle that logs fewer messages than were sent fails the run."""
     # imported here: the benchmark forks its system processes from a process
     # that imports this module, and a child's peak RSS counts the parent's
     from concurrent.futures import ThreadPoolExecutor, wait
@@ -571,7 +596,9 @@ def _run_real(cfg: ScenarioConfig) -> ScenarioResult:
                                        rate_hz=cfg.message.rate_hz,
                                        duration_s=cfg.duration_s,
                                        payload_seed=derive_seed(cfg.seed, "payload"))
-                wait((vehicle,), timeout=cfg.duration_s + 10)
+                longest_s = cfg.agents.relay.processing_delay.longest_ns / 1e9
+                wait((vehicle,), timeout=min(
+                    cfg.duration_s + expected * longest_s + 10, threading.TIMEOUT_MAX))
         finally:
             stop.set()
         try:
@@ -581,6 +608,9 @@ def _run_real(cfg: ScenarioConfig) -> ScenarioResult:
             raise RuntimeError(f"real-mode agent failed: {exc!r}") from exc
     if sent is None:
         raise RuntimeError("agents did not subscribe in time")
+    if len(records) < sent:
+        raise RuntimeError(f"scenario {cfg.name}: the vehicle logged "
+                           f"{len(records)} of the {sent} messages sent")
     return ScenarioResult(name=cfg.name, config=cfg, records=records,
                           handover_events=[], affected_seqs=set(),
                           sensor_sent=sent, relay_corrupt_drops=corrupt_drops)

@@ -138,18 +138,53 @@ def test_malformed_matrix_config_exits_2_naming_the_field(tmp_path, capsys):
     assert capsys.readouterr().err == "error: matrix.cells must be a list\n"
 
 
-def test_a_run_that_does_not_drain_exits_1_with_the_cause(tmp_path, capsys):
-    # a 1 GB background packet holds the uplink for 200 s, longer than the
-    # run's drain grace, so 1 of the 10 messages is logged
+def _slow_config(tmp_path: Path) -> Path:
+    """A 1 s run of 10 messages behind a 1 GB background packet, which
+    holds the uplink for 200 s."""
     config = tmp_path / "slow.json"
     config.write_text(json.dumps({
         "name": "slow", "scheduler": "BL", "seed": 1, "duration_s": 1.0,
         "load": {"ul": "1x5", "packet_size_bytes": 1_000_000_000,
                  "queue_cap_bytes": 1_000_000_000}}), encoding="utf-8")
-    assert cli.main(["run", "--config", str(config)]) == 1
+    return config
+
+
+def test_a_run_that_does_not_drain_exits_1_with_the_cause(tmp_path, capsys,
+                                                          monkeypatch):
+    # a drain horizon 10 s past the run's end, where the config's own bound
+    # is over 200 s: 1 of the 10 messages is logged by then
+    from cv2x_bench import scenario
+    monkeypatch.setattr(scenario, "_drain_horizon_ns",
+                        lambda cfg, link: cfg.duration_ns + 10**10)
+    assert cli.main(["run", "--config", str(_slow_config(tmp_path))]) == 1
     assert capsys.readouterr().err == (
-        "error: scenario slow: pipeline did not drain (1/10 records after "
-        "grace period)\n")
+        "error: scenario slow: pipeline did not drain (1/10 records by its "
+        "drain horizon)\n")
+
+
+def test_a_run_that_breaks_an_invariant_exits_1_with_the_cause(tmp_path, capsys,
+                                                              monkeypatch):
+    from cv2x_bench import netem
+
+    def broken(self, tick_start):
+        raise netem.InvariantViolation("conservation broken")
+
+    monkeypatch.setattr(netem.LinkSimulator, "run_tick", broken)
+    assert cli.main(["run", "--config", str(_slow_config(tmp_path))]) == 1
+    assert capsys.readouterr().err == "error: conservation broken\n"
+
+
+def test_a_run_that_would_drain_past_the_limit_exits_2_naming_the_field(
+        tmp_path, capsys):
+    # two hops of 12 h of base delay outlast a day
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps({
+        "name": "far", "seed": 1, "duration_s": 1.0,
+        "network": {"base_delay_ms": 43_200_001}}), encoding="utf-8")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config.network.base_delay_ms makes the run drain for more "
+        "than 86400 s after its end\n")
 
 
 def test_analyze_of_an_empty_log_exits_1(tmp_path, capsys):
@@ -486,6 +521,14 @@ BAD_NUMBERS = [
     (["sensor", "--connect", "127.0.0.1:9", "--size", "10000089"], "--size"),
     (["sensor", "--connect", "127.0.0.1:9", "--source-id", "70000"], "--source-id"),
     (["relay", "--connect", "127.0.0.1:9", "--proc-ms", "-1"], "--proc-ms"),
+    # at most a day, the config's bound: a longer wait overflowed
+    (["relay", "--connect", "127.0.0.1:9", "--proc-ms", "1e300"], "--proc-ms"),
+    (["relay", "--connect", "127.0.0.1:9", "--duration", "1e300"], "--duration"),
+    (["sensor", "--connect", "127.0.0.1:9", "--duration", "1e300"], "--duration"),
+    (["vehicle", "--connect", "127.0.0.1:9", "--log", "/nonexistent/v.jsonl",
+      "--duration", "86400.001"], "--duration"),
+    (["loadgen", "--target", "127.0.0.1:9", "--rate-mbps", "1",
+      "--duration", "1e300"], "--duration"),
     (["vehicle", "--connect", "127.0.0.1:9", "--log", "/nonexistent/v.jsonl",
       "--expected", "0"], "--expected"),
     (["broker", "--listen", "127.0.0.1:99999"], "--listen"),

@@ -397,6 +397,21 @@ def test_an_ap_span_matches_stepping_tick_by_tick(start_ns, sources, warm_ticks,
     assert world.now_ns == want_world.now_ns
 
 
+def test_an_ap_span_ends_once_its_queues_empty_after_the_last_arrival(monkeypatch):
+    # a source overloads its flow until tick 30: its backlog drains a few
+    # ticks later, and the rest of the 100,000 ticks are skipped as idle
+    world, link = _span_world(0, [(6_000_000, 1000, 8, 0, 30 * TICK, 1,
+                                   Direction.UPLINK)], warm_ticks=12)
+    spans = []
+    serve = netem._serve_waterfill
+    monkeypatch.setattr(netem, "_serve_waterfill",
+                        lambda *args: spans.append(args) or serve(*args))
+    world.run_until(100_000 * TICK)
+    assert (world.ticks_run, world.ticks_skipped) == (12, 100_000 - 12)
+    assert not any(q.backlog_bits for q in link.flows.values())
+    assert 18 <= len(spans) < 40
+
+
 def _fed_queue_with_an_application_packet():
     """An AP world whose source overloads its uplink flow, stepped until the
     queue holds backlog, with one application packet then enqueued into that

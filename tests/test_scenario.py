@@ -14,7 +14,7 @@ import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from cv2x_bench import agents, analysis, clockmodel, netem, protocol, scenario
@@ -417,6 +417,16 @@ def test_real_mode_counts_the_relays_corrupt_drops(monkeypatch):
     assert len(result.records) == result.sensor_sent
 
 
+def test_real_mode_fails_when_a_message_goes_missing(monkeypatch):
+    # a sensor that reports one frame more than it sent
+    run_real_sensor = scenario.run_real_sensor
+    monkeypatch.setattr(scenario, "run_real_sensor",
+                        lambda host, port, **kwargs: run_real_sensor(host, port, **kwargs) + 1)
+    with pytest.raises(RuntimeError, match="scenario scenario: the vehicle "
+                                           "logged 5 of the 6 messages sent"):
+        run_scenario(config_from_obj(_minimal(mode="real", duration_s=0.5)))
+
+
 def test_real_mode_reports_a_failing_agent_at_once(monkeypatch):
     failure = ValueError("relay failed")
 
@@ -438,7 +448,8 @@ def _stepped(cfg):
     end = world.start_ns + cfg.duration_ns
     while world.now_ns < end:
         world.run_tick()
-    while not pipeline.complete and world.now_ns < end + scenario._DRAIN_GRACE_NS:
+    horizon = world.start_ns + scenario._drain_horizon_ns(cfg, world.link)
+    while not pipeline.complete and world.now_ns < horizon:
         world.run_tick()
     assert world.ticks_skipped == 0
     return world, pipeline
@@ -655,8 +666,8 @@ def test_duration_is_bounded():
 
 def test_ack_size_and_base_delay_are_bounded():
     # an acknowledgment of round(size_bytes * ack_ratio) bytes fits a frame
-    # up to the largest; two hops of base delay fit the 120 s drain grace;
-    # the largest finite values overflow the products to infinity
+    # up to the largest; a base delay is at most a day, and the largest
+    # finite values overflow the products to infinity
     largest = protocol.MAX_FRAME_SIZE
     for ratio, ok in ((largest / 1000, True), ((largest + 0.5) / 1000, True),
                       ((largest + 0.51) / 1000, False), (1.7e308, False)):
@@ -666,29 +677,28 @@ def test_ack_size_and_base_delay_are_bounded():
         else:
             with pytest.raises(ConfigError, match="config.network.ack_ratio"):
                 config_from_obj(obj)
-    assert config_from_obj(_minimal(network={"base_delay_ms": 60_000})
-                           ).network.base_delay_ns == scenario._DRAIN_GRACE_NS // 2
-    for delay in (60_000.001, 1.7e308):
-        with pytest.raises(ConfigError, match="config.network.base_delay_ms must be <= 60000"):
+    assert config_from_obj(_minimal(network={"base_delay_ms": 86_400_000})
+                           ).network.base_delay_ns == 86_400 * 10**9
+    for delay in (86_400_000.001, 1.7e308):
+        with pytest.raises(ConfigError,
+                           match="config.network.base_delay_ms must be <= 86400000"):
             config_from_obj(_minimal(network={"base_delay_ms": delay}))
 
 
 def test_processing_delay_is_bounded():
-    # the longest processing delay and two hops of base delay fit the 120 s
-    # drain grace
-    for base_delay_ms in (2.0, 0.0, 60_000):
-        largest = scenario._DRAIN_GRACE_NS - 2 * round(base_delay_ms * 1_000_000)
-        for delay in ({"constant_ns": largest}, {"uniform_ns": [0, largest]},
-                      {"uniform_ns": [largest, largest]}):
-            obj = _minimal(network={"base_delay_ms": base_delay_ms},
-                           agents={"relay": {"processing_delay": delay}})
+    # the longest processing delay, constant or at the top of its range, is
+    # at most a day
+    largest = 86_400 * 10**9
+    for delay in ({"constant_ns": largest}, {"uniform_ns": [0, largest]},
+                  {"uniform_ns": [largest, largest]}):
+        obj = _minimal(agents={"relay": {"processing_delay": delay}})
+        config_from_obj(obj)
+        over = {key: value + 1 if key == "constant_ns" else [value[0], value[1] + 1]
+                for key, value in delay.items()}
+        obj["agents"]["relay"]["processing_delay"] = over
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config.agents.relay.processing_delay must be <= {largest} ns")):
             config_from_obj(obj)
-            over = {key: value + 1 if key == "constant_ns" else [value[0], value[1] + 1]
-                    for key, value in delay.items()}
-            obj["agents"]["relay"]["processing_delay"] = over
-            with pytest.raises(ConfigError, match=re.escape(
-                    f"config.agents.relay.processing_delay must be <= {largest} ns")):
-                config_from_obj(obj)
 
 
 def test_message_count_is_bounded():
@@ -703,6 +713,154 @@ def test_message_count_is_bounded():
     # offset, too large for an int, used to overflow
     cfg = config_from_obj(_minimal(message={"rate_hz": 1e-300}))
     assert scenario.message_count(cfg.message.rate_hz, cfg.duration_ns) == 1
+
+
+# --------------------------------------------------------------------------
+# The drain horizon: a sim run goes on until every message is logged
+# --------------------------------------------------------------------------
+
+# configs that stopped draining at the fixed 120 s grace the horizon
+# replaced: two hops of a 60 s base delay, a 119.996 s relay, 37 Mbit of
+# application backlog on a 0.18 Mbit/s uplink, a 200 s handover
+# interruption, and a 1 GB background packet ahead on the uplink; and two
+# hops of a 10 h base delay under AP with a background load over the
+# uplink's capacity, whose idle ticks after the backlog drains are skipped,
+# not advanced one by one
+_LONG_DRAINS = {
+    "base-delay": _minimal(duration_s=1.0, message={"rate_hz": 1000.0},
+                           network={"base_delay_ms": 60_000}),
+    "slow-relay": _minimal(duration_s=1.0, message={"size_bytes": 100, "rate_hz": 1000.0},
+                           agents={"relay": {"processing_delay": {
+                               "constant_ns": 119_996_000_000}}}),
+    "backlog": _minimal(duration_s=0.081,
+                        message={"size_bytes": 51_792, "rate_hz": 1110.0},
+                        network={"ul_capacity_bps": 180_000}),
+    "handover": _minimal(duration_s=1.0, network={"handover": {"interruption_ms": 200_000}},
+                         mobility={"waypoints": [[0, 0.0, 0.0], [10**9, 300.0, 0.0]]}),
+    "background": _minimal(duration_s=1.0, load={
+        "ul": "1x5", "packet_size_bytes": 10**9, "queue_cap_bytes": 10**9}),
+    "ap-background": _minimal(duration_s=1.0, scheduler="AP", load={"ul": "1x5"},
+                              network={"base_delay_ms": 36_000_000,
+                                       "ul_capacity_bps": 1_000_000}),
+}
+
+
+@pytest.mark.parametrize("name", _LONG_DRAINS)
+def test_a_long_drain_logs_every_message(name):
+    result = run_scenario(config_from_obj(_LONG_DRAINS[name]))
+    assert result.sensor_sent > 0
+    assert len(result.records) == result.sensor_sent
+
+
+# (field the refusal names, config whose drain would outlast a day)
+_PAST_THE_LIMIT = [
+    ("network.base_delay_ms", {"network": {"base_delay_ms": 43_200_001}}),
+    ("agents.relay.processing_delay",
+     {"agents": {"relay": {"processing_delay": {"uniform_ns": [0, 86_400 * 10**9]}}}}),
+    ("network.ul_capacity_bps", {"network": {"ul_capacity_bps": 400},
+                                 "message": {"size_bytes": 10**6, "rate_hz": 100.0}}),
+    ("network.dl_capacity_bps", {"network": {"dl_capacity_bps": 1000},
+                                 "load": {"dl": "1x1", "queue_cap_bytes": 10**10}}),
+    ("network.slot_duration_ns", {"network": {"slot_duration_ns": 10**13}}),
+    ("network.handover.interruption_ms",
+     {"network": {"handover": {"interruption_ms": 50_000_000}},
+      "mobility": {"waypoints": [[0, 0.0, 0.0], [10**9, 300.0, 0.0],
+                                 [2 * 10**9, 0.0, 0.0]]}}),
+]
+
+
+@pytest.mark.parametrize("named, fields", _PAST_THE_LIMIT,
+                         ids=[named for named, _ in _PAST_THE_LIMIT])
+def test_a_drain_past_the_limit_is_refused_naming_its_largest_term(named, fields):
+    cfg = config_from_obj(_minimal(duration_s=1.0, **fields))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"config.{named} makes the run drain for more than 86400 s after its end")):
+        run_scenario(cfg)
+
+
+_PROCESSING = st.sampled_from([0, 5 * 10**6, 119_996 * 10**6, 86_400 * 10**9])
+# (path, a value past the field's declared maximum) of each time or drift
+# field
+_PAST_MAXIMUM = [(("network", "base_delay_ms"), 1.7e308),
+                 (("network", "handover", "interruption_ms"), 1.7e308),
+                 (("agents", "relay", "processing_delay"), {"constant_ns": 10**15}),
+                 (("agents", "sensor", "ntp", "period_s"), 1.7e308),
+                 (("agents", "vehicle", "clock", "drift_ppm"), 2e6)]
+
+
+@st.composite
+def _sim_configs(draw) -> dict:
+    """A sim config, refused or not, over wide ranges of load, capacity,
+    delay, clocks and mobility, with at most one value past a declared
+    maximum; some drains pass the limit.  Its backlog and interruptions
+    take at most 50,000 ticks at the slower direction's budget, so that a
+    run costs well under 0.2 s."""
+    scale = st.sampled_from
+    size = draw(scale([protocol.FRAME_OVERHEAD, 1000, 10_000, 60_000]))
+    packet = draw(scale([100, 1400, 60_000]))
+    cap = draw(scale([60_000, 1_000_000, 10_000_000]))
+    network = {
+        "pattern": draw(scale(["DDDSU", "DU", "D"])),
+        "slot_duration_ns": draw(scale([125_000, 500_000, 10**9, 10**13])),
+        "ul_capacity_bps": draw(scale([100_000, 180_000, 10**6, 4 * 10**7, 10**9])),
+        "dl_capacity_bps": draw(scale([100_000, 10**6, 13 * 10**7, 10**9])),
+        "ack_ratio": draw(scale([0.0, 0.05, 1.0])),
+        "base_delay_ms": draw(scale([0.0, 2.0, 60_000.0, 4 * 10**7, 5 * 10**7])),
+        "handover": {"interruption_ms": draw(scale([0.0, 50.0, 2_000.0]))},
+    }
+    relay_delay = draw(st.one_of(
+        _PROCESSING.map(lambda ns: {"constant_ns": ns}),
+        st.tuples(_PROCESSING, _PROCESSING).map(
+            lambda pair: {"uniform_ns": sorted(pair)})))
+    obj = _minimal(
+        scheduler=draw(scale(["BL", "AP"])),
+        duration_s=draw(st.floats(0.005, 0.2)),
+        message={"size_bytes": size, "rate_hz": draw(st.floats(1.0, 2000.0))},
+        load={"ul": draw(scale(["none", "1x5", "2x40"])),
+              "dl": draw(scale(["none", "1x5", "3x0.5"])),
+              "packet_size_bytes": packet, "queue_cap_bytes": cap},
+        network=network,
+        agents={name: {"clock": {"drift_ppm": draw(scale([0.0, 50.0, -1e6, 1e6])),
+                                 "jitter_ns": draw(scale([0, 20_000]))},
+                       "ntp": {"period_s": draw(scale([0.0, 10.0, 86_400.0]))}}
+                for name in ("sensor", "relay", "vehicle")})
+    obj["agents"]["relay"]["processing_delay"] = relay_delay
+    past = draw(st.none() | scale(_PAST_MAXIMUM))
+    if past is not None:
+        (*parents, key), value = past
+        node = obj
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+    handovers = draw(scale([0, 1, 2]))
+    if handovers:
+        obj["mobility"] = {"waypoints": [[0, 0.0, 0.0], [10**8, 300.0, 0.0],
+                                         [2 * 10**8, 0.0, 0.0]][:handovers + 1]}
+    tick = len(network["pattern"]) * network["slot_duration_ns"]
+    budget = min(network["ul_capacity_bps"], network["dl_capacity_bps"]) * tick // 10**9
+    messages = obj["duration_s"] * obj["message"]["rate_hz"] + 1
+    ues = sum(int(spec.partition("x")[0] or 0) for spec in (obj["load"]["ul"], obj["load"]["dl"])
+              if spec != "none")
+    backlog = 8 * (messages * size * (1 + network["ack_ratio"]) + ues * cap)
+    interrupted = handovers * min(network["handover"]["interruption_ms"], 10**6) * 10**6
+    assume(backlog / max(budget, 1) + interrupted / tick <= 50_000)
+    return obj
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=_sim_configs())
+def test_a_sim_config_that_parses_logs_every_message(obj):
+    """Every sim config is refused with a ConfigError, or runs to its end
+    with every message it sent logged; none ends in "did not drain"."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(scenario.SEED_ENV_VAR, raising=False)
+        try:
+            result = run_scenario(config_from_obj(obj))
+        except ConfigError:
+            event("refused")
+            return
+    event(f"ran, mobility: {'mobility' in obj}")
+    assert len(result.records) == result.sensor_sent > 0
 
 
 # --------------------------------------------------------------------------
@@ -735,12 +893,23 @@ MALFORMED = [
     ("config", _minimal(network={"pattern": ""}),
      "config.network.pattern must be a non-empty string of D, U and S slots, "
      "got ''"),
-    # an acknowledgment over the largest frame, and a base delay whose two
-    # hops outlast the drain grace, would leave the run undrained
+    # an acknowledgment over the largest frame would leave the run undrained
     ("config", _minimal(network={"ack_ratio": 1e300}),
      "config.network.ack_ratio 1e+300 makes an acknowledgment over 10000088 bytes"),
-    ("config", _minimal(network={"base_delay_ms": 1e300}),
-     "config.network.base_delay_ms must be <= 60000 to drain, got 1e+300"),
+    # time fields of at most a day, and a clock drift that keeps a clock
+    # running forwards at up to twice the reference rate: past them, the
+    # value's conversion to an integer overflowed
+    ("config", _minimal(network={"base_delay_ms": 1.7e308}),
+     "config.network.base_delay_ms must be <= 86400000"),
+    ("config", _minimal(network={"handover": {"interruption_ms": 1.7e308}},
+                        mobility=_ROUTE),
+     "config.network.handover.interruption_ms must be <= 86400000"),
+    ("config", _minimal(agents={"vehicle": {"ntp": {"period_s": 1.7e308}}}),
+     "config.agents.vehicle.ntp.period_s must be <= 86400"),
+    ("config", _minimal(agents={"sensor": {"clock": {"drift_ppm": 1.7e308}}}),
+     "config.agents.sensor.clock.drift_ppm must be <= 1000000"),
+    ("config", _minimal(agents={"relay": {"clock": {"drift_ppm": -1.7e308}}}),
+     "config.agents.relay.clock.drift_ppm must be >= -1000000"),
     ("config", _minimal(network={"handover": 5}),
      "config.network.handover must be an object"),
     ("config", _minimal(network={"cells": 5}), "config.network.cells must be a list"),
@@ -787,15 +956,15 @@ MALFORMED = [
     ("config", _minimal(agents={"relay": {"processing_delay": {
         "uniform_ns": [5, 2]}}}),
      "config.agents.relay.processing_delay: uniform range"),
-    # a relay that holds a message past the drain grace, constant or at the
-    # top of its range
+    # a relay that holds a message over a day, constant or at the top of
+    # its range
     ("config", _minimal(agents={"relay": {"processing_delay": {
         "constant_ns": 10**15}}}),
-     "config.agents.relay.processing_delay must be <= 119996000000 ns, with two "
-     "hops of network.base_delay_ms, to drain, got 1000000000000000"),
+     "config.agents.relay.processing_delay must be <= 86400000000000 ns, "
+     "got 1000000000000000"),
     ("config", _minimal(agents={"relay": {"processing_delay": {
         "uniform_ns": [0, 10**15]}}}),
-     "config.agents.relay.processing_delay must be <= 119996000000 ns"),
+     "config.agents.relay.processing_delay must be <= 86400000000000 ns"),
     ("config", _minimal(mobility=5), "config.mobility must be an object"),
     ("config", _minimal(mobility={}), "config.mobility.waypoints is required"),
     ("config", _minimal(mobility={"waypoints": 5}),
@@ -946,11 +1115,15 @@ _BOUNDED = [
     (("network", "pattern"), [""], ["D", "DDDSU"]),
     (("network", "slot_duration_ns"), [0], [1, 2, 500_000]),
     (("network", "ack_ratio"), [-0.01], [0.0, 0.001, 0.05]),
-    (("network", "handover", "interruption_ms"), [-1e-6], [0.0, 1e-6, 50.0]),
+    (("network", "base_delay_ms"), [-1e-6, 86_400_000.001], [0.0, 2.0, 86_400_000]),
+    (("network", "handover", "interruption_ms"), [-1e-6, 86_400_000.001],
+     [0.0, 1e-6, 50.0, 86_400_000]),
     # cell ids, one to three of them
     (("network", "cells"), [[], [1, 1], [1, 2, 2]], [[1], [1, 2], [1, 2, 3]]),
-] + [(("agents", agent, "ntp", "period_s"), [-1e-9], [0.0, 1e-10, 1e-9, 10.0])
-     for agent in ("sensor", "relay", "vehicle")]
+] + [(("agents", agent, "ntp", "period_s"), [-1e-9, 86_400.001],
+      [0.0, 1e-10, 1e-9, 10.0, 86_400]) for agent in ("sensor", "relay", "vehicle")
+     ] + [(("agents", agent, "clock", "drift_ppm"), [-1_000_000.001, 1_000_000.001],
+           [-1_000_000, 0.0, 50.0, 1_000_000]) for agent in ("sensor", "relay", "vehicle")]
 # fields whose bound depends on another field's drawn value
 _RELATIVE = [("load", "queue_cap_bytes"), ("network", "ul_capacity_bps"),
              ("network", "dl_capacity_bps")]
